@@ -1,0 +1,7 @@
+"""Lets the benchmark's tests import marc from this checkout's src tree."""
+import sys
+from pathlib import Path
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+if _SRC not in sys.path:
+    sys.path.insert(0, _SRC)
