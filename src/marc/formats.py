@@ -234,16 +234,33 @@ def load_bundle(path: str | Path) -> ModelBundle:
         raise FormatError(f"{root / 'selectors.marc'}: trailing bytes after the last record")
     span_path = root / "span.marc"
     span = read_matrix(span_path) if span_path.exists() else None
+    individual = read_matrix(root / "individual.marc")
+    sparse_error = read_matrix(root / "error.marc")
+    dim = individual.shape[0]
     for i, basis in enumerate(bases):
         m = schema.size(i)
         if basis.shape[1] != m:
             raise FormatError(f"{root}: basis_{i}.marc has {basis.shape[1]} columns, expected {m}")
+        if basis.shape[0] != dim:
+            raise FormatError(
+                f"{root}: basis_{i}.marc has {basis.shape[0]} rows, expected {dim} "
+                f"like individual.marc"
+            )
+    if sparse_error.shape != individual.shape:
+        raise FormatError(
+            f"{root}: error.marc has shape {sparse_error.shape}, expected "
+            f"{individual.shape} like individual.marc"
+        )
+    if span is not None and span.shape[0] != dim:
+        raise FormatError(
+            f"{root}: span.marc has {span.shape[0]} rows, expected {dim} like individual.marc"
+        )
     return ModelBundle(
         schema=schema,
         bases=bases,
         bank=SelectorBank(selectors),
-        individual=read_matrix(root / "individual.marc"),
-        sparse_error=read_matrix(root / "error.marc"),
+        individual=individual,
+        sparse_error=sparse_error,
         diagnostics=diagnostics,
         config=config,
         span=span,

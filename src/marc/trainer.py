@@ -14,6 +14,16 @@ selector step and an orthonormal basis step (Gauss-Seidel, always using the
 latest values), then a singular-value-threshold step for G, a masked
 soft-threshold step for E, a dual ascent step, and a geometric penalty
 increase capped at mu_max.
+
+Selectors are handled in indicator form. With Z_i the count x M_i one-hot
+matrix of attribute i's labels and S_i its (M_i, M_i) selector block,
+H_i = S_i Z_i^T, so F_i H_i = (F_i S_i)[:, labels] is a small product plus a
+column gather. For an attribute residual R, R Z_i holds the per-instantiation
+column sums; the selector step for every instantiation at once is
+F_i^T (R Z_i) / n_i (n_i the column count of each instantiation) and the
+basis step is the Procrustes projection of (R Z_i) S_i^T, which equals
+R H_i^T. After the attribute sweep the loop forms sum_k F_k H_k once and
+hands it to the G, E, residual and dual steps.
 """
 from __future__ import annotations
 
@@ -23,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dataset import AttributeSchema, SelectorBank, TrainingSet, columns_of, materialize_h
+from .dataset import AttributeSchema, SelectorBank, TrainingSet
 from .errors import NumericalError, ValidationError
 from .proxops import procrustes, random_orthonormal, shrink_matrix, svt
 
@@ -128,16 +138,23 @@ class ModelBundle:
 def shared_component(state: TrainState, ts: TrainingSet, exclude: int | None = None) -> np.ndarray:
     """sum_k F_k H_k over attributes, optionally skipping one.
 
-    Terms are added in schema order; callers that need bitwise-identical
-    recomputation (tests, invariant checks) get it by calling this again on
-    an unchanged state.
+    Each term is (F_k S_k)[:, label_index[k]]. Terms are added in schema
+    order; callers that need bitwise-identical recomputation (tests,
+    invariant checks) get it by calling this again on an unchanged state.
     """
     total = np.zeros_like(ts.X)
     for k in range(ts.schema.count):
         if k == exclude:
             continue
-        total += state.bases[k] @ materialize_h(state.bank, ts, k)
+        total += (state.bases[k] @ state.bank.selectors[k])[:, ts.label_index[k]]
     return total
+
+
+def indicator(ts: TrainingSet, attr: int) -> np.ndarray:
+    """Z_i: the count x M_i one-hot matrix of attribute `attr`'s labels."""
+    z = np.zeros((ts.count, ts.schema.size(attr)))
+    z[np.arange(ts.count), ts.label_index[attr]] = 1.0
+    return z
 
 
 def attribute_residual(state: TrainState, ts: TrainingSet, attr: int) -> np.ndarray:
@@ -147,91 +164,118 @@ def attribute_residual(state: TrainState, ts: TrainingSet, attr: int) -> np.ndar
         - state.individual - state.sparse_error + state.dual / state.mu
 
 
-def error_residual(state: TrainState, ts: TrainingSet) -> np.ndarray:
-    """Residual handed to the sparse step: X - sum F_k H_k - G + dual/mu."""
-    return ts.X - shared_component(state, ts) - state.individual + state.dual / state.mu
+def error_residual(
+    state: TrainState, ts: TrainingSet, shared: np.ndarray | None = None
+) -> np.ndarray:
+    """Residual handed to the sparse step: X - sum F_k H_k - G + dual/mu.
+
+    `shared`, if given, must be shared_component(state, ts).
+    """
+    if shared is None:
+        shared = shared_component(state, ts)
+    return ts.X - shared - state.individual + state.dual / state.mu
 
 
 def update_h(
     state: TrainState,
     ts: TrainingSet,
     attr: int,
-    inst: int,
-    residual: np.ndarray | None = None,
+    sums: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Selector step: project the mean residual of the instantiation's
-    columns onto the attribute's current basis.
+    """Selector step for every instantiation of `attr` at once: project the
+    mean residual of each instantiation's columns onto the attribute's
+    current basis, S_i = F_i^T (R Z_i) / n_i.
 
-    The precomputed `residual` must be attribute_residual(state, ts, attr);
-    it is shared across an attribute's instantiations because the excluded
-    sum drops all of attribute `attr`.
+    The precomputed `sums` must be attribute_residual(state, ts, attr) @
+    indicator(ts, attr). Returns the new (M_i, M_i) selector block.
     """
-    if residual is None:
-        residual = attribute_residual(state, ts, attr)
-    cols = columns_of(ts, attr, inst)
-    selector = state.bases[attr].T @ residual[:, cols].mean(axis=1)
-    state.bank.selectors[attr][:, inst] = selector
-    return selector
+    if sums is None:
+        sums = attribute_residual(state, ts, attr) @ indicator(ts, attr)
+    counts = np.bincount(ts.label_index[attr], minlength=ts.schema.size(attr))
+    state.bank.selectors[attr] = (state.bases[attr].T @ sums) / counts
+    return state.bank.selectors[attr]
 
 
 def update_f(
     state: TrainState,
     ts: TrainingSet,
     attr: int,
-    residual: np.ndarray | None = None,
+    sums: np.ndarray | None = None,
 ) -> np.ndarray:
     """Basis step: orthonormal factor closest to the residual in the
-    selector directions, via the Procrustes projection of residual @ H.T."""
-    if residual is None:
-        residual = attribute_residual(state, ts, attr)
-    h = materialize_h(state.bank, ts, attr)
-    state.bases[attr] = procrustes(residual @ h.T)
+    selector directions, via the Procrustes projection of R H_i^T, computed
+    as (R Z_i) S_i^T. `sums` is as in `update_h`."""
+    if sums is None:
+        sums = attribute_residual(state, ts, attr) @ indicator(ts, attr)
+    state.bases[attr] = procrustes(sums @ state.bank.selectors[attr].T)
     return state.bases[attr]
 
 
-def update_g(state: TrainState, ts: TrainingSet) -> np.ndarray:
+def update_g(
+    state: TrainState, ts: TrainingSet, shared: np.ndarray | None = None
+) -> np.ndarray:
     """Individual step: singular-value threshold at 1/mu of what the shared
-    and sparse parts leave unexplained."""
-    residual = ts.X - shared_component(state, ts) - state.sparse_error + state.dual / state.mu
+    and sparse parts leave unexplained. `shared` is as in `error_residual`."""
+    if shared is None:
+        shared = shared_component(state, ts)
+    residual = ts.X - shared - state.sparse_error + state.dual / state.mu
     state.individual = svt(residual, 1.0 / state.mu)
     return state.individual
 
 
-def update_e(state: TrainState, ts: TrainingSet) -> np.ndarray:
+def update_e(
+    state: TrainState, ts: TrainingSet, shared: np.ndarray | None = None
+) -> np.ndarray:
     """Sparse step: soft threshold on visible entries; hidden entries take
-    the residual unchanged, which zeroes the augmented residual there."""
-    residual = error_residual(state, ts)
+    the residual unchanged, which zeroes the augmented residual there.
+    `shared` is as in `error_residual`."""
+    residual = error_residual(state, ts, shared)
     state.sparse_error = np.where(
         ts.visible, shrink_matrix(residual, state.lam / state.mu), residual
     )
     return state.sparse_error
 
 
-def update_duals(state: TrainState, ts: TrainingSet) -> None:
+def model_fit(
+    state: TrainState, ts: TrainingSet, shared: np.ndarray | None = None
+) -> np.ndarray:
+    """X - sum F_k H_k - G, the part of X left for E. `shared` is as in
+    `error_residual`."""
+    if shared is None:
+        shared = shared_component(state, ts)
+    return ts.X - shared - state.individual
+
+
+def update_duals(state: TrainState, ts: TrainingSet, fit: np.ndarray | None = None) -> None:
     """Dual ascent on the coupling constraint, then the capped geometric
-    penalty increase. mu never decreases."""
-    gap = ts.X - shared_component(state, ts) - state.individual - state.sparse_error
-    state.dual = state.dual + state.mu * gap
+    penalty increase. mu never decreases. `fit`, if given, must be
+    model_fit(state, ts)."""
+    if fit is None:
+        fit = model_fit(state, ts)
+    state.dual = state.dual + state.mu * (fit - state.sparse_error)
     state.mu = min(state.config.rho * state.mu, state.config.mu_max)
 
 
-def normalized_residual(state: TrainState, ts: TrainingSet) -> float:
+def normalized_residual(state: TrainState, ts: TrainingSet, fit: np.ndarray | None = None) -> float:
     """Masked convergence measure:
-    ||X - sum F_k H_k - G - W.*E||_F / ||X||_F (0 for an all-zero X)."""
+    ||X - sum F_k H_k - G - W.*E||_F / ||X||_F (0 for an all-zero X).
+    `fit` is as in `update_duals`."""
     denom = float(np.linalg.norm(ts.X))
     if denom == 0.0:
         return 0.0
-    gap = ts.X - shared_component(state, ts) - state.individual - ts.W * state.sparse_error
-    return float(np.linalg.norm(gap)) / denom
+    if fit is None:
+        fit = model_fit(state, ts)
+    return float(np.linalg.norm(fit - ts.W * state.sparse_error)) / denom
 
 
-def constraint_residual(state: TrainState, ts: TrainingSet) -> float:
+def constraint_residual(state: TrainState, ts: TrainingSet, fit: np.ndarray | None = None) -> float:
     """Unmasked counterpart of `normalized_residual` (E enters everywhere)."""
     denom = float(np.linalg.norm(ts.X))
     if denom == 0.0:
         return 0.0
-    gap = ts.X - shared_component(state, ts) - state.individual - state.sparse_error
-    return float(np.linalg.norm(gap)) / denom
+    if fit is None:
+        fit = model_fit(state, ts)
+    return float(np.linalg.norm(fit - state.sparse_error)) / denom
 
 
 Observer = Callable[[TrainState, int], None]
@@ -296,26 +340,28 @@ def train(
         lam=lam,
     )
 
+    indicators = [indicator(ts, i) for i in range(ts.schema.count)]
     converged = False
     res_masked = res_unmasked = float("inf")
     for t in range(config.t_max):
         state.mu_history.append(state.mu)
-        for i in range(ts.schema.count):
-            residual = attribute_residual(state, ts, i)
-            for j in range(ts.schema.size(i)):
-                update_h(state, ts, i, j, residual=residual)
-            update_f(state, ts, i, residual=residual)
-        update_g(state, ts)
-        update_e(state, ts)
-        res_masked = normalized_residual(state, ts)
-        res_unmasked = constraint_residual(state, ts)
+        for i, z in enumerate(indicators):
+            sums = attribute_residual(state, ts, i) @ z
+            update_h(state, ts, i, sums)
+            update_f(state, ts, i, sums)
+        shared = shared_component(state, ts)
+        update_g(state, ts, shared)
+        update_e(state, ts, shared)
+        fit = model_fit(state, ts, shared)
+        res_masked = normalized_residual(state, ts, fit)
+        res_unmasked = constraint_residual(state, ts, fit)
         if not (np.isfinite(res_masked) and np.isfinite(res_unmasked)):
             raise NumericalError(f"training diverged at iteration {t}: non-finite residual")
         state.residual_history.append(res_masked)
         state.residual_history_unmasked.append(res_unmasked)
         if observer is not None:
             observer(state, t)
-        update_duals(state, ts)
+        update_duals(state, ts, fit)
         state.t = t + 1
         if res_masked <= config.eps:
             converged = True

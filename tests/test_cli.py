@@ -1,12 +1,16 @@
 """End-to-end command line checks, run in-process through main(argv) so
 exit codes and console output are observable without spawning children."""
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from marc.cli import build_parser, main
-from marc.formats import load_bundle, load_manifest, load_truth, read_vector, write_vector
+from marc.formats import (
+    load_bundle, load_manifest, load_truth, read_matrix, read_vector, write_matrix,
+    write_vector,
+)
 from marc.reconstructor import ReconConfig
 from marc.trainer import SolverConfig
 
@@ -175,6 +179,17 @@ class TestCompleteAndTransfer:
                    "-i", str(bad), "-o", str(tmp_path / "out.marc")])
         assert rc == 3
         assert "error:" in capsys.readouterr().err
+
+    def test_inconsistent_bundle_is_format_error(self, workspace, tmp_path, capsys):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(workspace / "bundle", bundle)
+        basis = read_matrix(bundle / "basis_0.marc")
+        write_matrix(bundle / "basis_0.marc", basis[:-5])
+        sample = workspace / "data" / "samples" / "sample_0001.marc"
+        rc = main(["complete", "-b", str(bundle), "-i", str(sample),
+                   "-o", str(tmp_path / "out.marc")])
+        assert rc == 3
+        assert "basis_0.marc has 25 rows" in capsys.readouterr().err
 
     def test_transfer_routes(self, workspace, tmp_path):
         sample = workspace / "data" / "samples" / "sample_0001.marc"

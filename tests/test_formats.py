@@ -235,6 +235,29 @@ class TestBundleArchive:
         with pytest.raises(FormatError, match="basis_0.marc has 5 columns"):
             load_bundle(tmp_path / "bundle")
 
+    def test_basis_rows_are_checked(self, tmp_path, trained_small):
+        save_bundle(tmp_path / "bundle", trained_small)
+        path = tmp_path / "bundle" / "basis_0.marc"
+        write_matrix(path, read_matrix(path)[:-5])
+        with pytest.raises(FormatError, match="basis_0.marc has 25 rows, expected 30"):
+            load_bundle(tmp_path / "bundle")
+
+    def test_error_shape_is_checked(self, tmp_path, trained_small):
+        save_bundle(tmp_path / "bundle", trained_small)
+        path = tmp_path / "bundle" / "error.marc"
+        write_matrix(path, read_matrix(path)[:, :-1])
+        with pytest.raises(FormatError, match="error.marc has shape"):
+            load_bundle(tmp_path / "bundle")
+
+    def test_span_rows_are_checked(self, tmp_path, trained_small):
+        bundle = dataclasses.replace(trained_small, span=None)
+        build_span(bundle)
+        save_bundle(tmp_path / "bundle", bundle)
+        path = tmp_path / "bundle" / "span.marc"
+        write_matrix(path, read_matrix(path)[:-1])
+        with pytest.raises(FormatError, match="span.marc has 29 rows"):
+            load_bundle(tmp_path / "bundle")
+
 
 class TestTruthArchive:
     def test_round_trip_is_bitwise(self, tmp_path):

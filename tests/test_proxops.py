@@ -3,9 +3,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from marc import proxops
 from marc.errors import DegenerateMatrixError, ValidationError
 from marc.proxops import (
+    GRAM_RATIO,
     RankRule,
+    _svt_svd,
     deterministic_svd,
     procrustes,
     random_orthonormal,
@@ -104,6 +107,84 @@ def test_svt_edge_cases():
     assert np.array_equal(svt(m, top * 1.01), np.zeros_like(m))
     with pytest.raises(ValidationError):
         svt(m, -0.1)
+
+
+def svd_reference(m, tau):
+    u, s, vh = deterministic_svd(m)
+    return (u * np.maximum(s - tau, 0.0)) @ vh
+
+
+def with_spectrum(rows, cols, s, seed):
+    rng = np.random.default_rng(seed)
+    k = len(s)
+    return (random_orthonormal(rows, k, rng) * np.asarray(s)) @ random_orthonormal(cols, k, rng).T
+
+
+@pytest.mark.parametrize("shape", [(60, 20), (20, 60), (30, 30)])
+def test_svt_gram_path_matches_svd(shape, monkeypatch):
+    """Well-conditioned input (s_min/s_max = 0.1) takes the Gram path at
+    every threshold, including none."""
+    def no_svd(m):
+        raise AssertionError("svt fell back to the SVD")
+
+    monkeypatch.setattr(proxops, "deterministic_svd", no_svd)
+    k = min(shape)
+    m = with_spectrum(*shape, np.geomspace(5.0, 0.5, k), seed=sum(shape))
+    for tau in (0.0, 0.3, 1.0, 4.0):
+        got = svt(m, tau)
+        ref = svd_reference(m, tau)
+        assert np.allclose(got, ref, rtol=1e-9, atol=1e-9 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("shape", [(60, 40), (40, 60)])
+def test_svt_fallback_on_rank_deficient_input(shape):
+    """Rank 3 with a tiny threshold: max(tau, s_min) < GRAM_RATIO * s_max, so
+    the result comes from the SVD, bitwise."""
+    m = with_spectrum(*shape, [3.0, 2.0, 1.0], seed=3)
+    tau = 1e-9
+    got = svt(m, tau)
+    assert np.array_equal(got, _svt_svd(m, tau))
+    assert np.allclose(got, svd_reference(m, tau), rtol=1e-9, atol=1e-12)
+    assert np.linalg.matrix_rank(got) <= np.linalg.matrix_rank(m) == 3
+
+
+def test_svt_fallback_on_ill_conditioned_input():
+    s = np.geomspace(1.0, 1e-8, 30)
+    m = with_spectrum(50, 30, s, seed=4)
+    tau = 1e-6 * GRAM_RATIO
+    got = svt(m, tau)
+    assert np.array_equal(got, _svt_svd(m, tau))
+    s_got = np.linalg.svd(got, compute_uv=False)
+    assert np.allclose(s_got, np.maximum(s - tau, 0.0), rtol=1e-6, atol=1e-14)
+
+
+def test_svt_large_threshold_on_rank_deficient_input_keeps_rank():
+    """A threshold above GRAM_RATIO * s_max takes the Gram path even when the
+    spectrum has exact zeros; those stay removed."""
+    m = with_spectrum(60, 40, [3.0, 2.0, 1.0], seed=5)
+    got = svt(m, 0.5)
+    assert np.allclose(got, svd_reference(m, 0.5), rtol=1e-9, atol=1e-12)
+    assert np.linalg.matrix_rank(got) == 3
+
+
+@pytest.mark.parametrize("path", [svt, _svt_svd])
+def test_svt_threshold_above_spectrum_is_exact_zero(path):
+    rng = np.random.default_rng(8)
+    for shape in ((9, 4), (4, 9), (6, 6)):
+        m = rng.standard_normal(shape)
+        out = path(m, np.linalg.norm(m, 2) * 1.0001)
+        assert out.shape == shape
+        assert np.array_equal(out, np.zeros(shape))
+    assert np.array_equal(path(np.zeros((5, 3)), 0.0), np.zeros((5, 3)))
+
+
+@pytest.mark.parametrize("shape", [(40, 25), (25, 40)])
+def test_svt_is_bitwise_repeatable(shape):
+    rng = np.random.default_rng(9)
+    gram_path = rng.standard_normal(shape), 0.5
+    fallback = with_spectrum(*shape, [3.0, 2.0, 1.0], seed=9), 1e-12
+    for m, tau in (gram_path, fallback):
+        assert np.array_equal(svt(m, tau), svt(m.copy(), tau))
 
 
 def test_svt_never_raises_nuclear_norm():

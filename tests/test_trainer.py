@@ -3,10 +3,12 @@ independently coded oracle where one exists (least squares for the selector
 step, sampled rotations for the basis step, a direct SVD computation for the
 individual step)."""
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from marc import dataset, trainer
 from marc.dataset import AttributeSchema, Sample, SelectorBank, TrainingSet, assemble, columns_of, materialize_h
 from marc.errors import ValidationError
 from marc.proxops import random_orthonormal
@@ -17,6 +19,8 @@ from marc.trainer import (
     attribute_residual,
     constraint_residual,
     error_residual,
+    indicator,
+    model_fit,
     normalized_residual,
     shared_component,
     train,
@@ -97,14 +101,24 @@ class TestStepFunctions:
         state = make_state(ts, seed=3)
         for attr in range(ts.schema.count):
             residual = attribute_residual(state, ts, attr)
-            for inst in range(ts.schema.size(attr)):
-                got = update_h(state, ts, attr, inst, residual=residual)
+            got = update_h(state, ts, attr, residual @ indicator(ts, attr))
+            m = ts.schema.size(attr)
+            assert got.shape == (m, m)
+            assert got is state.bank.selectors[attr]
+            for inst in range(m):
                 cols = columns_of(ts, attr, inst)
                 stacked_f = np.vstack([state.bases[attr]] * cols.size)
                 stacked_r = residual[:, cols].T.reshape(-1)
                 oracle, *_ = np.linalg.lstsq(stacked_f, stacked_r, rcond=None)
-                assert np.allclose(got, oracle, atol=1e-10)
-                assert np.array_equal(state.bank.selectors[attr][:, inst], got)
+                assert np.allclose(got[:, inst], oracle, atol=1e-10)
+
+    def test_update_h_and_f_default_to_the_attribute_residual(self, small_instance):
+        ts, _ = small_instance
+        one, two = make_state(ts, seed=10), make_state(ts, seed=10)
+        for attr in range(ts.schema.count):
+            sums = attribute_residual(one, ts, attr) @ indicator(ts, attr)
+            assert np.array_equal(update_h(one, ts, attr, sums), update_h(two, ts, attr))
+            assert np.array_equal(update_f(one, ts, attr, sums), update_f(two, ts, attr))
 
     def test_update_f_beats_sampled_rotations(self, small_instance):
         ts, _ = small_instance
@@ -114,7 +128,7 @@ class TestStepFunctions:
             residual = attribute_residual(state, ts, attr)
             h = materialize_h(state.bank, ts, attr)
             before = np.linalg.norm(state.bases[attr] @ h - residual)
-            new_f = update_f(state, ts, attr, residual=residual)
+            new_f = update_f(state, ts, attr, residual @ indicator(ts, attr))
             after = np.linalg.norm(new_f @ h - residual)
             assert after <= before + 1e-12
             assert np.allclose(new_f.T @ new_f, np.eye(h.shape[0]), atol=1e-10)
@@ -163,6 +177,31 @@ class TestStepFunctions:
         state.mu = 9.9e6
         update_duals(state, ts)
         assert state.mu == 1e7
+
+    def test_indicator_is_one_hot(self, tiny_training_set):
+        z = indicator(tiny_training_set, 0)
+        assert np.array_equal(z, [[1, 0], [0, 1], [1, 0], [0, 1]])
+
+    def test_shared_component_matches_materialized_product(self, small_instance):
+        ts, _ = small_instance
+        state = make_state(ts, seed=11)
+        expect = sum(state.bases[k] @ materialize_h(state.bank, ts, k)
+                     for k in range(ts.schema.count))
+        assert np.allclose(shared_component(state, ts), expect, atol=1e-12)
+
+    def test_precomputed_arguments_change_nothing(self, small_instance):
+        ts, _ = small_instance
+        one, two = make_state(ts, seed=12), make_state(ts, seed=12)
+        shared = shared_component(one, ts)
+        assert np.array_equal(error_residual(one, ts, shared), error_residual(two, ts))
+        assert np.array_equal(update_g(one, ts, shared), update_g(two, ts))
+        assert np.array_equal(update_e(one, ts, shared), update_e(two, ts))
+        fit = model_fit(one, ts, shared)
+        assert normalized_residual(one, ts, fit) == normalized_residual(two, ts)
+        assert constraint_residual(one, ts, fit) == constraint_residual(two, ts)
+        update_duals(one, ts, fit)
+        update_duals(two, ts)
+        assert np.array_equal(one.dual, two.dual) and one.mu == two.mu
 
     def test_residual_definitions(self, small_instance):
         ts, _ = small_instance
@@ -258,6 +297,34 @@ class TestTrainLoop:
         assert len(d.residual_history_unmasked) == d.iterations
         assert len(d.mu_history) == d.iterations
         assert d.final_residual == d.residual_history[-1]
+
+    def test_iteration_work_is_bounded(self, small_instance, monkeypatch):
+        """Per iteration: at most J+1 shared-component sums, one SVT, and no
+        per-instantiation column lookups or materialized selectors."""
+        ts, _ = small_instance
+        calls = Counter()
+
+        def spy(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        spy(trainer, "shared_component")
+        spy(trainer, "svt")
+        for name in ("columns_of", "materialize_h"):
+            for module in (dataset, trainer):
+                if hasattr(module, name):
+                    spy(module, name)
+        iterations = train(ts, SolverConfig(t_max=5)).diagnostics.iterations
+        assert iterations == 5
+        assert calls["shared_component"] <= (ts.schema.count + 1) * iterations
+        assert calls["svt"] == iterations
+        assert calls["columns_of"] == 0
+        assert calls["materialize_h"] == 0
 
     def test_lam_echoed_in_diagnostics(self, small_instance):
         ts, _ = small_instance
