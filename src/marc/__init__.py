@@ -53,7 +53,7 @@ from .synthbench import (
     recovery_metrics,
     rpca_reference,
 )
-from .trainer import ModelBundle, SolverConfig, TrainDiagnostics, train
+from .trainer import ModelBundle, Schedule, SolverConfig, TrainDiagnostics, train
 
 __version__ = "0.1.0"
 
@@ -71,6 +71,7 @@ __all__ = [
     "ReconConfig",
     "ReconResult",
     "Sample",
+    "Schedule",
     "SelectorBank",
     "SolverConfig",
     "SynthSpec",

@@ -8,37 +8,38 @@ problems, 3 file or format problems, 4 numerical failures.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-
-import numpy as np
 
 from . import formats
 from .dataset import AttributeSchema, assemble
 from .errors import FormatError, NumericalError, ValidationError
 from .proxops import RankRule
-from .reconstructor import ReconConfig, TransferSpec, build_span, reconstruct
+from .reconstructor import ReconConfig, TransferSpec, reconstruct, synthesize
 from .synthbench import SynthSpec, default_spec, generate, recovery_metrics
-from .trainer import SolverConfig, train
+from .trainer import Schedule, SolverConfig, train
 
 MATRIX_SUFFIXES = (".marc", ".csv")
 
 
-def _thread_count() -> int:
-    env = os.environ.get("MARC_THREADS")
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ValidationError(f"MARC_THREADS must be an integer, got '{env}'") from None
-        if n < 1:
-            raise ValidationError(f"MARC_THREADS must be >= 1, got {n}")
-        return n
-    return min(8, os.cpu_count() or 1)
+def _add_schedule_flags(p: argparse.ArgumentParser, lam_default: str) -> None:
+    """The flags of the Schedule fields that train, complete and transfer share."""
+    defaults = Schedule()
+    p.add_argument("--lambda", dest="lam", type=float, default=defaults.lam,
+                   help=f"sparsity weight (default {lam_default})")
+    p.add_argument("--eps", type=float, default=defaults.eps, help="convergence threshold")
+    p.add_argument("--t-max", type=int, default=defaults.t_max, help="iteration cap")
+    p.add_argument("--rho", type=float, default=defaults.rho, help="penalty growth factor")
+    p.add_argument("--mu-max", type=float, default=defaults.mu_max, help="penalty cap")
+    p.add_argument("--mu0-scale", type=float, default=defaults.mu0_scale,
+                   help="initial penalty scale")
+
+
+def _schedule_kwargs(args: argparse.Namespace) -> dict:
+    return {f.name: getattr(args, f.name) for f in dataclasses.fields(Schedule)}
 
 
 def _add_common_recon_flags(p: argparse.ArgumentParser) -> None:
@@ -49,13 +50,7 @@ def _add_common_recon_flags(p: argparse.ArgumentParser) -> None:
                    help="visibility mask file (or directory matching --input)")
     p.add_argument("--output", "-o", required=True,
                    help="output vector file (or directory for directory input)")
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
-                   help="sparsity weight (default 1/sqrt(dim))")
-    p.add_argument("--eps", type=float, default=1e-7, help="convergence threshold")
-    p.add_argument("--t-max", type=int, default=1000, help="iteration cap")
-    p.add_argument("--rho", type=float, default=1.2, help="penalty growth factor")
-    p.add_argument("--mu-max", type=float, default=1e7, help="penalty cap")
-    p.add_argument("--mu0-scale", type=float, default=25.0, help="initial penalty scale")
+    _add_schedule_flags(p, "1/sqrt(dim)")
     rank = p.add_mutually_exclusive_group()
     rank.add_argument("--rank", type=int, default=None,
                       help="explicit width of the individual span")
@@ -69,22 +64,12 @@ def _add_common_recon_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _recon_config(args: argparse.Namespace) -> ReconConfig:
+    kwargs = dict(_schedule_kwargs(args), use_individual=not args.no_individual)
     if args.rank is not None:
-        rule = RankRule.fixed(args.rank)
+        kwargs["rank_rule"] = RankRule.fixed(args.rank)
     elif args.energy is not None:
-        rule = RankRule.energy_fraction(args.energy)
-    else:
-        rule = RankRule.energy_fraction(0.99)
-    return ReconConfig(
-        lam=args.lam,
-        eps=args.eps,
-        t_max=args.t_max,
-        rho=args.rho,
-        mu_max=args.mu_max,
-        mu0_scale=args.mu0_scale,
-        rank_rule=rule,
-        use_individual=not args.no_individual,
-    )
+        kwargs["rank_rule"] = RankRule.energy_fraction(args.energy)
+    return ReconConfig(**kwargs)
 
 
 def _recon_jobs(args: argparse.Namespace) -> list[tuple[Path, Path | None, Path]]:
@@ -109,63 +94,33 @@ def _recon_jobs(args: argparse.Namespace) -> list[tuple[Path, Path | None, Path]
 
 
 def _run_recon_jobs(args: argparse.Namespace, targets: dict[str, str] | None) -> int:
-    """Reconstruct every resolved job. `targets` = None completes freely;
-    otherwise the named attributes are pinned (args.post_hoc chooses the
-    joint re-solve or the post-hoc substitution)."""
+    """Reconstruct every resolved job, one at a time. `targets` = None
+    completes freely; otherwise the named attributes are pinned (args.post_hoc
+    chooses the joint re-solve or the post-hoc substitution)."""
     bundle = formats.load_bundle(args.bundle)
     config = _recon_config(args)
     jobs = _recon_jobs(args)
-    if config.use_individual and bundle.span is None and np.any(bundle.individual):
-        build_span(bundle, config.rank_rule)  # share one cached span across jobs
-
-    if targets is None or args.post_hoc:
-        spec = TransferSpec.all_free(bundle.schema)
-    else:
-        spec = TransferSpec.targets(bundle.schema, targets)
-    pin_spec = TransferSpec.targets(bundle.schema, targets) if targets else None
-
-    def solve(job: tuple[Path, Path | None, Path]) -> str:
-        in_path, mask_path, out_path = job
+    free = TransferSpec.all_free(bundle.schema)
+    pins = free if targets is None else TransferSpec.targets(bundle.schema, targets)
+    for in_path, mask_path, out_path in jobs:
         y = formats.read_vector(in_path)
         w = formats.read_vector(mask_path) if mask_path else None
-        result = reconstruct(y, w, bundle, spec, config)
+        result = reconstruct(y, w, bundle, free if args.post_hoc else pins, config)
         out = result.reconstruction
-        if targets is not None and args.post_hoc:
-            out = np.zeros(bundle.dim)
-            for i, mode in enumerate(pin_spec.pinned):
-                sel = (bundle.bank.selectors[i][:, mode] if mode is not None
-                       else result.selectors[i])
-                out += bundle.bases[i] @ sel
-            if result.indiv_coeffs.size:
-                out += bundle.span @ result.indiv_coeffs
+        if args.post_hoc:
+            out = synthesize(bundle, pins, result.selectors, result.indiv_coeffs,
+                             config.rank_rule)
         formats.write_vector(out_path, out)
         flag = "" if result.diagnostics.converged else " (did not converge)"
-        return (f"{in_path.name}: iterations={result.diagnostics.iterations} "
-                f"residual={result.diagnostics.final_residual:.3e}{flag}")
-
-    if len(jobs) == 1:
-        lines = [solve(jobs[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-            lines = list(pool.map(solve, jobs))
-    for line in lines:
-        print(line)
+        print(f"{in_path.name}: iterations={result.diagnostics.iterations} "
+              f"residual={result.diagnostics.final_residual:.3e}{flag}")
     return 0
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
     schema, samples = formats.load_manifest(args.manifest)
     ts = assemble(schema, samples)
-    config = SolverConfig(
-        lam=args.lam,
-        eps=args.eps,
-        t_max=args.t_max,
-        rho=args.rho,
-        mu_max=args.mu_max,
-        mu0_scale=args.mu0_scale,
-        mu0_norm=args.mu0_norm,
-        seed=args.seed,
-    )
+    config = SolverConfig(**_schedule_kwargs(args), mu0_norm=args.mu0_norm, seed=args.seed)
     start = time.perf_counter()
     bundle = train(ts, config)
     wall = time.perf_counter() - start
@@ -276,13 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="fit a model from a dataset manifest")
     p.add_argument("manifest", help="dataset manifest (JSON)")
     p.add_argument("--output", "-o", required=True, help="bundle directory to write")
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
-                   help="sparsity weight (default 1/sqrt(max(dim, count)))")
-    p.add_argument("--eps", type=float, default=1e-7, help="convergence threshold")
-    p.add_argument("--t-max", type=int, default=1000, help="iteration cap")
-    p.add_argument("--rho", type=float, default=1.2, help="penalty growth factor")
-    p.add_argument("--mu-max", type=float, default=1e7, help="penalty cap")
-    p.add_argument("--mu0-scale", type=float, default=25.0, help="initial penalty scale")
+    _add_schedule_flags(p, "1/sqrt(max(dim, count))")
     p.add_argument("--mu0-norm", choices=("spectral", "frobenius"), default="spectral",
                    help="norm of X scaling the initial penalty")
     p.add_argument("--seed", type=int, default=0, help="basis initialization seed")

@@ -12,8 +12,12 @@ attribute. Paths are resolved relative to the manifest's directory.
 
 A bundle archive is a directory: schema.json, config.json, diagnostics.json,
 basis_<i>.marc per attribute, selectors.marc (the per-attribute selector
-matrices concatenated as binary records in schema order), individual.marc,
-error.marc, and span.marc when the individual span has been cached.
+matrices concatenated as binary records in schema order), individual.marc
+and error.marc. A span.marc left there by older versions is ignored: spans
+are cut from the individual part's SVD when a vector is reconstructed. A
+ground-truth directory stores its selectors in the same record file, and
+both are read back through one reader that checks each record's (M_i, M_i)
+shape and rejects trailing bytes.
 """
 from __future__ import annotations
 
@@ -187,6 +191,28 @@ def _config_from_dict(d: dict, where: str) -> SolverConfig:
         raise FormatError(f"{where}: bad config echo: {exc}") from exc
 
 
+def _write_selectors(path: Path, bank: SelectorBank) -> None:
+    path.write_bytes(b"".join(_matrix_bytes(sel) for sel in bank.selectors))
+
+
+def _read_selectors(path: Path, schema: AttributeSchema) -> SelectorBank:
+    """Read the selector records of `schema`'s attributes, in order, from one
+    file; a record of the wrong shape or bytes past the last one raise
+    FormatError."""
+    buf = path.read_bytes()
+    selectors = []
+    offset = 0
+    for i in range(schema.count):
+        sel, offset = _matrix_from_stream(buf, offset, f"{path} record {i}")
+        m = schema.size(i)
+        if sel.shape != (m, m):
+            raise FormatError(f"{path}: record {i} has shape {sel.shape}, expected {(m, m)}")
+        selectors.append(sel)
+    if offset != len(buf):
+        raise FormatError(f"{path}: trailing bytes after the last record")
+    return SelectorBank(selectors)
+
+
 def save_bundle(path: str | Path, bundle: ModelBundle) -> None:
     """Write a bundle archive directory (created if needed)."""
     root = Path(path)
@@ -196,13 +222,9 @@ def save_bundle(path: str | Path, bundle: ModelBundle) -> None:
     _json_dump(root / "diagnostics.json", dataclasses.asdict(bundle.diagnostics))
     for i, basis in enumerate(bundle.bases):
         write_matrix(root / f"basis_{i}.marc", basis)
-    with open(root / "selectors.marc", "wb") as fh:
-        for sel in bundle.bank.selectors:
-            fh.write(_matrix_bytes(sel))
+    _write_selectors(root / "selectors.marc", bundle.bank)
     write_matrix(root / "individual.marc", bundle.individual)
     write_matrix(root / "error.marc", bundle.sparse_error)
-    if bundle.span is not None:
-        write_matrix(root / "span.marc", bundle.span)
 
 
 def load_bundle(path: str | Path) -> ModelBundle:
@@ -218,22 +240,7 @@ def load_bundle(path: str | Path) -> ModelBundle:
     except TypeError as exc:
         raise FormatError(f"{root / 'diagnostics.json'}: bad diagnostics: {exc}") from exc
     bases = [read_matrix(root / f"basis_{i}.marc") for i in range(schema.count)]
-    buf = (root / "selectors.marc").read_bytes()
-    selectors = []
-    offset = 0
-    for i in range(schema.count):
-        sel, offset = _matrix_from_stream(buf, offset, f"{root / 'selectors.marc'} record {i}")
-        m = schema.size(i)
-        if sel.shape != (m, m):
-            raise FormatError(
-                f"{root / 'selectors.marc'}: record {i} has shape {sel.shape}, "
-                f"expected {(m, m)}"
-            )
-        selectors.append(sel)
-    if offset != len(buf):
-        raise FormatError(f"{root / 'selectors.marc'}: trailing bytes after the last record")
-    span_path = root / "span.marc"
-    span = read_matrix(span_path) if span_path.exists() else None
+    bank = _read_selectors(root / "selectors.marc", schema)
     individual = read_matrix(root / "individual.marc")
     sparse_error = read_matrix(root / "error.marc")
     dim = individual.shape[0]
@@ -251,19 +258,14 @@ def load_bundle(path: str | Path) -> ModelBundle:
             f"{root}: error.marc has shape {sparse_error.shape}, expected "
             f"{individual.shape} like individual.marc"
         )
-    if span is not None and span.shape[0] != dim:
-        raise FormatError(
-            f"{root}: span.marc has {span.shape[0]} rows, expected {dim} like individual.marc"
-        )
     return ModelBundle(
         schema=schema,
         bases=bases,
-        bank=SelectorBank(selectors),
+        bank=bank,
         individual=individual,
         sparse_error=sparse_error,
         diagnostics=diagnostics,
         config=config,
-        span=span,
     )
 
 
@@ -277,9 +279,7 @@ def save_truth(path: str | Path, truth: GroundTruth) -> None:
     })
     for i, basis in enumerate(truth.bases):
         write_matrix(root / f"basis_{i}.marc", basis)
-    with open(root / "selectors.marc", "wb") as fh:
-        for sel in truth.bank.selectors:
-            fh.write(_matrix_bytes(sel))
+    _write_selectors(root / "selectors.marc", truth.bank)
     write_matrix(root / "individual.marc", truth.individual)
     write_matrix(root / "error.marc", truth.sparse_error)
     write_matrix(root / "mask.marc", truth.mask)
@@ -301,12 +301,7 @@ def load_truth(path: str | Path) -> GroundTruth:
     if len(assignments) != schema.count:
         raise FormatError(f"{root}: assignments do not cover the schema")
     bases = [read_matrix(root / f"basis_{i}.marc") for i in range(schema.count)]
-    buf = (root / "selectors.marc").read_bytes()
-    selectors = []
-    offset = 0
-    for i in range(schema.count):
-        sel, offset = _matrix_from_stream(buf, offset, f"{root / 'selectors.marc'} record {i}")
-        selectors.append(sel)
+    bank = _read_selectors(root / "selectors.marc", schema)
     g_left_path = root / "g_left.marc"
     if g_left_path.exists():
         g_left = read_matrix(g_left_path)
@@ -318,7 +313,7 @@ def load_truth(path: str | Path) -> GroundTruth:
     return GroundTruth(
         schema=schema,
         bases=bases,
-        bank=SelectorBank(selectors),
+        bank=bank,
         individual=read_matrix(root / "individual.marc"),
         sparse_error=read_matrix(root / "error.marc"),
         mask=read_matrix(root / "mask.marc"),

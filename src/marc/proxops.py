@@ -205,19 +205,26 @@ def rank_r_span(m: np.ndarray, rule: RankRule) -> np.ndarray:
     span and is rejected.
     """
     m = _check_matrix(m, "rank_r_span input")
+    return svd_span(deterministic_svd(m), rule)
+
+
+def svd_span(svd: tuple[np.ndarray, np.ndarray, np.ndarray], rule: RankRule) -> np.ndarray:
+    """`rank_r_span` of the matrix whose thin `deterministic_svd` is
+    `svd` = (u, s, vh); returns a copy of the leading columns of u."""
     if not isinstance(rule, RankRule):
         raise ValidationError(f"rule must be a RankRule, got {type(rule).__name__}")
-    u, s, _ = deterministic_svd(m)
+    u, s, vh = svd
     if s[0] == 0.0:
         raise DegenerateMatrixError("rank_r_span of an all-zero matrix is undefined")
+    shape = (u.shape[0], vh.shape[1])
     if rule.explicit is not None:
         r = rule.explicit
-        if r > min(m.shape):
+        if r > min(shape):
             raise ValidationError(
-                f"explicit rank {r} exceeds min(rows, cols) = {min(m.shape)}"
+                f"explicit rank {r} exceeds min(rows, cols) = {min(shape)}"
             )
     else:
-        tol = max(m.shape) * np.finfo(np.float64).eps * s[0]
+        tol = max(shape) * np.finfo(np.float64).eps * s[0]
         nrank = int(np.count_nonzero(s > tol))
         energies = np.cumsum(s[:nrank] ** 2)
         r = int(np.searchsorted(energies, rule.energy * energies[-1], side="left")) + 1

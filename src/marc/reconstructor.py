@@ -20,16 +20,15 @@ soft-thresholds the visible part of e.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
 
 from .dataset import AttributeSchema
-from .errors import DegenerateMatrixError, NumericalError, ValidationError
-from .proxops import RankRule, rank_r_span, soft_threshold
-from .trainer import ModelBundle
+from .errors import DegenerateMatrixError, ValidationError
+from .proxops import RankRule, soft_threshold, svd_span
+from .trainer import ModelBundle, Schedule, run_penalty_steps
 
 # Each penalty step runs up to INNER_SWEEPS Gauss-Seidel sweeps of the primal
 # blocks (free selectors with span coefficients, then the sparse error); a
@@ -45,35 +44,14 @@ INNER_TOL = 3e-3
 
 
 @dataclass(frozen=True)
-class ReconConfig:
-    """Reconstruction hyperparameters. lam = None selects 1/sqrt(dim).
+class ReconConfig(Schedule):
+    """Reconstruction hyperparameters: the shared schedule (lam = None
+    selects 1/sqrt(dim)), plus rank_rule, which picks the width of the
+    individual span K, and use_individual; False drops K entirely (for
+    models whose individual part is degenerate or unwanted)."""
 
-    rank_rule picks the width of the individual span K; use_individual=False
-    drops K entirely (for models whose individual part is degenerate or
-    unwanted)."""
-
-    lam: float | None = None
-    eps: float = 1e-7
-    t_max: int = 1000
-    rho: float = 1.2
-    mu_max: float = 1e7
-    mu0_scale: float = 25.0
     rank_rule: RankRule = field(default_factory=lambda: RankRule.energy_fraction(0.99))
     use_individual: bool = True
-
-    def validate(self) -> None:
-        if self.lam is not None and not (np.isfinite(self.lam) and self.lam > 0):
-            raise ValidationError(f"lam must be positive, got {self.lam}")
-        if not (np.isfinite(self.eps) and self.eps > 0):
-            raise ValidationError(f"eps must be positive, got {self.eps}")
-        if self.t_max < 1:
-            raise ValidationError(f"t_max must be >= 1, got {self.t_max}")
-        if not (np.isfinite(self.rho) and self.rho > 1):
-            raise ValidationError(f"rho must be > 1, got {self.rho}")
-        if not (np.isfinite(self.mu_max) and self.mu_max > 0):
-            raise ValidationError(f"mu_max must be positive, got {self.mu_max}")
-        if not (np.isfinite(self.mu0_scale) and self.mu0_scale > 0):
-            raise ValidationError(f"mu0_scale must be positive, got {self.mu0_scale}")
 
 
 @dataclass(frozen=True)
@@ -124,6 +102,7 @@ class ReconResult:
 class ReconState:
     """Mutable reconstruction state, exposed to observers per iteration."""
 
+    config: ReconConfig
     selectors: list[np.ndarray]
     indiv_coeffs: np.ndarray
     sparse_error: np.ndarray
@@ -136,20 +115,38 @@ ReconObserver = Callable[[ReconState, int], None]
 
 
 def build_span(bundle: ModelBundle, rule: RankRule | None = None) -> np.ndarray:
-    """Orthonormal basis of the trained individual component, cached on the
-    bundle. An identically zero individual part has no span; either pass an
-    explicit rank against a nonzero component or reconstruct with
-    use_individual=False."""
+    """Orthonormal basis of the trained individual component, as wide as
+    `rule` picks (default: 99% of the energy), cut from the bundle's SVD;
+    the bundle is left as it was. An identically zero individual part has no
+    span; either pass an explicit rank against a nonzero component or
+    reconstruct with use_individual=False."""
     if rule is None:
         rule = RankRule.energy_fraction(0.99)
-    if not np.any(bundle.individual):
+    if bundle.individual_svd[1][0] == 0.0:  # the spectral norm of G
         raise DegenerateMatrixError(
             "the trained individual component is identically zero; "
             "pass an explicit rank or set use_individual=False"
         )
-    span = rank_r_span(bundle.individual, rule)
-    bundle.span = span
-    return span
+    return svd_span(bundle.individual_svd, rule)
+
+
+def synthesize(
+    bundle: ModelBundle,
+    spec: TransferSpec,
+    selectors: list[np.ndarray],
+    coeffs: np.ndarray,
+    rule: RankRule,
+) -> np.ndarray:
+    """sum_i F_i h_i + K w, where h_i is the trained selector of the
+    instantiation `spec` pins attribute i to, or else selectors[i], and K is
+    build_span(bundle, rule), needed only when there are coefficients w."""
+    out = np.zeros(bundle.dim)
+    for i, mode in enumerate(spec.pinned):
+        sel = bundle.bank.selectors[i][:, mode] if mode is not None else selectors[i]
+        out += bundle.bases[i] @ sel
+    if coeffs.size:
+        out += build_span(bundle, rule) @ coeffs
+    return out
 
 
 def _check_vector(y: np.ndarray, dim: int, name: str) -> np.ndarray:
@@ -171,9 +168,10 @@ def reconstruct(
 
     Every penalty step runs up to INNER_SWEEPS sweeps of the primal blocks,
     ending early once a sweep moves the synthesis by at most
-    INNER_TOL * ||y||, then takes one dual step; the loop stops when the
-    residual ||y - sum F_i h_i - K w - e|| / ||y|| drops to eps, or after
-    t_max penalty steps. `observer` and the histories see one entry per
+    INNER_TOL * ||y||, then takes one dual step. The loop around the sweeps
+    is `trainer.run_penalty_steps` on the residual
+    ||y - sum F_i h_i - K w - e|| / ||y||: it stops at eps, at t_max, or
+    stalled at mu_max. `observer` and the histories see one entry per
     penalty step, after its closing E step.
 
     Pinned selectors are copied from the trained bank before the loop and
@@ -201,14 +199,7 @@ def reconstruct(
                 f"'{bundle.schema.name(i)}'"
             )
 
-    if config.use_individual:
-        if bundle.span is not None:
-            span = bundle.span
-        else:
-            span = build_span(bundle, config.rank_rule)
-    else:
-        span = np.zeros((dim, 0))
-
+    span = build_span(bundle, config.rank_rule) if config.use_individual else np.zeros((dim, 0))
     bases = bundle.bases
     j_count = bundle.schema.count
     selectors = [
@@ -220,20 +211,18 @@ def reconstruct(
 
     y_norm = float(np.linalg.norm(y))
     if y_norm == 0.0:
-        synthesis = np.zeros(dim)
-        for i in range(j_count):
-            synthesis += bases[i] @ selectors[i]
-        diag = ReconDiagnostics(0, True, 0.0, [], [])
+        coeffs = np.zeros(span.shape[1])
         return ReconResult(
             selectors=selectors,
-            indiv_coeffs=np.zeros(span.shape[1]),
+            indiv_coeffs=coeffs,
             sparse_error=np.zeros(dim),
-            reconstruction=synthesis,
-            diagnostics=diag,
+            reconstruction=synthesize(bundle, spec, selectors, coeffs, config.rank_rule),
+            diagnostics=ReconDiagnostics(0, True, 0.0, [], []),
         )
 
-    lam = config.lam if config.lam is not None else 1.0 / math.sqrt(dim)
+    lam = config.effective_lam(dim, 1)
     state = ReconState(
+        config=config,
         selectors=selectors,
         indiv_coeffs=np.zeros(span.shape[1]),
         sparse_error=np.zeros(dim),
@@ -245,12 +234,12 @@ def reconstruct(
     # coefficients taken together, then the sparse error e. Hidden entries of
     # e carry no penalty and absorb whatever x leaves there, so the x step is
     # the least-squares fit on the visible rows, through the pseudo-inverse
-    # `fit` of the visible rows of the stacked design [F_free, K].
+    # `pinv` of the visible rows of the stacked design [F_free, K].
     visible = w_y != 0.0
     blocks = [bases[i] for i in free] + ([span] if span.shape[1] else [])
     design = np.hstack(blocks) if blocks else np.zeros((dim, 0))
     design_v = design[visible]
-    fit = np.linalg.pinv(design_v)
+    pinv = np.linalg.pinv(design_v)
     ends = np.cumsum([0] + [block.shape[1] for block in blocks])
     pieces = [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
     x = np.zeros(design.shape[1])
@@ -260,19 +249,16 @@ def reconstruct(
             pinned += bases[k] @ state.selectors[k]
     free_target = (y - pinned)[visible]
     tol_sq = (INNER_TOL * y_norm) ** 2
+    shared = indiv = np.zeros(dim)
 
-    residual_history: list[float] = []
-    mu_history: list[float] = []
-    converged = False
-    res = float("inf")
-    for t in range(config.t_max):
-        mu_history.append(state.mu)
+    def sweeps() -> np.ndarray:
+        nonlocal x, shared, indiv
         scaled_dual = state.dual / state.mu
         bound = lam / state.mu
         target = free_target + scaled_dual[visible]
         err = state.sparse_error[visible]
         for sweep in range(INNER_SWEEPS):
-            new = fit @ (target - err)
+            new = pinv @ (target - err)
             step = new - x
             x = new
             # Blocks have orthonormal columns: ||step||^2 sums the squared
@@ -291,28 +277,21 @@ def reconstruct(
             shared += bases[k] @ state.selectors[k]
         indiv = span @ state.indiv_coeffs
         unexplained = y - shared - indiv
-        residual = unexplained + scaled_dual
-        shrunk = soft_threshold(residual, bound)
-        state.sparse_error = np.where(visible, shrunk, residual)
-        gap = unexplained - state.sparse_error
-        res = float(np.linalg.norm(gap)) / y_norm
-        if not np.isfinite(res):
-            raise NumericalError(f"reconstruction diverged at iteration {t}: non-finite residual")
-        residual_history.append(res)
-        if observer is not None:
-            observer(state, t)
-        state.dual = state.dual + state.mu * gap
-        state.mu = min(config.rho * state.mu, config.mu_max)
-        state.t = t + 1
-        if res <= config.eps:
-            converged = True
-            break
+        augmented = unexplained + scaled_dual
+        state.sparse_error = np.where(visible, soft_threshold(augmented, bound), augmented)
+        return unexplained
 
+    def residual(unexplained: np.ndarray) -> tuple[float]:
+        return (float(np.linalg.norm(unexplained - state.sparse_error)) / y_norm,)
+
+    converged, mu_history, residuals = run_penalty_steps(
+        state, sweeps, residual, observer, "reconstruction")
+    history = [res for res, in residuals]
     diag = ReconDiagnostics(
         iterations=state.t,
         converged=converged,
-        final_residual=res,
-        residual_history=residual_history,
+        final_residual=history[-1],
+        residual_history=history,
         mu_history=mu_history,
     )
     return ReconResult(
@@ -355,11 +334,4 @@ def transfer(
     if not post_hoc:
         return reconstruct(y, w_y, bundle, spec, config).reconstruction
     result = reconstruct(y, w_y, bundle, TransferSpec.all_free(bundle.schema), config)
-    synthesis = np.zeros(bundle.dim)
-    for i, mode in enumerate(spec.pinned):
-        sel = bundle.bank.selectors[i][:, mode] if mode is not None else result.selectors[i]
-        synthesis += bundle.bases[i] @ sel
-    if result.indiv_coeffs.size:
-        span = bundle.span if bundle.span is not None else build_span(bundle, config.rank_rule)
-        synthesis += span @ result.indiv_coeffs
-    return synthesis
+    return synthesize(bundle, spec, result.selectors, result.indiv_coeffs, config.rank_rule)

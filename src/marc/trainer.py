@@ -19,7 +19,8 @@ increase capped at mu_max. Solving each step's subproblem (the exact rather
 than the inexact augmented Lagrangian method, Lin, Chen & Ma,
 arXiv:1009.5055) matters at the pinned schedule: with one pass per step the
 iterate becomes feasible and freezes at the wrong split before the dual has
-done its work.
+done its work. The loop around the sweeps (penalty schedule, histories,
+observer, stop rules) is `run_penalty_steps`, which reconstruction shares.
 
 Selectors are handled in indicator form. With Z_i the count x M_i one-hot
 matrix of attribute i's labels and S_i its (M_i, M_i) selector block,
@@ -41,7 +42,7 @@ import numpy as np
 
 from .dataset import AttributeSchema, SelectorBank, TrainingSet
 from .errors import NumericalError, ValidationError
-from .proxops import procrustes, random_orthonormal, shrink_matrix, svt
+from .proxops import deterministic_svd, procrustes, random_orthonormal, shrink_matrix, svt
 
 # Each penalty step runs up to INNER_SWEEPS Gauss-Seidel sweeps of the primal
 # blocks (H and F per attribute, G, E); a sweep that moves sum F_k H_k + G by
@@ -51,13 +52,12 @@ INNER_TOL = 1e-5
 
 
 @dataclass(frozen=True)
-class SolverConfig:
-    """Training hyperparameters.
-
-    lam is the sparsity weight; None selects 1/sqrt(max(dim, count)) at
-    train time. mu0_norm chooses the norm of X used to scale the initial
-    penalty: "spectral" (default) or "frobenius".
-    """
+class Schedule:
+    """The augmented-Lagrangian schedule that training and reconstruction
+    share: sparsity weight lam (None selects 1/sqrt of the larger side of
+    the data at solve time), stop threshold eps, iteration cap t_max, and
+    the penalty, which starts at mu0_scale over a norm of the data and grows
+    by rho per step up to mu_max."""
 
     lam: float | None = None
     eps: float = 1e-7
@@ -65,8 +65,6 @@ class SolverConfig:
     rho: float = 1.2
     mu_max: float = 1e7
     mu0_scale: float = 25.0
-    mu0_norm: str = "spectral"
-    seed: int = 0
 
     def validate(self) -> None:
         if self.lam is not None and not (np.isfinite(self.lam) and self.lam > 0):
@@ -81,15 +79,28 @@ class SolverConfig:
             raise ValidationError(f"mu_max must be positive, got {self.mu_max}")
         if not (np.isfinite(self.mu0_scale) and self.mu0_scale > 0):
             raise ValidationError(f"mu0_scale must be positive, got {self.mu0_scale}")
-        if self.mu0_norm not in ("spectral", "frobenius"):
-            raise ValidationError(
-                f"mu0_norm must be 'spectral' or 'frobenius', got '{self.mu0_norm}'"
-            )
 
     def effective_lam(self, dim: int, count: int) -> float:
         if self.lam is not None:
             return float(self.lam)
         return 1.0 / math.sqrt(max(dim, count))
+
+
+@dataclass(frozen=True)
+class SolverConfig(Schedule):
+    """Training hyperparameters: the shared schedule, plus mu0_norm, the
+    norm of X that scales the initial penalty ("spectral", the default, or
+    "frobenius"), and the seed of the random initial bases."""
+
+    mu0_norm: str = "spectral"
+    seed: int = 0
+
+    def validate(self) -> None:
+        super().validate()
+        if self.mu0_norm not in ("spectral", "frobenius"):
+            raise ValidationError(
+                f"mu0_norm must be 'spectral' or 'frobenius', got '{self.mu0_norm}'"
+            )
 
 
 @dataclass
@@ -119,18 +130,16 @@ class TrainState:
     mu: float
     lam: float
     t: int = 0
-    residual_history: list[float] = field(default_factory=list)
-    residual_history_unmasked: list[float] = field(default_factory=list)
-    mu_history: list[float] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelBundle:
     """Trained model: schema, bases, selector bank, individual and sparse
     parts of the training matrix, diagnostics, and the config that made it.
 
-    `span` is an optional cached orthonormal basis of the individual
-    component, filled in lazily by the reconstructor.
+    `individual_svd` is the thin `deterministic_svd` of the individual
+    component, computed once at construction; spans of any width are cut
+    from it (see `reconstructor.build_span`).
     """
 
     schema: AttributeSchema
@@ -140,7 +149,12 @@ class ModelBundle:
     sparse_error: np.ndarray
     diagnostics: TrainDiagnostics
     config: SolverConfig
-    span: np.ndarray | None = None
+    individual_svd: tuple[np.ndarray, np.ndarray, np.ndarray] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "individual_svd", deterministic_svd(self.individual))
 
     @property
     def dim(self) -> int:
@@ -258,10 +272,12 @@ def model_fit(
     return ts.X - shared - state.individual
 
 
-def update_duals(state: TrainState, ts: TrainingSet, fit: np.ndarray | None = None) -> None:
+def update_duals(state, ts: TrainingSet | None, fit: np.ndarray | None = None) -> None:
     """Dual ascent on the coupling constraint, then the capped geometric
-    penalty increase. mu never decreases. `fit`, if given, must be
-    model_fit(state, ts)."""
+    penalty increase. mu never decreases. `fit` is the part of the data
+    left for E, model_fit(state, ts) in training; `ts` is needed only to
+    form it when it is not given. Any solver state with config, dual, mu
+    and sparse_error will do, the reconstructor's too."""
     if fit is None:
         fit = model_fit(state, ts)
     state.dual = state.dual + state.mu * (fit - state.sparse_error)
@@ -293,6 +309,54 @@ def constraint_residual(state: TrainState, ts: TrainingSet, fit: np.ndarray | No
 Observer = Callable[[TrainState, int], None]
 
 
+def run_penalty_steps(
+    state,
+    sweeps: Callable[[], np.ndarray],
+    residual: Callable[[np.ndarray], tuple[float, ...]],
+    observer: Callable | None,
+    what: str,
+) -> tuple[bool, list[float], list[tuple[float, ...]]]:
+    """The augmented-Lagrangian loop that `train` and `reconstruct` share.
+
+    `state` holds config (a Schedule), dual, mu, sparse_error and t. Each
+    penalty step calls `sweeps()`, which updates the primal blocks through
+    the closing sparse step and returns the part of the data left for E,
+    then `residual` of that; the first of its values drives the stop rules.
+    After a finite residual come the observer, called with (state, t), and
+    `update_duals`. The loop stops when that residual drops to eps
+    (converged), after t_max steps, or when the run stalls: the step ran
+    with the penalty at mu_max, and at the rate it moved the residual, the
+    steps left before t_max could not bring it to eps.
+
+    Returns (converged, mu_history, residuals), one history entry per step.
+    A non-finite residual raises NumericalError naming `what` and the step.
+    """
+    config = state.config
+    mu_history: list[float] = []
+    residuals: list[tuple[float, ...]] = []
+    converged = False
+    res = math.inf
+    for t in range(config.t_max):
+        mu_history.append(state.mu)
+        fit = sweeps()
+        values = residual(fit)
+        if not all(map(math.isfinite, values)):
+            raise NumericalError(f"{what} diverged at iteration {t}: non-finite residual")
+        residuals.append(values)
+        if observer is not None:
+            observer(state, t)
+        update_duals(state, None, fit)
+        state.t = t + 1
+        last, res = res, values[0]
+        if res <= config.eps:
+            converged = True
+            break
+        if mu_history[-1] == config.mu_max \
+                and abs(res - last) * (config.t_max - state.t) < res - config.eps:
+            break
+    return converged, mu_history, residuals
+
+
 def _zero_bundle(ts: TrainingSet, config: SolverConfig, lam: float) -> ModelBundle:
     mu0 = config.mu0_scale / 1.0  # norm of the zero matrix taken as 1
     diag = TrainDiagnostics(
@@ -322,11 +386,8 @@ def train(
     config: SolverConfig = SolverConfig(),
     observer: Observer | None = None,
 ) -> ModelBundle:
-    """Run the training loop until the masked residual drops to eps
-    (converged), t_max iterations elapse, or the run stalls: the iteration
-    ran with the penalty at mu_max, and at the rate it moved the masked
-    residual, the steps left before t_max could not bring it to eps. An
-    iteration is one penalty step of up to INNER_SWEEPS sweeps.
+    """Fit the model by `run_penalty_steps` on the masked residual, one
+    penalty step of up to INNER_SWEEPS sweeps per iteration.
 
     `observer`, if given, is called once per iteration after the closing
     sparse step (duals and penalty still at their current values) with
@@ -360,10 +421,9 @@ def train(
     indicators = [indicator(ts, i) for i in range(ts.schema.count)]
     tol = INNER_TOL * float(np.linalg.norm(ts.X))
     model = np.zeros_like(ts.X)  # sum F_k H_k + G of the zero initial state
-    converged = False
-    res_masked = res_unmasked = float("inf")
-    for t in range(config.t_max):
-        state.mu_history.append(state.mu)
+
+    def sweeps() -> np.ndarray:
+        nonlocal model
         for _ in range(INNER_SWEEPS):
             for i, z in enumerate(indicators):
                 sums = attribute_residual(state, ts, i) @ z
@@ -375,37 +435,23 @@ def train(
             update_e(state, ts, shared)
             if float(np.linalg.norm(model - previous)) <= tol:
                 break
-        fit = model_fit(state, ts, shared)
-        last_masked = res_masked
-        res_masked = normalized_residual(state, ts, fit)
-        res_unmasked = constraint_residual(state, ts, fit)
-        if not (np.isfinite(res_masked) and np.isfinite(res_unmasked)):
-            raise NumericalError(f"training diverged at iteration {t}: non-finite residual")
-        state.residual_history.append(res_masked)
-        state.residual_history_unmasked.append(res_unmasked)
-        if observer is not None:
-            observer(state, t)
-        update_duals(state, ts, fit)
-        state.t = t + 1
-        if res_masked <= config.eps:
-            converged = True
-            break
-        # Stalled: the penalty is capped, and at the rate of this last step
-        # the masked residual cannot fall to eps in the steps that remain.
-        moved = abs(res_masked - last_masked)
-        if state.mu_history[-1] == config.mu_max \
-                and moved * (config.t_max - state.t) < res_masked - config.eps:
-            break
+        return model_fit(state, ts, shared)
 
+    def residual(fit: np.ndarray) -> tuple[float, float]:
+        return normalized_residual(state, ts, fit), constraint_residual(state, ts, fit)
+
+    converged, mu_history, residuals = run_penalty_steps(
+        state, sweeps, residual, observer, "training")
+    masked, unmasked = (list(history) for history in zip(*residuals))
     diag = TrainDiagnostics(
         iterations=state.t,
         converged=converged,
-        final_residual=res_masked,
-        final_residual_unmasked=res_unmasked,
+        final_residual=masked[-1],
+        final_residual_unmasked=unmasked[-1],
         lam_effective=lam,
-        residual_history=state.residual_history,
-        residual_history_unmasked=state.residual_history_unmasked,
-        mu_history=state.mu_history,
+        residual_history=masked,
+        residual_history_unmasked=unmasked,
+        mu_history=mu_history,
     )
     return ModelBundle(
         schema=ts.schema,

@@ -84,7 +84,7 @@ def train_observer(ts, inv):
 
 def recon_observer(y_in, w, bundle, inv):
     hidden = w == 0.0
-    span = bundle.span
+    span = build_span(bundle, RankRule.energy_fraction(0.99))
 
     def watch(state, t):
         inv["iterations"] += 1
@@ -252,7 +252,7 @@ def test_masked_holdout_completion(completion_run, stock_run):
 
     # informational only: same completion against the trained bundle, which
     # stacks the training failure on top of the reconstruction one
-    trained = dataclasses.replace(stock_run["bundle"], span=None)
+    trained = dataclasses.replace(stock_run["bundle"])
     build_span(trained, RankRule.energy_fraction(0.99))
     via_trained = reconstruct(ho.y * ho.mask, ho.mask, trained,
                               config=ReconConfig()).reconstruction

@@ -126,6 +126,18 @@ class TestEval:
                             "support_f1", "subspace_angles"}
         assert (tmp_path / "r.txt").read_text() == out
 
+    def test_malformed_truth_selectors_are_format_error(self, workspace, tmp_path, capsys):
+        truth = tmp_path / "truth"
+        shutil.copytree(workspace / "data" / "truth", truth)
+        first, second = load_truth(truth).bank.selectors
+        write_matrix(tmp_path / "first.marc", first[:-1])  # one row short
+        write_matrix(tmp_path / "second.marc", second)
+        (truth / "selectors.marc").write_bytes(
+            (tmp_path / "first.marc").read_bytes() + (tmp_path / "second.marc").read_bytes())
+        rc = main(["eval", "-b", str(workspace / "bundle"), "--truth", str(truth)])
+        assert rc == 3
+        assert "record 0 has shape (1, 2), expected (2, 2)" in capsys.readouterr().err
+
 
 class TestCompleteAndTransfer:
     def test_single_vector_round(self, workspace, tmp_path, capsys):
@@ -141,8 +153,7 @@ class TestCompleteAndTransfer:
         assert filled.shape == (30,)
         assert np.all(np.isfinite(filled))
 
-    def test_directory_fan_out_is_deterministic(self, workspace, tmp_path,
-                                                monkeypatch):
+    def test_directory_fan_out_is_deterministic(self, workspace, tmp_path):
         vec_dir = tmp_path / "in"
         mask_dir = tmp_path / "masks"
         vec_dir.mkdir()
@@ -152,7 +163,6 @@ class TestCompleteAndTransfer:
             write_vector(vec_dir / f"v{n}.marc", rng.standard_normal(30))
             write_vector(mask_dir / f"v{n}.marc",
                          (rng.random(30) >= 0.3).astype(float))
-        monkeypatch.setenv("MARC_THREADS", "2")
         outs = []
         for run in ("one", "two"):
             out_dir = tmp_path / run
@@ -163,17 +173,6 @@ class TestCompleteAndTransfer:
             outs.append([read_vector(out_dir / f"v{n}.marc") for n in range(3)])
         for a, b in zip(*outs):
             assert np.array_equal(a, b)
-
-    def test_bad_thread_env(self, workspace, tmp_path, monkeypatch, capsys):
-        vec_dir = tmp_path / "in"
-        vec_dir.mkdir()
-        write_vector(vec_dir / "a.marc", np.zeros(30))
-        write_vector(vec_dir / "b.marc", np.zeros(30))
-        monkeypatch.setenv("MARC_THREADS", "many")
-        rc = main(["complete", "-b", str(workspace / "bundle"),
-                   "-i", str(vec_dir), "-o", str(tmp_path / "out")])
-        assert rc == 2
-        assert "MARC_THREADS" in capsys.readouterr().err
 
     def test_empty_directory(self, workspace, tmp_path, capsys):
         empty = tmp_path / "empty"
@@ -201,6 +200,21 @@ class TestCompleteAndTransfer:
                    "-o", str(tmp_path / "out.marc")])
         assert rc == 3
         assert "basis_0.marc has 25 rows" in capsys.readouterr().err
+
+    def test_rank_wins_over_a_leftover_span_file(self, workspace, tmp_path):
+        # Older versions cached a span in span.marc and used it whatever
+        # --rank or --energy asked for.
+        bundle = tmp_path / "bundle"
+        shutil.copytree(workspace / "bundle", bundle)
+        sample = workspace / "data" / "samples" / "sample_0000.marc"
+        args = ["complete", "-b", str(bundle), "-i", str(sample), "--rank", "1",
+                "--t-max", "60"]
+        assert main(args + ["-o", str(tmp_path / "plain.marc")]) == 0
+        wide = np.linalg.qr(np.random.default_rng(5).standard_normal((30, 3)))[0]
+        write_matrix(bundle / "span.marc", wide)
+        assert main(args + ["-o", str(tmp_path / "leftover.marc")]) == 0
+        assert np.array_equal(read_vector(tmp_path / "plain.marc"),
+                              read_vector(tmp_path / "leftover.marc"))
 
     def test_transfer_routes(self, workspace, tmp_path):
         sample = workspace / "data" / "samples" / "sample_0001.marc"

@@ -1,7 +1,6 @@
 """On-disk formats: the binary matrix container, CSV fallback, dataset
 manifests, and the bundle/truth archive directories. Round-trips must be
 bitwise for binary files."""
-import dataclasses
 import json
 import struct
 
@@ -22,7 +21,6 @@ from marc.formats import (
     write_matrix,
     write_vector,
 )
-from marc.reconstructor import build_span
 from marc.synthbench import SynthSpec, generate
 from marc.trainer import SolverConfig, train
 
@@ -191,15 +189,7 @@ class TestBundleArchive:
         save_bundle(tmp_path / "bundle", trained_small)
         back = load_bundle(tmp_path / "bundle")
         assert_bundles_equal(trained_small, back)
-        assert back.span is None
-
-    def test_span_round_trips_when_present(self, tmp_path, trained_small):
-        bundle = dataclasses.replace(trained_small, span=None)
-        span = build_span(bundle)
-        save_bundle(tmp_path / "bundle", bundle)
-        back = load_bundle(tmp_path / "bundle")
-        assert back.span is not None
-        assert np.array_equal(back.span, span)
+        assert not (tmp_path / "bundle" / "span.marc").exists()
 
     def test_missing_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -249,14 +239,11 @@ class TestBundleArchive:
         with pytest.raises(FormatError, match="error.marc has shape"):
             load_bundle(tmp_path / "bundle")
 
-    def test_span_rows_are_checked(self, tmp_path, trained_small):
-        bundle = dataclasses.replace(trained_small, span=None)
-        build_span(bundle)
-        save_bundle(tmp_path / "bundle", bundle)
-        path = tmp_path / "bundle" / "span.marc"
-        write_matrix(path, read_matrix(path)[:-1])
-        with pytest.raises(FormatError, match="span.marc has 29 rows"):
-            load_bundle(tmp_path / "bundle")
+    def test_leftover_span_file_is_ignored(self, tmp_path, trained_small):
+        # Older versions cached the individual span in span.marc.
+        save_bundle(tmp_path / "bundle", trained_small)
+        write_matrix(tmp_path / "bundle" / "span.marc", np.zeros((29, 3)))
+        assert_bundles_equal(trained_small, load_bundle(tmp_path / "bundle"))
 
 
 class TestTruthArchive:

@@ -2,6 +2,8 @@
 configuration, and recovery quality at a gentle penalty start
 (mu0_scale=1.25). The planted-model fixtures make the correct answer known
 in closed form."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -86,26 +88,26 @@ class TestSpan:
     def test_zero_individual_has_no_span(self, planted):
         truth, _, _, _ = planted
         bundle = bundle_from_truth(truth)
-        bundle.individual = np.zeros_like(bundle.individual)
+        bundle = dataclasses.replace(bundle, individual=np.zeros_like(bundle.individual))
         with pytest.raises(DegenerateMatrixError, match="use_individual=False"):
             build_span(bundle)
 
-    def test_span_is_cached_and_reused(self, planted):
+    def test_span_follows_each_rank_rule(self, planted):
         truth, _, y, _ = planted
         bundle = bundle_from_truth(truth)
+        # One bundle, two rules in turn: each reconstruction takes its own.
+        widths = [reconstruct(y, None, bundle,
+                              config=ReconConfig(rank_rule=RankRule.fixed(r))).indiv_coeffs.size
+                  for r in (5, 1)]
+        assert widths == [5, 1]
         span = build_span(bundle, RankRule.fixed(2))
-        assert bundle.span is span
         assert span.shape == (40, 2)
         assert np.allclose(span.T @ span, np.eye(2), atol=1e-12)
-        # A pre-set span wins over the config rule.
-        bundle.span = span[:, :1]
-        result = reconstruct(y, None, bundle)
-        assert result.indiv_coeffs.shape == (1,)
 
     def test_use_individual_false_skips_span_entirely(self, planted):
         truth, _, y, _ = planted
         bundle = bundle_from_truth(truth)
-        bundle.individual = np.zeros_like(bundle.individual)
+        bundle = dataclasses.replace(bundle, individual=np.zeros_like(bundle.individual))
         cfg = ReconConfig(use_individual=False, mu0_scale=1.25)
         result = reconstruct(y, None, bundle, config=cfg)
         assert result.indiv_coeffs.size == 0

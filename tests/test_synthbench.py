@@ -1,5 +1,7 @@
 """Planted-instance generator, scoring, and the self-contained reference
 solvers it cross-checks against."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -165,7 +167,7 @@ class TestRecoveryMetrics:
     def test_missing_error_support_scores_zero_recall(self, scored_pair):
         truth, bundle = scored_pair
         bundle = bundle_from_truth(truth)
-        bundle.sparse_error = np.zeros_like(bundle.sparse_error)
+        bundle = dataclasses.replace(bundle, sparse_error=np.zeros_like(bundle.sparse_error))
         report = recovery_metrics(bundle, truth)
         assert report.support_precision == 1.0  # no predictions, no false alarms
         assert report.support_recall == 0.0
