@@ -17,7 +17,8 @@ and error.marc. A span.marc left there by older versions is ignored: spans
 are cut from the individual part's SVD when a vector is reconstructed. A
 ground-truth directory stores its selectors in the same record file, and
 both are read back through one reader that checks each record's (M_i, M_i)
-shape and rejects trailing bytes.
+shape and rejects trailing bytes. Both loaders also cross-check the shapes
+of the other matrices in the directory.
 """
 from __future__ import annotations
 
@@ -290,34 +291,65 @@ def save_truth(path: str | Path, truth: GroundTruth) -> None:
 
 
 def load_truth(path: str | Path) -> GroundTruth:
+    """Read a ground-truth directory written by `save_truth`.
+
+    Shapes are cross-checked against data.marc (dim x count): individual,
+    error and mask must match it, each basis must have dim rows and one
+    column per instantiation, each assignment vector must give every column
+    a label of its attribute, and g_left must have dim rows and one column
+    per singular value. A mismatch raises FormatError.
+    """
     root = Path(path)
     if not root.is_dir():
         raise FileNotFoundError(f"truth directory not found: {root}")
     schema = AttributeSchema.from_dict(_json_load(root / "schema.json"))
     assignments_doc = _json_load(root / "assignments.json")
-    assignments = tuple(
-        np.asarray(a, dtype=np.int64) for a in assignments_doc.get("assignments", [])
-    )
+    try:
+        assignments = tuple(
+            np.asarray(a, dtype=np.int64) for a in assignments_doc.get("assignments", [])
+        )
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{root / 'assignments.json'}: bad assignments: {exc}") from exc
     if len(assignments) != schema.count:
         raise FormatError(f"{root}: assignments do not cover the schema")
+    data = read_matrix(root / "data.marc")
+    dim, count = data.shape
+    parts = {name: read_matrix(root / f"{name}.marc") for name in ("individual", "error", "mask")}
+    for name, part in parts.items():
+        if part.shape != data.shape:
+            raise FormatError(
+                f"{root}: {name}.marc has shape {part.shape}, expected {data.shape} like data.marc"
+            )
     bases = [read_matrix(root / f"basis_{i}.marc") for i in range(schema.count)]
+    for i, (basis, labels) in enumerate(zip(bases, assignments)):
+        m = schema.size(i)
+        if basis.shape != (dim, m):
+            raise FormatError(f"{root}: basis_{i}.marc has shape {basis.shape}, expected {(dim, m)}")
+        if labels.shape != (count,) or labels.min() < 0 or labels.max() >= m:
+            raise FormatError(
+                f"{root}: assignments[{i}] must hold {count} labels in [0, {m})"
+            )
     bank = _read_selectors(root / "selectors.marc", schema)
     g_left_path = root / "g_left.marc"
     if g_left_path.exists():
         g_left = read_matrix(g_left_path)
         g_singulars = read_vector(root / "g_singulars.marc")
+        if g_left.shape != (dim, g_singulars.size):
+            raise FormatError(
+                f"{root}: g_left.marc has shape {g_left.shape}, expected "
+                f"{(dim, g_singulars.size)} for {g_singulars.size} singular values"
+            )
     else:
-        dim = read_matrix(root / "individual.marc").shape[0]
         g_left = np.zeros((dim, 0))
         g_singulars = np.zeros(0)
     return GroundTruth(
         schema=schema,
         bases=bases,
         bank=bank,
-        individual=read_matrix(root / "individual.marc"),
-        sparse_error=read_matrix(root / "error.marc"),
-        mask=read_matrix(root / "mask.marc"),
-        data=read_matrix(root / "data.marc"),
+        individual=parts["individual"],
+        sparse_error=parts["error"],
+        mask=parts["mask"],
+        data=data,
         assignments=assignments,
         g_left=g_left,
         g_singulars=g_singulars,

@@ -5,11 +5,16 @@ float64 numpy arrays. SVD-backed operators share one deterministic wrapper
 (`deterministic_svd`) that fixes the sign indeterminacy of singular vectors,
 so repeated runs and serialized models are bitwise reproducible.
 
-`svt` is the exception: it first eigendecomposes the Gram matrix of the short
-side, whose cost is a fraction of the SVD's, and uses that whenever the
-spectrum allows it to be exact (see `svt`); otherwise it falls back to
-`deterministic_svd`. Its result does not depend on eigenvector signs, so it
-is bitwise reproducible on either path.
+`svt` and `procrustes` are the exceptions: they first eigendecompose the
+Gram matrix of the short side, whose cost is a fraction of the SVD's, and
+fall back to `deterministic_svd` only when that cannot be exact. `svt` keeps
+the singular values of at least GRAM_RATIO * s_max, which the Gram matrix
+resolves to ~1e-10 relative, and drops the rest once it has checked that
+their whole block has spectral norm at most tau (see `svt` for why that is
+exact). `procrustes` takes the polar factor m (m^T m)^-1/2 when the condition
+number is at most 1 / POLAR_RATIO and polishes it with one Newton-Schulz
+step. Neither result depends on eigenvector signs, so both are bitwise
+reproducible on either path.
 """
 from __future__ import annotations
 
@@ -93,11 +98,17 @@ def deterministic_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 # The Gram path squares the condition number: an eigenvalue of m^T m carries
-# an absolute error of about eps * sigma_max^2. Every singular value that
-# decides the result is at least GRAM_RATIO * sigma_max when
-# max(tau, sigma_min) >= GRAM_RATIO * sigma_max, which keeps those values and
-# their weights accurate to ~1e-10 relative.
+# an absolute error of about eps * sigma_max^2, so a singular value is
+# trusted when it is at least GRAM_RATIO * sigma_max, where its error is
+# ~1e-10 relative. svt keeps only trusted values, and drops the rest after
+# checking that they are at most tau.
 GRAM_RATIO = 1e-3
+
+# procrustes takes its polar factor from the Gram matrix when the input's
+# condition number is at most 1 / POLAR_RATIO: the inverse square root then
+# carries a relative error of about eps / POLAR_RATIO^2 ~ 1e-8, which one
+# Newton-Schulz step squares away.
+POLAR_RATIO = 1e-4
 
 
 def svt(m: np.ndarray, tau: float) -> np.ndarray:
@@ -120,11 +131,25 @@ def svt(m: np.ndarray, tau: float) -> np.ndarray:
     -----
     For a tall `m` the result equals m V diag((1 - tau/s)_+) V^T, with V and
     s^2 the eigenvectors and eigenvalues of the short-side Gram matrix m^T m
-    (mirrored, with m m^T, for a wide `m`). That path is taken when
-    max(tau, s_min) >= GRAM_RATIO * s_max, where it matches the SVD to about
-    1e-10 relative in every singular value that is kept. Otherwise (a
-    spectrum reaching far below both tau and s_max) the result comes from
-    `deterministic_svd`.
+    (mirrored, with m m^T, for a wide `m`). Singular values of at least
+    GRAM_RATIO * s_max come out of the Gram matrix accurate to about 1e-10
+    relative. The Gram path is taken directly when
+    max(tau, s_min) >= GRAM_RATIO * s_max, so every value that decides the
+    result is accurate.
+
+    Otherwise the untrusted tail, s < GRAM_RATIO * s_max (with tau below it
+    too), is certified instead of resolved. With V_k the trusted and V_t
+    the tail eigenvectors, m = A + D for A = m V_k V_k^T and D = m V_t V_t^T.
+    The rows of A and D are orthogonal (A D^T = 0), and their columns are
+    orthogonal up to rounding (A^T D = V_k V_k^T (m^T m) V_t V_t^T, about
+    eps * ||m||^2, because V diagonalizes m^T m to that accuracy). So the
+    spectrum of m is, up to rounding, the union of those of A and D. If
+    ||D||_2 = ||spill||_2 <= tau, for spill = m V_t, svt zeroes all of D and
+    the result is the Gram-path projector over the trusted values alone,
+    all of them above tau. The bound is checked on the Frobenius norm of spill
+    first and, if that is not enough, on the largest eigenvalue of
+    spill^T spill. Only when the bound fails (a value the Gram matrix cannot
+    resolve may lie above tau) does the result come from `deterministic_svd`.
     """
     m = _check_matrix(m, "svt input")
     tau = float(tau)
@@ -133,14 +158,27 @@ def svt(m: np.ndarray, tau: float) -> np.ndarray:
     tall = m.shape[0] >= m.shape[1]
     eigvals, vecs = np.linalg.eigh(m.T @ m if tall else m @ m.T)
     s = np.sqrt(np.maximum(eigvals, 0.0))  # ascending
-    if max(tau, s[0]) < GRAM_RATIO * s[-1]:
+    trusted = s >= GRAM_RATIO * s[-1]
+    if max(tau, s[0]) >= GRAM_RATIO * s[-1]:
+        keep = s > tau
+    elif _spectral_norm_at_most((m if tall else m.T) @ vecs[:, ~trusted], tau):
+        keep = trusted
+    else:
         return _svt_svd(m, tau)
-    keep = s > tau
     if not keep.any():
         return np.zeros_like(m)
     vecs = vecs[:, keep]
     project = (vecs * (1.0 - tau / s[keep])) @ vecs.T
     return m @ project if tall else project @ m
+
+
+def _spectral_norm_at_most(m: np.ndarray, bound: float) -> bool:
+    """||m||_2 <= bound, from the Frobenius norm when that suffices, else
+    from the largest eigenvalue of the short-side Gram matrix."""
+    if float(np.linalg.norm(m)) <= bound:
+        return True
+    gram = m.T @ m if m.shape[0] >= m.shape[1] else m @ m.T
+    return float(np.linalg.eigvalsh(gram)[-1]) <= bound * bound
 
 
 def _svt_svd(m: np.ndarray, tau: float) -> np.ndarray:
@@ -158,13 +196,29 @@ def procrustes(m: np.ndarray) -> np.ndarray:
 
     This is the minimizer of ||Omega - m||_F over Omega with orthonormal
     columns, and equivalently solves min ||Omega A - B||_F when called on
-    m = B @ A.T. For rank-deficient input the returned factor is still
-    orthonormal but no longer unique; we return the deterministic choice
-    produced by `deterministic_svd`.
+    m = B @ A.T. A wide `m` gets orthonormal rows instead.
+
+    When the short-side Gram matrix m^T m = V diag(lam) V^T (m m^T for a
+    wide `m`) has lam_min >= POLAR_RATIO^2 * lam_max > 0, the factor is
+    m V diag(lam^-1/2) V^T, polished by one Newton-Schulz step
+    q (1.5 I - 0.5 q^T q), which squares its distance from orthonormality
+    (Higham, SISC 1986). Any other input, rank-deficient or zero included,
+    goes through `deterministic_svd`; for rank-deficient input the factor
+    is still orthonormal but no longer unique, and we return the
+    deterministic choice that SVD produces.
     """
     m = _check_matrix(m, "procrustes input")
-    u, _, vh = deterministic_svd(m)
-    return u @ vh
+    tall = m.shape[0] >= m.shape[1]
+    eigvals, vecs = np.linalg.eigh(m.T @ m if tall else m @ m.T)
+    if not eigvals[0] >= POLAR_RATIO * POLAR_RATIO * eigvals[-1] > 0.0:
+        u, _, vh = deterministic_svd(m)
+        return u @ vh
+    root = (vecs / np.sqrt(eigvals)) @ vecs.T
+    if tall:
+        q = m @ root
+        return 1.5 * q - 0.5 * (q @ (q.T @ q))
+    q = root @ m
+    return 1.5 * q - 0.5 * ((q @ q.T) @ q)
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,18 @@ column gather. For an attribute residual R, R Z_i holds the per-instantiation
 column sums; the selector step for every instantiation at once is
 F_i^T (R Z_i) / n_i (n_i the column count of each instantiation) and the
 basis step is the Procrustes projection of (R Z_i) S_i^T, which equals
-R H_i^T. After the attribute sweep the loop forms sum_k F_k H_k once and
-hands it to the G, E, residual and dual steps.
+R H_i^T.
+
+A sweep never forms an attribute residual. It keeps the products
+P_k = F_k S_k, forms base = X - G - E + dual/mu once and base [Z_1 ... Z_J]
+with one product, and takes R Z_i = base Z_i - sum_{k != i} P_k C_ki in
+label space, where C_ki = Z_k^T Z_i are the label co-occurrence counts,
+computed once per `train` (`attribute_sums`). After attribute i's selector
+and basis steps it refreshes P_i. After the attribute sweep the loop gathers
+sum_k F_k H_k from the same products once (`shared_sum`) and hands it to the
+G, E, residual and dual steps. `attribute_residual`, `shared_component` and
+the step functions called without precomputed arguments form everything
+from the state; they are the reference the loop is tested against.
 """
 from __future__ import annotations
 
@@ -168,11 +178,16 @@ def shared_component(state: TrainState, ts: TrainingSet, exclude: int | None = N
     order; callers that need bitwise-identical recomputation (tests,
     invariant checks) get it by calling this again on an unchanged state.
     """
+    return shared_sum(ts, [basis @ sel for basis, sel in zip(state.bases, state.bank.selectors)],
+                      exclude)
+
+
+def shared_sum(ts: TrainingSet, products: list[np.ndarray], exclude: int | None = None) -> np.ndarray:
+    """`shared_component` from the per-attribute products F_k S_k."""
     total = np.zeros_like(ts.X)
-    for k in range(ts.schema.count):
-        if k == exclude:
-            continue
-        total += (state.bases[k] @ state.bank.selectors[k])[:, ts.label_index[k]]
+    for k, product in enumerate(products):
+        if k != exclude:
+            total += product[:, ts.label_index[k]]
     return total
 
 
@@ -181,6 +196,29 @@ def indicator(ts: TrainingSet, attr: int) -> np.ndarray:
     z = np.zeros((ts.count, ts.schema.size(attr)))
     z[np.arange(ts.count), ts.label_index[attr]] = 1.0
     return z
+
+
+def cooccurrence(ts: TrainingSet) -> list[list[np.ndarray]]:
+    """C[k][i] = Z_k^T Z_i: how many columns carry each pair of labels of
+    attributes k and i (diagonal blocks hold the per-label counts)."""
+    z = [indicator(ts, k) for k in range(ts.schema.count)]
+    return [[zk.T @ zi for zi in z] for zk in z]
+
+
+def attribute_sums(
+    base_sums: np.ndarray, products: list[np.ndarray], cooc: list[list[np.ndarray]], attr: int
+) -> np.ndarray:
+    """R Z_i for attribute `attr` in label space, with no dim x count work.
+
+    `base_sums` is (X - G - E + dual/mu) Z_i, `products[k]` is F_k S_k and
+    `cooc` is cooccurrence(ts); since F_k H_k Z_i = F_k S_k Z_k^T Z_i, the
+    result equals attribute_residual(state, ts, attr) @ indicator(ts, attr).
+    """
+    sums = base_sums
+    for k, product in enumerate(products):
+        if k != attr:
+            sums = sums - product @ cooc[k][attr]
+    return sums
 
 
 def attribute_residual(state: TrainState, ts: TrainingSet, attr: int) -> np.ndarray:
@@ -418,18 +456,25 @@ def train(
         lam=lam,
     )
 
-    indicators = [indicator(ts, i) for i in range(ts.schema.count)]
+    zs = [indicator(ts, i) for i in range(ts.schema.count)]
+    indicators = np.hstack(zs) if zs else np.zeros((ts.count, 0))
+    splits = np.cumsum([ts.schema.size(i) for i in range(ts.schema.count)])[:-1]
+    cooc = cooccurrence(ts)
+    products = [basis @ sel for basis, sel in zip(state.bases, state.bank.selectors)]
     tol = INNER_TOL * float(np.linalg.norm(ts.X))
     model = np.zeros_like(ts.X)  # sum F_k H_k + G of the zero initial state
 
     def sweeps() -> np.ndarray:
         nonlocal model
         for _ in range(INNER_SWEEPS):
-            for i, z in enumerate(indicators):
-                sums = attribute_residual(state, ts, i) @ z
+            base = ts.X - state.individual - state.sparse_error + state.dual / state.mu
+            base_sums = np.split(base @ indicators, splits, axis=1)
+            for i in range(ts.schema.count):
+                sums = attribute_sums(base_sums[i], products, cooc, i)
                 update_h(state, ts, i, sums)
                 update_f(state, ts, i, sums)
-            shared = shared_component(state, ts)
+                products[i] = state.bases[i] @ state.bank.selectors[i]
+            shared = shared_sum(ts, products)
             update_g(state, ts, shared)
             previous, model = model, shared + state.individual
             update_e(state, ts, shared)

@@ -138,6 +138,19 @@ class TestEval:
         assert rc == 3
         assert "record 0 has shape (1, 2), expected (2, 2)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, cut, message", [
+        ("basis_0.marc", lambda m: m[:-5], "basis_0.marc has shape (25, 2), expected (30, 2)"),
+        ("mask.marc", lambda m: m[:-1], "mask.marc has shape (29, 18), expected (30, 18)"),
+    ], ids=["basis-5-rows-short", "mask-1-row-short"])
+    def test_truncated_truth_matrix_is_format_error(self, workspace, tmp_path, capsys,
+                                                    name, cut, message):
+        truth = tmp_path / "truth"
+        shutil.copytree(workspace / "data" / "truth", truth)
+        write_matrix(truth / name, cut(read_matrix(truth / name)))
+        rc = main(["eval", "-b", str(workspace / "bundle"), "--truth", str(truth)])
+        assert rc == 3
+        assert message in capsys.readouterr().err
+
 
 class TestCompleteAndTransfer:
     def test_single_vector_round(self, workspace, tmp_path, capsys):

@@ -280,6 +280,60 @@ class TestTruthArchive:
         assert back.g_singulars.size == 0
         assert not (tmp_path / "truth" / "g_left.marc").exists()
 
+    @pytest.fixture()
+    def saved_truth(self, tmp_path):
+        schema = AttributeSchema.of([("shape", ["round", "square"]),
+                                     ("tint", ["warm", "cool", "none"])])
+        spec = SynthSpec(schema=schema, dim=25, count=15, rank_g=2, seed=11)
+        _, truth = generate(spec)
+        save_truth(tmp_path / "truth", truth)
+        return tmp_path / "truth"
+
+    def test_basis_rows_are_checked(self, saved_truth):
+        path = saved_truth / "basis_0.marc"
+        write_matrix(path, read_matrix(path)[:-5])
+        with pytest.raises(FormatError, match=r"basis_0.marc has shape \(20, 2\), expected \(25, 2\)"):
+            load_truth(saved_truth)
+
+    def test_basis_columns_are_checked(self, saved_truth):
+        path = saved_truth / "basis_1.marc"
+        write_matrix(path, read_matrix(path)[:, :2])
+        with pytest.raises(FormatError, match=r"basis_1.marc has shape \(25, 2\), expected \(25, 3\)"):
+            load_truth(saved_truth)
+
+    @pytest.mark.parametrize("name", ["mask", "individual", "error"])
+    def test_part_shapes_are_checked(self, saved_truth, name):
+        path = saved_truth / f"{name}.marc"
+        write_matrix(path, read_matrix(path)[:-1])
+        with pytest.raises(FormatError, match=rf"{name}.marc has shape \(24, 15\), expected \(25, 15\)"):
+            load_truth(saved_truth)
+
+    def test_data_shape_is_checked_against_the_parts(self, saved_truth):
+        path = saved_truth / "data.marc"
+        write_matrix(path, read_matrix(path)[:, :-1])
+        with pytest.raises(FormatError, match="individual.marc has shape"):
+            load_truth(saved_truth)
+
+    @pytest.mark.parametrize("edit", [
+        lambda a: a[:-1],      # one column short
+        lambda a: a + [0],     # one column too many
+        lambda a: [3] + a[1:],  # a label past the attribute's size
+        lambda a: [-1] + a[1:],
+    ], ids=["short", "long", "too-high", "negative"])
+    def test_assignment_vectors_are_checked(self, saved_truth, edit):
+        doc_path = saved_truth / "assignments.json"
+        doc = json.loads(doc_path.read_text())
+        doc["assignments"][0] = edit(doc["assignments"][0])
+        doc_path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=r"assignments\[0\] must hold 15 labels in \[0, 2\)"):
+            load_truth(saved_truth)
+
+    def test_g_left_rows_are_checked(self, saved_truth):
+        path = saved_truth / "g_left.marc"
+        write_matrix(path, read_matrix(path)[:-1])
+        with pytest.raises(FormatError, match="g_left.marc has shape"):
+            load_truth(saved_truth)
+
     def test_assignment_coverage_is_checked(self, tmp_path):
         schema = AttributeSchema.of([("shape", ["round", "square"]),
                                      ("tint", ["warm", "cool", "none"])])

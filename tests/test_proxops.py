@@ -7,6 +7,7 @@ from marc import proxops
 from marc.errors import DegenerateMatrixError, ValidationError
 from marc.proxops import (
     GRAM_RATIO,
+    POLAR_RATIO,
     RankRule,
     _svt_svd,
     deterministic_svd,
@@ -121,6 +122,10 @@ def svd_reference(m, tau):
     return (u * np.maximum(s - tau, 0.0)) @ vh
 
 
+def no_svd(m):
+    raise AssertionError("fell back to the SVD")
+
+
 def with_spectrum(rows, cols, s, seed):
     rng = np.random.default_rng(seed)
     k = len(s)
@@ -131,9 +136,6 @@ def with_spectrum(rows, cols, s, seed):
 def test_svt_gram_path_matches_svd(shape, monkeypatch):
     """Well-conditioned input (s_min/s_max = 0.1) takes the Gram path at
     every threshold, including none."""
-    def no_svd(m):
-        raise AssertionError("svt fell back to the SVD")
-
     monkeypatch.setattr(proxops, "deterministic_svd", no_svd)
     k = min(shape)
     m = with_spectrum(*shape, np.geomspace(5.0, 0.5, k), seed=sum(shape))
@@ -145,14 +147,46 @@ def test_svt_gram_path_matches_svd(shape, monkeypatch):
 
 @pytest.mark.parametrize("shape", [(60, 40), (40, 60)])
 def test_svt_fallback_on_rank_deficient_input(shape):
-    """Rank 3 with a tiny threshold: max(tau, s_min) < GRAM_RATIO * s_max, so
-    the result comes from the SVD, bitwise."""
+    """Rank 3 with a tiny threshold: max(tau, s_min) < GRAM_RATIO * s_max.
+    The zero tail is certified and the result matches the SVD's; once the
+    untrusted tail holds a value above tau, the result comes from the SVD,
+    bitwise."""
     m = with_spectrum(*shape, [3.0, 2.0, 1.0], seed=3)
     tau = 1e-9
     got = svt(m, tau)
-    assert np.array_equal(got, _svt_svd(m, tau))
     assert np.allclose(got, svd_reference(m, tau), rtol=1e-9, atol=1e-12)
     assert np.linalg.matrix_rank(got) <= np.linalg.matrix_rank(m) == 3
+    spilled = with_spectrum(*shape, [3.0, 2.0, 1.0, 1e-6], seed=3)
+    assert np.array_equal(svt(spilled, tau), _svt_svd(spilled, tau))
+
+
+@pytest.mark.parametrize("shape", [(200, 60), (60, 200)])
+def test_svt_certified_tail_matches_svd(shape, monkeypatch):
+    """Rank 5 over a tail of values at 0.8 tau, all far below GRAM_RATIO *
+    s_max, as G looks once training has settled. The tail is too large for
+    the Frobenius check, so the spectral bound certifies it: no SVD, and
+    the result matches the SVD's."""
+    tau = 1e-4
+    k = min(shape)
+    s = np.concatenate([[10.0, 8.0, 6.0, 5.0, 4.0], np.full(k - 5, 0.8 * tau)])
+    assert tau <= 1e-2 * GRAM_RATIO * s[0]
+    m = with_spectrum(*shape, s, seed=12)
+    ref = svd_reference(m, tau)
+    monkeypatch.setattr(proxops, "deterministic_svd", no_svd)
+    got = svt(m, tau)
+    assert np.allclose(got, ref, rtol=1e-9, atol=1e-9 * np.abs(ref).max())
+    assert np.linalg.matrix_rank(got) == 5
+
+
+@pytest.mark.parametrize("shape", [(200, 60), (60, 200)])
+def test_svt_tail_above_threshold_falls_back(shape):
+    """The same shape with one tail value at 2 tau: the bound fails and the
+    result is the SVD path's, bitwise."""
+    tau = 1e-4
+    k = min(shape)
+    s = np.concatenate([[10.0, 8.0, 6.0, 5.0, 4.0, 2.0 * tau], np.full(k - 6, 0.8 * tau)])
+    m = with_spectrum(*shape, s, seed=13)
+    assert np.array_equal(svt(m, tau), _svt_svd(m, tau))
 
 
 def test_svt_fallback_on_ill_conditioned_input():
@@ -218,6 +252,39 @@ def test_procrustes_orthonormal_and_optimal():
 def test_procrustes_identity_fixed_point():
     eye = np.eye(4)
     assert np.allclose(procrustes(eye), eye, atol=1e-12)
+
+
+def svd_polar(m):
+    u, _, vh = deterministic_svd(m)
+    return u @ vh
+
+
+@pytest.mark.parametrize("shape", [(64, 32), (200, 4), (32, 64), (12, 12)])
+@pytest.mark.parametrize("kappa", [1.0, 1e2, 0.99e4])
+def test_procrustes_gram_path_matches_svd(shape, kappa, monkeypatch):
+    """Condition number up to 1 / POLAR_RATIO: the Gram polar factor with
+    its Newton-Schulz polish, no SVD, orthonormal to 1e-14 and within 1e-9
+    of the SVD's factor."""
+    assert kappa < 1.0 / POLAR_RATIO
+    k = min(shape)
+    m = with_spectrum(*shape, np.geomspace(3.0, 3.0 / kappa, k), seed=k)
+    ref = svd_polar(m)
+    monkeypatch.setattr(proxops, "deterministic_svd", no_svd)
+    q = procrustes(m)
+    gram = q.T @ q if shape[0] >= shape[1] else q @ q.T
+    assert np.max(np.abs(gram - np.eye(k))) <= 1e-14
+    assert np.max(np.abs(q - ref)) <= 1e-9
+
+
+@pytest.mark.parametrize("m", [
+    np.zeros((5, 3)),
+    np.zeros((3, 5)),
+    with_spectrum(6, 4, [3.0, 2.0, 1.0], seed=14),
+    with_spectrum(4, 6, [3.0, 2.0, 1.0], seed=15),
+    with_spectrum(20, 8, np.geomspace(1.0, 1e-5, 8), seed=16),
+], ids=["zero-tall", "zero-wide", "rank3-tall", "rank3-wide", "kappa1e5"])
+def test_procrustes_degenerate_input_takes_the_svd_path(m):
+    assert np.array_equal(procrustes(m), svd_polar(m))
 
 
 def test_rank_r_span_explicit_and_energy():

@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from marc import dataset, trainer
+from marc import dataset, proxops, trainer
 from marc.dataset import AttributeSchema, Sample, SelectorBank, TrainingSet, assemble, columns_of, materialize_h
 from marc.errors import ValidationError
 from marc.proxops import random_orthonormal
@@ -17,12 +17,15 @@ from marc.trainer import (
     SolverConfig,
     TrainState,
     attribute_residual,
+    attribute_sums,
     constraint_residual,
+    cooccurrence,
     error_residual,
     indicator,
     model_fit,
     normalized_residual,
     shared_component,
+    shared_sum,
     train,
     update_duals,
     update_e,
@@ -189,6 +192,27 @@ class TestStepFunctions:
                      for k in range(ts.schema.count))
         assert np.allclose(shared_component(state, ts), expect, atol=1e-12)
 
+    def test_label_space_sums_match_the_attribute_residual(self):
+        """On a wide instance with three attributes of 4, 8 and 16 labels,
+        R Z_i formed in label space (co-occurrence counts and the products
+        F_k S_k) equals the attribute residual times Z_i, and the shared sum
+        from the same products is shared_component bitwise."""
+        schema = AttributeSchema.of([(f"attr{i}", [f"l{j}" for j in range(m)])
+                                     for i, m in enumerate((4, 8, 16))])
+        ts, _ = generate(SynthSpec(schema=schema, dim=16, count=64, rank_g=2, seed=8))
+        state = make_state(ts, seed=11)
+        base = ts.X - state.individual - state.sparse_error + state.dual / state.mu
+        products = [f @ sel for f, sel in zip(state.bases, state.bank.selectors)]
+        cooc = cooccurrence(ts)
+        for attr in range(ts.schema.count):
+            z = indicator(ts, attr)
+            got = attribute_sums(base @ z, products, cooc, attr)
+            expect = attribute_residual(state, ts, attr) @ z
+            assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
+            counts = np.bincount(ts.label_index[attr], minlength=ts.schema.size(attr))
+            assert np.array_equal(cooc[attr][attr], np.diag(counts.astype(float)))
+        assert np.array_equal(shared_sum(ts, products), shared_component(state, ts))
+
     def test_precomputed_arguments_change_nothing(self, small_instance):
         ts, _ = small_instance
         one, two = make_state(ts, seed=12), make_state(ts, seed=12)
@@ -353,9 +377,10 @@ class TestTrainLoop:
         assert d.final_residual == d.residual_history[-1]
 
     def test_iteration_work_is_bounded(self, small_instance, monkeypatch):
-        """Per Gauss-Seidel sweep (one G step each): at most J+1
-        shared-component sums, one SVT, and no per-instantiation column
-        lookups or materialized selectors."""
+        """Per Gauss-Seidel sweep (one G step each): one SVT, through the
+        Gram path, and no attribute residual, shared-component rebuild,
+        per-instantiation column lookup or materialized selector (the sweep
+        works in label space)."""
         ts, _ = small_instance
         calls = Counter()
 
@@ -368,9 +393,11 @@ class TestTrainLoop:
 
             monkeypatch.setattr(module, name, counted)
 
+        spy(trainer, "attribute_residual")
         spy(trainer, "shared_component")
         spy(trainer, "svt")
         spy(trainer, "update_g")
+        spy(proxops, "_svt_svd")
         for name in ("columns_of", "materialize_h"):
             for module in (dataset, trainer):
                 if hasattr(module, name):
@@ -381,8 +408,10 @@ class TestTrainLoop:
         # (test_sweeps_drop_to_one_once_the_split_settles covers the rest).
         sweeps = calls["update_g"]
         assert sweeps == trainer.INNER_SWEEPS * iterations
-        assert calls["shared_component"] <= (ts.schema.count + 1) * sweeps
+        assert calls["attribute_residual"] == 0
+        assert calls["shared_component"] == 0
         assert calls["svt"] == sweeps
+        assert calls["_svt_svd"] == 0
         assert calls["columns_of"] == 0
         assert calls["materialize_h"] == 0
 
