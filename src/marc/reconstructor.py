@@ -174,6 +174,12 @@ def reconstruct(
     stalled at mu_max. `observer` and the histories see one entry per
     penalty step, after its closing E step.
 
+    Hidden entries of `y` enter no step: the solve runs on W.*y, so the
+    selectors, coefficients, reconstruction and diagnostics are those of
+    reconstruct(y * w_y, w_y). Only the returned sparse error reads them:
+    its hidden entries add them back, so that there it absorbs y minus the
+    synthesis.
+
     Pinned selectors are copied from the trained bank before the loop and
     never touched, so they come back bitwise identical. Non-convergence is
     flagged in diagnostics, not raised.
@@ -188,6 +194,8 @@ def reconstruct(
     w_y = _check_vector(w_y, dim, "input mask")
     if not np.all((w_y == 0.0) | (w_y == 1.0)):
         raise ValidationError("input mask must be strictly binary (0/1 entries)")
+    observed = y * w_y
+    visible = w_y != 0.0
     if spec is None:
         spec = TransferSpec.all_free(bundle.schema)
     if len(spec.pinned) != bundle.schema.count:
@@ -209,14 +217,15 @@ def reconstruct(
     ]
     free = [i for i, mode in enumerate(spec.pinned) if mode is None]
 
-    y_norm = float(np.linalg.norm(y))
+    y_norm = float(np.linalg.norm(observed))
     if y_norm == 0.0:
         coeffs = np.zeros(span.shape[1])
+        out = synthesize(bundle, spec, selectors, coeffs, config.rank_rule)
         return ReconResult(
             selectors=selectors,
             indiv_coeffs=coeffs,
-            sparse_error=np.zeros(dim),
-            reconstruction=synthesize(bundle, spec, selectors, coeffs, config.rank_rule),
+            sparse_error=np.where(visible, 0.0, y - out),
+            reconstruction=out,
             diagnostics=ReconDiagnostics(0, True, 0.0, [], []),
         )
 
@@ -235,7 +244,6 @@ def reconstruct(
     # e carry no penalty and absorb whatever x leaves there, so the x step is
     # the least-squares fit on the visible rows, through the pseudo-inverse
     # `pinv` of the visible rows of the stacked design [F_free, K].
-    visible = w_y != 0.0
     blocks = [bases[i] for i in free] + ([span] if span.shape[1] else [])
     design = np.hstack(blocks) if blocks else np.zeros((dim, 0))
     design_v = design[visible]
@@ -247,7 +255,7 @@ def reconstruct(
     for k in range(j_count):
         if k not in free:
             pinned += bases[k] @ state.selectors[k]
-    free_target = (y - pinned)[visible]
+    free_target = (observed - pinned)[visible]
     tol_sq = (INNER_TOL * y_norm) ** 2
     shared = indiv = np.zeros(dim)
 
@@ -276,7 +284,7 @@ def reconstruct(
         for k in range(j_count):
             shared += bases[k] @ state.selectors[k]
         indiv = span @ state.indiv_coeffs
-        unexplained = y - shared - indiv
+        unexplained = observed - shared - indiv
         augmented = unexplained + scaled_dual
         state.sparse_error = np.where(visible, soft_threshold(augmented, bound), augmented)
         return unexplained
@@ -297,7 +305,7 @@ def reconstruct(
     return ReconResult(
         selectors=state.selectors,
         indiv_coeffs=state.indiv_coeffs,
-        sparse_error=state.sparse_error,
+        sparse_error=np.where(visible, state.sparse_error, state.sparse_error + y),
         reconstruction=shared + indiv,
         diagnostics=diag,
     )

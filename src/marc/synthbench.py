@@ -144,10 +144,7 @@ def generate(spec: SynthSpec) -> tuple[TrainingSet, GroundTruth]:
         error[hit] = spec.noise_amp * (2.0 * rng.integers(0, 2, size=n_sparse) - 1.0)
     error = error.reshape(dim, count)
 
-    clean = individual.copy()
-    for i in range(schema.count):
-        clean += bases[i] @ bank.selectors[i][:, assignments[i]]
-    data = clean + error
+    data = _clean_part(bases, bank, individual, assignments) + error
 
     samples = [
         Sample(

@@ -37,10 +37,14 @@ with one product, and takes R Z_i = base Z_i - sum_{k != i} P_k C_ki in
 label space, where C_ki = Z_k^T Z_i are the label co-occurrence counts,
 computed once per `train` (`attribute_sums`). After attribute i's selector
 and basis steps it refreshes P_i. After the attribute sweep the loop gathers
-sum_k F_k H_k from the same products once (`shared_sum`) and hands it to the
-G, E, residual and dual steps. `attribute_residual`, `shared_component` and
-the step functions called without precomputed arguments form everything
-from the state; they are the reference the loop is tested against.
+sum_k F_k H_k from the same products once (`shared_sum`) and forms each
+residual of the sweep once, from dual/mu taken once per penalty step:
+X - sum F_k H_k - E + dual/mu for the G step, then fit =
+X - sum F_k H_k - G, plus dual/mu for the E step; the last sweep's fit feeds
+the residual measures and the dual step. Every step function takes the
+residual it acts on. `attribute_residual`, `error_residual` and
+`shared_component` form the same quantities from the state alone; they are
+the reference the loop is tested against.
 """
 from __future__ import annotations
 
@@ -198,11 +202,13 @@ def indicator(ts: TrainingSet, attr: int) -> np.ndarray:
     return z
 
 
-def cooccurrence(ts: TrainingSet) -> list[list[np.ndarray]]:
+def cooccurrence(stacked: np.ndarray, splits: np.ndarray) -> list[list[np.ndarray]]:
     """C[k][i] = Z_k^T Z_i: how many columns carry each pair of labels of
-    attributes k and i (diagonal blocks hold the per-label counts)."""
-    z = [indicator(ts, k) for k in range(ts.schema.count)]
-    return [[zk.T @ zi for zi in z] for zk in z]
+    attributes k and i (diagonal blocks hold the per-label counts), cut from
+    the Gram matrix of the stacked indicators [Z_1 ... Z_J], whose column
+    blocks end at `splits`. The counts are exact in floating point."""
+    gram = stacked.T @ stacked
+    return [np.split(rows, splits, axis=1) for rows in np.split(gram, splits)]
 
 
 def attribute_sums(
@@ -211,8 +217,9 @@ def attribute_sums(
     """R Z_i for attribute `attr` in label space, with no dim x count work.
 
     `base_sums` is (X - G - E + dual/mu) Z_i, `products[k]` is F_k S_k and
-    `cooc` is cooccurrence(ts); since F_k H_k Z_i = F_k S_k Z_k^T Z_i, the
-    result equals attribute_residual(state, ts, attr) @ indicator(ts, attr).
+    `cooc` is `cooccurrence` of the indicators; since F_k H_k Z_i =
+    F_k S_k Z_k^T Z_i, the result equals
+    attribute_residual(state, ts, attr) @ indicator(ts, attr).
     """
     sums = base_sums
     for k, product in enumerate(products):
@@ -228,119 +235,74 @@ def attribute_residual(state: TrainState, ts: TrainingSet, attr: int) -> np.ndar
         - state.individual - state.sparse_error + state.dual / state.mu
 
 
-def error_residual(
-    state: TrainState, ts: TrainingSet, shared: np.ndarray | None = None
-) -> np.ndarray:
-    """Residual handed to the sparse step: X - sum F_k H_k - G + dual/mu.
-
-    `shared`, if given, must be shared_component(state, ts).
-    """
-    if shared is None:
-        shared = shared_component(state, ts)
-    return ts.X - shared - state.individual + state.dual / state.mu
+def error_residual(state: TrainState, ts: TrainingSet) -> np.ndarray:
+    """Residual handed to the sparse step: X - sum F_k H_k - G + dual/mu."""
+    return ts.X - shared_component(state, ts) - state.individual + state.dual / state.mu
 
 
-def update_h(
-    state: TrainState,
-    ts: TrainingSet,
-    attr: int,
-    sums: np.ndarray | None = None,
-) -> np.ndarray:
+def update_h(state: TrainState, ts: TrainingSet, attr: int, sums: np.ndarray) -> np.ndarray:
     """Selector step for every instantiation of `attr` at once: project the
     mean residual of each instantiation's columns onto the attribute's
     current basis, S_i = F_i^T (R Z_i) / n_i.
 
-    The precomputed `sums` must be attribute_residual(state, ts, attr) @
+    `sums` is R Z_i, attribute_residual(state, ts, attr) @
     indicator(ts, attr). Returns the new (M_i, M_i) selector block.
     """
-    if sums is None:
-        sums = attribute_residual(state, ts, attr) @ indicator(ts, attr)
     counts = np.bincount(ts.label_index[attr], minlength=ts.schema.size(attr))
     state.bank.selectors[attr] = (state.bases[attr].T @ sums) / counts
     return state.bank.selectors[attr]
 
 
-def update_f(
-    state: TrainState,
-    ts: TrainingSet,
-    attr: int,
-    sums: np.ndarray | None = None,
-) -> np.ndarray:
+def update_f(state: TrainState, attr: int, sums: np.ndarray) -> np.ndarray:
     """Basis step: orthonormal factor closest to the residual in the
     selector directions, via the Procrustes projection of R H_i^T, computed
     as (R Z_i) S_i^T. `sums` is as in `update_h`."""
-    if sums is None:
-        sums = attribute_residual(state, ts, attr) @ indicator(ts, attr)
     state.bases[attr] = procrustes(sums @ state.bank.selectors[attr].T)
     return state.bases[attr]
 
 
-def update_g(
-    state: TrainState, ts: TrainingSet, shared: np.ndarray | None = None
-) -> np.ndarray:
+def update_g(state: TrainState, residual: np.ndarray) -> np.ndarray:
     """Individual step: singular-value threshold at 1/mu of what the shared
-    and sparse parts leave unexplained. `shared` is as in `error_residual`."""
-    if shared is None:
-        shared = shared_component(state, ts)
-    residual = ts.X - shared - state.sparse_error + state.dual / state.mu
+    and sparse parts leave unexplained, the `residual`
+    X - sum F_k H_k - E + dual/mu."""
     state.individual = svt(residual, 1.0 / state.mu)
     return state.individual
 
 
-def update_e(
-    state: TrainState, ts: TrainingSet, shared: np.ndarray | None = None
-) -> np.ndarray:
-    """Sparse step: soft threshold on visible entries; hidden entries take
-    the residual unchanged, which zeroes the augmented residual there.
-    `shared` is as in `error_residual`."""
-    residual = error_residual(state, ts, shared)
+def update_e(state: TrainState, ts: TrainingSet, residual: np.ndarray) -> np.ndarray:
+    """Sparse step on `residual`, which is error_residual(state, ts): soft
+    threshold on visible entries; hidden entries take the residual
+    unchanged, which zeroes the augmented residual there."""
     state.sparse_error = np.where(
         ts.visible, shrink_matrix(residual, state.lam / state.mu), residual
     )
     return state.sparse_error
 
 
-def model_fit(
-    state: TrainState, ts: TrainingSet, shared: np.ndarray | None = None
-) -> np.ndarray:
-    """X - sum F_k H_k - G, the part of X left for E. `shared` is as in
-    `error_residual`."""
-    if shared is None:
-        shared = shared_component(state, ts)
-    return ts.X - shared - state.individual
-
-
-def update_duals(state, ts: TrainingSet | None, fit: np.ndarray | None = None) -> None:
+def update_duals(state, fit: np.ndarray) -> None:
     """Dual ascent on the coupling constraint, then the capped geometric
     penalty increase. mu never decreases. `fit` is the part of the data
-    left for E, model_fit(state, ts) in training; `ts` is needed only to
-    form it when it is not given. Any solver state with config, dual, mu
-    and sparse_error will do, the reconstructor's too."""
-    if fit is None:
-        fit = model_fit(state, ts)
+    left for E (X - sum F_k H_k - G in training). Any solver state with
+    config, dual, mu and sparse_error will do, the reconstructor's too."""
     state.dual = state.dual + state.mu * (fit - state.sparse_error)
     state.mu = min(state.config.rho * state.mu, state.config.mu_max)
 
 
-def normalized_residual(state: TrainState, ts: TrainingSet, fit: np.ndarray | None = None) -> float:
+def normalized_residual(state: TrainState, ts: TrainingSet, fit: np.ndarray) -> float:
     """Masked convergence measure:
     ||X - sum F_k H_k - G - W.*E||_F / ||X||_F (0 for an all-zero X).
     `fit` is as in `update_duals`."""
     denom = float(np.linalg.norm(ts.X))
     if denom == 0.0:
         return 0.0
-    if fit is None:
-        fit = model_fit(state, ts)
     return float(np.linalg.norm(fit - ts.W * state.sparse_error)) / denom
 
 
-def constraint_residual(state: TrainState, ts: TrainingSet, fit: np.ndarray | None = None) -> float:
+def constraint_residual(state: TrainState, ts: TrainingSet, fit: np.ndarray) -> float:
     """Unmasked counterpart of `normalized_residual` (E enters everywhere)."""
     denom = float(np.linalg.norm(ts.X))
     if denom == 0.0:
         return 0.0
-    if fit is None:
-        fit = model_fit(state, ts)
     return float(np.linalg.norm(fit - state.sparse_error)) / denom
 
 
@@ -383,7 +345,7 @@ def run_penalty_steps(
         residuals.append(values)
         if observer is not None:
             observer(state, t)
-        update_duals(state, None, fit)
+        update_duals(state, fit)
         state.t = t + 1
         last, res = res, values[0]
         if res <= config.eps:
@@ -459,28 +421,31 @@ def train(
     zs = [indicator(ts, i) for i in range(ts.schema.count)]
     indicators = np.hstack(zs) if zs else np.zeros((ts.count, 0))
     splits = np.cumsum([ts.schema.size(i) for i in range(ts.schema.count)])[:-1]
-    cooc = cooccurrence(ts)
+    cooc = cooccurrence(indicators, splits)
     products = [basis @ sel for basis, sel in zip(state.bases, state.bank.selectors)]
     tol = INNER_TOL * float(np.linalg.norm(ts.X))
     model = np.zeros_like(ts.X)  # sum F_k H_k + G of the zero initial state
 
     def sweeps() -> np.ndarray:
         nonlocal model
+        scaled = state.dual / state.mu
         for _ in range(INNER_SWEEPS):
-            base = ts.X - state.individual - state.sparse_error + state.dual / state.mu
+            base = ts.X - state.individual - state.sparse_error + scaled
             base_sums = np.split(base @ indicators, splits, axis=1)
             for i in range(ts.schema.count):
                 sums = attribute_sums(base_sums[i], products, cooc, i)
                 update_h(state, ts, i, sums)
-                update_f(state, ts, i, sums)
+                update_f(state, i, sums)
                 products[i] = state.bases[i] @ state.bank.selectors[i]
             shared = shared_sum(ts, products)
-            update_g(state, ts, shared)
+            unshared = ts.X - shared
+            update_g(state, unshared - state.sparse_error + scaled)
             previous, model = model, shared + state.individual
-            update_e(state, ts, shared)
+            fit = unshared - state.individual
+            update_e(state, ts, fit + scaled)
             if float(np.linalg.norm(model - previous)) <= tol:
                 break
-        return model_fit(state, ts, shared)
+        return fit
 
     def residual(fit: np.ndarray) -> tuple[float, float]:
         return normalized_residual(state, ts, fit), constraint_residual(state, ts, fit)

@@ -219,6 +219,29 @@ class TestContracts:
         expect = truth.bases[0] @ truth.bank.selectors[0][:, 0]
         assert np.array_equal(pinned.reconstruction, expect)
 
+    @pytest.mark.parametrize("pins", [{}, {"tint": "cool"}])
+    def test_hidden_entries_of_y_enter_no_step(self, planted, pins):
+        """Values at hidden cells change nothing but the sparse error there,
+        which absorbs them: the solve is that of y * w bitwise."""
+        truth, bundle, y, _ = planted
+        rng = np.random.default_rng(5)
+        w = (rng.random(y.size) >= 0.3).astype(float)
+        hidden = w == 0.0
+        spiked = y.copy()
+        spiked[[2, 9]] += 5.0
+        loud = np.where(hidden, 1e6, spiked)
+        spec = TransferSpec.targets(truth.schema, pins)
+        one = reconstruct(loud, w, bundle, spec=spec)
+        two = reconstruct(loud * w, w, bundle, spec=spec)
+        for a, b in zip(one.selectors, two.selectors):
+            assert np.array_equal(a, b)
+        assert np.array_equal(one.indiv_coeffs, two.indiv_coeffs)
+        assert np.array_equal(one.reconstruction, two.reconstruction)
+        assert one.diagnostics == two.diagnostics
+        assert np.array_equal(one.sparse_error[~hidden], two.sparse_error[~hidden])
+        assert np.allclose(one.sparse_error[hidden] - two.sparse_error[hidden], 1e6,
+                           rtol=1e-12)
+
     def test_mu_schedule(self, planted):
         _, bundle, y, _ = planted
         result = reconstruct(y, None, bundle, config=ReconConfig(t_max=200))

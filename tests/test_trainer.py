@@ -3,7 +3,9 @@ independently coded oracle where one exists (least squares for the selector
 step, sampled rotations for the basis step, a direct SVD computation for the
 individual step)."""
 import math
+import re
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +24,6 @@ from marc.trainer import (
     cooccurrence,
     error_residual,
     indicator,
-    model_fit,
     normalized_residual,
     shared_component,
     shared_sum,
@@ -115,14 +116,6 @@ class TestStepFunctions:
                 oracle, *_ = np.linalg.lstsq(stacked_f, stacked_r, rcond=None)
                 assert np.allclose(got[:, inst], oracle, atol=1e-10)
 
-    def test_update_h_and_f_default_to_the_attribute_residual(self, small_instance):
-        ts, _ = small_instance
-        one, two = make_state(ts, seed=10), make_state(ts, seed=10)
-        for attr in range(ts.schema.count):
-            sums = attribute_residual(one, ts, attr) @ indicator(ts, attr)
-            assert np.array_equal(update_h(one, ts, attr, sums), update_h(two, ts, attr))
-            assert np.array_equal(update_f(one, ts, attr, sums), update_f(two, ts, attr))
-
     def test_update_f_beats_sampled_rotations(self, small_instance):
         ts, _ = small_instance
         state = make_state(ts, seed=4)
@@ -131,7 +124,7 @@ class TestStepFunctions:
             residual = attribute_residual(state, ts, attr)
             h = materialize_h(state.bank, ts, attr)
             before = np.linalg.norm(state.bases[attr] @ h - residual)
-            new_f = update_f(state, ts, attr, residual @ indicator(ts, attr))
+            new_f = update_f(state, attr, residual @ indicator(ts, attr))
             after = np.linalg.norm(new_f @ h - residual)
             assert after <= before + 1e-12
             assert np.allclose(new_f.T @ new_f, np.eye(h.shape[0]), atol=1e-10)
@@ -144,7 +137,7 @@ class TestStepFunctions:
         state = make_state(ts, seed=5, mu=0.9)
         residual = ts.X - shared_component(state, ts) - state.sparse_error \
             + state.dual / state.mu
-        got = update_g(state, ts)
+        got = update_g(state, residual)
         u, s, vh = np.linalg.svd(residual, full_matrices=False)
         expect = (u * np.maximum(s - 1.0 / 0.9, 0.0)) @ vh
         assert np.allclose(got, expect, atol=1e-12)
@@ -156,7 +149,7 @@ class TestStepFunctions:
         ts, _ = small_instance
         state = make_state(ts, seed=6)
         residual = error_residual(state, ts)
-        got = update_e(state, ts)
+        got = update_e(state, ts, residual)
         tau = state.lam / state.mu
         shrunk = np.sign(residual) * np.maximum(np.abs(residual) - tau, 0.0)
         assert np.array_equal(got[ts.visible], shrunk[ts.visible])
@@ -165,20 +158,20 @@ class TestStepFunctions:
     def test_update_e_zeroes_hidden_augmented_residual_exactly(self, small_instance):
         ts, _ = small_instance
         state = make_state(ts, seed=7)
-        update_e(state, ts)
+        update_e(state, ts, error_residual(state, ts))
         augmented = error_residual(state, ts) - state.sparse_error
         assert np.all(augmented[~ts.visible] == 0.0)
 
     def test_update_duals_closed_form(self, small_instance):
         ts, _ = small_instance
         state = make_state(ts, seed=8, mu=5.0)
-        gap = ts.X - shared_component(state, ts) - state.individual - state.sparse_error
+        fit = ts.X - shared_component(state, ts) - state.individual
         dual_before = state.dual.copy()
-        update_duals(state, ts)
-        assert np.array_equal(state.dual, dual_before + 5.0 * gap)
+        update_duals(state, fit)
+        assert np.array_equal(state.dual, dual_before + 5.0 * (fit - state.sparse_error))
         assert state.mu == min(1.2 * 5.0, 1e7)
         state.mu = 9.9e6
-        update_duals(state, ts)
+        update_duals(state, fit)
         assert state.mu == 1e7
 
     def test_indicator_is_one_hot(self, tiny_training_set):
@@ -203,41 +196,28 @@ class TestStepFunctions:
         state = make_state(ts, seed=11)
         base = ts.X - state.individual - state.sparse_error + state.dual / state.mu
         products = [f @ sel for f, sel in zip(state.bases, state.bank.selectors)]
-        cooc = cooccurrence(ts)
-        for attr in range(ts.schema.count):
-            z = indicator(ts, attr)
+        zs = [indicator(ts, attr) for attr in range(ts.schema.count)]
+        cooc = cooccurrence(np.hstack(zs), np.cumsum([4, 8, 16])[:-1])
+        for attr, z in enumerate(zs):
             got = attribute_sums(base @ z, products, cooc, attr)
             expect = attribute_residual(state, ts, attr) @ z
             assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
             counts = np.bincount(ts.label_index[attr], minlength=ts.schema.size(attr))
             assert np.array_equal(cooc[attr][attr], np.diag(counts.astype(float)))
+            for k, zk in enumerate(zs):
+                assert np.array_equal(cooc[k][attr], zk.T @ z)
         assert np.array_equal(shared_sum(ts, products), shared_component(state, ts))
-
-    def test_precomputed_arguments_change_nothing(self, small_instance):
-        ts, _ = small_instance
-        one, two = make_state(ts, seed=12), make_state(ts, seed=12)
-        shared = shared_component(one, ts)
-        assert np.array_equal(error_residual(one, ts, shared), error_residual(two, ts))
-        assert np.array_equal(update_g(one, ts, shared), update_g(two, ts))
-        assert np.array_equal(update_e(one, ts, shared), update_e(two, ts))
-        fit = model_fit(one, ts, shared)
-        assert normalized_residual(one, ts, fit) == normalized_residual(two, ts)
-        assert constraint_residual(one, ts, fit) == constraint_residual(two, ts)
-        update_duals(one, ts, fit)
-        update_duals(two, ts)
-        assert np.array_equal(one.dual, two.dual) and one.mu == two.mu
 
     def test_residual_definitions(self, small_instance):
         ts, _ = small_instance
         state = make_state(ts, seed=9)
-        gap_masked = ts.X - shared_component(state, ts) - state.individual \
-            - ts.W * state.sparse_error
-        gap_full = ts.X - shared_component(state, ts) - state.individual \
-            - state.sparse_error
+        fit = ts.X - shared_component(state, ts) - state.individual
+        gap_masked = fit - ts.W * state.sparse_error
+        gap_full = fit - state.sparse_error
         norm_x = np.linalg.norm(ts.X)
-        assert np.isclose(normalized_residual(state, ts),
+        assert np.isclose(normalized_residual(state, ts, fit),
                           np.linalg.norm(gap_masked) / norm_x)
-        assert np.isclose(constraint_residual(state, ts),
+        assert np.isclose(constraint_residual(state, ts, fit),
                           np.linalg.norm(gap_full) / norm_x)
 
 
@@ -415,6 +395,38 @@ class TestTrainLoop:
         assert calls["columns_of"] == 0
         assert calls["materialize_h"] == 0
 
+    def test_loop_hands_each_step_its_reference_residual(self, small_instance, monkeypatch):
+        """Every residual the sweep forms is bitwise the one the reference
+        functions build from the state at that moment: the G step's
+        X - shared - E + dual/mu, the E step's error_residual, and the fit
+        X - shared - G that the residual measures (and the dual step) read."""
+        ts, _ = small_instance
+        calls = Counter()
+
+        def reference(state, name):
+            shared = shared_component(state, ts)
+            if name == "update_g":
+                return ts.X - shared - state.sparse_error + state.dual / state.mu
+            if name == "update_e":
+                return error_residual(state, ts)
+            return ts.X - shared - state.individual
+
+        def spy(name):
+            original = getattr(trainer, name)
+
+            def checked(state, *args):
+                assert np.array_equal(args[-1], reference(state, name)), name
+                calls[name] += 1
+                return original(state, *args)
+
+            monkeypatch.setattr(trainer, name, checked)
+
+        for name in ("update_g", "update_e", "normalized_residual"):
+            spy(name)
+        assert train(ts, SolverConfig(t_max=5)).diagnostics.iterations == 5
+        sweeps = trainer.INNER_SWEEPS * 5
+        assert calls == {"update_g": sweeps, "update_e": sweeps, "normalized_residual": 5}
+
     def test_lam_echoed_in_diagnostics(self, small_instance):
         ts, _ = small_instance
         bundle = train(ts, SolverConfig(t_max=2))
@@ -468,3 +480,15 @@ class TestDegenerateMode:
 
         assert np.allclose(bundle.individual, G, atol=1e-12)
         assert np.allclose(bundle.sparse_error, E, atol=1e-12)
+
+
+def test_readme_quick_start_runs():
+    """The Python quick start in README.md runs as printed and gives a
+    finite fit and completion."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    assert len(blocks) == 1
+    scope: dict = {}
+    exec(compile(blocks[0], "README.md", "exec"), scope)
+    assert math.isfinite(scope["bundle"].diagnostics.final_residual)
+    assert np.all(np.isfinite(scope["filled"]))
