@@ -27,9 +27,7 @@ from .proxops import (
     deterministic_svd,
     procrustes,
     random_orthonormal,
-    rank_r_span,
     shrink_matrix,
-    shrink_scalar,
     svt,
 )
 from .reconstructor import (
@@ -91,12 +89,10 @@ __all__ = [
     "procrustes",
     "procrustes_sampling_oracle",
     "random_orthonormal",
-    "rank_r_span",
     "reconstruct",
     "recovery_metrics",
     "rpca_reference",
     "shrink_matrix",
-    "shrink_scalar",
     "svt",
     "train",
     "transfer",

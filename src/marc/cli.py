@@ -111,9 +111,9 @@ def _run_recon_jobs(args: argparse.Namespace, targets: dict[str, str] | None) ->
             out = synthesize(bundle, pins, result.selectors, result.indiv_coeffs,
                              config.rank_rule)
         formats.write_vector(out_path, out)
-        flag = "" if result.diagnostics.converged else " (did not converge)"
-        print(f"{in_path.name}: iterations={result.diagnostics.iterations} "
-              f"residual={result.diagnostics.final_residual:.3e}{flag}")
+        d = result.diagnostics
+        flag = "" if d.converged else f" (did not converge: {d.stop_reason})"
+        print(f"{in_path.name}: iterations={d.iterations} residual={d.final_residual:.3e}{flag}")
     return 0
 
 
@@ -128,10 +128,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
     d = bundle.diagnostics
     print(f"iterations={d.iterations} residual={d.final_residual:.6e} "
           f"residual_unmasked={d.final_residual_unmasked:.6e} wall_time={wall:.2f}s")
-    if not d.converged and d.iterations < config.t_max:
+    if d.stop_reason == "stalled":
         print(f"warning: stalled at iteration {d.iterations} (penalty at mu_max) "
               f"without reaching eps={config.eps}", file=sys.stderr)
-    elif not d.converged:
+    elif d.stop_reason == "t_max":
         print(f"warning: stopped at t_max={config.t_max} without reaching "
               f"eps={config.eps}", file=sys.stderr)
     return 0

@@ -82,10 +82,13 @@ class AttributeSchema:
     @classmethod
     def from_dict(cls, d: Mapping) -> "AttributeSchema":
         try:
-            pairs = [(a["name"], tuple(a["instantiations"])) for a in d["attributes"]]
+            pairs = [(a["name"], a["instantiations"]) for a in d["attributes"]]
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed schema mapping: {exc}") from exc
-        return cls(tuple(pairs))
+        for name, labels in pairs:
+            if not isinstance(labels, list):
+                raise ValidationError(f"attribute '{name}': instantiations must be a list")
+        return cls.of(pairs)
 
 
 @dataclass(frozen=True)

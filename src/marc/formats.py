@@ -164,11 +164,11 @@ def load_manifest(path: str | Path) -> tuple[AttributeSchema, list[Sample]]:
     for n, entry in enumerate(doc["samples"]):
         if not isinstance(entry, dict) or "data" not in entry or "labels" not in entry:
             raise FormatError(f"{path}: sample {n} needs 'data' and 'labels'")
-        data_path = base / entry["data"]
-        data = read_vector(data_path)
-        mask = None
-        if entry.get("mask"):
-            mask = read_vector(base / entry["mask"])
+        mask_rel = entry.get("mask")
+        if not isinstance(entry["data"], str) or not isinstance(mask_rel, (str, type(None))):
+            raise FormatError(f"{path}: sample {n} 'data' and 'mask' must be path strings")
+        data = read_vector(base / entry["data"])
+        mask = read_vector(base / mask_rel) if mask_rel else None
         labels = entry["labels"]
         if not isinstance(labels, dict):
             raise FormatError(f"{path}: sample {n} labels must be a mapping")

@@ -36,33 +36,9 @@ def _check_matrix(m: np.ndarray, name: str) -> np.ndarray:
     return m
 
 
-def shrink_scalar(sigma: float, tau: float) -> float:
-    """Soft-threshold a scalar: sgn(sigma) * max(|sigma| - tau, 0).
-
-    Parameters
-    ----------
-    sigma : float
-        Value to shrink. Must be finite.
-    tau : float
-        Threshold, tau >= 0.
-
-    Returns
-    -------
-    float
-        The shrunk value. |result| equals max(|sigma| - tau, 0) exactly and
-        the result never flips sign.
-    """
-    sigma = float(sigma)
-    tau = float(tau)
-    if not np.isfinite(sigma) or not np.isfinite(tau):
-        raise ValidationError("shrink_scalar requires finite inputs")
-    if tau < 0:
-        raise ValidationError(f"shrink threshold must be >= 0, got {tau}")
-    return float(np.sign(sigma) * max(abs(sigma) - tau, 0.0))
-
-
 def shrink_matrix(m: np.ndarray, tau: float) -> np.ndarray:
-    """Entrywise soft threshold of a matrix (see `shrink_scalar`)."""
+    """Entrywise soft threshold of a matrix: sgn(m) * max(|m| - tau, 0),
+    for a finite 2-D `m` and a finite tau >= 0."""
     m = _check_matrix(m, "shrink_matrix input")
     tau = float(tau)
     if not np.isfinite(tau) or tau < 0:
@@ -250,26 +226,17 @@ class RankRule:
         return cls(energy=float(fraction))
 
 
-def rank_r_span(m: np.ndarray, rule: RankRule) -> np.ndarray:
-    """Orthonormal basis of the leading left-singular subspace of `m`.
-
-    The width comes from `rule`: an explicit count (must not exceed
-    min(rows, cols)) or an energy fraction. With energy 1.0 the full
-    numerical-rank span is returned. An all-zero matrix has no meaningful
-    span and is rejected.
-    """
-    m = _check_matrix(m, "rank_r_span input")
-    return svd_span(deterministic_svd(m), rule)
-
-
 def svd_span(svd: tuple[np.ndarray, np.ndarray, np.ndarray], rule: RankRule) -> np.ndarray:
-    """`rank_r_span` of the matrix whose thin `deterministic_svd` is
-    `svd` = (u, s, vh); returns a copy of the leading columns of u."""
+    """Orthonormal basis of the leading left-singular subspace of the matrix
+    whose thin `deterministic_svd` is `svd` = (u, s, vh): a copy of the
+    leading columns of u. The width comes from `rule`: an explicit count (at
+    most min(rows, cols)) or an energy fraction; energy 1.0 gives the whole
+    numerical-rank span. An all-zero matrix has no span and is rejected."""
     if not isinstance(rule, RankRule):
         raise ValidationError(f"rule must be a RankRule, got {type(rule).__name__}")
     u, s, vh = svd
     if s[0] == 0.0:
-        raise DegenerateMatrixError("rank_r_span of an all-zero matrix is undefined")
+        raise DegenerateMatrixError("the span of an all-zero matrix is undefined")
     shape = (u.shape[0], vh.shape[1])
     if rule.explicit is not None:
         r = rule.explicit

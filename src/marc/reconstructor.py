@@ -28,7 +28,7 @@ import numpy as np
 from .dataset import AttributeSchema
 from .errors import DegenerateMatrixError, ValidationError
 from .proxops import RankRule, soft_threshold, svd_span
-from .trainer import ModelBundle, Schedule, run_penalty_steps
+from .trainer import ModelBundle, Schedule, TrainDiagnostics, run_penalty_steps
 
 # Each penalty step runs up to INNER_SWEEPS Gauss-Seidel sweeps of the primal
 # blocks (free selectors with span coefficients, then the sparse error); a
@@ -77,15 +77,6 @@ class TransferSpec:
 
 
 @dataclass
-class ReconDiagnostics:
-    iterations: int
-    converged: bool
-    final_residual: float
-    residual_history: list[float]
-    mu_history: list[float]
-
-
-@dataclass
 class ReconResult:
     """Solved components: per-attribute selectors, coefficients on the
     individual span, the sparse error, and the synthesized reconstruction
@@ -95,7 +86,7 @@ class ReconResult:
     indiv_coeffs: np.ndarray
     sparse_error: np.ndarray
     reconstruction: np.ndarray
-    diagnostics: ReconDiagnostics
+    diagnostics: TrainDiagnostics
 
 
 @dataclass
@@ -108,6 +99,7 @@ class ReconState:
     sparse_error: np.ndarray
     dual: np.ndarray
     mu: float
+    lam: float
     t: int = 0
 
 
@@ -170,9 +162,10 @@ def reconstruct(
     ending early once a sweep moves the synthesis by at most
     INNER_TOL * ||y||, then takes one dual step. The loop around the sweeps
     is `trainer.run_penalty_steps` on the residual
-    ||y - sum F_i h_i - K w - e|| / ||y||: it stops at eps, at t_max, or
-    stalled at mu_max. `observer` and the histories see one entry per
-    penalty step, after its closing E step.
+    ||y - sum F_i h_i - K w - e|| / ||y||, which e enters on every entry,
+    so both residual histories hold it. `stop_reason` says whether it stopped
+    at eps, at t_max, or stalled at mu_max. `observer` and the histories see
+    one entry per penalty step, after its closing E step.
 
     Hidden entries of `y` enter no step: the solve runs on W.*y, so the
     selectors, coefficients, reconstruction and diagnostics are those of
@@ -217,6 +210,7 @@ def reconstruct(
     ]
     free = [i for i, mode in enumerate(spec.pinned) if mode is None]
 
+    lam = config.effective_lam(dim, 1)
     y_norm = float(np.linalg.norm(observed))
     if y_norm == 0.0:
         coeffs = np.zeros(span.shape[1])
@@ -226,10 +220,10 @@ def reconstruct(
             indiv_coeffs=coeffs,
             sparse_error=np.where(visible, 0.0, y - out),
             reconstruction=out,
-            diagnostics=ReconDiagnostics(0, True, 0.0, [], []),
+            diagnostics=TrainDiagnostics(0, True, 0.0, 0.0, lam, [], [], [],
+                                         stop_reason="converged"),
         )
 
-    lam = config.effective_lam(dim, 1)
     state = ReconState(
         config=config,
         selectors=selectors,
@@ -237,6 +231,7 @@ def reconstruct(
         sparse_error=np.zeros(dim),
         dual=np.zeros(dim),
         mu=config.mu0_scale / y_norm,
+        lam=lam,
     )
 
     # The primal blocks of a sweep are x, the free selectors and the span
@@ -289,19 +284,11 @@ def reconstruct(
         state.sparse_error = np.where(visible, soft_threshold(augmented, bound), augmented)
         return unexplained
 
-    def residual(unexplained: np.ndarray) -> tuple[float]:
-        return (float(np.linalg.norm(unexplained - state.sparse_error)) / y_norm,)
+    def residual(unexplained: np.ndarray) -> tuple[float, float]:
+        res = float(np.linalg.norm(unexplained - state.sparse_error)) / y_norm
+        return res, res
 
-    converged, mu_history, residuals = run_penalty_steps(
-        state, sweeps, residual, observer, "reconstruction")
-    history = [res for res, in residuals]
-    diag = ReconDiagnostics(
-        iterations=state.t,
-        converged=converged,
-        final_residual=history[-1],
-        residual_history=history,
-        mu_history=mu_history,
-    )
+    diag = run_penalty_steps(state, sweeps, residual, observer, "reconstruction")
     return ReconResult(
         selectors=state.selectors,
         indiv_coeffs=state.indiv_coeffs,

@@ -19,8 +19,9 @@ increase capped at mu_max. Solving each step's subproblem (the exact rather
 than the inexact augmented Lagrangian method, Lin, Chen & Ma,
 arXiv:1009.5055) matters at the pinned schedule: with one pass per step the
 iterate becomes feasible and freezes at the wrong split before the dual has
-done its work. The loop around the sweeps (penalty schedule, histories,
-observer, stop rules) is `run_penalty_steps`, which reconstruction shares.
+done its work. The loop around the sweeps (penalty schedule, observer, stop
+rules and the run's record, `TrainDiagnostics`) is `run_penalty_steps`,
+which reconstruction shares.
 
 Selectors are handled in indicator form. With Z_i the count x M_i one-hot
 matrix of attribute i's labels and S_i its (M_i, M_i) selector block,
@@ -119,7 +120,9 @@ class SolverConfig(Schedule):
 
 @dataclass
 class TrainDiagnostics:
-    """Per-run convergence record. Histories have one entry per iteration."""
+    """The record of one run of either solver, one history entry per step.
+    `stop_reason` ("converged", "t_max" or "stalled") is None in a record
+    made outside `run_penalty_steps`, or saved before runs recorded it."""
 
     iterations: int
     converged: bool
@@ -129,6 +132,7 @@ class TrainDiagnostics:
     residual_history: list[float]
     residual_history_unmasked: list[float]
     mu_history: list[float]
+    stop_reason: str | None = None
 
 
 @dataclass
@@ -312,29 +316,30 @@ Observer = Callable[[TrainState, int], None]
 def run_penalty_steps(
     state,
     sweeps: Callable[[], np.ndarray],
-    residual: Callable[[np.ndarray], tuple[float, ...]],
+    residual: Callable[[np.ndarray], tuple[float, float]],
     observer: Callable | None,
     what: str,
-) -> tuple[bool, list[float], list[tuple[float, ...]]]:
+) -> TrainDiagnostics:
     """The augmented-Lagrangian loop that `train` and `reconstruct` share.
 
-    `state` holds config (a Schedule), dual, mu, sparse_error and t. Each
-    penalty step calls `sweeps()`, which updates the primal blocks through
-    the closing sparse step and returns the part of the data left for E,
-    then `residual` of that; the first of its values drives the stop rules.
-    After a finite residual come the observer, called with (state, t), and
-    `update_duals`. The loop stops when that residual drops to eps
-    (converged), after t_max steps, or when the run stalls: the step ran
-    with the penalty at mu_max, and at the rate it moved the residual, the
-    steps left before t_max could not bring it to eps.
+    `state` holds config (a Schedule), dual, mu, lam, sparse_error and t.
+    Each penalty step calls `sweeps()`, which updates the primal blocks
+    through the closing sparse step and returns the part of the data left
+    for E, then `residual` of that: the masked residual, which drives the
+    stop rules, and the unmasked one. After a finite residual come the
+    observer, called with (state, t), and `update_duals`. The run stops
+    "converged" when the residual drops to eps, at "t_max" after t_max
+    steps, or "stalled" before that: the step ran with the penalty at
+    mu_max, and at the rate it moved the residual, the steps left before
+    t_max could not bring it to eps.
 
-    Returns (converged, mu_history, residuals), one history entry per step.
-    A non-finite residual raises NumericalError naming `what` and the step.
+    Returns the run's TrainDiagnostics. A non-finite residual raises
+    NumericalError naming `what` and the step.
     """
     config = state.config
     mu_history: list[float] = []
-    residuals: list[tuple[float, ...]] = []
-    converged = False
+    residuals: list[tuple[float, float]] = []
+    stop_reason = "t_max"
     res = math.inf
     for t in range(config.t_max):
         mu_history.append(state.mu)
@@ -349,12 +354,24 @@ def run_penalty_steps(
         state.t = t + 1
         last, res = res, values[0]
         if res <= config.eps:
-            converged = True
+            stop_reason = "converged"
             break
-        if mu_history[-1] == config.mu_max \
+        if state.t < config.t_max and mu_history[-1] == config.mu_max \
                 and abs(res - last) * (config.t_max - state.t) < res - config.eps:
+            stop_reason = "stalled"
             break
-    return converged, mu_history, residuals
+    masked, unmasked = (list(history) for history in zip(*residuals))
+    return TrainDiagnostics(
+        iterations=state.t,
+        converged=stop_reason == "converged",
+        final_residual=masked[-1],
+        final_residual_unmasked=unmasked[-1],
+        lam_effective=state.lam,
+        residual_history=masked,
+        residual_history_unmasked=unmasked,
+        mu_history=mu_history,
+        stop_reason=stop_reason,
+    )
 
 
 def _zero_bundle(ts: TrainingSet, config: SolverConfig, lam: float) -> ModelBundle:
@@ -368,6 +385,7 @@ def _zero_bundle(ts: TrainingSet, config: SolverConfig, lam: float) -> ModelBund
         residual_history=[],
         residual_history_unmasked=[],
         mu_history=[mu0],
+        stop_reason="converged",
     )
     bases = [np.zeros((ts.dim, ts.schema.size(i))) for i in range(ts.schema.count)]
     return ModelBundle(
@@ -391,10 +409,9 @@ def train(
 
     `observer`, if given, is called once per iteration after the closing
     sparse step (duals and penalty still at their current values) with
-    (state, t). Non-convergence, at t_max or stalled, is reported in
-    diagnostics (converged=False, iterations < t_max for a stall), not
-    raised; a non-finite residual raises NumericalError with the iteration
-    index.
+    (state, t). The diagnostics say why the run stopped (`stop_reason`);
+    non-convergence, at t_max or stalled, is reported there, not raised. A
+    non-finite residual raises NumericalError with the iteration index.
     """
     config.validate()
     lam = config.effective_lam(ts.dim, ts.count)
@@ -450,19 +467,7 @@ def train(
     def residual(fit: np.ndarray) -> tuple[float, float]:
         return normalized_residual(state, ts, fit), constraint_residual(state, ts, fit)
 
-    converged, mu_history, residuals = run_penalty_steps(
-        state, sweeps, residual, observer, "training")
-    masked, unmasked = (list(history) for history in zip(*residuals))
-    diag = TrainDiagnostics(
-        iterations=state.t,
-        converged=converged,
-        final_residual=masked[-1],
-        final_residual_unmasked=unmasked[-1],
-        lam_effective=lam,
-        residual_history=masked,
-        residual_history_unmasked=unmasked,
-        mu_history=mu_history,
-    )
+    diag = run_penalty_steps(state, sweeps, residual, observer, "training")
     return ModelBundle(
         schema=ts.schema,
         bases=state.bases,

@@ -104,6 +104,15 @@ class TestTrain:
         other = load_bundle(tmp_path / "b6")
         assert not np.array_equal(same[0].bases[0], other.bases[0])
 
+    def test_non_string_sample_path_is_format_error(self, workspace, tmp_path, capsys):
+        doc = json.loads((workspace / "data" / "manifest.json").read_text())
+        doc["samples"][0]["data"] = 5
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(doc))
+        rc = main(["train", str(manifest), "-o", str(tmp_path / "b")])
+        assert rc == 3
+        assert "sample 0 'data' and 'mask' must be path strings" in capsys.readouterr().err
+
     def test_missing_manifest_is_io_error(self, tmp_path, capsys):
         rc = main(["train", str(tmp_path / "nope.json"), "-o", str(tmp_path / "b")])
         assert rc == 3
@@ -165,6 +174,15 @@ class TestCompleteAndTransfer:
         filled = read_vector(out)
         assert filled.shape == (30,)
         assert np.all(np.isfinite(filled))
+
+    def test_unconverged_vector_names_the_reason(self, workspace, tmp_path, capsys):
+        sample = workspace / "data" / "samples" / "sample_0000.marc"
+        rc = main(["complete", "-b", str(workspace / "bundle"), "-i", str(sample),
+                   "-o", str(tmp_path / "filled.marc"), "--t-max", "1"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert out.startswith("sample_0000.marc: iterations=1 ")
+        assert out.endswith(" (did not converge: t_max)\n")
 
     def test_directory_fan_out_is_deterministic(self, workspace, tmp_path):
         vec_dir = tmp_path / "in"

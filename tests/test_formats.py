@@ -1,6 +1,7 @@
 """On-disk formats: the binary matrix container, CSV fallback, dataset
 manifests, and the bundle/truth archive directories. Round-trips must be
 bitwise for binary files."""
+import dataclasses
 import json
 import struct
 
@@ -154,6 +155,25 @@ class TestManifest:
         with pytest.raises(FormatError, match="sample 0 needs"):
             load_manifest(path)
 
+    @pytest.mark.parametrize("field", ["data", "mask"])
+    def test_non_string_path_is_format_error(self, tmp_path, field):
+        entries = write_sample_files(tmp_path)
+        entries[1][field] = 5
+        write_manifest(tmp_path / "manifest.json", SCHEMA, entries)
+        with pytest.raises(FormatError, match="sample 1 'data' and 'mask' must be path strings"):
+            load_manifest(tmp_path / "manifest.json")
+
+    def test_instantiations_must_be_a_list(self, tmp_path):
+        # A string would otherwise read as one label per character.
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({
+            "format_version": 1,
+            "schema": {"attributes": [{"name": "kind", "instantiations": "ab"}]},
+            "samples": write_sample_files(tmp_path),
+        }))
+        with pytest.raises(ValidationError, match="'kind': instantiations must be a list"):
+            load_manifest(path)
+
     def test_missing_sample_file_raises_oserror(self, tmp_path):
         entries = write_sample_files(tmp_path)
         entries[1]["data"] = "nowhere.marc"
@@ -194,6 +214,17 @@ class TestBundleArchive:
     def test_missing_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_bundle(tmp_path / "nope")
+
+    def test_stop_reason_is_saved_and_may_be_absent(self, tmp_path, trained_small):
+        save_bundle(tmp_path / "bundle", trained_small)
+        path = tmp_path / "bundle" / "diagnostics.json"
+        doc = json.loads(path.read_text())
+        assert doc["stop_reason"] == trained_small.diagnostics.stop_reason == "t_max"
+        del doc["stop_reason"]  # as written before runs recorded why they stopped
+        path.write_text(json.dumps(doc))
+        old = load_bundle(tmp_path / "bundle").diagnostics
+        assert old.stop_reason is None
+        assert dataclasses.replace(old, stop_reason="t_max") == trained_small.diagnostics
 
     def test_selector_record_shape_is_checked(self, tmp_path, trained_small):
         save_bundle(tmp_path / "bundle", trained_small)

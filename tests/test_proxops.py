@@ -13,10 +13,9 @@ from marc.proxops import (
     deterministic_svd,
     procrustes,
     random_orthonormal,
-    rank_r_span,
     shrink_matrix,
-    shrink_scalar,
     soft_threshold,
+    svd_span,
     svt,
 )
 
@@ -24,37 +23,30 @@ finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 nonneg = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 
 
-def test_shrink_scalar_magnitude_exact():
+def shrink_scalar(sigma: float, tau: float) -> float:
+    """The scalar soft threshold sgn(sigma) * max(|sigma| - tau, 0), the
+    reference `shrink_matrix` is checked against entry by entry."""
+    return float(np.sign(sigma) * max(abs(sigma) - tau, 0.0))
+
+
+def test_shrink_matrix_magnitude_exact():
     rng = np.random.default_rng(42)
-    for _ in range(1000):
-        sigma = float(rng.standard_normal() * 10.0 ** rng.integers(-3, 4))
-        tau = float(abs(rng.standard_normal()))
-        out = shrink_scalar(sigma, tau)
-        assert abs(out) == max(abs(sigma) - tau, 0.0)
-        assert out * sigma >= 0.0  # never flips sign
+    sigma = rng.standard_normal((40, 25)) * 10.0 ** rng.integers(-3, 4, size=(40, 25))
+    for tau in np.abs(rng.standard_normal(40)):
+        out = shrink_matrix(sigma, tau)
+        assert np.array_equal(np.abs(out), np.maximum(np.abs(sigma) - tau, 0.0))
+        assert np.all(out * sigma >= 0.0)  # never flips sign
 
 
 @given(finite, nonneg, nonneg)
-def test_shrink_scalar_composes(sigma, a, b):
+def test_shrink_matrix_composes(sigma, a, b):
     # Exact in real arithmetic; (|x| - a) - b and |x| - (a + b) round
     # differently in float64, so compare with a tight tolerance.
-    twice = shrink_scalar(shrink_scalar(sigma, a), b)
-    once = shrink_scalar(sigma, a + b)
+    m = np.array([[sigma]])
+    twice = shrink_matrix(shrink_matrix(m, a), b)[0, 0]
+    once = shrink_matrix(m, a + b)[0, 0]
     assert twice == pytest.approx(once, rel=1e-12, abs=1e-9)
     assert twice * sigma >= 0.0 and once * sigma >= 0.0
-
-
-def test_shrink_scalar_zero_threshold_is_identity():
-    assert shrink_scalar(3.25, 0.0) == 3.25
-    assert shrink_scalar(-3.25, 0.0) == -3.25
-    assert shrink_scalar(0.0, 0.0) == 0.0
-
-
-def test_shrink_scalar_rejects_bad_input():
-    with pytest.raises(ValidationError):
-        shrink_scalar(float("nan"), 1.0)
-    with pytest.raises(ValidationError):
-        shrink_scalar(1.0, -0.5)
 
 
 def test_shrink_matrix_matches_scalar():
@@ -70,6 +62,21 @@ def test_soft_threshold_is_the_kernel_on_any_shape():
     v = np.random.default_rng(8).standard_normal(40) * 3
     assert np.array_equal(soft_threshold(v, 0.8), shrink_matrix(v[:, None], 0.8)[:, 0])
     assert np.array_equal(soft_threshold(v, 0.0), v)
+
+
+def test_shrink_scalar_zero_threshold_is_identity():
+    # The scalar case of the shrink: a 1x1 matrix per value.
+    for v in (3.25, -3.25, 0.0):
+        assert shrink_matrix(np.array([[v]]), 0.0)[0, 0] == v
+
+
+def test_shrink_scalar_rejects_bad_input():
+    with pytest.raises(ValidationError):
+        shrink_matrix(np.array([[float("nan")]]), 1.0)
+    with pytest.raises(ValidationError):
+        shrink_matrix(np.array([[1.0]]), -0.5)
+    with pytest.raises(ValidationError):
+        shrink_matrix(np.array([[1.0]]), float("nan"))
 
 
 def test_shrink_matrix_rejects_bad_input():
@@ -285,6 +292,12 @@ def test_procrustes_gram_path_matches_svd(shape, kappa, monkeypatch):
 ], ids=["zero-tall", "zero-wide", "rank3-tall", "rank3-wide", "kappa1e5"])
 def test_procrustes_degenerate_input_takes_the_svd_path(m):
     assert np.array_equal(procrustes(m), svd_polar(m))
+
+
+def rank_r_span(m, rule):
+    """The leading left-singular span of `m`, as `build_span` cuts it:
+    `svd_span` of the matrix's `deterministic_svd`."""
+    return svd_span(deterministic_svd(m), rule)
 
 
 def test_rank_r_span_explicit_and_energy():

@@ -10,7 +10,7 @@ import pytest
 from conftest import bundle_from_truth
 from marc.dataset import AttributeSchema
 from marc.errors import DegenerateMatrixError, ValidationError
-from marc.proxops import RankRule, rank_r_span
+from marc.proxops import RankRule, deterministic_svd, svd_span
 from marc.reconstructor import (
     ReconConfig,
     TransferSpec,
@@ -31,7 +31,7 @@ def planted():
                      sparsity=0.04, missing_frac=0.1, noise_amp=5.0, seed=3)
     _, truth = generate(spec)
     bundle = bundle_from_truth(truth)
-    span = rank_r_span(truth.individual, RankRule.fixed(2))
+    span = svd_span(deterministic_svd(truth.individual), RankRule.fixed(2))
     rng = np.random.default_rng(42)
     coeffs = rng.standard_normal(2)
     y = truth.bases[0] @ truth.bank.selectors[0][:, 1] \
@@ -195,6 +195,7 @@ class TestRecoveryAtDefaults:
             + truth.bases[1] @ truth.bank.selectors[1][:, 1]
         assert np.allclose(pinned.reconstruction, expect, atol=1e-12)
         assert pinned.diagnostics.converged
+        assert pinned.diagnostics.stop_reason == "converged"
         free = reconstruct(y, np.zeros_like(y), bundle, config=cfg)
         assert not np.any(free.reconstruction)
         assert np.array_equal(free.sparse_error, y)
@@ -268,8 +269,23 @@ class TestContracts:
         spiked[[3, 17]] += 5.0
         result = reconstruct(spiked, None, bundle, config=ReconConfig(t_max=2))
         assert not result.diagnostics.converged
+        assert result.diagnostics.stop_reason == "t_max"
         assert result.diagnostics.iterations == 2
         assert len(result.diagnostics.residual_history) == 2
+        exact = reconstruct(y, None, bundle, config=ReconConfig(t_max=2)).diagnostics
+        assert exact.converged and exact.stop_reason == "converged"
+
+    def test_record_holds_the_one_residual_twice(self, planted):
+        """Reconstruction has one residual measure (e enters every entry);
+        both histories of its record hold it, and lam_effective is the
+        1/sqrt(dim) default."""
+        _, bundle, y, _ = planted
+        w = (np.random.default_rng(12).random(y.size) >= 0.3).astype(float)
+        d = reconstruct(y * w, w, bundle, config=ReconConfig(t_max=30)).diagnostics
+        assert d.residual_history_unmasked == d.residual_history
+        assert d.final_residual_unmasked == d.final_residual == d.residual_history[-1]
+        assert d.lam_effective == 1.0 / np.sqrt(y.size)
+        assert len(d.mu_history) == d.iterations
 
     def test_observer_sees_hidden_error_identity(self, planted):
         _, bundle, y, _ = planted

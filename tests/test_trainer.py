@@ -2,6 +2,7 @@
 independently coded oracle where one exists (least squares for the selector
 step, sampled rotations for the basis step, a direct SVD computation for the
 individual step)."""
+import dataclasses
 import math
 import re
 from collections import Counter
@@ -231,6 +232,7 @@ class TestTrainLoop:
         assert bundle.diagnostics.converged
         assert bundle.diagnostics.final_residual == 0.0
         assert bundle.diagnostics.mu_history == [25.0]
+        assert bundle.diagnostics.stop_reason == "converged"
         assert not np.any(bundle.individual)
         assert not np.any(bundle.sparse_error)
         assert all(not np.any(b) for b in bundle.bases)
@@ -264,6 +266,7 @@ class TestTrainLoop:
         bundle = train(ts, SolverConfig(t_max=2))
         assert not bundle.diagnostics.converged
         assert bundle.diagnostics.iterations == 2
+        assert bundle.diagnostics.stop_reason == "t_max"
 
     def test_mu_schedule_and_cap_count(self, small_instance):
         ts, _ = small_instance
@@ -290,6 +293,7 @@ class TestTrainLoop:
         cap_step = math.ceil(math.log(1e7 * np.linalg.norm(ts.X, 2) / 25.0)
                              / math.log(1.2))
         assert not d.converged
+        assert d.stop_reason == "stalled"
         assert d.final_residual > 1e-7
         assert d.iterations == cap_step + 1
         assert d.mu_history[-1] == 1e7 and d.mu_history[-2] < 1e7
@@ -332,7 +336,34 @@ class TestTrainLoop:
         d = train(ts, SolverConfig(mu_max=1.0, t_max=t_max)).diagnostics
         assert d.mu_history[-1] == 1.0
         assert d.converged is converged
+        assert d.stop_reason == ("converged" if converged else "stalled")
         assert d.iterations == iterations
+
+    @pytest.mark.parametrize("t_max, reason, iterations",
+                             [(3, "t_max", 3), (90, "t_max", 90), (1000, "stalled", 90)])
+    def test_stop_reason_of_the_stock_run(self, default_instance, t_max, reason, iterations):
+        """The stock run stalls at iteration 90. With t_max=90 that stall
+        step is also the last step, and the run counts as stopped at t_max;
+        the record is otherwise the stalled run's."""
+        ts, _ = default_instance
+        d = train(ts, SolverConfig(t_max=t_max)).diagnostics
+        assert (d.stop_reason, d.iterations, d.converged) == (reason, iterations, False)
+        if t_max == 90:
+            stalled = train(ts, SolverConfig()).diagnostics
+            assert dataclasses.replace(d, stop_reason="stalled") == stalled
+
+    def test_no_attribute_instance_stops_converged(self):
+        """The no-attribute instance of the acceptance cross-check (100x80,
+        rank 3, 10% gross corruption, fully observed) reaches eps."""
+        rng = np.random.default_rng(11)
+        low_rank = rng.standard_normal((100, 3)) @ rng.standard_normal((3, 80))
+        spikes = np.where(rng.random((100, 80)) < 0.10,
+                          5.0 * np.sign(rng.standard_normal((100, 80))), 0.0)
+        X = low_rank + spikes
+        d = train(TrainingSet(AttributeSchema.of([]), X, np.ones_like(X), ())).diagnostics
+        assert d.stop_reason == "converged" and d.converged
+        assert d.final_residual <= 1e-7
+        assert d.iterations == 9
 
     def test_observer_sees_every_iteration(self, small_instance):
         ts, _ = small_instance
