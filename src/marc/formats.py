@@ -1,4 +1,4 @@
-"""On-disk formats: dense matrices, dataset manifests, model bundles.
+"""On-disk formats: dense matrices, dataset manifests, model and truth directories.
 
 Matrix files are either the binary format (magic "MARC", version byte 0x01,
 row and column counts as little-endian u64, then row-major little-endian
@@ -10,21 +10,24 @@ A manifest is a JSON file (format_version 1) holding the attribute schema
 and one entry per sample: matrix path, optional mask path, and a label per
 attribute. Paths are resolved relative to the manifest's directory.
 
-A bundle archive is a directory: schema.json, config.json, diagnostics.json,
+A trained bundle and a planted ground truth hold the same factors, stored
+by one writer and read by one reader in the same files: schema.json,
 basis_<i>.marc per attribute, selectors.marc (the per-attribute selector
-matrices concatenated as binary records in schema order), individual.marc
-and error.marc. A span.marc left there by older versions is ignored: spans
-are cut from the individual part's SVD when a vector is reconstructed. A
-ground-truth directory stores its selectors in the same record file, and
-both are read back through one reader that checks each record's (M_i, M_i)
-shape and rejects trailing bytes. Both loaders also cross-check the shapes
-of the other matrices in the directory.
+matrices as binary records in schema order), individual.marc and error.marc.
+A bundle adds config.json and diagnostics.json (a span.marc left by older
+versions is ignored); a truth directory adds assignments.json, mask.marc,
+data.marc and, for a planted individual part of rank > 0, g_left.marc and
+g_singulars.marc. Both loaders check every matrix's shape against the others
+("<path> has shape (r, c), expected (r', c')") and every record field's
+type, and run `SolverConfig.validate` on the config; a failure raises
+FormatError.
 """
 from __future__ import annotations
 
 import dataclasses
 import json
 import struct
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -40,11 +43,6 @@ _HEADER = struct.Struct("<4sBQQ")
 
 
 def _matrix_bytes(m: np.ndarray) -> bytes:
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim == 1:
-        m = m[:, None]
-    if m.ndim != 2:
-        raise ValidationError(f"can only store 2-D matrices, got ndim={m.ndim}")
     header = _HEADER.pack(MAGIC, FORMAT_VERSION, m.shape[0], m.shape[1])
     return header + np.ascontiguousarray(m, dtype="<f8").tobytes()
 
@@ -68,11 +66,14 @@ def _matrix_from_stream(buf: bytes, offset: int, where: str) -> tuple[np.ndarray
 
 
 def write_matrix(path: str | Path, m: np.ndarray) -> None:
-    """Write a matrix; ".csv" extension selects text, anything else binary."""
+    """Write a matrix, a 1-D array as one column; ".csv" extension selects
+    text, anything else binary."""
     path = Path(path)
     m = np.asarray(m, dtype=np.float64)
     if m.ndim == 1:
         m = m[:, None]
+    if m.ndim != 2:
+        raise ValidationError(f"can only store 2-D matrices, got ndim={m.ndim}")
     if path.suffix.lower() == ".csv":
         np.savetxt(path, m, fmt="%.17g", delimiter=",")
     else:
@@ -86,9 +87,7 @@ def read_matrix(path: str | Path) -> np.ndarray:
     if path.suffix.lower() == ".csv":
         try:
             m = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
-        except OSError:
-            raise
-        except Exception as exc:
+        except ValueError as exc:
             raise FormatError(f"{path}: not a readable CSV matrix: {exc}") from exc
         if m.size == 0:
             raise FormatError(f"{path}: empty matrix")
@@ -101,7 +100,8 @@ def read_matrix(path: str | Path) -> np.ndarray:
 
 
 def write_vector(path: str | Path, v: np.ndarray) -> None:
-    write_matrix(path, np.asarray(v, dtype=np.float64).reshape(-1, 1))
+    """Write a vector as a one-column matrix."""
+    write_matrix(path, np.ravel(v))
 
 
 def read_vector(path: str | Path) -> np.ndarray:
@@ -181,108 +181,123 @@ def load_manifest(path: str | Path) -> tuple[AttributeSchema, list[Sample]]:
     return schema, samples
 
 
-def _config_to_dict(config: SolverConfig) -> dict:
-    return dataclasses.asdict(config)
+def _has_type(value: object, hint: object) -> bool:
+    """isinstance for the field types of a JSON record: classes, list[...],
+    Literal[...] and unions. An integer passes for a float, and a bool only
+    for a bool."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Literal:
+        return value in args
+    if origin is list:
+        return isinstance(value, list) and all(_has_type(v, args[0]) for v in value)
+    if args:
+        return any(_has_type(value, arg) for arg in args)
+    if hint is float:
+        hint = (int, float)
+    return isinstance(value, hint) and isinstance(value, bool) == (hint is bool)
 
 
-def _config_from_dict(d: dict, where: str) -> SolverConfig:
+def _read_record(path: Path, cls: type, what: str):
+    """Read the JSON object at `path` into the dataclass `cls`. Unknown or
+    missing keys, a field that does not have its declared type, and a
+    record that fails its own `validate` raise FormatError naming `what`."""
+    hints = typing.get_type_hints(cls)
     try:
-        return SolverConfig(**d)
-    except TypeError as exc:
-        raise FormatError(f"{where}: bad config echo: {exc}") from exc
+        record = cls(**_json_load(path))
+        for f in dataclasses.fields(cls):
+            value = getattr(record, f.name)
+            if not _has_type(value, hints[f.name]):
+                raise ValidationError(f"{f.name} must be {f.type}, got {value!r}")
+        if hasattr(record, "validate"):
+            record.validate()
+    except (TypeError, ValidationError) as exc:
+        raise FormatError(f"{path}: bad {what}: {exc}") from exc
+    return record
 
 
-def _write_selectors(path: Path, bank: SelectorBank) -> None:
-    path.write_bytes(b"".join(_matrix_bytes(sel) for sel in bank.selectors))
+def _check_shape(m: np.ndarray, name: str | Path, shape: tuple[int, ...] | None) -> np.ndarray:
+    """`m`, if it has `shape` (any shape when that is None)."""
+    if shape is not None and m.shape != shape:
+        raise FormatError(f"{name} has shape {m.shape}, expected {shape}")
+    return m
+
+
+def _read_shaped(path: Path, shape: tuple[int, ...] | None) -> np.ndarray:
+    return _check_shape(read_matrix(path), path, shape)
 
 
 def _read_selectors(path: Path, schema: AttributeSchema) -> SelectorBank:
-    """Read the selector records of `schema`'s attributes, in order, from one
-    file; a record of the wrong shape or bytes past the last one raise
-    FormatError."""
+    """Read the (M_i, M_i) selector record of each of `schema`'s attributes,
+    in order, from one file; bytes past the last record raise FormatError."""
     buf = path.read_bytes()
     selectors = []
     offset = 0
     for i in range(schema.count):
         sel, offset = _matrix_from_stream(buf, offset, f"{path} record {i}")
         m = schema.size(i)
-        if sel.shape != (m, m):
-            raise FormatError(f"{path}: record {i} has shape {sel.shape}, expected {(m, m)}")
-        selectors.append(sel)
+        selectors.append(_check_shape(sel, f"{path}: record {i}", (m, m)))
     if offset != len(buf):
         raise FormatError(f"{path}: trailing bytes after the last record")
     return SelectorBank(selectors)
 
 
-def save_bundle(path: str | Path, bundle: ModelBundle) -> None:
-    """Write a bundle archive directory (created if needed)."""
+def _save_factors(path: str | Path, model: ModelBundle | GroundTruth) -> Path:
+    """Write the factor files that bundles and truth directories share,
+    creating the directory if needed; returns it."""
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-    _json_dump(root / "schema.json", bundle.schema.to_dict())
-    _json_dump(root / "config.json", _config_to_dict(bundle.config))
-    _json_dump(root / "diagnostics.json", dataclasses.asdict(bundle.diagnostics))
-    for i, basis in enumerate(bundle.bases):
+    _json_dump(root / "schema.json", model.schema.to_dict())
+    for i, basis in enumerate(model.bases):
         write_matrix(root / f"basis_{i}.marc", basis)
-    _write_selectors(root / "selectors.marc", bundle.bank)
-    write_matrix(root / "individual.marc", bundle.individual)
-    write_matrix(root / "error.marc", bundle.sparse_error)
+    root.joinpath("selectors.marc").write_bytes(
+        b"".join(_matrix_bytes(sel) for sel in model.bank.selectors))
+    write_matrix(root / "individual.marc", model.individual)
+    write_matrix(root / "error.marc", model.sparse_error)
+    return root
+
+
+def _load_factors(root: Path, shape: tuple[int, int] | None = None) -> dict:
+    """Read the factor files under `root` as the keyword arguments they fill
+    in a ModelBundle or GroundTruth. The individual and sparse parts must
+    have `shape` (when None, whatever individual.marc has) and each basis
+    their rows and one column per instantiation. A missing file raises
+    OSError."""
+    schema = AttributeSchema.from_dict(_json_load(root / "schema.json"))
+    individual = _read_shaped(root / "individual.marc", shape)
+    dim = individual.shape[0]
+    return {
+        "schema": schema,
+        "bases": [_read_shaped(root / f"basis_{i}.marc", (dim, schema.size(i)))
+                  for i in range(schema.count)],
+        "bank": _read_selectors(root / "selectors.marc", schema),
+        "individual": individual,
+        "sparse_error": _read_shaped(root / "error.marc", individual.shape),
+    }
+
+
+def save_bundle(path: str | Path, bundle: ModelBundle) -> None:
+    """Write a bundle archive directory (created if needed)."""
+    root = _save_factors(path, bundle)
+    _json_dump(root / "config.json", dataclasses.asdict(bundle.config))
+    _json_dump(root / "diagnostics.json", dataclasses.asdict(bundle.diagnostics))
 
 
 def load_bundle(path: str | Path) -> ModelBundle:
     """Read a bundle archive back; bitwise inverse of `save_bundle`."""
     root = Path(path)
-    if not root.is_dir():
-        raise FileNotFoundError(f"bundle directory not found: {root}")
-    schema = AttributeSchema.from_dict(_json_load(root / "schema.json"))
-    config = _config_from_dict(_json_load(root / "config.json"), str(root / "config.json"))
-    diag_doc = _json_load(root / "diagnostics.json")
-    try:
-        diagnostics = TrainDiagnostics(**diag_doc)
-    except TypeError as exc:
-        raise FormatError(f"{root / 'diagnostics.json'}: bad diagnostics: {exc}") from exc
-    bases = [read_matrix(root / f"basis_{i}.marc") for i in range(schema.count)]
-    bank = _read_selectors(root / "selectors.marc", schema)
-    individual = read_matrix(root / "individual.marc")
-    sparse_error = read_matrix(root / "error.marc")
-    dim = individual.shape[0]
-    for i, basis in enumerate(bases):
-        m = schema.size(i)
-        if basis.shape[1] != m:
-            raise FormatError(f"{root}: basis_{i}.marc has {basis.shape[1]} columns, expected {m}")
-        if basis.shape[0] != dim:
-            raise FormatError(
-                f"{root}: basis_{i}.marc has {basis.shape[0]} rows, expected {dim} "
-                f"like individual.marc"
-            )
-    if sparse_error.shape != individual.shape:
-        raise FormatError(
-            f"{root}: error.marc has shape {sparse_error.shape}, expected "
-            f"{individual.shape} like individual.marc"
-        )
     return ModelBundle(
-        schema=schema,
-        bases=bases,
-        bank=bank,
-        individual=individual,
-        sparse_error=sparse_error,
-        diagnostics=diagnostics,
-        config=config,
+        **_load_factors(root),
+        config=_read_record(root / "config.json", SolverConfig, "config echo"),
+        diagnostics=_read_record(root / "diagnostics.json", TrainDiagnostics, "diagnostics"),
     )
 
 
 def save_truth(path: str | Path, truth: GroundTruth) -> None:
     """Write the planted ground truth next to a synthetic dataset."""
-    root = Path(path)
-    root.mkdir(parents=True, exist_ok=True)
-    _json_dump(root / "schema.json", truth.schema.to_dict())
+    root = _save_factors(path, truth)
     _json_dump(root / "assignments.json", {
         "assignments": [a.tolist() for a in truth.assignments],
     })
-    for i, basis in enumerate(truth.bases):
-        write_matrix(root / f"basis_{i}.marc", basis)
-    _write_selectors(root / "selectors.marc", truth.bank)
-    write_matrix(root / "individual.marc", truth.individual)
-    write_matrix(root / "error.marc", truth.sparse_error)
     write_matrix(root / "mask.marc", truth.mask)
     write_matrix(root / "data.marc", truth.data)
     if truth.g_left.shape[1]:
@@ -293,62 +308,34 @@ def save_truth(path: str | Path, truth: GroundTruth) -> None:
 def load_truth(path: str | Path) -> GroundTruth:
     """Read a ground-truth directory written by `save_truth`.
 
-    Shapes are cross-checked against data.marc (dim x count): individual,
-    error and mask must match it, each basis must have dim rows and one
-    column per instantiation, each assignment vector must give every column
-    a label of its attribute, and g_left must have dim rows and one column
-    per singular value. A mismatch raises FormatError.
+    The parts and the mask must have the (dim, count) shape of data.marc,
+    each assignment vector must give every column a label of its attribute,
+    and g_left must have dim rows and one column per singular value.
     """
     root = Path(path)
-    if not root.is_dir():
-        raise FileNotFoundError(f"truth directory not found: {root}")
-    schema = AttributeSchema.from_dict(_json_load(root / "schema.json"))
-    assignments_doc = _json_load(root / "assignments.json")
+    data = read_matrix(root / "data.marc")
+    dim, count = data.shape
+    factors = _load_factors(root, data.shape)
+    schema = factors["schema"]
+    doc = _json_load(root / "assignments.json")
     try:
-        assignments = tuple(
-            np.asarray(a, dtype=np.int64) for a in assignments_doc.get("assignments", [])
-        )
+        assignments = tuple(np.asarray(a, dtype=np.int64) for a in doc.get("assignments", []))
     except (TypeError, ValueError) as exc:
         raise FormatError(f"{root / 'assignments.json'}: bad assignments: {exc}") from exc
     if len(assignments) != schema.count:
         raise FormatError(f"{root}: assignments do not cover the schema")
-    data = read_matrix(root / "data.marc")
-    dim, count = data.shape
-    parts = {name: read_matrix(root / f"{name}.marc") for name in ("individual", "error", "mask")}
-    for name, part in parts.items():
-        if part.shape != data.shape:
-            raise FormatError(
-                f"{root}: {name}.marc has shape {part.shape}, expected {data.shape} like data.marc"
-            )
-    bases = [read_matrix(root / f"basis_{i}.marc") for i in range(schema.count)]
-    for i, (basis, labels) in enumerate(zip(bases, assignments)):
+    for i, labels in enumerate(assignments):
         m = schema.size(i)
-        if basis.shape != (dim, m):
-            raise FormatError(f"{root}: basis_{i}.marc has shape {basis.shape}, expected {(dim, m)}")
         if labels.shape != (count,) or labels.min() < 0 or labels.max() >= m:
-            raise FormatError(
-                f"{root}: assignments[{i}] must hold {count} labels in [0, {m})"
-            )
-    bank = _read_selectors(root / "selectors.marc", schema)
-    g_left_path = root / "g_left.marc"
-    if g_left_path.exists():
-        g_left = read_matrix(g_left_path)
+            raise FormatError(f"{root}: assignments[{i}] must hold {count} labels in [0, {m})")
+    if (root / "g_left.marc").exists():
         g_singulars = read_vector(root / "g_singulars.marc")
-        if g_left.shape != (dim, g_singulars.size):
-            raise FormatError(
-                f"{root}: g_left.marc has shape {g_left.shape}, expected "
-                f"{(dim, g_singulars.size)} for {g_singulars.size} singular values"
-            )
+        g_left = _read_shaped(root / "g_left.marc", (dim, g_singulars.size))
     else:
-        g_left = np.zeros((dim, 0))
-        g_singulars = np.zeros(0)
+        g_left, g_singulars = np.zeros((dim, 0)), np.zeros(0)
     return GroundTruth(
-        schema=schema,
-        bases=bases,
-        bank=bank,
-        individual=parts["individual"],
-        sparse_error=parts["error"],
-        mask=parts["mask"],
+        **factors,
+        mask=_read_shaped(root / "mask.marc", data.shape),
         data=data,
         assignments=assignments,
         g_left=g_left,

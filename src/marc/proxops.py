@@ -14,7 +14,8 @@ their whole block has spectral norm at most tau (see `svt` for why that is
 exact). `procrustes` takes the polar factor m (m^T m)^-1/2 when the condition
 number is at most 1 / POLAR_RATIO and polishes it with one Newton-Schulz
 step. Neither result depends on eigenvector signs, so both are bitwise
-reproducible on either path.
+reproducible on either path. An eigendecomposition that fails to converge
+raises NumericalError, as an SVD does.
 """
 from __future__ import annotations
 
@@ -132,7 +133,10 @@ def svt(m: np.ndarray, tau: float) -> np.ndarray:
     if not np.isfinite(tau) or tau < 0:
         raise ValidationError(f"svt threshold must be finite and >= 0, got {tau}")
     tall = m.shape[0] >= m.shape[1]
-    eigvals, vecs = np.linalg.eigh(m.T @ m if tall else m @ m.T)
+    try:
+        eigvals, vecs = np.linalg.eigh(m.T @ m if tall else m @ m.T)
+    except np.linalg.LinAlgError as exc:  # as on a Gram matrix that overflowed
+        raise NumericalError(f"Gram eigendecomposition failed to converge: {exc}") from exc
     s = np.sqrt(np.maximum(eigvals, 0.0))  # ascending
     trusted = s >= GRAM_RATIO * s[-1]
     if max(tau, s[0]) >= GRAM_RATIO * s[-1]:
@@ -185,7 +189,10 @@ def procrustes(m: np.ndarray) -> np.ndarray:
     """
     m = _check_matrix(m, "procrustes input")
     tall = m.shape[0] >= m.shape[1]
-    eigvals, vecs = np.linalg.eigh(m.T @ m if tall else m @ m.T)
+    try:
+        eigvals, vecs = np.linalg.eigh(m.T @ m if tall else m @ m.T)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"Gram eigendecomposition failed to converge: {exc}") from exc
     if not eigvals[0] >= POLAR_RATIO * POLAR_RATIO * eigvals[-1] > 0.0:
         u, _, vh = deterministic_svd(m)
         return u @ vh

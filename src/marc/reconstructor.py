@@ -220,8 +220,7 @@ def reconstruct(
             indiv_coeffs=coeffs,
             sparse_error=np.where(visible, 0.0, y - out),
             reconstruction=out,
-            diagnostics=TrainDiagnostics(0, True, 0.0, 0.0, lam, [], [], [],
-                                         stop_reason="converged"),
+            diagnostics=TrainDiagnostics.zero_input(lam),
         )
 
     state = ReconState(

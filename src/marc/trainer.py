@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Literal
 
 import numpy as np
 
@@ -121,8 +121,8 @@ class SolverConfig(Schedule):
 @dataclass
 class TrainDiagnostics:
     """The record of one run of either solver, one history entry per step.
-    `stop_reason` ("converged", "t_max" or "stalled") is None in a record
-    made outside `run_penalty_steps`, or saved before runs recorded it."""
+    `stop_reason` is None in a record made outside `run_penalty_steps`, or
+    saved before runs recorded it."""
 
     iterations: int
     converged: bool
@@ -132,7 +132,12 @@ class TrainDiagnostics:
     residual_history: list[float]
     residual_history_unmasked: list[float]
     mu_history: list[float]
-    stop_reason: str | None = None
+    stop_reason: Literal["converged", "t_max", "stalled"] | None = None
+
+    @classmethod
+    def zero_input(cls, lam: float) -> TrainDiagnostics:
+        """The record of a solver given all-zero data, solved with no step."""
+        return cls(0, True, 0.0, 0.0, lam, [], [], [], stop_reason="converged")
 
 
 @dataclass
@@ -333,8 +338,10 @@ def run_penalty_steps(
     mu_max, and at the rate it moved the residual, the steps left before
     t_max could not bring it to eps.
 
-    Returns the run's TrainDiagnostics. A non-finite residual raises
-    NumericalError naming `what` and the step.
+    Returns the run's TrainDiagnostics. A non-finite residual, or a kernel
+    inside a step that rejects a non-finite intermediate (ValidationError)
+    or fails to factor one (NumericalError), raises NumericalError naming
+    `what` and the step.
     """
     config = state.config
     mu_history: list[float] = []
@@ -343,7 +350,10 @@ def run_penalty_steps(
     res = math.inf
     for t in range(config.t_max):
         mu_history.append(state.mu)
-        fit = sweeps()
+        try:
+            fit = sweeps()
+        except (ValidationError, NumericalError) as exc:
+            raise NumericalError(f"{what} diverged at iteration {t}: {exc}") from exc
         values = residual(fit)
         if not all(map(math.isfinite, values)):
             raise NumericalError(f"{what} diverged at iteration {t}: non-finite residual")
@@ -375,18 +385,6 @@ def run_penalty_steps(
 
 
 def _zero_bundle(ts: TrainingSet, config: SolverConfig, lam: float) -> ModelBundle:
-    mu0 = config.mu0_scale / 1.0  # norm of the zero matrix taken as 1
-    diag = TrainDiagnostics(
-        iterations=0,
-        converged=True,
-        final_residual=0.0,
-        final_residual_unmasked=0.0,
-        lam_effective=lam,
-        residual_history=[],
-        residual_history_unmasked=[],
-        mu_history=[mu0],
-        stop_reason="converged",
-    )
     bases = [np.zeros((ts.dim, ts.schema.size(i))) for i in range(ts.schema.count)]
     return ModelBundle(
         schema=ts.schema,
@@ -394,7 +392,7 @@ def _zero_bundle(ts: TrainingSet, config: SolverConfig, lam: float) -> ModelBund
         bank=SelectorBank.zeros(ts.schema),
         individual=np.zeros_like(ts.X),
         sparse_error=np.zeros_like(ts.X),
-        diagnostics=diag,
+        diagnostics=TrainDiagnostics.zero_input(lam),
         config=config,
     )
 
@@ -411,7 +409,7 @@ def train(
     sparse step (duals and penalty still at their current values) with
     (state, t). The diagnostics say why the run stopped (`stop_reason`);
     non-convergence, at t_max or stalled, is reported there, not raised. A
-    non-finite residual raises NumericalError with the iteration index.
+    run that overflows raises NumericalError with the iteration index.
     """
     config.validate()
     lam = config.effective_lam(ts.dim, ts.count)

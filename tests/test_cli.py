@@ -1,5 +1,6 @@
 """End-to-end command line checks, run in-process through main(argv) so
 exit codes and console output are observable without spawning children."""
+import dataclasses
 import json
 import shutil
 
@@ -8,10 +9,11 @@ import pytest
 
 from marc.cli import build_parser, main
 from marc.formats import (
-    load_bundle, load_manifest, load_truth, read_matrix, read_vector, write_matrix,
-    write_vector,
+    load_bundle, load_manifest, load_truth, read_matrix, read_vector, write_manifest,
+    write_matrix, write_vector,
 )
 from marc.reconstructor import ReconConfig
+from marc.synthbench import default_spec, generate
 from marc.trainer import SolverConfig
 
 SYNTH_ARGS = ["--attr", "kind=2", "--attr", "tone=3", "--dim", "30",
@@ -112,6 +114,22 @@ class TestTrain:
         rc = main(["train", str(manifest), "-o", str(tmp_path / "b")])
         assert rc == 3
         assert "sample 0 'data' and 'mask' must be path strings" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale", [1e150, 1e160])
+    def test_overflow_is_a_numerical_failure(self, tmp_path, capsys, scale):
+        ts, _ = generate(dataclasses.replace(default_spec(), dim=30, count=12, seed=1))
+        entries = []
+        for n in range(ts.count):
+            write_vector(tmp_path / f"s{n}.marc", ts.X[:, n] * scale)
+            labels = {ts.schema.name(i): ts.schema.labels(i)[ts.label_index[i][n]]
+                      for i in range(ts.schema.count)}
+            entries.append({"data": f"s{n}.marc", "mask": None, "labels": labels})
+        write_manifest(tmp_path / "manifest.json", ts.schema, entries)
+        with np.errstate(all="ignore"):
+            rc = main(["train", str(tmp_path / "manifest.json"), "-o", str(tmp_path / "b"),
+                       "--t-max", "50"])
+        assert rc == 4
+        assert "training diverged at iteration 0" in capsys.readouterr().err
 
     def test_missing_manifest_is_io_error(self, tmp_path, capsys):
         rc = main(["train", str(tmp_path / "nope.json"), "-o", str(tmp_path / "b")])
@@ -230,7 +248,26 @@ class TestCompleteAndTransfer:
         rc = main(["complete", "-b", str(bundle), "-i", str(sample),
                    "-o", str(tmp_path / "out.marc")])
         assert rc == 3
-        assert "basis_0.marc has 25 rows" in capsys.readouterr().err
+        assert "basis_0.marc has shape (25, 2), expected (30, 2)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, key, value", [
+        ("diagnostics", "iterations", "many"),
+        ("diagnostics", "stop_reason", 5),
+        ("diagnostics", "residual_history", "x"),
+        ("config", "rho", "fast"),
+        ("config", "t_max", -3),
+    ])
+    def test_corrupt_record_is_format_error(self, workspace, tmp_path, capsys, name, key, value):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(workspace / "bundle", bundle)
+        doc = json.loads((bundle / f"{name}.json").read_text())
+        doc[key] = value
+        (bundle / f"{name}.json").write_text(json.dumps(doc))
+        sample = workspace / "data" / "samples" / "sample_0001.marc"
+        rc = main(["complete", "-b", str(bundle), "-i", str(sample),
+                   "-o", str(tmp_path / "out.marc")])
+        assert rc == 3
+        assert f"{name}.json: bad " in capsys.readouterr().err
 
     def test_rank_wins_over_a_leftover_span_file(self, workspace, tmp_path):
         # Older versions cached a span in span.marc and used it whatever

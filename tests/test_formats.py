@@ -3,6 +3,7 @@ manifests, and the bundle/truth archive directories. Round-trips must be
 bitwise for binary files."""
 import dataclasses
 import json
+import re
 import struct
 
 import numpy as np
@@ -250,17 +251,42 @@ class TestBundleArchive:
         with pytest.raises(FormatError, match="bad config echo"):
             load_bundle(tmp_path / "bundle")
 
+    @pytest.mark.parametrize("name, key, value, message", [
+        ("diagnostics", "iterations", "many", "iterations must be int, got 'many'"),
+        ("diagnostics", "stop_reason", 5, "stop_reason must be Literal"),
+        ("diagnostics", "stop_reason", "done", "stop_reason must be Literal"),
+        ("diagnostics", "residual_history", "x", "residual_history must be list[float], got 'x'"),
+        ("diagnostics", "converged", 1, "converged must be bool, got 1"),
+        ("config", "rho", "fast", "rho must be float, got 'fast'"),
+        ("config", "t_max", -3, "t_max must be >= 1, got -3"),
+    ])
+    def test_records_are_checked(self, tmp_path, trained_small, name, key, value, message):
+        save_bundle(tmp_path / "bundle", trained_small)
+        path = tmp_path / "bundle" / f"{name}.json"
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        what = "config echo" if name == "config" else name
+        with pytest.raises(FormatError, match=f"bad {what}: {re.escape(message)}"):
+            load_bundle(tmp_path / "bundle")
+
+    def test_null_stop_reason_loads(self, tmp_path, trained_small):
+        save_bundle(tmp_path / "bundle", trained_small)
+        path = tmp_path / "bundle" / "diagnostics.json"
+        path.write_text(path.read_text().replace('"t_max"', "null"))
+        assert load_bundle(tmp_path / "bundle").diagnostics.stop_reason is None
+
     def test_basis_width_is_checked(self, tmp_path, trained_small):
         save_bundle(tmp_path / "bundle", trained_small)
         write_matrix(tmp_path / "bundle" / "basis_0.marc", np.zeros((30, 5)))
-        with pytest.raises(FormatError, match="basis_0.marc has 5 columns"):
+        with pytest.raises(FormatError, match=r"basis_0.marc has shape \(30, 5\), expected \(30, 2\)"):
             load_bundle(tmp_path / "bundle")
 
     def test_basis_rows_are_checked(self, tmp_path, trained_small):
         save_bundle(tmp_path / "bundle", trained_small)
         path = tmp_path / "bundle" / "basis_0.marc"
         write_matrix(path, read_matrix(path)[:-5])
-        with pytest.raises(FormatError, match="basis_0.marc has 25 rows, expected 30"):
+        with pytest.raises(FormatError, match=r"basis_0.marc has shape \(25, 2\), expected \(30, 2\)"):
             load_bundle(tmp_path / "bundle")
 
     def test_error_shape_is_checked(self, tmp_path, trained_small):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from marc import proxops
-from marc.errors import DegenerateMatrixError, ValidationError
+from marc.errors import DegenerateMatrixError, NumericalError, ValidationError
 from marc.proxops import (
     GRAM_RATIO,
     POLAR_RATIO,
@@ -292,6 +292,16 @@ def test_procrustes_gram_path_matches_svd(shape, kappa, monkeypatch):
 ], ids=["zero-tall", "zero-wide", "rank3-tall", "rank3-wide", "kappa1e5"])
 def test_procrustes_degenerate_input_takes_the_svd_path(m):
     assert np.array_equal(procrustes(m), svd_polar(m))
+
+
+@pytest.mark.parametrize("kernel", [procrustes, lambda m: svt(m, 1.0)], ids=["procrustes", "svt"])
+def test_overflowing_gram_is_a_numerical_error(kernel):
+    # The input is finite but its Gram matrix overflows, and the
+    # eigendecomposition of that fails to converge.
+    m = np.random.default_rng(0).standard_normal((30, 4)) * 1e160
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalError, match="Gram eigendecomposition failed to converge"):
+        kernel(m)
 
 
 def rank_r_span(m, rule):

@@ -13,9 +13,9 @@ import pytest
 
 from marc import dataset, proxops, trainer
 from marc.dataset import AttributeSchema, Sample, SelectorBank, TrainingSet, assemble, columns_of, materialize_h
-from marc.errors import ValidationError
+from marc.errors import NumericalError, ValidationError
 from marc.proxops import random_orthonormal
-from marc.synthbench import SynthSpec, generate
+from marc.synthbench import SynthSpec, default_spec, generate
 from marc.trainer import (
     SolverConfig,
     TrainState,
@@ -231,7 +231,7 @@ class TestTrainLoop:
         assert bundle.diagnostics.iterations == 0
         assert bundle.diagnostics.converged
         assert bundle.diagnostics.final_residual == 0.0
-        assert bundle.diagnostics.mu_history == [25.0]
+        assert bundle.diagnostics.mu_history == []
         assert bundle.diagnostics.stop_reason == "converged"
         assert not np.any(bundle.individual)
         assert not np.any(bundle.sparse_error)
@@ -457,6 +457,17 @@ class TestTrainLoop:
         assert train(ts, SolverConfig(t_max=5)).diagnostics.iterations == 5
         sweeps = trainer.INNER_SWEEPS * 5
         assert calls == {"update_g": sweeps, "update_e": sweeps, "normalized_residual": 5}
+
+    @pytest.mark.parametrize("scale, cause", [
+        (1e150, "Gram eigendecomposition failed to converge"),
+        (1e160, "procrustes input contains non-finite entries"),
+    ])
+    def test_overflow_is_a_numerical_error(self, scale, cause):
+        ts, _ = generate(dataclasses.replace(default_spec(), dim=30, count=12, seed=1))
+        scaled = TrainingSet(ts.schema, ts.X * scale, ts.W, ts.label_index)
+        with np.errstate(all="ignore"), \
+                pytest.raises(NumericalError, match=f"training diverged at iteration 0: {cause}"):
+            train(scaled, SolverConfig(t_max=50))
 
     def test_lam_echoed_in_diagnostics(self, small_instance):
         ts, _ = small_instance
