@@ -20,9 +20,20 @@ from .errors import FormatError, NumericalError, ValidationError
 from .proxops import RankRule
 from .reconstructor import ReconConfig, TransferSpec, reconstruct, synthesize
 from .synthbench import SynthSpec, default_spec, generate, recovery_metrics
-from .trainer import Schedule, SolverConfig, train
+from .trainer import MU0_NORMS, Schedule, SolverConfig, train
 
 MATRIX_SUFFIXES = (".marc", ".csv")
+
+# The synth flags: each sets, and takes its default and type from, one SynthSpec field.
+SYNTH_FLAGS = (
+    ("--dim", "dim", "vector dimension"),
+    ("--samples", "count", "number of samples"),
+    ("--rank-g", "rank_g", "rank of the individual part"),
+    ("--sparsity", "sparsity", "gross error fraction"),
+    ("--missing-frac", "missing_frac", "hidden cell fraction"),
+    ("--noise-amp", "noise_amp", "gross error magnitude"),
+    ("--seed", "seed", "generator seed"),
+)
 
 
 def _add_schedule_flags(p: argparse.ArgumentParser, lam_default: str) -> None:
@@ -51,13 +62,14 @@ def _add_common_recon_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", "-o", required=True,
                    help="output vector file (or directory for directory input)")
     _add_schedule_flags(p, "1/sqrt(dim)")
-    rank = p.add_mutually_exclusive_group()
-    rank.add_argument("--rank", type=int, default=None,
+    span = p.add_mutually_exclusive_group()
+    span.add_argument("--rank", type=int, default=None,
                       help="explicit width of the individual span")
-    rank.add_argument("--energy", type=float, default=None,
-                      help="energy fraction for the individual span (default 0.99)")
-    p.add_argument("--no-individual", action="store_true",
-                   help="drop the individual span from the reconstruction")
+    span.add_argument("--energy", type=float, default=None,
+                      help="energy fraction for the individual span "
+                           f"(default {ReconConfig().rank_rule.energy})")
+    span.add_argument("--no-individual", action="store_true",
+                      help="drop the individual span from the reconstruction")
     p.add_argument("--seed", type=int, default=0,
                    help="accepted for interface uniformity; reconstruction is "
                         "deterministic and ignores it")
@@ -75,33 +87,29 @@ def _recon_config(args: argparse.Namespace) -> ReconConfig:
 def _recon_jobs(args: argparse.Namespace) -> list[tuple[Path, Path | None, Path]]:
     """Resolve (input, mask, output) paths; directory inputs fan out to one
     job per matrix file, sorted by name for deterministic outputs."""
-    inp = Path(args.input)
-    out = Path(args.output)
-    if inp.is_dir():
-        files = sorted(p for p in inp.iterdir()
-                       if p.is_file() and p.suffix.lower() in MATRIX_SUFFIXES)
-        if not files:
-            raise ValidationError(f"no matrix files found in directory {inp}")
-        mask_dir = Path(args.mask) if args.mask else None
-        out.mkdir(parents=True, exist_ok=True)
-        jobs = []
-        for f in files:
-            mask = mask_dir / f.name if mask_dir else None
-            jobs.append((f, mask, out / f.name))
-        return jobs
+    inp, out = Path(args.input), Path(args.output)
     mask = Path(args.mask) if args.mask else None
-    return [(inp, mask, out)]
+    if not inp.is_dir():
+        return [(inp, mask, out)]
+    files = sorted(p for p in inp.iterdir()
+                   if p.is_file() and p.suffix.lower() in MATRIX_SUFFIXES)
+    if not files:
+        raise ValidationError(f"no matrix files found in directory {inp}")
+    out.mkdir(parents=True, exist_ok=True)
+    return [(f, mask / f.name if mask else None, out / f.name) for f in files]
 
 
-def _run_recon_jobs(args: argparse.Namespace, targets: dict[str, str] | None) -> int:
-    """Reconstruct every resolved job, one at a time. `targets` = None
-    completes freely; otherwise the named attributes are pinned (args.post_hoc
-    chooses the joint re-solve or the post-hoc substitution)."""
+def _run_recon_jobs(args: argparse.Namespace) -> int:
+    """complete and transfer: reconstruct every resolved job, one at a time.
+    Without --target every selector is solved freely; otherwise the named
+    attributes are pinned (--post-hoc chooses the joint re-solve or the
+    post-hoc substitution)."""
+    targets = _parse_pairs(args.target, "--target", "attribute=instantiation")
     bundle = formats.load_bundle(args.bundle)
     config = _recon_config(args)
     jobs = _recon_jobs(args)
     free = TransferSpec.all_free(bundle.schema)
-    pins = free if targets is None else TransferSpec.targets(bundle.schema, targets)
+    pins = TransferSpec.targets(bundle.schema, targets)
     for in_path, mask_path, out_path in jobs:
         y = formats.read_vector(in_path)
         w = formats.read_vector(mask_path) if mask_path else None
@@ -137,56 +145,32 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_complete(args: argparse.Namespace) -> int:
-    return _run_recon_jobs(args, None)
-
-
-def _parse_targets(pairs: list[str]) -> dict[str, str]:
-    targets = {}
+def _parse_pairs(pairs: list[str], flag: str, form: str) -> dict[str, str]:
+    """The NAME=VALUE arguments of a repeatable flag, by name; a pair
+    without "=" or a name given twice raises ValidationError."""
+    out: dict[str, str] = {}
     for pair in pairs:
-        if "=" not in pair:
-            raise ValidationError(f"--target needs attribute=instantiation, got '{pair}'")
-        name, label = pair.split("=", 1)
-        targets[name] = label
-    return targets
-
-
-def _cmd_transfer(args: argparse.Namespace) -> int:
-    return _run_recon_jobs(args, _parse_targets(args.target))
-
-
-def _parse_attrs(pairs: list[str]) -> list[tuple[str, int]]:
-    out = []
-    for pair in pairs:
-        if "=" not in pair:
-            raise ValidationError(f"--attr needs name=count, got '{pair}'")
-        name, count = pair.split("=", 1)
-        try:
-            m = int(count)
-        except ValueError:
-            raise ValidationError(f"--attr count must be an integer, got '{count}'") from None
-        out.append((name, m))
+        name, sep, value = pair.partition("=")
+        if not sep:
+            raise ValidationError(f"{flag} needs {form}, got '{pair}'")
+        if name in out:
+            raise ValidationError(f"{flag} names '{name}' more than once")
+        out[name] = value
     return out
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    schema = default_spec().schema
     if args.attr:
-        pairs = _parse_attrs(args.attr)
-        schema = AttributeSchema.of(
-            [(name, [f"{name}_{j}" for j in range(1, m + 1)]) for name, m in pairs]
-        )
-    else:
-        schema = default_spec().schema
-    spec = SynthSpec(
-        schema=schema,
-        dim=args.dim,
-        count=args.samples,
-        rank_g=args.rank_g,
-        sparsity=args.sparsity,
-        missing_frac=args.missing_frac,
-        noise_amp=args.noise_amp,
-        seed=args.seed,
-    )
+        attributes = []
+        for name, count in _parse_pairs(args.attr, "--attr", "name=count").items():
+            try:
+                m = int(count)
+            except ValueError:
+                raise ValidationError(f"--attr count must be an integer, got '{count}'") from None
+            attributes.append((name, [f"{name}_{j}" for j in range(1, m + 1)]))
+        schema = AttributeSchema.of(attributes)
+    spec = SynthSpec(schema=schema, **{field: getattr(args, field) for _, field, _ in SYNTH_FLAGS})
     ts, truth = generate(spec)
     out = Path(args.output)
     samples_dir = out / "samples"
@@ -232,14 +216,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("manifest", help="dataset manifest (JSON)")
     p.add_argument("--output", "-o", required=True, help="bundle directory to write")
     _add_schedule_flags(p, "1/sqrt(max(dim, count))")
-    p.add_argument("--mu0-norm", choices=("spectral", "frobenius"), default="spectral",
+    solver = SolverConfig()
+    p.add_argument("--mu0-norm", choices=MU0_NORMS, default=solver.mu0_norm,
                    help="norm of X scaling the initial penalty")
-    p.add_argument("--seed", type=int, default=0, help="basis initialization seed")
+    p.add_argument("--seed", type=int, default=solver.seed, help="basis initialization seed")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("complete", help="fill in partially observed vectors")
     _add_common_recon_flags(p)
-    p.set_defaults(func=_cmd_complete, target=None, post_hoc=False)
+    p.set_defaults(func=_run_recon_jobs, target=[], post_hoc=False)
 
     p = sub.add_parser("transfer", help="reconstruct with pinned attribute instantiations")
     _add_common_recon_flags(p)
@@ -248,20 +233,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--post-hoc", action="store_true",
                    help="substitute pinned selectors after a free solve instead "
                         "of re-solving around them")
-    p.set_defaults(func=_cmd_transfer)
+    p.set_defaults(func=_run_recon_jobs)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset with ground truth")
     p.add_argument("--output", "-o", required=True, help="output directory")
+    spec = default_spec()
+    stock = " ".join(f"{spec.schema.name(i)}={spec.schema.size(i)}"
+                     for i in range(spec.schema.count))
     p.add_argument("--attr", action="append", metavar="NAME=COUNT",
-                   help="attribute with its instantiation count (repeatable; "
-                        "default attr1=3 attr2=4)")
-    p.add_argument("--dim", type=int, default=200, help="vector dimension")
-    p.add_argument("--samples", type=int, default=60, help="number of samples")
-    p.add_argument("--rank-g", type=int, default=5, help="rank of the individual part")
-    p.add_argument("--sparsity", type=float, default=0.05, help="gross error fraction")
-    p.add_argument("--missing-frac", type=float, default=0.2, help="hidden cell fraction")
-    p.add_argument("--noise-amp", type=float, default=5.0, help="gross error magnitude")
-    p.add_argument("--seed", type=int, default=7, help="generator seed")
+                   help=f"attribute with its instantiation count (repeatable; default {stock})")
+    for flag, field, text in SYNTH_FLAGS:
+        default = getattr(spec, field)
+        p.add_argument(flag, dest=field, type=type(default), default=default, help=text)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("eval", help="score a trained bundle against planted truth")

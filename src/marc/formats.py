@@ -19,8 +19,8 @@ versions is ignored); a truth directory adds assignments.json, mask.marc,
 data.marc and, for a planted individual part of rank > 0, g_left.marc and
 g_singulars.marc. Both loaders check every matrix's shape against the others
 ("<path> has shape (r, c), expected (r', c')") and every record field's
-type, and run `SolverConfig.validate` on the config; a failure raises
-FormatError.
+type, and build the config through `SolverConfig`'s own checks; a failure
+raises FormatError.
 """
 from __future__ import annotations
 
@@ -199,20 +199,18 @@ def _has_type(value: object, hint: object) -> bool:
 
 def _read_record(path: Path, cls: type, what: str):
     """Read the JSON object at `path` into the dataclass `cls`. Unknown or
-    missing keys, a field that does not have its declared type, and a
-    record that fails its own `validate` raise FormatError naming `what`."""
+    missing keys, a value that does not have its field's declared type, and
+    a record that its own construction checks refuse raise FormatError
+    naming `what`. Types are checked before the record is built."""
+    doc = _json_load(path)
     hints = typing.get_type_hints(cls)
     try:
-        record = cls(**_json_load(path))
         for f in dataclasses.fields(cls):
-            value = getattr(record, f.name)
-            if not _has_type(value, hints[f.name]):
-                raise ValidationError(f"{f.name} must be {f.type}, got {value!r}")
-        if hasattr(record, "validate"):
-            record.validate()
+            if f.name in doc and not _has_type(doc[f.name], hints[f.name]):
+                raise ValidationError(f"{f.name} must be {f.type}, got {doc[f.name]!r}")
+        return cls(**doc)
     except (TypeError, ValidationError) as exc:
         raise FormatError(f"{path}: bad {what}: {exc}") from exc
-    return record
 
 
 def _check_shape(m: np.ndarray, name: str | Path, shape: tuple[int, ...] | None) -> np.ndarray:
@@ -309,25 +307,23 @@ def load_truth(path: str | Path) -> GroundTruth:
     """Read a ground-truth directory written by `save_truth`.
 
     The parts and the mask must have the (dim, count) shape of data.marc,
-    each assignment vector must give every column a label of its attribute,
-    and g_left must have dim rows and one column per singular value.
+    each assignment vector must give every column an integer label of its
+    attribute, and g_left must have dim rows and one column per singular value.
     """
     root = Path(path)
     data = read_matrix(root / "data.marc")
     dim, count = data.shape
     factors = _load_factors(root, data.shape)
     schema = factors["schema"]
-    doc = _json_load(root / "assignments.json")
-    try:
-        assignments = tuple(np.asarray(a, dtype=np.int64) for a in doc.get("assignments", []))
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{root / 'assignments.json'}: bad assignments: {exc}") from exc
-    if len(assignments) != schema.count:
+    raw = _json_load(root / "assignments.json").get("assignments", [])
+    if not isinstance(raw, list) or len(raw) != schema.count:
         raise FormatError(f"{root}: assignments do not cover the schema")
-    for i, labels in enumerate(assignments):
+    for i, labels in enumerate(raw):
         m = schema.size(i)
-        if labels.shape != (count,) or labels.min() < 0 or labels.max() >= m:
-            raise FormatError(f"{root}: assignments[{i}] must hold {count} labels in [0, {m})")
+        if not (_has_type(labels, list[int]) and len(labels) == count
+                and all(0 <= label < m for label in labels)):
+            raise FormatError(
+                f"{root}: assignments[{i}] must hold {count} labels in [0, {m}) as JSON integers")
     if (root / "g_left.marc").exists():
         g_singulars = read_vector(root / "g_singulars.marc")
         g_left = _read_shaped(root / "g_left.marc", (dim, g_singulars.size))
@@ -337,7 +333,7 @@ def load_truth(path: str | Path) -> GroundTruth:
         **factors,
         mask=_read_shaped(root / "mask.marc", data.shape),
         data=data,
-        assignments=assignments,
+        assignments=tuple(np.asarray(labels, dtype=np.int64) for labels in raw),
         g_left=g_left,
         g_singulars=g_singulars,
     )

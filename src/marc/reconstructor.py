@@ -20,7 +20,7 @@ soft-thresholds the visible part of e.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
@@ -50,7 +50,7 @@ class ReconConfig(Schedule):
     individual span K, and use_individual; False drops K entirely (for
     models whose individual part is degenerate or unwanted)."""
 
-    rank_rule: RankRule = field(default_factory=lambda: RankRule.energy_fraction(0.99))
+    rank_rule: RankRule = RankRule.energy_fraction(0.99)
     use_individual: bool = True
 
 
@@ -108,12 +108,12 @@ ReconObserver = Callable[[ReconState, int], None]
 
 def build_span(bundle: ModelBundle, rule: RankRule | None = None) -> np.ndarray:
     """Orthonormal basis of the trained individual component, as wide as
-    `rule` picks (default: 99% of the energy), cut from the bundle's SVD;
+    `rule` picks (default: ReconConfig's), cut from the bundle's SVD;
     the bundle is left as it was. An identically zero individual part has no
     span; either pass an explicit rank against a nonzero component or
     reconstruct with use_individual=False."""
     if rule is None:
-        rule = RankRule.energy_fraction(0.99)
+        rule = ReconConfig().rank_rule
     if bundle.individual_svd[1][0] == 0.0:  # the spectral norm of G
         raise DegenerateMatrixError(
             "the trained individual component is identically zero; "
@@ -177,7 +177,6 @@ def reconstruct(
     never touched, so they come back bitwise identical. Non-convergence is
     flagged in diagnostics, not raised.
     """
-    config.validate()
     dim = bundle.dim
     y = _check_vector(y, dim, "input vector")
     if not np.all(np.isfinite(y)):

@@ -20,7 +20,7 @@ import numpy as np
 from .dataset import AttributeSchema, Sample, SelectorBank, TrainingSet, assemble
 from .errors import NumericalError, ValidationError
 from .proxops import random_orthonormal
-from .trainer import ModelBundle
+from .trainer import ModelBundle, check_seed
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,9 @@ class SynthSpec:
 
     sparsity and missing_frac are fractions of all dim*count cells. The
     individual spectrum is 10, 9, ... down to rank_g terms, so rank_g <= 9;
-    rank_g = 0 drops the individual part.
+    rank_g = 0 drops the individual part. Gross errors fall on visible cells
+    only, so there must be at least as many visible cells as errors. The spec
+    checks itself when built: an invalid value raises ValidationError.
     """
 
     schema: AttributeSchema
@@ -41,7 +43,7 @@ class SynthSpec:
     noise_amp: float = 5.0
     seed: int = 7
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.dim < 1 or self.count < 1:
             raise ValidationError("dim and count must be positive")
         for i in range(self.schema.count):
@@ -65,6 +67,14 @@ class SynthSpec:
             raise ValidationError(f"missing_frac must be in [0, 1), got {self.missing_frac}")
         if not (np.isfinite(self.noise_amp) and self.noise_amp > 0):
             raise ValidationError(f"noise_amp must be positive, got {self.noise_amp}")
+        cells = self.dim * self.count
+        n_sparse, n_visible = round(self.sparsity * cells), cells - round(self.missing_frac * cells)
+        if n_sparse > n_visible:
+            raise ValidationError(
+                f"sparsity asks for {n_sparse} gross errors but missing_frac leaves "
+                f"only {n_visible} visible cells"
+            )
+        check_seed(self.seed)
 
 
 def default_spec() -> SynthSpec:
@@ -107,7 +117,6 @@ def generate(spec: SynthSpec) -> tuple[TrainingSet, GroundTruth]:
     """Draw a planted instance. Deterministic in spec.seed; the training set
     is produced by `assemble` from per-sample vectors, so its label_index
     matches the generator's assignments exactly."""
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
     dim, count = spec.dim, spec.count
     schema = spec.schema

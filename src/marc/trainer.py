@@ -50,6 +50,7 @@ the reference the loop is tested against.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Literal
 
@@ -65,6 +66,9 @@ from .proxops import deterministic_svd, procrustes, random_orthonormal, shrink_m
 INNER_SWEEPS = 10
 INNER_TOL = 1e-5
 
+# The norms of X that SolverConfig.mu0_norm may name.
+MU0_NORMS = ("spectral", "frobenius")
+
 
 @dataclass(frozen=True)
 class Schedule:
@@ -72,7 +76,8 @@ class Schedule:
     share: sparsity weight lam (None selects 1/sqrt of the larger side of
     the data at solve time), stop threshold eps, iteration cap t_max, and
     the penalty, which starts at mu0_scale over a norm of the data and grows
-    by rho per step up to mu_max."""
+    by rho per step up to mu_max. Like every config, it checks itself when
+    built: an invalid value raises ValidationError."""
 
     lam: float | None = None
     eps: float = 1e-7
@@ -81,7 +86,7 @@ class Schedule:
     mu_max: float = 1e7
     mu0_scale: float = 25.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.lam is not None and not (np.isfinite(self.lam) and self.lam > 0):
             raise ValidationError(f"lam must be positive, got {self.lam}")
         if not (np.isfinite(self.eps) and self.eps > 0):
@@ -110,12 +115,19 @@ class SolverConfig(Schedule):
     mu0_norm: str = "spectral"
     seed: int = 0
 
-    def validate(self) -> None:
-        super().validate()
-        if self.mu0_norm not in ("spectral", "frobenius"):
-            raise ValidationError(
-                f"mu0_norm must be 'spectral' or 'frobenius', got '{self.mu0_norm}'"
-            )
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.mu0_norm not in MU0_NORMS:
+            allowed = " or ".join(repr(norm) for norm in MU0_NORMS)
+            raise ValidationError(f"mu0_norm must be {allowed}, got '{self.mu0_norm}'")
+        check_seed(self.seed)
+
+
+def check_seed(seed: object) -> None:
+    """Raise ValidationError unless `seed` is a non-negative integer (not a
+    bool), as numpy's generators take it."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 @dataclass
@@ -411,7 +423,6 @@ def train(
     non-convergence, at t_max or stalled, is reported there, not raised. A
     run that overflows raises NumericalError with the iteration index.
     """
-    config.validate()
     lam = config.effective_lam(ts.dim, ts.count)
     if float(np.linalg.norm(ts.X)) == 0.0:
         return _zero_bundle(ts, config, lam)

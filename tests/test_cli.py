@@ -65,6 +65,16 @@ class TestSynth:
         assert main(["synth", "-o", str(tmp_path / "x"),
                      "--attr", "kind=lots"]) == 2
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--seed", "-5"], "seed must be a non-negative integer, got -5"),
+        (["--sparsity", "0.6", "--missing-frac", "0.5"],
+         "sparsity asks for 7200 gross errors but missing_frac leaves only 6000 visible cells"),
+        (["--attr", "kind=2", "--attr", "kind=3"], "--attr names 'kind' more than once"),
+    ], ids=["negative-seed", "more-errors-than-visible-cells", "repeated-attr"])
+    def test_invalid_spec_is_validation_error(self, tmp_path, capsys, flags, message):
+        assert main(["synth", "-o", str(tmp_path / "x"), *flags]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestTrain:
     def test_bundle_is_loadable_and_echoes_flags(self, workspace):
@@ -131,6 +141,13 @@ class TestTrain:
         assert rc == 4
         assert "training diverged at iteration 0" in capsys.readouterr().err
 
+    def test_negative_seed_is_validation_error(self, workspace, tmp_path, capsys):
+        rc = main(["train", str(workspace / "data" / "manifest.json"),
+                   "-o", str(tmp_path / "b"), "--seed", "-1"])
+        assert rc == 2
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
     def test_missing_manifest_is_io_error(self, tmp_path, capsys):
         rc = main(["train", str(tmp_path / "nope.json"), "-o", str(tmp_path / "b")])
         assert rc == 3
@@ -177,6 +194,18 @@ class TestEval:
         rc = main(["eval", "-b", str(workspace / "bundle"), "--truth", str(truth)])
         assert rc == 3
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("label", [1.5, True], ids=["float", "bool"])
+    def test_non_integer_truth_label_is_format_error(self, workspace, tmp_path, capsys, label):
+        truth = tmp_path / "truth"
+        shutil.copytree(workspace / "data" / "truth", truth)
+        doc = json.loads((truth / "assignments.json").read_text())
+        doc["assignments"][1][0] = label
+        (truth / "assignments.json").write_text(json.dumps(doc))
+        rc = main(["eval", "-b", str(workspace / "bundle"), "--truth", str(truth)])
+        assert rc == 3
+        assert "assignments[1] must hold 18 labels in [0, 3) as JSON integers" \
+            in capsys.readouterr().err
 
 
 class TestCompleteAndTransfer:
@@ -305,6 +334,35 @@ class TestCompleteAndTransfer:
         assert main(base + ["--target", "tone"]) == 2
         assert "--target needs" in capsys.readouterr().err
         assert main(base + ["--target", "flavor=tone_2"]) == 2
+
+    def test_repeated_target_is_validation_error(self, workspace, tmp_path, capsys):
+        sample = workspace / "data" / "samples" / "sample_0001.marc"
+        rc = main(["transfer", "-b", str(workspace / "bundle"), "-i", str(sample),
+                   "-o", str(tmp_path / "o.marc"), "-t", "tone=tone_2", "-t", "tone=tone_1"])
+        assert rc == 2
+        assert "--target names 'tone' more than once" in capsys.readouterr().err
+        assert not (tmp_path / "o.marc").exists()
+
+    def test_negative_seed_in_config_echo_is_format_error(self, workspace, tmp_path, capsys):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(workspace / "bundle", bundle)
+        doc = json.loads((bundle / "config.json").read_text())
+        doc["seed"] = -1
+        (bundle / "config.json").write_text(json.dumps(doc))
+        sample = workspace / "data" / "samples" / "sample_0001.marc"
+        rc = main(["complete", "-b", str(bundle), "-i", str(sample),
+                   "-o", str(tmp_path / "o.marc")])
+        assert rc == 3
+        assert "bad config echo: seed must be a non-negative integer, got -1" \
+            in capsys.readouterr().err
+
+    @pytest.mark.parametrize("span", [["--rank", "3"], ["--energy", "0.9"]])
+    def test_no_individual_excludes_span_flags(self, capsys, span):
+        with pytest.raises(SystemExit) as stop:
+            main(["complete", "-b", "b", "-i", "x.marc", "-o", "y.marc",
+                  "--no-individual", *span])
+        assert stop.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
     def test_no_individual_flag(self, workspace, tmp_path):
         sample = workspace / "data" / "samples" / "sample_0002.marc"

@@ -259,6 +259,7 @@ class TestBundleArchive:
         ("diagnostics", "converged", 1, "converged must be bool, got 1"),
         ("config", "rho", "fast", "rho must be float, got 'fast'"),
         ("config", "t_max", -3, "t_max must be >= 1, got -3"),
+        ("config", "seed", -1, "seed must be a non-negative integer, got -1"),
     ])
     def test_records_are_checked(self, tmp_path, trained_small, name, key, value, message):
         save_bundle(tmp_path / "bundle", trained_small)
@@ -383,6 +384,15 @@ class TestTruthArchive:
         doc["assignments"][0] = edit(doc["assignments"][0])
         doc_path.write_text(json.dumps(doc))
         with pytest.raises(FormatError, match=r"assignments\[0\] must hold 15 labels in \[0, 2\)"):
+            load_truth(saved_truth)
+
+    @pytest.mark.parametrize("label", [1.5, True, "1"], ids=["float", "bool", "string"])
+    def test_labels_must_be_integers(self, saved_truth, label):
+        doc_path = saved_truth / "assignments.json"
+        doc = json.loads(doc_path.read_text())
+        doc["assignments"][0][0] = label
+        doc_path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=r"assignments\[0\] must hold 15 labels .* integers"):
             load_truth(saved_truth)
 
     def test_g_left_rows_are_checked(self, saved_truth):

@@ -48,7 +48,12 @@ class TestValidation:
         for bad in (dict(lam=0.0), dict(eps=-1.0), dict(t_max=0),
                     dict(rho=0.5), dict(mu_max=0.0), dict(mu0_scale=-2.0)):
             with pytest.raises(ValidationError):
-                ReconConfig(**bad).validate()
+                ReconConfig(**bad)
+
+    @pytest.mark.parametrize("bad", [dict(rho=1.0), dict(t_max=0), dict(mu_max=float("inf"))])
+    def test_config_checks_itself_when_built(self, bad):
+        with pytest.raises(ValidationError):
+            dataclasses.replace(ReconConfig(), **bad)
 
     def test_vector_shape_and_content(self, planted):
         _, bundle, y, _ = planted

@@ -34,17 +34,27 @@ class TestSpecValidation:
         dict(dim=0), dict(count=0), dict(rank_g=-1), dict(rank_g=18),
         dict(rank_g=10, dim=50, count=50), dict(sparsity=1.0),
         dict(sparsity=-0.1), dict(missing_frac=1.0), dict(noise_amp=0.0),
+        dict(seed=-5), dict(seed=True), dict(seed=2.0),
     ])
     def test_bad_parameters(self, kw):
         with pytest.raises(ValidationError):
-            SynthSpec(schema=TWO_ATTR, **kw).validate()
+            SynthSpec(schema=TWO_ATTR, **kw)
 
     def test_too_many_instantiations(self):
         wide = AttributeSchema.of([("kind", [f"k{j}" for j in range(9)])])
         with pytest.raises(ValidationError, match="than samples"):
-            SynthSpec(schema=wide, dim=20, count=6).validate()
+            SynthSpec(schema=wide, dim=20, count=6)
         with pytest.raises(ValidationError, match="than dimensions"):
-            SynthSpec(schema=wide, dim=4, count=30).validate()
+            SynthSpec(schema=wide, dim=4, count=30)
+
+    def test_more_gross_errors_than_visible_cells(self):
+        # 200 x 60 = 12000 cells: 7200 errors, 6000 hidden, 6000 visible
+        with pytest.raises(ValidationError, match="7200 gross errors.*only 6000 visible"):
+            dataclasses.replace(default_spec(), sparsity=0.6, missing_frac=0.5)
+        spec = dataclasses.replace(default_spec(), dim=10, count=10,
+                                   sparsity=0.5, missing_frac=0.5)
+        _, truth = generate(spec)  # exactly as many errors as visible cells
+        assert np.count_nonzero(truth.sparse_error) == np.count_nonzero(truth.mask) == 50
 
 
 @pytest.fixture(scope="module")

@@ -17,6 +17,7 @@ from marc.errors import NumericalError, ValidationError
 from marc.proxops import random_orthonormal
 from marc.synthbench import SynthSpec, default_spec, generate
 from marc.trainer import (
+    Schedule,
     SolverConfig,
     TrainState,
     attribute_residual,
@@ -71,10 +72,24 @@ class TestSolverConfig:
         dict(lam=-1.0), dict(lam=0.0), dict(eps=0.0), dict(t_max=0),
         dict(rho=1.0), dict(mu_max=0.0), dict(mu0_scale=0.0),
         dict(mu0_norm="nuclear"),
+        dict(seed=-1), dict(seed=True), dict(seed=1.0), dict(seed="0"),
     ])
     def test_validation(self, bad):
         with pytest.raises(ValidationError):
-            SolverConfig(**bad).validate()
+            SolverConfig(**bad)
+
+    def test_seed_message(self):
+        with pytest.raises(ValidationError, match="seed must be a non-negative integer, got -1"):
+            SolverConfig(seed=-1)
+        assert SolverConfig(seed=np.int64(3)).seed == 3
+
+    @pytest.mark.parametrize("bad", [
+        dict(lam=0.0), dict(eps=0.0), dict(t_max=0), dict(rho=1.0),
+        dict(mu_max=0.0), dict(mu0_scale=float("nan")),
+    ])
+    def test_schedule_checks_itself_when_built(self, bad):
+        with pytest.raises(ValidationError):
+            Schedule(**bad)
 
 
 class TestStepFunctions:
