@@ -3,8 +3,8 @@
 Training decomposes a data matrix into per-attribute shared components (an
 orthonormal basis times bank-shared selectors per attribute), a low-rank
 individual component, and a sparse error, under a binary visibility mask.
-Reconstruction completes or re-labels single vectors against a trained
-model.
+Reconstruction completes or re-labels vectors against a trained model, one
+at a time or a block of them at once.
 """
 from .dataset import (
     AttributeSchema,
@@ -37,6 +37,7 @@ from .reconstructor import (
     build_span,
     complete,
     reconstruct,
+    reconstruct_many,
     transfer,
 )
 from .synthbench import (
@@ -90,6 +91,7 @@ __all__ = [
     "procrustes_sampling_oracle",
     "random_orthonormal",
     "reconstruct",
+    "reconstruct_many",
     "recovery_metrics",
     "rpca_reference",
     "shrink_matrix",

@@ -304,9 +304,12 @@ def update_duals(state, fit: np.ndarray) -> None:
     """Dual ascent on the coupling constraint, then the capped geometric
     penalty increase. mu never decreases. `fit` is the part of the data
     left for E (X - sum F_k H_k - G in training). Any solver state with
-    config, dual, mu and sparse_error will do, the reconstructor's too."""
+    config, dual, mu and sparse_error will do, the reconstructor's too,
+    whose mu is one entry per column of dual."""
     state.dual = state.dual + state.mu * (fit - state.sparse_error)
-    state.mu = min(state.config.rho * state.mu, state.config.mu_max)
+    mu = state.config.rho * state.mu
+    state.mu = np.minimum(mu, state.config.mu_max) if isinstance(mu, np.ndarray) \
+        else min(mu, state.config.mu_max)
 
 
 def normalized_residual(state: TrainState, ts: TrainingSet, fit: np.ndarray) -> float:
@@ -330,70 +333,103 @@ def constraint_residual(state: TrainState, ts: TrainingSet, fit: np.ndarray) -> 
 Observer = Callable[[TrainState, int], None]
 
 
+def _as_list(values: float | np.ndarray) -> list[float]:
+    """A float, or an array of floats, as a list of floats."""
+    return values.tolist() if isinstance(values, np.ndarray) else [float(values)]
+
+
 def run_penalty_steps(
     state,
     sweeps: Callable[[], np.ndarray],
-    residual: Callable[[np.ndarray], tuple[float, float]],
+    residual: Callable[[np.ndarray], tuple[float | np.ndarray, float | np.ndarray]],
     observer: Callable | None,
     what: str,
-) -> TrainDiagnostics:
-    """The augmented-Lagrangian loop that `train` and `reconstruct` share.
+    retire: Callable[[list[int], list[int]], None] | None = None,
+) -> list[TrainDiagnostics]:
+    """The augmented-Lagrangian loop that `train` and `reconstruct_many`
+    share, over B independent problems solved side by side.
 
     `state` holds config (a Schedule), dual, mu, lam, sparse_error and t.
-    Each penalty step calls `sweeps()`, which updates the primal blocks
-    through the closing sparse step and returns the part of the data left
-    for E, then `residual` of that: the masked residual, which drives the
-    stop rules, and the unmasked one. After a finite residual come the
-    observer, called with (state, t), and `update_duals`. The run stops
-    "converged" when the residual drops to eps, at "t_max" after t_max
-    steps, or "stalled" before that: the step ran with the penalty at
-    mu_max, and at the rate it moved the residual, the steps left before
-    t_max could not bring it to eps.
+    mu is a float for one problem (training, or one vector to reconstruct),
+    or a length-B array for B problems, whose b-th entry belongs to the b-th
+    column of the working set: the problems still running, in their
+    original order. Each penalty
+    step calls `sweeps()`, which updates the primal blocks through the
+    closing sparse step and returns the part of the data left for E, then
+    `residual` of that: the masked residuals, which drive the stop rules,
+    and the unmasked ones, a float or a length-B array each. After finite
+    residuals come the observer, called with (state, t), and `update_duals`.
+    A problem stops "converged" when its residual drops to eps, at "t_max"
+    after t_max steps, or "stalled" before that: its step ran with the
+    penalty at mu_max, and at the rate it moved the residual, the steps left
+    before t_max could not bring it to eps. When problems stop,
+    `retire(stopped, problems)` gets their columns' positions in the working
+    set, ascending, and their problem indices; it saves their results and,
+    unless every column stopped, drops those columns from the state.
 
-    Returns the run's TrainDiagnostics. A non-finite residual, or a kernel
-    inside a step that rejects a non-finite intermediate (ValidationError)
-    or fails to factor one (NumericalError), raises NumericalError naming
-    `what` and the step.
+    Returns one TrainDiagnostics per problem, in problem order. A non-finite
+    residual, or a kernel inside a step that rejects a non-finite
+    intermediate (ValidationError) or fails to factor one (NumericalError),
+    raises NumericalError naming `what` and the step.
     """
-    config = state.config
-    mu_history: list[float] = []
-    residuals: list[tuple[float, float]] = []
-    stop_reason = "t_max"
-    res = math.inf
-    for t in range(config.t_max):
-        mu_history.append(state.mu)
+    eps, t_max, mu_max = state.config.eps, state.config.t_max, state.config.mu_max
+    ids = list(range(np.size(state.mu)))
+    records: list[tuple[list[float], list[float], list[float]]] = [([], [], []) for _ in ids]
+    out: list[TrainDiagnostics | None] = [None] * len(ids)
+    last = [math.inf] * len(ids)
+    for t in range(t_max):
+        mu = _as_list(state.mu)
         try:
             fit = sweeps()
         except (ValidationError, NumericalError) as exc:
             raise NumericalError(f"{what} diverged at iteration {t}: {exc}") from exc
-        values = residual(fit)
-        if not all(map(math.isfinite, values)):
+        masked, unmasked = residual(fit)
+        res, res_unmasked = _as_list(masked), _as_list(unmasked)
+        if not all(map(math.isfinite, res + res_unmasked)):
             raise NumericalError(f"{what} diverged at iteration {t}: non-finite residual")
-        residuals.append(values)
         if observer is not None:
             observer(state, t)
         update_duals(state, fit)
         state.t = t + 1
-        last, res = res, values[0]
-        if res <= config.eps:
-            stop_reason = "converged"
+        left = t_max - state.t
+        stopped = []
+        for c, j in enumerate(ids):
+            r = res[c]
+            mu_history, res_history, unmasked_history = records[j]
+            mu_history.append(mu[c])
+            res_history.append(r)
+            unmasked_history.append(res_unmasked[c])
+            if r <= eps:
+                reason = "converged"
+            elif not left:
+                reason = "t_max"
+            elif mu[c] == mu_max and abs(r - last[c]) * left < r - eps:
+                reason = "stalled"
+            else:
+                continue
+            stopped.append(c)
+            out[j] = TrainDiagnostics(
+                iterations=state.t,
+                converged=reason == "converged",
+                final_residual=r,
+                final_residual_unmasked=res_unmasked[c],
+                lam_effective=state.lam,
+                residual_history=res_history,
+                residual_history_unmasked=unmasked_history,
+                mu_history=mu_history,
+                stop_reason=reason,
+            )
+        last = res
+        if not stopped:
+            continue
+        if retire is not None:
+            retire(stopped, [ids[c] for c in stopped])
+        if len(stopped) == len(ids):
             break
-        if state.t < config.t_max and mu_history[-1] == config.mu_max \
-                and abs(res - last) * (config.t_max - state.t) < res - config.eps:
-            stop_reason = "stalled"
-            break
-    masked, unmasked = (list(history) for history in zip(*residuals))
-    return TrainDiagnostics(
-        iterations=state.t,
-        converged=stop_reason == "converged",
-        final_residual=masked[-1],
-        final_residual_unmasked=unmasked[-1],
-        lam_effective=state.lam,
-        residual_history=masked,
-        residual_history_unmasked=unmasked,
-        mu_history=mu_history,
-        stop_reason=stop_reason,
-    )
+        gone = set(stopped)
+        going = [c for c in range(len(ids)) if c not in gone]
+        ids, last = [ids[c] for c in going], [res[c] for c in going]
+    return out
 
 
 def _zero_bundle(ts: TrainingSet, config: SolverConfig, lam: float) -> ModelBundle:
@@ -476,7 +512,7 @@ def train(
     def residual(fit: np.ndarray) -> tuple[float, float]:
         return normalized_residual(state, ts, fit), constraint_residual(state, ts, fit)
 
-    diag = run_penalty_steps(state, sweeps, residual, observer, "training")
+    [diag] = run_penalty_steps(state, sweeps, residual, observer, "training")
     return ModelBundle(
         schema=ts.schema,
         bases=state.bases,

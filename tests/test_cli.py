@@ -59,6 +59,17 @@ class TestSynth:
         assert all(s.mask is None for s in samples)
         assert not list((out / "samples").glob("*_mask.marc"))
 
+    def test_out_of_memory_is_validation_error(self, tmp_path, capsys, monkeypatch):
+        def too_big(spec):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array with shape "
+                              "(100000, 100000) and data type float64")
+        monkeypatch.setattr("marc.cli.generate", too_big)
+        rc = main(["synth", "-o", str(tmp_path / "x"), "--dim", "100000", "--samples", "100000"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: out of memory: Unable to allocate 74.5 GiB for an array with " \
+                      "shape (100000, 100000) and data type float64\n"
+
     def test_bad_attr_flag(self, tmp_path, capsys):
         assert main(["synth", "-o", str(tmp_path / "x"), "--attr", "kind"]) == 2
         assert "--attr needs" in capsys.readouterr().err
@@ -251,6 +262,69 @@ class TestCompleteAndTransfer:
             outs.append([read_vector(out_dir / f"v{n}.marc") for n in range(3)])
         for a, b in zip(*outs):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("command, extra", [("complete", []),
+                                                ("transfer", ["-t", "tone=tone_2"]),
+                                                ("transfer", ["-t", "tone=tone_2", "--post-hoc"])],
+                             ids=["complete", "transfer", "transfer-post-hoc"])
+    def test_directory_agrees_with_single_file_runs(self, workspace, tmp_path, capsys,
+                                                    command, extra):
+        """A directory is solved in blocks; each output matches the file run
+        alone to 1e-12, and the lines come in name order with the same
+        iteration counts. Five files, one all zero, with their own masks."""
+        vec_dir, mask_dir = tmp_path / "in", tmp_path / "masks"
+        vec_dir.mkdir()
+        mask_dir.mkdir()
+        samples = workspace / "data" / "samples"
+        names = [f"sample_{n:04d}.marc" for n in (4, 0, 9, 2)]
+        for name in names:
+            shutil.copy(samples / name, vec_dir / name)
+            shutil.copy(samples / name.replace(".marc", "_mask.marc"), mask_dir / name)
+        write_vector(vec_dir / "zero.marc", np.zeros(30))
+        write_vector(mask_dir / "zero.marc", np.ones(30))
+        names = sorted(names + ["zero.marc"])
+        bundle = str(workspace / "bundle")
+        assert main([command, "-b", bundle, "-i", str(vec_dir), "-m", str(mask_dir),
+                     "-o", str(tmp_path / "all"), *extra]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == names
+        for name, line in zip(names, lines):
+            out = tmp_path / f"one_{name}"
+            assert main([command, "-b", bundle, "-i", str(vec_dir / name),
+                         "-m", str(mask_dir / name), "-o", str(out), *extra]) == 0
+            alone = capsys.readouterr().out.strip()
+            assert line.split()[1] == alone.split()[1]  # iterations=N
+            got, want = read_vector(tmp_path / "all" / name), read_vector(out)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_wrong_length_vector_in_directory_names_it(self, workspace, tmp_path, capsys):
+        vec_dir = tmp_path / "in"
+        vec_dir.mkdir()
+        samples = workspace / "data" / "samples"
+        shutil.copy(samples / "sample_0000.marc", vec_dir / "a.marc")
+        write_vector(vec_dir / "b.marc", np.ones(29))
+        rc = main(["complete", "-b", str(workspace / "bundle"), "-i", str(vec_dir),
+                   "-o", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "b.marc: input vector has length 29, expected 30" in err
+        assert not any((tmp_path / "out").iterdir())  # checked before any solve
+
+    def test_missing_mask_file_in_directory_is_io_error(self, workspace, tmp_path, capsys):
+        vec_dir, mask_dir = tmp_path / "in", tmp_path / "masks"
+        vec_dir.mkdir()
+        mask_dir.mkdir()
+        samples = workspace / "data" / "samples"
+        for name in ("a.marc", "b.marc"):
+            shutil.copy(samples / "sample_0000.marc", vec_dir / name)
+        shutil.copy(samples / "sample_0000_mask.marc", mask_dir / "a.marc")
+        rc = main(["complete", "-b", str(workspace / "bundle"), "-i", str(vec_dir),
+                   "-m", str(mask_dir), "-o", str(tmp_path / "out")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "b.marc" in err
 
     def test_empty_directory(self, workspace, tmp_path, capsys):
         empty = tmp_path / "empty"

@@ -17,6 +17,7 @@ from marc.reconstructor import (
     build_span,
     complete,
     reconstruct,
+    reconstruct_many,
     transfer,
 )
 from marc.synthbench import SynthSpec, generate
@@ -312,3 +313,119 @@ class TestContracts:
         result = reconstruct(y * w, w, bundle, config=ReconConfig(t_max=30),
                              observer=watch)
         assert ticks == list(range(result.diagnostics.iterations))
+
+
+class TestBlock:
+    """reconstruct_many solves each column as reconstruct solves it alone."""
+
+    @staticmethod
+    def assert_close(a, b, scale):
+        assert np.linalg.norm(np.asarray(a) - np.asarray(b)) <= 1e-12 * scale
+
+    def columns(self, planted, one_mask):
+        """Columns covering each path: an all-zero vector, a fully hidden
+        one (both take no step), an exact in-model vector, which converges
+        early and leaves the working set, spiked vectors that run on, and
+        two columns sharing one mask. With one_mask, every column has the
+        same mask and no column is fully hidden."""
+        _, _, y, _ = planted
+        rng = np.random.default_rng(17)
+        spiked = []
+        for _ in range(3):
+            v = y + rng.standard_normal(y.size) * 0.05
+            v[rng.choice(y.size, 3, replace=False)] += 5.0
+            spiked.append(v)
+        shared = (rng.random(y.size) >= 0.3).astype(float)
+        if one_mask:
+            ys = [np.zeros_like(y), y, *spiked]
+            return np.column_stack(ys), np.column_stack([shared] * len(ys))
+        ys = [np.zeros_like(y), spiked[0], y, *spiked]
+        ws = [(rng.random(y.size) >= 0.3).astype(float), np.zeros_like(y),
+              np.ones_like(y), (rng.random(y.size) >= 0.2).astype(float), shared, shared]
+        return np.column_stack(ys), np.column_stack(ws)
+
+    @pytest.mark.parametrize("one_mask", [False, True], ids=["own-masks", "one-mask"])
+    @pytest.mark.parametrize("pins", [{}, {"tint": "cool"}], ids=["free", "pinned"])
+    @pytest.mark.parametrize("stop, schedule", [("converged", {}), ("t_max", dict(t_max=6)),
+                                                ("stalled", dict(mu_max=30.0))],
+                             ids=["defaults", "t_max-6", "mu_max-30"])
+    def test_each_column_matches_its_single_solve(self, planted, one_mask, pins, stop, schedule):
+        """Columns stop at different steps and leave the working set; with
+        a small t_max some stop there, with a small mu_max some stall."""
+        truth, bundle, _, _ = planted
+        Y, W = self.columns(planted, one_mask)
+        spec = TransferSpec.targets(truth.schema, pins)
+        config = ReconConfig(rank_rule=RankRule.fixed(2), **schedule)
+        block = reconstruct_many(Y, W, bundle, spec, config)
+        assert len(block) == Y.shape[1]
+        reasons = set()
+        for c, got in enumerate(block):
+            want = reconstruct(Y[:, c], W[:, c], bundle, spec, config)
+            # Bases and span are orthonormal, so every part is on the scale
+            # of the input; residuals are relative to it already.
+            scale = np.linalg.norm(Y[:, c])
+            for a, b in zip(got.selectors, want.selectors):
+                self.assert_close(a, b, scale)
+            self.assert_close(got.indiv_coeffs, want.indiv_coeffs, scale)
+            self.assert_close(got.sparse_error, want.sparse_error, scale)
+            self.assert_close(got.reconstruction, want.reconstruction, scale)
+            g, w = got.diagnostics, want.diagnostics
+            assert (g.iterations, g.stop_reason, g.converged) \
+                == (w.iterations, w.stop_reason, w.converged)
+            for a, b in ((g.residual_history, w.residual_history),
+                         (g.residual_history_unmasked, w.residual_history_unmasked)):
+                assert len(a) == len(b)
+                self.assert_close(a, b, 1.0)
+            assert len(g.mu_history) == len(w.mu_history)
+            self.assert_close(g.mu_history, w.mu_history, np.linalg.norm(w.mu_history))
+            reasons.add(g.stop_reason)
+        assert stop in reasons
+        if stop != "t_max":
+            assert len({r.diagnostics.iterations for r in block if r.diagnostics.iterations}) > 2
+
+    def test_pinned_selectors_come_back_bitwise(self, planted):
+        truth, bundle, _, _ = planted
+        Y, W = self.columns(planted, one_mask=False)
+        spec = TransferSpec.targets(truth.schema, {"tint": "cool"})
+        for result in reconstruct_many(Y, W, bundle, spec, ReconConfig(rank_rule=RankRule.fixed(2))):
+            assert np.array_equal(result.selectors[1], truth.bank.selectors[1][:, 1])
+
+    def test_a_block_solved_twice_is_bitwise_equal(self, planted):
+        _, bundle, _, _ = planted
+        Y, W = self.columns(planted, one_mask=False)
+        config = ReconConfig(rank_rule=RankRule.fixed(2))
+        one, two = (reconstruct_many(Y, W, bundle, config=config) for _ in range(2))
+        for a, b in zip(one, two):
+            for x, y in zip(a.selectors, b.selectors):
+                assert np.array_equal(x, y)
+            assert np.array_equal(a.indiv_coeffs, b.indiv_coeffs)
+            assert np.array_equal(a.sparse_error, b.sparse_error)
+            assert np.array_equal(a.reconstruction, b.reconstruction)
+            assert a.diagnostics == b.diagnostics
+
+    def test_the_observer_sees_the_working_set(self, planted):
+        _, bundle, _, _ = planted
+        Y, W = self.columns(planted, one_mask=False)
+        widths = []
+        results = reconstruct_many(Y, W, bundle, config=ReconConfig(rank_rule=RankRule.fixed(2)),
+                                   observer=lambda state, t: widths.append(state.mu.size))
+        # The zero and fully hidden columns take no step; then columns leave
+        # as they stop.
+        assert widths[0] == Y.shape[1] - 2
+        assert widths == sorted(widths, reverse=True)
+        assert len(widths) == max(r.diagnostics.iterations for r in results)
+
+    def test_block_input_is_checked(self, planted):
+        _, bundle, y, _ = planted
+        with pytest.raises(ValidationError, match=r"input block has shape \(40,\)"):
+            reconstruct_many(y, None, bundle)
+        with pytest.raises(ValidationError, match=r"input masks have shape \(40, 1\)"):
+            reconstruct_many(np.column_stack([y, y]), np.ones((40, 1)), bundle)
+        bad = np.column_stack([y, y, y])
+        bad[4, 2] = np.inf
+        with pytest.raises(ValidationError, match="column 2: input vector contains non-finite"):
+            reconstruct_many(bad, None, bundle)
+        w = np.ones_like(bad)
+        w[0, 1] = 2.0
+        with pytest.raises(ValidationError, match="column 1: input mask must be strictly binary"):
+            reconstruct_many(np.column_stack([y, y, y]), w, bundle)
