@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import formats
-from .dataset import AttributeSchema, assemble
+from .dataset import AttributeSchema, assemble, check_observed
 from .errors import FormatError, NumericalError, ValidationError
 from .proxops import RankRule
 from .reconstructor import ReconConfig, TransferSpec, check_input, reconstruct_many, synthesize
@@ -110,12 +110,12 @@ def _recon_jobs(args: argparse.Namespace) -> list[tuple[Path, Path | None, Path]
 
 
 def _run_recon_jobs(args: argparse.Namespace) -> int:
-    """complete and transfer: read and check every resolved job, then
-    reconstruct them in blocks of at most BLOCK_WIDTH with
-    `reconstruct_many`, writing outputs and printing one line per job in
-    name order. Without --target every selector is solved freely;
-    otherwise the named attributes are pinned (--post-hoc chooses the joint
-    re-solve or the post-hoc substitution)."""
+    """complete and transfer: read every resolved job and check them as one
+    block (`check_observed`, naming the file), then reconstruct them in
+    blocks of at most BLOCK_WIDTH with `reconstruct_many`, writing outputs
+    and printing one line per job in name order. Without --target every
+    selector is solved freely; otherwise the named attributes are pinned
+    (--post-hoc chooses the joint re-solve or the post-hoc substitution)."""
     targets = _parse_pairs(args.target, "--target", "attribute=instantiation")
     bundle = formats.load_bundle(args.bundle)
     config = _recon_config(args)
@@ -123,7 +123,7 @@ def _run_recon_jobs(args: argparse.Namespace) -> int:
     free = TransferSpec.all_free(bundle.schema)
     pins = TransferSpec.targets(bundle.schema, targets)
     Y = np.empty((bundle.dim, len(jobs)))
-    W = np.empty((bundle.dim, len(jobs)), dtype=bool)
+    W = np.empty((bundle.dim, len(jobs)))
     for k, (in_path, mask_path, _) in enumerate(jobs):
         y = formats.read_vector(in_path)
         w = formats.read_vector(mask_path) if mask_path else None
@@ -131,6 +131,7 @@ def _run_recon_jobs(args: argparse.Namespace) -> int:
             Y[:, k], W[:, k] = check_input(y, w, bundle.dim)
         except ValidationError as exc:
             raise ValidationError(f"{in_path}: {exc}") from None
+    check_observed(Y, W, lambda k: str(jobs[k][0]), "input vector", "input mask")
     spec = free if args.post_hoc else pins
     for block in np.array_split(np.arange(len(jobs)), math.ceil(len(jobs) / BLOCK_WIDTH)):
         results = reconstruct_many(Y[:, block], W[:, block], bundle, spec, config)

@@ -1,18 +1,22 @@
-"""Schema, sample, and training-set containers.
+"""Schema, sample, and training-set containers, and the observed-data rule.
 
 A dataset is a collection of column vectors, each labeled with exactly one
 instantiation per attribute, plus a binary visibility mask. Assembly stacks
 the columns into dense matrices and records, per attribute, which
 instantiation every column carries.
+
+`check_observed` holds the rule every entry point applies to observed data
+(finite values; a 0/1 mask of the same shape), vectorised over columns;
+each caller names the offending column its own way.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_integer
 
 
 @dataclass(frozen=True)
@@ -104,11 +108,30 @@ class Sample:
     mask: np.ndarray | None = None
 
 
-def _as_binary(arr: np.ndarray, what: str) -> np.ndarray:
-    arr = np.asarray(arr, dtype=np.float64)
-    if not np.all((arr == 0.0) | (arr == 1.0)):
-        raise ValidationError(f"{what} must be strictly binary (0/1 entries)")
-    return arr
+def check_observed(X: np.ndarray, W: np.ndarray | None, name: Callable[[int], str] | None = None,
+                   data: str = "", mask: str = "mask") -> tuple[np.ndarray, np.ndarray]:
+    """X, a (dim, n) block or one (dim,) vector, and its mask W (None: all
+    visible) as float64 arrays, once they meet the rule for observed data:
+    X is finite, and W has X's shape and holds only 0 and 1. The first
+    column c at fault raises ValidationError: "name(c): <data> contains
+    non-finite entries" or "name(c): <mask> must be strictly binary (0/1
+    entries)"; an empty `data` reads "non-finite entries", no `name` drops
+    the prefix."""
+    X = np.asarray(X, dtype=np.float64)
+    W = np.ones_like(X) if W is None else np.asarray(W, dtype=np.float64)
+    if W.shape != X.shape:
+        raise ValidationError(f"{mask}s have shape {W.shape}, which does not match {X.shape}")
+    finite = np.isfinite(X)
+    binary = (W == 0.0) | (W == 1.0)
+    if finite.all() and binary.all():
+        return X, W
+    bad_data = ~finite.reshape(len(X), -1).all(axis=0)
+    c = int(np.argmax(bad_data | ~binary.reshape(len(X), -1).all(axis=0)))
+    where = f"{name(c)}: " if name else ""
+    if bad_data[c]:
+        subject = f"{data} contains " if data else ""
+        raise ValidationError(f"{where}{subject}non-finite entries")
+    raise ValidationError(f"{where}{mask} must be strictly binary (0/1 entries)")
 
 
 @dataclass(frozen=True)
@@ -127,38 +150,35 @@ class TrainingSet:
     visible: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        X = np.ascontiguousarray(self.X, dtype=np.float64)
+        X = np.asarray(self.X, dtype=np.float64)
         if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
             raise ValidationError("X must be a non-empty 2-D matrix")
-        if not np.all(np.isfinite(X)):
-            raise ValidationError("X contains non-finite entries")
-        W = _as_binary(self.W, "mask matrix W")
-        if W.shape != X.shape:
-            raise ValidationError(f"W shape {W.shape} does not match X shape {X.shape}")
+        X, W = check_observed(X, self.W, lambda n: f"sample {n}")
         if len(self.label_index) != self.schema.count:
             raise ValidationError("label_index must have one entry per schema attribute")
         idx = []
         for i, li in enumerate(self.label_index):
-            li = np.asarray(li, dtype=np.int64)
+            name = self.schema.name(i)
+            li = np.asarray(li)
             if li.shape != (X.shape[1],):
                 raise ValidationError(
-                    f"label_index for attribute '{self.schema.name(i)}' must have "
-                    f"length {X.shape[1]}"
+                    f"label_index for attribute '{name}' must have length {X.shape[1]}"
                 )
+            # An array holds one type: its least entry is an integer if all are.
+            check_integer(min(li.tolist()), f"label_index for attribute '{name}'")
+            li = li.astype(np.int64, copy=False)
             m = self.schema.size(i)
-            if li.size and (li.min() < 0 or li.max() >= m):
-                raise ValidationError(
-                    f"label_index for attribute '{self.schema.name(i)}' out of range"
-                )
+            if li.max() >= m:
+                raise ValidationError(f"label_index for attribute '{name}' out of range")
             counts = np.bincount(li, minlength=m)
             if np.any(counts == 0):
                 j = int(np.flatnonzero(counts == 0)[0])
                 raise ValidationError(
                     f"instantiation '{self.schema.labels(i)[j]}' of attribute "
-                    f"'{self.schema.name(i)}' has no samples"
+                    f"'{name}' has no samples"
                 )
             idx.append(li)
-        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "X", np.ascontiguousarray(X))
         object.__setattr__(self, "W", np.ascontiguousarray(W))
         object.__setattr__(self, "label_index", tuple(idx))
         object.__setattr__(self, "visible", self.W != 0.0)
@@ -176,8 +196,8 @@ def assemble(schema: AttributeSchema, samples: Sequence[Sample]) -> TrainingSet:
     """Stack labeled samples into a TrainingSet.
 
     Raises ValidationError naming the offending sample on any mismatch:
-    inconsistent dimension, non-binary mask, missing/unknown labels, or an
-    instantiation that ends up with zero columns.
+    inconsistent length, missing/unknown labels, or an instantiation that
+    ends up with zero columns. TrainingSet then checks the values once.
     """
     if not samples:
         raise ValidationError("cannot assemble an empty sample list")
@@ -193,12 +213,10 @@ def assemble(schema: AttributeSchema, samples: Sequence[Sample]) -> TrainingSet:
             raise ValidationError(f"{where}: dimension {x.size} does not match {dim}")
         if x.size < 1:
             raise ValidationError(f"{where}: empty data vector")
-        if not np.all(np.isfinite(x)):
-            raise ValidationError(f"{where}: non-finite entries")
         if sample.mask is None:
             w = np.ones(dim)
         else:
-            w = _as_binary(np.asarray(sample.mask).reshape(-1), f"{where}: mask")
+            w = np.asarray(sample.mask, dtype=np.float64).reshape(-1)
             if w.size != dim:
                 raise ValidationError(f"{where}: mask length {w.size} does not match {dim}")
         extra = set(sample.labels) - {name for name, _ in schema.attributes}

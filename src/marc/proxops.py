@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMatrixError, NumericalError, ValidationError
+from .errors import DegenerateMatrixError, NumericalError, ValidationError, check_integer
 
 
 def _check_matrix(m: np.ndarray, name: str) -> np.ndarray:
@@ -219,14 +219,14 @@ class RankRule:
     def __post_init__(self) -> None:
         if (self.explicit is None) == (self.energy is None):
             raise ValidationError("RankRule needs exactly one of explicit/energy")
-        if self.explicit is not None and self.explicit < 1:
-            raise ValidationError(f"explicit rank must be >= 1, got {self.explicit}")
+        if self.explicit is not None:
+            check_integer(self.explicit, "explicit rank", 1)
         if self.energy is not None and not 0.0 < self.energy <= 1.0:
             raise ValidationError(f"energy fraction must be in (0, 1], got {self.energy}")
 
     @classmethod
     def fixed(cls, r: int) -> "RankRule":
-        return cls(explicit=int(r))
+        return cls(explicit=r)
 
     @classmethod
     def energy_fraction(cls, fraction: float) -> "RankRule":

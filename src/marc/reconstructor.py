@@ -21,6 +21,9 @@ soft-thresholds the visible part of e.
 `reconstruct_many` solves a block of vectors as independent problems that
 share each sweep's matrix products; `reconstruct` is its one-vector case, so
 both run the same steps.
+
+Inputs meet the rule training data meets, `dataset.check_observed`, once per
+call: on the one vector, or on the whole block naming the column at fault.
 """
 from __future__ import annotations
 
@@ -30,8 +33,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .dataset import AttributeSchema
-from .errors import DegenerateMatrixError, ValidationError
+from .dataset import AttributeSchema, check_observed
+from .errors import DegenerateMatrixError, ValidationError, check_integer
 from .proxops import RankRule, soft_threshold, svd_span
 from .trainer import ModelBundle, Schedule, TrainDiagnostics, run_penalty_steps
 
@@ -65,6 +68,11 @@ class TransferSpec:
     index pins it to the trained selector for that instantiation."""
 
     pinned: tuple[int | None, ...]
+
+    def __post_init__(self) -> None:
+        for mode in self.pinned:
+            if mode is not None:
+                check_integer(mode, "pinned instantiation")
 
     @classmethod
     def all_free(cls, schema: AttributeSchema) -> "TransferSpec":
@@ -150,25 +158,15 @@ def synthesize(
     return out
 
 
-def _check_vector(y: np.ndarray, dim: int, name: str) -> np.ndarray:
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    if y.size != dim:
-        raise ValidationError(f"{name} has length {y.size}, expected {dim}")
-    return y
-
-
 def check_input(y: np.ndarray, w_y: np.ndarray | None, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """One input vector and its mask (None: every entry visible) as float
-    vectors of length `dim`. Raises ValidationError for a wrong length,
-    non-finite data, or a mask that is not strictly 0/1."""
-    y = _check_vector(y, dim, "input vector")
-    if not np.all(np.isfinite(y)):
-        raise ValidationError("input vector contains non-finite entries")
-    if w_y is None:
-        return y, np.ones(dim)
-    w_y = _check_vector(w_y, dim, "input mask")
-    if not np.all((w_y == 0.0) | (w_y == 1.0)):
-        raise ValidationError("input mask must be strictly binary (0/1 entries)")
+    vectors of length `dim`; either of another length raises
+    ValidationError. Their values are `check_observed`'s to check."""
+    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    w_y = np.ones(dim) if w_y is None else np.asarray(w_y, dtype=np.float64).reshape(-1)
+    for v, what in ((y, "input vector"), (w_y, "input mask")):
+        if v.size != dim:
+            raise ValidationError(f"{what} has length {v.size}, expected {dim}")
     return y, w_y
 
 
@@ -178,7 +176,7 @@ def _check_spec(spec: TransferSpec | None, schema: AttributeSchema) -> TransferS
     if len(spec.pinned) != schema.count:
         raise ValidationError("transfer spec does not cover the schema")
     for i, mode in enumerate(spec.pinned):
-        if mode is not None and not 0 <= mode < schema.size(i):
+        if mode is not None and mode >= schema.size(i):
             raise ValidationError(
                 f"pinned instantiation {mode} out of range for attribute '{schema.name(i)}'"
             )
@@ -210,6 +208,7 @@ def reconstruct(
     once per penalty step with (state, t), where state holds this vector's
     iterates as 1-D arrays and mu as a float."""
     y, w_y = check_input(y, w_y, bundle.dim)
+    check_observed(y, w_y, data="input vector", mask="input mask")
     [result] = _solve(y, w_y, bundle, spec, config, observer)
     return result
 
@@ -249,23 +248,14 @@ def reconstruct_many(
 
     Pinned selectors are copied from the trained bank and never touched, so
     they come back bitwise identical. Non-convergence is flagged in
-    diagnostics, not raised. A column that fails `check_input` raises
-    ValidationError naming its index.
+    diagnostics, not raised. Input that breaks `dataset.check_observed`
+    raises ValidationError naming the first offending column by its index.
     """
     dim = bundle.dim
     Y = np.asarray(Y, dtype=np.float64)
     if Y.ndim != 2 or Y.shape[0] != dim:
         raise ValidationError(f"input block has shape {Y.shape}, expected ({dim}, count)")
-    if W is None:
-        W = np.ones_like(Y)
-    W = np.asarray(W, dtype=np.float64)
-    if W.shape != Y.shape:
-        raise ValidationError(f"input masks have shape {W.shape}, expected {Y.shape}")
-    for c in range(Y.shape[1]):
-        try:
-            check_input(Y[:, c], W[:, c], dim)
-        except ValidationError as exc:
-            raise ValidationError(f"column {c}: {exc}") from None
+    Y, W = check_observed(Y, W, lambda c: f"column {c}", "input vector", "input mask")
     return _solve(Y, W, bundle, spec, config, observer)
 
 

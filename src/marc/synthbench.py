@@ -17,10 +17,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import AttributeSchema, Sample, SelectorBank, TrainingSet, assemble
-from .errors import NumericalError, ValidationError
+from .dataset import AttributeSchema, SelectorBank, TrainingSet, check_observed
+from .errors import NumericalError, ValidationError, check_integer
 from .proxops import random_orthonormal
-from .trainer import ModelBundle, check_seed
+from .trainer import ModelBundle
 
 
 @dataclass(frozen=True)
@@ -44,8 +44,8 @@ class SynthSpec:
     seed: int = 7
 
     def __post_init__(self) -> None:
-        if self.dim < 1 or self.count < 1:
-            raise ValidationError("dim and count must be positive")
+        for name, least in (("dim", 1), ("count", 1), ("rank_g", 0), ("seed", 0)):
+            check_integer(getattr(self, name), name, least)
         for i in range(self.schema.count):
             if self.schema.size(i) > self.count:
                 raise ValidationError(
@@ -74,7 +74,6 @@ class SynthSpec:
                 f"sparsity asks for {n_sparse} gross errors but missing_frac leaves "
                 f"only {n_visible} visible cells"
             )
-        check_seed(self.seed)
 
 
 def default_spec() -> SynthSpec:
@@ -115,8 +114,9 @@ def _assignments(spec: SynthSpec, rng: np.random.Generator) -> list[np.ndarray]:
 
 def generate(spec: SynthSpec) -> tuple[TrainingSet, GroundTruth]:
     """Draw a planted instance. Deterministic in spec.seed; the training set
-    is produced by `assemble` from per-sample vectors, so its label_index
-    matches the generator's assignments exactly."""
+    is built from the planted data, mask and assignments themselves (its X
+    and W are truth.data and truth.mask, not copies), so its label_index is
+    the generator's assignments."""
     rng = np.random.default_rng(spec.seed)
     dim, count = spec.dim, spec.count
     schema = spec.schema
@@ -155,16 +155,7 @@ def generate(spec: SynthSpec) -> tuple[TrainingSet, GroundTruth]:
 
     data = _clean_part(bases, bank, individual, assignments) + error
 
-    samples = [
-        Sample(
-            data=data[:, n],
-            mask=mask[:, n],
-            labels={schema.name(i): schema.labels(i)[assignments[i][n]]
-                    for i in range(schema.count)},
-        )
-        for n in range(count)
-    ]
-    ts = assemble(schema, samples)
+    ts = TrainingSet(schema, data, mask, tuple(assignments))
     truth = GroundTruth(
         schema=schema,
         bases=bases,
@@ -331,18 +322,13 @@ def rpca_reference(
     Lagrangian iteration, kept independent of the trainer on purpose.
 
     Hidden cells (W = 0) take the residual without shrinking. Returns
-    (low_rank, sparse). Raises NumericalError on divergence.
+    (low_rank, sparse). Input that breaks `check_observed` raises
+    ValidationError naming its column; divergence raises NumericalError.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValidationError("rpca_reference expects a 2-D matrix")
-    if W is None:
-        W = np.ones_like(X)
-    W = np.asarray(W, dtype=np.float64)
-    if W.shape != X.shape:
-        raise ValidationError("mask shape does not match data shape")
-    if not np.all((W == 0.0) | (W == 1.0)):
-        raise ValidationError("mask must be strictly binary (0/1 entries)")
+    X, W = check_observed(X, W, lambda c: f"column {c}")
     m, n = X.shape
     if lam is None:
         lam = 1.0 / math.sqrt(max(m, n))

@@ -50,14 +50,13 @@ the reference the loop is tested against.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Literal
 
 import numpy as np
 
 from .dataset import AttributeSchema, SelectorBank, TrainingSet
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, check_integer
 from .proxops import deterministic_svd, procrustes, random_orthonormal, shrink_matrix, svt
 
 # Each penalty step runs up to INNER_SWEEPS Gauss-Seidel sweeps of the primal
@@ -91,8 +90,7 @@ class Schedule:
             raise ValidationError(f"lam must be positive, got {self.lam}")
         if not (np.isfinite(self.eps) and self.eps > 0):
             raise ValidationError(f"eps must be positive, got {self.eps}")
-        if self.t_max < 1:
-            raise ValidationError(f"t_max must be >= 1, got {self.t_max}")
+        check_integer(self.t_max, "t_max", 1)
         if not (np.isfinite(self.rho) and self.rho > 1):
             raise ValidationError(f"rho must be > 1, got {self.rho}")
         if not (np.isfinite(self.mu_max) and self.mu_max > 0):
@@ -120,14 +118,7 @@ class SolverConfig(Schedule):
         if self.mu0_norm not in MU0_NORMS:
             allowed = " or ".join(repr(norm) for norm in MU0_NORMS)
             raise ValidationError(f"mu0_norm must be {allowed}, got '{self.mu0_norm}'")
-        check_seed(self.seed)
-
-
-def check_seed(seed: object) -> None:
-    """Raise ValidationError unless `seed` is a non-negative integer (not a
-    bool), as numpy's generators take it."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+        check_integer(self.seed, "seed")
 
 
 @dataclass

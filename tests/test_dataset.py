@@ -130,6 +130,9 @@ class TestTrainingSet:
             TrainingSet(schema, X, W, (np.array([0, 0, 0, 0]),))
         with pytest.raises(ValidationError, match="non-finite"):
             TrainingSet(schema, X * np.inf, W, idx)
+        with pytest.raises(ValidationError,
+                           match="label_index for attribute 'kind' must be an integer"):
+            TrainingSet(schema, X, W, (np.array([0, 1, 0.5, 1]),))
 
 
 class TestColumnsAndSelectors:

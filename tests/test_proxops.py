@@ -345,6 +345,8 @@ def test_rank_rule_validation():
         RankRule(explicit=2, energy=0.5)
     with pytest.raises(ValidationError):
         RankRule.fixed(0)
+    with pytest.raises(ValidationError, match="explicit rank must be an integer, got 2.5"):
+        RankRule(explicit=2.5)
     with pytest.raises(ValidationError):
         RankRule.energy_fraction(0.0)
     with pytest.raises(ValidationError):

@@ -78,6 +78,8 @@ class TestValidation:
             reconstruct(y, None, bundle, spec=TransferSpec((None,)))
         with pytest.raises(ValidationError, match="out of range"):
             reconstruct(y, None, bundle, spec=TransferSpec((None, 3)))
+        with pytest.raises(ValidationError, match="pinned instantiation must be an integer"):
+            TransferSpec((True, None))
 
     def test_transfer_spec_by_name(self, planted):
         truth, _, _, _ = planted

@@ -34,7 +34,7 @@ class TestSpecValidation:
         dict(dim=0), dict(count=0), dict(rank_g=-1), dict(rank_g=18),
         dict(rank_g=10, dim=50, count=50), dict(sparsity=1.0),
         dict(sparsity=-0.1), dict(missing_frac=1.0), dict(noise_amp=0.0),
-        dict(seed=-5), dict(seed=True), dict(seed=2.0),
+        dict(seed=-5), dict(seed=True), dict(seed=2.0), dict(dim=50.5),
     ])
     def test_bad_parameters(self, kw):
         with pytest.raises(ValidationError):
@@ -123,6 +123,8 @@ class TestGenerate:
             seen = np.unique(truth.assignments[i])
             assert set(seen) == set(range(truth.schema.size(i)))
             assert np.array_equal(ts.label_index[i], truth.assignments[i])
+            assert ts.label_index[i].dtype == np.int64
+        assert np.array_equal(ts.X, truth.data) and np.array_equal(ts.W, truth.mask)
 
     def test_rank_zero_drops_individual(self):
         spec = SynthSpec(schema=TWO_ATTR, dim=20, count=12, rank_g=0,

@@ -73,6 +73,7 @@ class TestSolverConfig:
         dict(rho=1.0), dict(mu_max=0.0), dict(mu0_scale=0.0),
         dict(mu0_norm="nuclear"),
         dict(seed=-1), dict(seed=True), dict(seed=1.0), dict(seed="0"),
+        dict(t_max=2.5), dict(t_max=True),
     ])
     def test_validation(self, bad):
         with pytest.raises(ValidationError):
