@@ -28,6 +28,7 @@ import dataclasses
 import json
 import struct
 import typing
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -86,7 +87,9 @@ def read_matrix(path: str | Path) -> np.ndarray:
     path = Path(path)
     if path.suffix.lower() == ".csv":
         try:
-            m = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
+            with warnings.catch_warnings():  # no data: reported as empty below
+                warnings.simplefilter("ignore", UserWarning)
+                m = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
         except ValueError as exc:
             raise FormatError(f"{path}: not a readable CSV matrix: {exc}") from exc
         if m.size == 0:

@@ -15,12 +15,14 @@ single pass (the exact rather than the inexact augmented Lagrangian method,
 Lin, Chen & Ma, arXiv:1009.5055): one pass per step lets the penalty grow
 past the point where the split can still change, and the iterate freezes
 feasible but wrong. A sweep solves the free selectors and the span
-coefficients together by least squares on the visible rows, then
+coefficients together by least squares on the visible rows, through one
+`np.linalg.pinv` P per distinct mask (or its k x k normal map P P^T), then
 soft-thresholds the visible part of e.
 
 `reconstruct_many` solves a block of vectors as independent problems that
 share each sweep's matrix products; `reconstruct` is its one-vector case, so
-both run the same steps.
+both run the same steps. A vector's result is built once, when
+`trainer.run_penalty_steps` retires its problem.
 
 Inputs meet the rule training data meets, `dataset.check_observed`, once per
 call: on the one vector, or on the whole block naming the column at fault.
@@ -28,13 +30,14 @@ call: on the one vector, or on the whole block naming the column at fault.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
 
 from .dataset import AttributeSchema, check_observed
-from .errors import DegenerateMatrixError, ValidationError, check_integer
+from .errors import DegenerateMatrixError, NumericalError, ValidationError, check_integer
 from .proxops import RankRule, soft_threshold, svd_span
 from .trainer import ModelBundle, Schedule, TrainDiagnostics, run_penalty_steps
 
@@ -127,14 +130,14 @@ def build_span(bundle: ModelBundle, rule: RankRule | None = None) -> np.ndarray:
     """Orthonormal basis of the trained individual component, as wide as
     `rule` picks (default: ReconConfig's), cut from the bundle's SVD;
     the bundle is left as it was. An identically zero individual part has no
-    span; either pass an explicit rank against a nonzero component or
-    reconstruct with use_individual=False."""
+    span of any width, an explicit rank included; reconstruct such a model
+    with use_individual=False."""
     if rule is None:
         rule = ReconConfig().rank_rule
     if bundle.individual_svd[1][0] == 0.0:  # the spectral norm of G
         raise DegenerateMatrixError(
             "the trained individual component is identically zero; "
-            "pass an explicit rank or set use_individual=False"
+            "reconstruct without it (use_individual=False, --no-individual)"
         )
     return svd_span(bundle.individual_svd, rule)
 
@@ -181,18 +184,6 @@ def _check_spec(spec: TransferSpec | None, schema: AttributeSchema) -> TransferS
                 f"pinned instantiation {mode} out of range for attribute '{schema.name(i)}'"
             )
     return spec
-
-
-def _pinv_svd(design_v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(u, s_plus, vt) from the SVD design_v = u diag(s) vt, where s_plus
-    inverts the singular values `np.linalg.pinv` keeps (s > 1e-15 max s)
-    and zeroes the rest: pinv(design_v) = vt^T diag(s_plus) u^T, also when
-    design_v is rank deficient."""
-    u, s, vt = np.linalg.svd(design_v, full_matrices=False)
-    large = s > 1e-15 * s.max(initial=0.0)
-    s_plus = np.zeros_like(s)
-    s_plus[large] = 1.0 / s[large]
-    return u, s_plus, vt
 
 
 def reconstruct(
@@ -249,7 +240,8 @@ def reconstruct_many(
     Pinned selectors are copied from the trained bank and never touched, so
     they come back bitwise identical. Non-convergence is flagged in
     diagnostics, not raised. Input that breaks `dataset.check_observed`
-    raises ValidationError naming the first offending column by its index.
+    raises ValidationError naming the first offending column by its index;
+    a column whose observed norm overflows float64 raises NumericalError.
     """
     dim = bundle.dim
     Y = np.asarray(Y, dtype=np.float64)
@@ -295,7 +287,12 @@ def _solve(
     free = [i for i, sel in enumerate(trained) if sel is None]
     lam = config.effective_lam(dim, 1)
     observed = Y * W
-    norms = [float(np.linalg.norm(_column(observed, c))) for c in range(count)]
+    with np.errstate(over="ignore"):  # an overflowing norm raises NumericalError below
+        norms = [float(np.linalg.norm(_column(observed, c))) for c in range(count)]
+    for c in (c for c, norm in enumerate(norms) if not math.isfinite(norm)):
+        where = f"column {c}" if Y.ndim == 2 else "the input vector"
+        raise NumericalError(f"reconstruction diverged at iteration 0: the observed norm "
+                             f"of {where} overflows float64")
     results: list[ReconResult | None] = [None] * count
 
     live = [c for c, norm in enumerate(norms) if norm != 0.0]
@@ -331,13 +328,14 @@ def _solve(
     # The primal blocks of a sweep are x, the free selectors and the span
     # coefficients taken together, then the sparse error e. Hidden entries of
     # e carry no penalty and absorb whatever x leaves there, so the x step is
-    # each column's least-squares fit on its visible rows, pinv(D_v) r_v,
-    # with D the stacked design [F_free, K]: one SVD per distinct mask. When
-    # every column has one mask, that is a product with the pseudo-inverse
-    # (zero on hidden rows) for the whole block. Otherwise each column takes
-    # M D^T (w .* r), where M = V S^-2 V^T is its mask's k x k normal map
-    # (k the width of D): one product with D^T for the whole block and a
-    # stacked k x k one. Either way hidden rows of r enter no x step.
+    # each column's least-squares fit on its visible rows, P r_v, with D the
+    # stacked design [F_free, K] and P = pinv(D_v): one `np.linalg.pinv` per
+    # distinct mask. When every column has one mask, that is a product with
+    # P placed on the visible columns (zero on hidden rows) for the whole
+    # block. Otherwise each column takes P P^T D^T (w .* r), since
+    # P P^T D_v^T = P: P P^T is its mask's k x k normal map (k the width of
+    # D), so the block takes one product with D^T and a stacked k x k one.
+    # Either way hidden rows of r enter no x step.
     blocks = [bases[i] for i in free] + ([span] if span.shape[1] else [])
     design = np.concatenate(blocks, axis=1) if blocks else np.zeros((dim, 0))
     ends = list(itertools.accumulate((block.shape[1] for block in blocks), initial=0))
@@ -348,17 +346,15 @@ def _solve(
         "visible": visible, "observed": observed, "norm": norm,
         "tol_sq": (INNER_TOL * norm) ** 2,
         "x": np.zeros((design.shape[1],) + tail),
+        "input": np.array(live),  # each working column's index in the input
     }
     if len(first) == 1:
-        u, s_plus, vt = _pinv_svd(design[masks[0]])
         pinv = np.zeros((design.shape[1], dim))
-        pinv[:, masks[0]] = vt.T @ (s_plus[:, None] * u.T)
+        pinv[:, masks[0]] = np.linalg.pinv(design[masks[0]])
     else:
         pinv = None
-        normal = {}
-        for c in first.values():
-            _, s_plus, vt = _pinv_svd(design[masks[c]])
-            normal[c] = (vt.T * s_plus ** 2) @ vt
+        factors = ((c, np.linalg.pinv(design[masks[c]])) for c in first.values())
+        normal = {c: factor @ factor.T for c, factor in factors}
         cols["maps"] = np.stack([normal[c] for c in mask_of])
     # Pinned terms F_k h_k are fixed: formed once, added in schema order.
     terms = [lift(bases[i] @ sel) if sel is not None else None for i, sel in enumerate(trained)]
@@ -379,7 +375,6 @@ def _solve(
         lam=lam,
     )
     shared = indiv = np.zeros(Y.shape)  # the last closing step's sum F_k h_k and K w
-    kept: dict[int, tuple] = {}
 
     def sweeps() -> np.ndarray:
         nonlocal shared, indiv
@@ -427,14 +422,16 @@ def _solve(
         res = np.sqrt(_sq_norms(gap)) / cols["norm"]
         return res, res
 
-    def retire(stopped: list[int], problems: list[int]) -> None:
-        for c, j in zip(stopped, problems):
+    def retire(stopped: list[int], diags: list[TrainDiagnostics]) -> None:
+        for c, diag in zip(stopped, diags):
+            k = cols["input"][c]
             e = _column(state.sparse_error, c)
-            kept[j] = (
-                [_column(sel, c).copy() for sel in state.selectors],
-                _column(state.indiv_coeffs, c).copy(),
-                np.where(_column(cols["visible"], c), e, e + columns[live[j]]),
-                _column(shared, c) + _column(indiv, c),
+            results[k] = ReconResult(
+                selectors=[_column(sel, c).copy() for sel in state.selectors],
+                indiv_coeffs=_column(state.indiv_coeffs, c).copy(),
+                sparse_error=np.where(_column(cols["visible"], c), e, e + columns[k]),
+                reconstruction=_column(shared, c) + _column(indiv, c),
+                diagnostics=diag,
             )
         if np.ndim(state.mu) == 0 or len(stopped) == state.mu.size:
             return
@@ -448,10 +445,7 @@ def _solve(
         state.dual = state.dual[:, keep]
         state.mu = state.mu[keep]
 
-    diags = run_penalty_steps(state, sweeps, residual, observer, "reconstruction", retire)
-    for j, diag in enumerate(diags):
-        selectors, coeffs, sparse_error, reconstruction = kept[j]
-        results[live[j]] = ReconResult(selectors, coeffs, sparse_error, reconstruction, diag)
+    run_penalty_steps(state, sweeps, residual, observer, "reconstruction", retire)
     return results
 
 

@@ -335,7 +335,7 @@ def run_penalty_steps(
     residual: Callable[[np.ndarray], tuple[float | np.ndarray, float | np.ndarray]],
     observer: Callable | None,
     what: str,
-    retire: Callable[[list[int], list[int]], None] | None = None,
+    retire: Callable[[list[int], list[TrainDiagnostics]], None] | None = None,
 ) -> list[TrainDiagnostics]:
     """The augmented-Lagrangian loop that `train` and `reconstruct_many`
     share, over B independent problems solved side by side.
@@ -354,9 +354,9 @@ def run_penalty_steps(
     after t_max steps, or "stalled" before that: its step ran with the
     penalty at mu_max, and at the rate it moved the residual, the steps left
     before t_max could not bring it to eps. When problems stop,
-    `retire(stopped, problems)` gets their columns' positions in the working
-    set, ascending, and their problem indices; it saves their results and,
-    unless every column stopped, drops those columns from the state.
+    `retire(stopped, records)` gets their columns' positions in the working
+    set, ascending, and their closed TrainDiagnostics; it saves their results
+    and, unless every column stopped, drops those columns from the state.
 
     Returns one TrainDiagnostics per problem, in problem order. A non-finite
     residual, or a kernel inside a step that rejects a non-finite
@@ -414,7 +414,7 @@ def run_penalty_steps(
         if not stopped:
             continue
         if retire is not None:
-            retire(stopped, [ids[c] for c in stopped])
+            retire(stopped, [out[ids[c]] for c in stopped])
         if len(stopped) == len(ids):
             break
         gone = set(stopped)

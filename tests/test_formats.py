@@ -5,6 +5,7 @@ import dataclasses
 import json
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -68,6 +69,14 @@ class TestMatrixContainer:
         path.write_text("1.0,2.0\nthree,4.0\n")
         with pytest.raises(FormatError, match="not a readable CSV"):
             read_matrix(path)
+
+    def test_empty_csv_raises_format_error_without_a_warning(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError, match="empty matrix"):
+                read_matrix(path)
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):

@@ -3,13 +3,14 @@ configuration, and recovery quality at a gentle penalty start
 (mu0_scale=1.25). The planted-model fixtures make the correct answer known
 in closed form."""
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import bundle_from_truth
 from marc.dataset import AttributeSchema
-from marc.errors import DegenerateMatrixError, ValidationError
+from marc.errors import DegenerateMatrixError, NumericalError, ValidationError
 from marc.proxops import RankRule, deterministic_svd, svd_span
 from marc.reconstructor import (
     ReconConfig,
@@ -99,6 +100,10 @@ class TestSpan:
         bundle = dataclasses.replace(bundle, individual=np.zeros_like(bundle.individual))
         with pytest.raises(DegenerateMatrixError, match="use_individual=False"):
             build_span(bundle)
+        # An explicit rank finds no span either, so the message offers none.
+        with pytest.raises(DegenerateMatrixError, match="use_individual=False") as info:
+            build_span(bundle, RankRule.fixed(2))
+        assert "rank" not in str(info.value)
 
     def test_span_follows_each_rank_rule(self, planted):
         truth, _, y, _ = planted
@@ -328,8 +333,10 @@ class TestBlock:
         """Columns covering each path: an all-zero vector, a fully hidden
         one (both take no step), an exact in-model vector, which converges
         early and leaves the working set, spiked vectors that run on, and
-        two columns sharing one mask. With one_mask, every column has the
-        same mask and no column is fully hidden."""
+        two columns sharing one mask, and one with 3 visible entries, fewer
+        than the design's 7 (or 4, pinned) columns, whose visible design is
+        rank deficient. With one_mask, every column has the same mask and no
+        column is fully hidden."""
         _, _, y, _ = planted
         rng = np.random.default_rng(17)
         spiked = []
@@ -344,6 +351,10 @@ class TestBlock:
         ys = [np.zeros_like(y), spiked[0], y, *spiked]
         ws = [(rng.random(y.size) >= 0.3).astype(float), np.zeros_like(y),
               np.ones_like(y), (rng.random(y.size) >= 0.2).astype(float), shared, shared]
+        few = np.zeros_like(y)
+        few[rng.choice(y.size, 3, replace=False)] = 1.0
+        ys.append(spiked[1])
+        ws.append(few)
         return np.column_stack(ys), np.column_stack(ws)
 
     @pytest.mark.parametrize("one_mask", [False, True], ids=["own-masks", "one-mask"])
@@ -431,3 +442,17 @@ class TestBlock:
         w[0, 1] = 2.0
         with pytest.raises(ValidationError, match="column 1: input mask must be strictly binary"):
             reconstruct_many(np.column_stack([y, y, y]), w, bundle)
+
+    def test_an_overflowing_norm_raises_before_any_step(self, planted):
+        """Finite entries whose norm overflows float64 raise NumericalError,
+        with no numpy warning on the way."""
+        _, bundle, y, _ = planted
+        big = 1e160 * y / np.abs(y).max()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="iteration 0: the observed norm of the "
+                                                     "input vector overflows"):
+                reconstruct(big, None, bundle)
+            with pytest.raises(NumericalError, match="iteration 0: the observed norm of "
+                                                     "column 1 overflows"):
+                reconstruct_many(np.column_stack([y, big]), None, bundle)
