@@ -22,7 +22,8 @@ from . import formats
 from .dataset import AttributeSchema, assemble, check_observed
 from .errors import FormatError, NumericalError, ValidationError
 from .proxops import RankRule
-from .reconstructor import ReconConfig, TransferSpec, check_input, reconstruct_many, synthesize
+from .reconstructor import (ReconConfig, TransferSpec, check_input, observed_norms,
+                            reconstruct_many, synthesize)
 from .synthbench import SynthSpec, default_spec, generate, recovery_metrics
 from .trainer import MU0_NORMS, Schedule, SolverConfig, train
 
@@ -111,11 +112,12 @@ def _recon_jobs(args: argparse.Namespace) -> list[tuple[Path, Path | None, Path]
 
 def _run_recon_jobs(args: argparse.Namespace) -> int:
     """complete and transfer: read every resolved job and check them as one
-    block (`check_observed`, naming the file), then reconstruct them in
-    blocks of at most BLOCK_WIDTH with `reconstruct_many`, writing outputs
-    and printing one line per job in name order. Without --target every
-    selector is solved freely; otherwise the named attributes are pinned
-    (--post-hoc chooses the joint re-solve or the post-hoc substitution)."""
+    block (`check_observed`, then `observed_norms` for a norm that overflows,
+    each naming the file), then reconstruct them in blocks of at most
+    BLOCK_WIDTH with `reconstruct_many`, writing outputs and printing one
+    line per job in name order. Without --target every selector is solved
+    freely; otherwise the named attributes are pinned (--post-hoc chooses
+    the joint re-solve or the post-hoc substitution)."""
     targets = _parse_pairs(args.target, "--target", "attribute=instantiation")
     bundle = formats.load_bundle(args.bundle)
     config = _recon_config(args)
@@ -132,6 +134,7 @@ def _run_recon_jobs(args: argparse.Namespace) -> int:
         except ValidationError as exc:
             raise ValidationError(f"{in_path}: {exc}") from None
     check_observed(Y, W, lambda k: str(jobs[k][0]), "input vector", "input mask")
+    observed_norms(Y * W, lambda k: str(jobs[k][0]))
     spec = free if args.post_hoc else pins
     for block in np.array_split(np.arange(len(jobs)), math.ceil(len(jobs) / BLOCK_WIDTH)):
         results = reconstruct_many(Y[:, block], W[:, block], bundle, spec, config)

@@ -139,12 +139,10 @@ def svt(m: np.ndarray, tau: float) -> np.ndarray:
         raise NumericalError(f"Gram eigendecomposition failed to converge: {exc}") from exc
     s = np.sqrt(np.maximum(eigvals, 0.0))  # ascending
     trusted = s >= GRAM_RATIO * s[-1]
-    if max(tau, s[0]) >= GRAM_RATIO * s[-1]:
-        keep = s > tau
-    elif _spectral_norm_at_most((m if tall else m.T) @ vecs[:, ~trusted], tau):
-        keep = trusted
-    else:
+    if max(tau, s[0]) < GRAM_RATIO * s[-1] \
+            and not _spectral_norm_at_most((m if tall else m.T) @ vecs[:, ~trusted], tau):
         return _svt_svd(m, tau)
+    keep = trusted & (s > tau)  # s > tau, or the trusted values once the tail is certified
     if not keep.any():
         return np.zeros_like(m)
     vecs = vecs[:, keep]

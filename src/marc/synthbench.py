@@ -12,7 +12,7 @@ code with the trainer so the two can cross-check each other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -61,12 +61,7 @@ class SynthSpec:
             raise ValidationError(f"rank_g must be in [0, min(dim, count)), got {self.rank_g}")
         if self.rank_g > 9:
             raise ValidationError("rank_g > 9 would need a nonpositive singular value")
-        if not 0.0 <= self.sparsity < 1.0:
-            raise ValidationError(f"sparsity must be in [0, 1), got {self.sparsity}")
-        if not 0.0 <= self.missing_frac < 1.0:
-            raise ValidationError(f"missing_frac must be in [0, 1), got {self.missing_frac}")
-        if not (np.isfinite(self.noise_amp) and self.noise_amp > 0):
-            raise ValidationError(f"noise_amp must be positive, got {self.noise_amp}")
+        _check_corruption(self.missing_frac, self.sparsity, self.noise_amp)
         cells = self.dim * self.count
         n_sparse, n_visible = round(self.sparsity * cells), cells - round(self.missing_frac * cells)
         if n_sparse > n_visible:
@@ -74,6 +69,34 @@ class SynthSpec:
                 f"sparsity asks for {n_sparse} gross errors but missing_frac leaves "
                 f"only {n_visible} visible cells"
             )
+
+
+def _check_corruption(missing_frac: float, sparsity: float, noise_amp: float) -> None:
+    """ValidationError unless missing_frac, sparsity are in [0, 1) and noise_amp finite, > 0."""
+    for name, frac in (("sparsity", sparsity), ("missing_frac", missing_frac)):
+        if not 0.0 <= frac < 1.0:
+            raise ValidationError(f"{name} must be in [0, 1), got {frac}")
+    if not (math.isfinite(noise_amp) and noise_amp > 0):
+        raise ValidationError(f"noise_amp must be positive, got {noise_amp}")
+
+
+def _corrupt(rng: np.random.Generator, cells: int, missing_frac: float, sparsity: float,
+             noise_amp: float) -> tuple[np.ndarray, np.ndarray]:
+    """(mask, errors) over `cells` flat cells: round(missing_frac * cells)
+    hidden, then +-noise_amp on round(sparsity * cells) visible ones (at
+    most all), drawn in that order. Errors spare hidden cells, where one
+    would leave a permanent gap in the masked residual."""
+    mask = np.ones(cells)
+    n_missing = round(missing_frac * cells)
+    if n_missing:
+        mask[rng.choice(cells, size=n_missing, replace=False)] = 0.0
+    error = np.zeros(cells)
+    n_sparse = round(sparsity * cells)
+    if n_sparse:
+        visible = np.flatnonzero(mask == 1.0)
+        hit = rng.choice(visible, size=min(n_sparse, visible.size), replace=False)
+        error[hit] = noise_amp * (2.0 * rng.integers(0, 2, size=hit.size) - 1.0)
+    return mask, error
 
 
 def default_spec() -> SynthSpec:
@@ -136,22 +159,8 @@ def generate(spec: SynthSpec) -> tuple[TrainingSet, GroundTruth]:
         g_singulars = np.zeros(0)
         individual = np.zeros((dim, count))
 
-    cells = dim * count
-    mask_flat = np.ones(cells)
-    n_missing = round(spec.missing_frac * cells)
-    if n_missing:
-        mask_flat[rng.choice(cells, size=n_missing, replace=False)] = 0.0
-    mask = mask_flat.reshape(dim, count)
-
-    # gross errors only on visible cells; a corrupted-and-hidden cell would
-    # leave a permanent gap in the masked residual
-    error = np.zeros(cells)
-    n_sparse = round(spec.sparsity * cells)
-    if n_sparse:
-        visible_cells = np.flatnonzero(mask_flat == 1.0)
-        hit = rng.choice(visible_cells, size=n_sparse, replace=False)
-        error[hit] = spec.noise_amp * (2.0 * rng.integers(0, 2, size=n_sparse) - 1.0)
-    error = error.reshape(dim, count)
+    mask, error = _corrupt(rng, dim * count, spec.missing_frac, spec.sparsity, spec.noise_amp)
+    mask, error = mask.reshape(dim, count), error.reshape(dim, count)
 
     data = _clean_part(bases, bank, individual, assignments) + error
 
@@ -192,8 +201,12 @@ def holdout_sample(
     """Draw one out-of-sample vector from the planted factors.
 
     The individual part lives in the planted span with coefficients scaled
-    to match the per-column energy of the planted individual matrix.
+    to match the per-column energy of the planted individual matrix; mask
+    and gross errors are drawn as in `generate`. A negative or non-integer
+    seed, or corruption arguments SynthSpec refuses, raise ValidationError.
     """
+    check_integer(seed, "seed")
+    _check_corruption(missing_frac, sparsity, noise_amp)
     rng = np.random.default_rng(seed)
     dim = truth.data.shape[0]
     count = truth.data.shape[1]
@@ -207,17 +220,8 @@ def holdout_sample(
         coeffs = truth.g_singulars * rng.standard_normal(truth.g_singulars.size) / math.sqrt(count)
         clean += truth.g_left @ coeffs
 
-    mask = np.ones(dim)
-    n_missing = round(missing_frac * dim)
-    if n_missing:
-        mask[rng.choice(dim, size=n_missing, replace=False)] = 0.0
-    y = clean.copy()
-    n_sparse = round(sparsity * dim)
-    if n_sparse:
-        visible = np.flatnonzero(mask == 1.0)
-        hit = rng.choice(visible, size=min(n_sparse, visible.size), replace=False)
-        y[hit] += noise_amp * (2.0 * rng.integers(0, 2, size=hit.size) - 1.0)
-    return HeldOutSample(y=y, mask=mask, clean=clean, labels=labels)
+    mask, error = _corrupt(rng, dim, missing_frac, sparsity, noise_amp)
+    return HeldOutSample(y=clean + error, mask=mask, clean=clean, labels=labels)
 
 
 SUPPORT_THRESHOLD = 1e-6
@@ -241,14 +245,7 @@ class MetricsReport:
     subspace_angles: tuple[float, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "clean_rel_err_observed": self.clean_rel_err_observed,
-            "clean_rel_err_overall": self.clean_rel_err_overall,
-            "support_precision": self.support_precision,
-            "support_recall": self.support_recall,
-            "support_f1": self.support_f1,
-            "subspace_angles": list(self.subspace_angles),
-        }
+        return {**asdict(self), "subspace_angles": list(self.subspace_angles)}
 
     def to_text(self) -> str:
         lines = [

@@ -335,8 +335,8 @@ def run_penalty_steps(
     residual: Callable[[np.ndarray], tuple[float | np.ndarray, float | np.ndarray]],
     observer: Callable | None,
     what: str,
-    retire: Callable[[list[int], list[TrainDiagnostics]], None] | None = None,
-) -> list[TrainDiagnostics]:
+    retire: Callable[[list[int], list[TrainDiagnostics]], None],
+) -> None:
     """The augmented-Lagrangian loop that `train` and `reconstruct_many`
     share, over B independent problems solved side by side.
 
@@ -344,30 +344,28 @@ def run_penalty_steps(
     mu is a float for one problem (training, or one vector to reconstruct),
     or a length-B array for B problems, whose b-th entry belongs to the b-th
     column of the working set: the problems still running, in their
-    original order. Each penalty
-    step calls `sweeps()`, which updates the primal blocks through the
-    closing sparse step and returns the part of the data left for E, then
-    `residual` of that: the masked residuals, which drive the stop rules,
-    and the unmasked ones, a float or a length-B array each. After finite
-    residuals come the observer, called with (state, t), and `update_duals`.
-    A problem stops "converged" when its residual drops to eps, at "t_max"
-    after t_max steps, or "stalled" before that: its step ran with the
-    penalty at mu_max, and at the rate it moved the residual, the steps left
-    before t_max could not bring it to eps. When problems stop,
-    `retire(stopped, records)` gets their columns' positions in the working
-    set, ascending, and their closed TrainDiagnostics; it saves their results
-    and, unless every column stopped, drops those columns from the state.
+    original order. Each penalty step calls `sweeps()`, which updates the
+    primal blocks through the closing sparse step and returns the part of
+    the data left for E, then `residual` of that: the masked residuals, which
+    drive the stop rules, and the unmasked ones, a float or a length-B array
+    each. After finite residuals come the observer, called with (state, t),
+    and `update_duals`. A problem stops "converged" when its residual drops
+    to eps, at "t_max" after t_max steps, or "stalled" before that: its step
+    ran with the penalty at mu_max, and at the rate it moved the residual,
+    the steps left before t_max could not bring it to eps. `retire` is the
+    one exit for records: when problems stop, `retire(stopped, records)`
+    gets their columns' positions in the working set, ascending, and their
+    closed TrainDiagnostics; it saves their results and, unless every column
+    stopped, drops those columns from the state. The loop returns once every
+    problem has been retired.
 
-    Returns one TrainDiagnostics per problem, in problem order. A non-finite
-    residual, or a kernel inside a step that rejects a non-finite
-    intermediate (ValidationError) or fails to factor one (NumericalError),
-    raises NumericalError naming `what` and the step.
+    A non-finite residual, or a kernel inside a step that rejects a
+    non-finite intermediate (ValidationError) or fails to factor one
+    (NumericalError), raises NumericalError naming `what` and the step.
     """
     eps, t_max, mu_max = state.config.eps, state.config.t_max, state.config.mu_max
-    ids = list(range(np.size(state.mu)))
-    records: list[tuple[list[float], list[float], list[float]]] = [([], [], []) for _ in ids]
-    out: list[TrainDiagnostics | None] = [None] * len(ids)
-    last = [math.inf] * len(ids)
+    records = [([], [], []) for _ in range(np.size(state.mu))]  # mu, residual, unmasked
+    last = [math.inf] * len(records)
     for t in range(t_max):
         mu = _as_list(state.mu)
         try:
@@ -383,10 +381,9 @@ def run_penalty_steps(
         update_duals(state, fit)
         state.t = t + 1
         left = t_max - state.t
-        stopped = []
-        for c, j in enumerate(ids):
+        stopped, closed = [], []
+        for c, (mu_history, res_history, unmasked_history) in enumerate(records):
             r = res[c]
-            mu_history, res_history, unmasked_history = records[j]
             mu_history.append(mu[c])
             res_history.append(r)
             unmasked_history.append(res_unmasked[c])
@@ -399,7 +396,7 @@ def run_penalty_steps(
             else:
                 continue
             stopped.append(c)
-            out[j] = TrainDiagnostics(
+            closed.append(TrainDiagnostics(
                 iterations=state.t,
                 converged=reason == "converged",
                 final_residual=r,
@@ -409,18 +406,14 @@ def run_penalty_steps(
                 residual_history_unmasked=unmasked_history,
                 mu_history=mu_history,
                 stop_reason=reason,
-            )
+            ))
         last = res
-        if not stopped:
-            continue
-        if retire is not None:
-            retire(stopped, [out[ids[c]] for c in stopped])
-        if len(stopped) == len(ids):
-            break
-        gone = set(stopped)
-        going = [c for c in range(len(ids)) if c not in gone]
-        ids, last = [ids[c] for c in going], [res[c] for c in going]
-    return out
+        if stopped:
+            retire(stopped, closed)
+            if len(stopped) == len(records):
+                return
+            going = sorted(set(range(len(records))).difference(stopped))
+            records, last = [records[c] for c in going], [res[c] for c in going]
 
 
 def _zero_bundle(ts: TrainingSet, config: SolverConfig, lam: float) -> ModelBundle:
@@ -503,13 +496,15 @@ def train(
     def residual(fit: np.ndarray) -> tuple[float, float]:
         return normalized_residual(state, ts, fit), constraint_residual(state, ts, fit)
 
-    [diag] = run_penalty_steps(state, sweeps, residual, observer, "training")
+    closed: list[TrainDiagnostics] = []
+    run_penalty_steps(state, sweeps, residual, observer, "training",
+                      lambda _, diags: closed.extend(diags))
     return ModelBundle(
         schema=ts.schema,
         bases=state.bases,
         bank=state.bank,
         individual=state.individual,
         sparse_error=state.sparse_error,
-        diagnostics=diag,
+        diagnostics=closed[0],
         config=config,
     )

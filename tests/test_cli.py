@@ -3,6 +3,7 @@ exit codes and console output are observable without spawning children."""
 import dataclasses
 import json
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -310,6 +311,26 @@ class TestCompleteAndTransfer:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "b.marc: input vector has length 29, expected 30" in err
         assert not any((tmp_path / "out").iterdir())  # checked before any solve
+
+    def test_overflowing_vector_past_the_first_block_names_it(self, workspace, tmp_path, capsys):
+        """70 files are solved as blocks of 35; the overflowing one sits in
+        the second block. It is found with the other input checks: exit 4,
+        its file named, no output written and no numpy warning."""
+        vec_dir = tmp_path / "in"
+        vec_dir.mkdir()
+        rng = np.random.default_rng(5)
+        for n in range(70):
+            write_vector(vec_dir / f"v{n:03d}.marc", rng.standard_normal(30))
+        write_vector(vec_dir / "v066.marc", 1e200 * rng.standard_normal(30))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["complete", "-b", str(workspace / "bundle"), "-i", str(vec_dir),
+                       "-o", str(tmp_path / "out")])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "the observed norm of " + str(vec_dir / "v066.marc") + " overflows float64" in err
+        assert not any((tmp_path / "out").iterdir())
 
     def test_missing_mask_file_in_directory_is_io_error(self, workspace, tmp_path, capsys):
         vec_dir, mask_dir = tmp_path / "in", tmp_path / "masks"

@@ -334,9 +334,9 @@ class TestBlock:
         one (both take no step), an exact in-model vector, which converges
         early and leaves the working set, spiked vectors that run on, and
         two columns sharing one mask, and one with 3 visible entries, fewer
-        than the design's 7 (or 4, pinned) columns, whose visible design is
-        rank deficient. With one_mask, every column has the same mask and no
-        column is fully hidden."""
+        than the design's 7 (or 4, pinned; 5 free without the span) columns,
+        whose visible design is then rank deficient. With one_mask, every
+        column has the same mask and no column is fully hidden."""
         _, _, y, _ = planted
         rng = np.random.default_rng(17)
         spiked = []
@@ -359,16 +359,22 @@ class TestBlock:
 
     @pytest.mark.parametrize("one_mask", [False, True], ids=["own-masks", "one-mask"])
     @pytest.mark.parametrize("pins", [{}, {"tint": "cool"}], ids=["free", "pinned"])
-    @pytest.mark.parametrize("stop, schedule", [("converged", {}), ("t_max", dict(t_max=6)),
-                                                ("stalled", dict(mu_max=30.0))],
-                             ids=["defaults", "t_max-6", "mu_max-30"])
-    def test_each_column_matches_its_single_solve(self, planted, one_mask, pins, stop, schedule):
+    @pytest.mark.parametrize("stop, options", [
+        ("converged", {}), ("t_max", dict(t_max=6)), ("stalled", dict(mu_max=30.0)),
+        ("converged", dict(use_individual=False)),
+        ("t_max", dict(t_max=6, use_individual=False)),
+        ("stalled", dict(mu_max=3.0, use_individual=False)),
+    ], ids=["defaults", "t_max-6", "mu_max-30", "no-span", "no-span-t_max-6", "no-span-mu_max-3"])
+    def test_each_column_matches_its_single_solve(self, planted, one_mask, pins, stop, options):
         """Columns stop at different steps and leave the working set; with
-        a small t_max some stop there, with a small mu_max some stall."""
+        a small t_max some stop there, with a small mu_max some stall.
+        Without the span (use_individual=False) its coefficients are a
+        zero-width block of the design; mu_max = 30 is not small enough to
+        stall every such case, so those take mu_max = 3."""
         truth, bundle, _, _ = planted
         Y, W = self.columns(planted, one_mask)
         spec = TransferSpec.targets(truth.schema, pins)
-        config = ReconConfig(rank_rule=RankRule.fixed(2), **schedule)
+        config = ReconConfig(rank_rule=RankRule.fixed(2), **options)
         block = reconstruct_many(Y, W, bundle, spec, config)
         assert len(block) == Y.shape[1]
         reasons = set()

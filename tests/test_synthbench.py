@@ -164,6 +164,25 @@ class TestHoldout:
         assert np.all(np.abs(spikes[support]) == 4.0)
         assert np.all(ho.mask[support] == 1.0)
 
+    @pytest.mark.parametrize("kw, message", [
+        (dict(seed=-1), "seed must be a non-negative integer, got -1"),
+        (dict(seed=2.0), "seed must be an integer, got 2.0"),
+        (dict(seed=True), "seed must be an integer, got True"),
+        (dict(missing_frac=1.5), r"missing_frac must be in \[0, 1\), got 1.5"),
+        (dict(missing_frac=1.0), r"missing_frac must be in \[0, 1\), got 1.0"),
+        (dict(sparsity=-0.1), r"sparsity must be in \[0, 1\), got -0.1"),
+        (dict(sparsity=float("nan")), r"sparsity must be in \[0, 1\), got nan"),
+        (dict(noise_amp=float("nan")), "noise_amp must be positive, got nan"),
+        (dict(noise_amp=float("inf")), "noise_amp must be positive, got inf"),
+        (dict(noise_amp=0.0), "noise_amp must be positive, got 0.0"),
+    ], ids=["seed-negative", "seed-float", "seed-bool", "missing_frac-1.5", "missing_frac-1",
+            "sparsity-negative", "sparsity-nan", "noise_amp-nan", "noise_amp-inf", "noise_amp-0"])
+    def test_bad_arguments(self, holdout_truth, kw, message):
+        """Each raised a raw numpy ValueError, or (noise_amp=nan) returned a
+        non-finite y, before holdout_sample checked its arguments."""
+        with pytest.raises(ValidationError, match=message):
+            holdout_sample(holdout_truth, **{"seed": 9, **kw})
+
 
 class TestRecoveryMetrics:
     def test_perfect_bundle_scores_perfectly(self, scored_pair):
