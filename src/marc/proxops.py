@@ -1,7 +1,8 @@
 """Proximal and orthogonal-projection operators behind the ADMM solvers.
 
-Every function here is pure, total on its documented domain, and operates on
-float64 numpy arrays. SVD-backed operators share one deterministic wrapper
+Every function here is pure (but for `svt`, which updates the `WarmStart`
+it may be handed), total on its documented domain, and operates on float64
+numpy arrays. SVD-backed operators share one deterministic wrapper
 (`deterministic_svd`) that fixes the sign indeterminacy of singular vectors,
 so repeated runs and serialized models are bitwise reproducible.
 
@@ -16,9 +17,23 @@ number is at most 1 / POLAR_RATIO and polishes it with one Newton-Schulz
 step. Neither result depends on eigenvector signs, so both are bitwise
 reproducible on either path. An eigendecomposition that fails to converge
 raises NumericalError, as an SVD does.
+
+A caller that thresholds a slowly changing matrix again and again (the
+training G step) hands `svt` a `WarmStart`, the kept right singular vectors
+of its previous call. `svt` then tries a warm path before the Gram path: a
+few block power steps from that basis until the Ritz residual is at
+rounding level, the kept values from a thin SVD of the small projected
+matrix, and the same certificate the Gram path uses on its tail (the
+spectral norm of what the basis leaves out is at most tau, by the Frobenius
+norm or else a Cholesky factorization). If there is no start, the start is
+wider than a third of the short side, the power steps converge too slowly
+or the certificate fails, the call goes on to the Gram path and then the
+SVD. Every path gives the same result to rounding; none depends on a
+module-level cache.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,7 +103,27 @@ GRAM_RATIO = 1e-3
 POLAR_RATIO = 1e-4
 
 
-def svt(m: np.ndarray, tau: float) -> np.ndarray:
+@dataclass
+class WarmStart:
+    """Where `svt` starts: the kept right singular vectors (an orthonormal
+    short side x k matrix, k >= 0, or None) of the last call that was handed
+    this holder, which that call overwrites with its own. A solver that
+    thresholds a slowly changing matrix over and over keeps one in its
+    state, one per run."""
+
+    basis: np.ndarray | None = None
+
+
+# svt's warm path runs at most WARM_STEPS block power steps, from a start at
+# most a third as wide as the short side (wider, the Gram path costs less),
+# and stops once the Ritz residual ||Z - Q Q^T Z||_F is at most RITZ_TOL *
+# tr(Q^T Z), Z = a^T a Q: a rounding-level cross term between the captured
+# subspace and the rest.
+WARM_STEPS = 6
+RITZ_TOL = 1e-15
+
+
+def svt(m: np.ndarray, tau: float, warm: WarmStart | None = None) -> np.ndarray:
     """Singular value thresholding: shrink the spectrum, keep the factors.
 
     Parameters
@@ -97,6 +132,10 @@ def svt(m: np.ndarray, tau: float) -> np.ndarray:
         Matrix to threshold.
     tau : float
         Spectral threshold, tau >= 0.
+    warm : WarmStart, optional
+        Start basis for the warm path, updated in place to the kept right
+        singular vectors (of m, or of m^T for a wide `m`). Without it svt is
+        pure. The result does not depend on it beyond rounding.
 
     Returns
     -------
@@ -106,57 +145,118 @@ def svt(m: np.ndarray, tau: float) -> np.ndarray:
 
     Notes
     -----
-    For a tall `m` the result equals m V diag((1 - tau/s)_+) V^T, with V and
-    s^2 the eigenvectors and eigenvalues of the short-side Gram matrix m^T m
-    (mirrored, with m m^T, for a wide `m`). Singular values of at least
-    GRAM_RATIO * s_max come out of the Gram matrix accurate to about 1e-10
-    relative. The Gram path is taken directly when
-    max(tau, s_min) >= GRAM_RATIO * s_max, so every value that decides the
-    result is accurate.
+    Write a for m, or m^T if `m` is wide, so that a is tall. Three paths
+    give the same result to rounding; svt takes the first that can be exact.
+
+    The warm path, given a start Q of 0 < k <= cols // 3 columns, runs block
+    power steps Z = a^T (a Q), Q <- qr(Z) until the Ritz residual is at
+    rounding level (RITZ_TOL), and gives up once the rate it converges at
+    cannot reach that within WARM_STEPS steps. Then a = A + D, for
+    A = a Q Q^T and D = a - A, with A D^T = 0 and A^T D = Q (Z - Q Q^T Z)^T
+    at rounding level, so the spectrum of a is the union of those of A and
+    D (the argument is spelled out for the Gram path below). The thin SVD
+    a Q = U S W^T gives A's. If ||D||_2 <= tau (the certificate, on D
+    formed from a, see `_spectral_norm_at_most`), svt zeroes all of D and
+    the result is U (S - tau)_+ (Q W)^T.
+
+    The Gram path uses a V diag((1 - tau/s)_+) V^T, with V and s^2 the
+    eigenvectors and eigenvalues of the short-side Gram matrix a^T a.
+    Singular values of at least GRAM_RATIO * s_max come out of the Gram
+    matrix accurate to about 1e-10 relative. The Gram path is taken directly
+    when max(tau, s_min) >= GRAM_RATIO * s_max, so every value that decides
+    the result is accurate.
 
     Otherwise the untrusted tail, s < GRAM_RATIO * s_max (with tau below it
     too), is certified instead of resolved. With V_k the trusted and V_t
-    the tail eigenvectors, m = A + D for A = m V_k V_k^T and D = m V_t V_t^T.
+    the tail eigenvectors, a = A + D for A = a V_k V_k^T and D = a V_t V_t^T.
     The rows of A and D are orthogonal (A D^T = 0), and their columns are
-    orthogonal up to rounding (A^T D = V_k V_k^T (m^T m) V_t V_t^T, about
-    eps * ||m||^2, because V diagonalizes m^T m to that accuracy). So the
-    spectrum of m is, up to rounding, the union of those of A and D. If
-    ||D||_2 = ||spill||_2 <= tau, for spill = m V_t, svt zeroes all of D and
-    the result is the Gram-path projector over the trusted values alone,
-    all of them above tau. The bound is checked on the Frobenius norm of spill
-    first and, if that is not enough, on the largest eigenvalue of
-    spill^T spill. Only when the bound fails (a value the Gram matrix cannot
-    resolve may lie above tau) does the result come from `deterministic_svd`.
+    orthogonal up to rounding (A^T D = V_k V_k^T (a^T a) V_t V_t^T, about
+    eps * ||a||^2, because V diagonalizes a^T a to that accuracy). So the
+    spectrum of a is, up to rounding, the union of those of A and D. If
+    ||D||_2 = ||a V_t||_2 <= tau, svt zeroes all of D and the result is the
+    Gram-path projector over the trusted values alone, all of them above
+    tau. Only when that certificate fails (a value the Gram matrix cannot
+    resolve may lie above tau) does the result come from `deterministic_svd`,
+    and a `warm` holder is left with no basis.
     """
     m = _check_matrix(m, "svt input")
     tau = float(tau)
     if not np.isfinite(tau) or tau < 0:
         raise ValidationError(f"svt threshold must be finite and >= 0, got {tau}")
     tall = m.shape[0] >= m.shape[1]
+    a = m if tall else m.T
+    start = None if warm is None else warm.basis
+    if start is not None and 0 < start.shape[1] <= a.shape[1] // 3:
+        found = _warm_factors(a, tau, start)
+        if found is not None:
+            shrunk, warm.basis = found
+            return shrunk @ warm.basis.T if tall else warm.basis @ shrunk.T
     try:
-        eigvals, vecs = np.linalg.eigh(m.T @ m if tall else m @ m.T)
+        eigvals, vecs = np.linalg.eigh(a.T @ a)
     except np.linalg.LinAlgError as exc:  # as on a Gram matrix that overflowed
         raise NumericalError(f"Gram eigendecomposition failed to converge: {exc}") from exc
     s = np.sqrt(np.maximum(eigvals, 0.0))  # ascending
     trusted = s >= GRAM_RATIO * s[-1]
     if max(tau, s[0]) < GRAM_RATIO * s[-1] \
-            and not _spectral_norm_at_most((m if tall else m.T) @ vecs[:, ~trusted], tau):
+            and not _spectral_norm_at_most(a @ vecs[:, ~trusted], tau):
+        if warm is not None:
+            warm.basis = None
         return _svt_svd(m, tau)
     keep = trusted & (s > tau)  # s > tau, or the trusted values once the tail is certified
+    vecs = vecs[:, keep]
+    if warm is not None:
+        warm.basis = vecs
     if not keep.any():
         return np.zeros_like(m)
-    vecs = vecs[:, keep]
     project = (vecs * (1.0 - tau / s[keep])) @ vecs.T
     return m @ project if tall else project @ m
 
 
+def _warm_factors(a: np.ndarray, tau: float, q: np.ndarray) \
+        -> tuple[np.ndarray, np.ndarray] | None:
+    """The warm path of `svt` on a tall `a` from the start `q`: the shrunk
+    left factor U (S - tau)_+ and the kept right singular vectors, or None
+    when the power steps stop short or the certificate fails."""
+    last = math.inf
+    for step in range(WARM_STEPS):
+        y = a @ q
+        z = a.T @ y
+        ritz = float(np.linalg.norm(z - q @ (q.T @ z)))
+        tol = RITZ_TOL * float(np.vdot(y, y))  # tr(q^T z)
+        if ritz <= tol:
+            break
+        rate = ritz / last
+        if not (rate < 1.0 and ritz * rate ** (WARM_STEPS - 1 - step) <= tol):
+            return None  # also on a non-finite residual
+        last = ritz
+        q = np.linalg.qr(z)[0]
+    else:
+        return None
+    try:
+        u, s, vh = np.linalg.svd(y, full_matrices=False)
+    except np.linalg.LinAlgError:
+        return None
+    if not _spectral_norm_at_most(a - y @ q.T, tau):
+        return None
+    keep = s > tau
+    return u[:, keep] * (s[keep] - tau), q @ vh[keep].T
+
+
 def _spectral_norm_at_most(m: np.ndarray, bound: float) -> bool:
     """||m||_2 <= bound, from the Frobenius norm when that suffices, else
-    from the largest eigenvalue of the short-side Gram matrix."""
+    from a Cholesky factorization of bound^2 I - G, G the short-side Gram
+    matrix of m, which exists exactly when every eigenvalue of G is below
+    bound^2."""
     if float(np.linalg.norm(m)) <= bound:
         return True
     gram = m.T @ m if m.shape[0] >= m.shape[1] else m @ m.T
-    return float(np.linalg.eigvalsh(gram)[-1]) <= bound * bound
+    gram *= -1.0
+    gram[np.diag_indices_from(gram)] += bound * bound
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _svt_svd(m: np.ndarray, tau: float) -> np.ndarray:

@@ -61,31 +61,33 @@ class SynthSpec:
             raise ValidationError(f"rank_g must be in [0, min(dim, count)), got {self.rank_g}")
         if self.rank_g > 9:
             raise ValidationError("rank_g > 9 would need a nonpositive singular value")
-        _check_corruption(self.missing_frac, self.sparsity, self.noise_amp)
-        cells = self.dim * self.count
-        n_sparse, n_visible = round(self.sparsity * cells), cells - round(self.missing_frac * cells)
-        if n_sparse > n_visible:
-            raise ValidationError(
-                f"sparsity asks for {n_sparse} gross errors but missing_frac leaves "
-                f"only {n_visible} visible cells"
-            )
+        _check_corruption(self.dim * self.count, self.missing_frac, self.sparsity, self.noise_amp)
 
 
-def _check_corruption(missing_frac: float, sparsity: float, noise_amp: float) -> None:
-    """ValidationError unless missing_frac, sparsity are in [0, 1) and noise_amp finite, > 0."""
+def _check_corruption(cells: int, missing_frac: float, sparsity: float, noise_amp: float) -> None:
+    """ValidationError unless missing_frac, sparsity are in [0, 1), noise_amp
+    is finite and > 0, and the visible ones of `cells` cells can take every
+    gross error."""
     for name, frac in (("sparsity", sparsity), ("missing_frac", missing_frac)):
         if not 0.0 <= frac < 1.0:
             raise ValidationError(f"{name} must be in [0, 1), got {frac}")
     if not (math.isfinite(noise_amp) and noise_amp > 0):
         raise ValidationError(f"noise_amp must be positive, got {noise_amp}")
+    n_sparse, n_visible = round(sparsity * cells), cells - round(missing_frac * cells)
+    if n_sparse > n_visible:
+        raise ValidationError(
+            f"sparsity asks for {n_sparse} gross errors but missing_frac leaves "
+            f"only {n_visible} visible cells"
+        )
 
 
 def _corrupt(rng: np.random.Generator, cells: int, missing_frac: float, sparsity: float,
              noise_amp: float) -> tuple[np.ndarray, np.ndarray]:
     """(mask, errors) over `cells` flat cells: round(missing_frac * cells)
-    hidden, then +-noise_amp on round(sparsity * cells) visible ones (at
-    most all), drawn in that order. Errors spare hidden cells, where one
-    would leave a permanent gap in the masked residual."""
+    hidden, then +-noise_amp on round(sparsity * cells) visible ones, drawn
+    in that order; `_check_corruption` has seen that there are enough.
+    Errors spare hidden cells, where one would leave a permanent gap in the
+    masked residual."""
     mask = np.ones(cells)
     n_missing = round(missing_frac * cells)
     if n_missing:
@@ -94,7 +96,7 @@ def _corrupt(rng: np.random.Generator, cells: int, missing_frac: float, sparsity
     n_sparse = round(sparsity * cells)
     if n_sparse:
         visible = np.flatnonzero(mask == 1.0)
-        hit = rng.choice(visible, size=min(n_sparse, visible.size), replace=False)
+        hit = rng.choice(visible, size=n_sparse, replace=False)
         error[hit] = noise_amp * (2.0 * rng.integers(0, 2, size=hit.size) - 1.0)
     return mask, error
 
@@ -206,10 +208,10 @@ def holdout_sample(
     seed, or corruption arguments SynthSpec refuses, raise ValidationError.
     """
     check_integer(seed, "seed")
-    _check_corruption(missing_frac, sparsity, noise_amp)
-    rng = np.random.default_rng(seed)
     dim = truth.data.shape[0]
     count = truth.data.shape[1]
+    _check_corruption(dim, missing_frac, sparsity, noise_amp)
+    rng = np.random.default_rng(seed)
     labels: dict[str, str] = {}
     clean = np.zeros(dim)
     for i in range(truth.schema.count):

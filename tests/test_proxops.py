@@ -9,6 +9,7 @@ from marc.proxops import (
     GRAM_RATIO,
     POLAR_RATIO,
     RankRule,
+    WarmStart,
     _svt_svd,
     deterministic_svd,
     procrustes,
@@ -243,6 +244,125 @@ def test_svt_never_raises_nuclear_norm():
     assert after <= before + 1e-12
 
 
+def flat_tail(shape, tau, seed, lead=(10.0, 8.0, 6.0, 5.0, 4.0), top=0.95):
+    """A matrix whose leading singular values are `lead` over a tail drawn
+    from [0.5, top] * tau, as the training G step sees once mu has grown,
+    and the exact right singular vectors (of m^T if `m` is wide) of `lead`."""
+    rng = np.random.default_rng(seed)
+    rows, cols = shape
+    k = min(shape)
+    s = np.concatenate([lead, rng.uniform(0.5, top, k - len(lead)) * tau])
+    left, right = random_orthonormal(rows, k, rng), random_orthonormal(cols, k, rng)
+    m = (left * s) @ right.T
+    exact = right if rows >= cols else left
+    return m, exact[:, :len(lead)]
+
+
+def start_basis(kind, exact, seed):
+    """A warm start of the given kind for a matrix whose kept right singular
+    vectors are `exact`."""
+    rng = np.random.default_rng(seed)
+    n, k = exact.shape
+    if kind == "exact":
+        return exact.copy()
+    if kind == "perturbed":  # the previous step's basis, a little stale
+        return np.linalg.qr(exact + 1e-3 * rng.standard_normal(exact.shape))[0]
+    if kind == "random":
+        return random_orthonormal(n, k, rng)
+    if kind == "too-narrow":  # the rank grew since the start was kept
+        return exact[:, :k - 1].copy()
+    assert kind == "too-wide"  # the rank shrank
+    return np.linalg.qr(np.hstack([exact, rng.standard_normal((n, 3))]))[0]
+
+
+def spy_warm(monkeypatch):
+    """Record whether each call of the warm path returned factors."""
+    outcomes = []
+    original = proxops._warm_factors
+
+    def spied(*args):
+        found = original(*args)
+        outcomes.append(found is not None)
+        return found
+
+    monkeypatch.setattr(proxops, "_warm_factors", spied)
+    return outcomes
+
+
+@pytest.mark.parametrize("shape", [(200, 60), (64, 256)], ids=["tall", "wide"])
+@pytest.mark.parametrize("kind", ["exact", "perturbed", "random", "too-narrow", "too-wide"])
+def test_svt_warm_start_matches_svd(shape, kind, monkeypatch):
+    """From any start, the result matches the SVD's and the holder is left
+    with the five kept right singular vectors. An exact, stale or random
+    start takes the warm path, with no Gram eigendecomposition. A start too
+    narrow leaves a value above tau in the spill, which fails the
+    certificate; one too wide cannot settle its columns in the flat tail
+    within WARM_STEPS. Both fall back to the Gram path."""
+    tau = 1e-2
+    m, exact = flat_tail(shape, tau, seed=21)
+    ref = _svt_svd(m, tau)
+    outcomes = spy_warm(monkeypatch)
+    warm = WarmStart(start_basis(kind, exact, seed=22))
+    got = svt(m, tau, warm)
+    assert np.allclose(got, ref, rtol=1e-9, atol=1e-9 * np.abs(ref).max())
+    warmed = kind not in ("too-narrow", "too-wide")
+    assert outcomes == [warmed]
+    assert warm.basis.shape == (min(shape), 5)
+    assert np.allclose(warm.basis.T @ warm.basis, np.eye(5), atol=1e-12)
+    assert np.allclose(warm.basis @ warm.basis.T, exact @ exact.T, atol=1e-9)
+    if warmed:
+        monkeypatch.setattr(np.linalg, "eigh", no_svd)
+        assert np.allclose(svt(m, tau, WarmStart(warm.basis)), ref,
+                           rtol=1e-9, atol=1e-9 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("shape", [(200, 60), (64, 256)], ids=["tall", "wide"])
+def test_svt_warm_certificate_rejects_a_tail_value_above_tau(shape, monkeypatch):
+    """One tail value at 1.05 tau: the power steps settle on the five
+    leading vectors, but the spill certificate fails and svt falls back to
+    the Gram path, whose result it returns bitwise."""
+    tau = 1e-2
+    m, exact = flat_tail(shape, tau, seed=23, lead=(10.0, 8.0, 6.0, 5.0, 4.0, 1.05 * tau))
+    cold = svt(m, tau)
+    outcomes = spy_warm(monkeypatch)
+    grams = []
+    eigh = np.linalg.eigh
+
+    def counted(a):
+        grams.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    warm = WarmStart(exact[:, :5].copy())
+    got = svt(m, tau, warm)
+    assert outcomes == [False]
+    assert grams == [(min(shape), min(shape))]
+    assert np.array_equal(got, cold)
+    assert warm.basis.shape == (min(shape), 6)
+    ref = _svt_svd(m, tau)
+    assert np.allclose(got, ref, rtol=1e-9, atol=1e-9 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("shape", [(200, 60), (64, 256)], ids=["tall", "wide"])
+def test_svt_warm_start_on_zero_input_and_zero_threshold(shape):
+    m, exact = flat_tail(shape, 1e-2, seed=24)
+    zero = np.zeros(shape)
+    assert np.array_equal(svt(zero, 0.5, WarmStart(exact.copy())), zero)
+    assert np.array_equal(svt(zero, 0.0, WarmStart(exact.copy())), zero)
+    got = svt(m, 0.0, WarmStart(exact.copy()))
+    assert np.allclose(got, m, rtol=1e-9, atol=1e-12 * np.abs(m).max())
+
+
+@pytest.mark.parametrize("shape", [(200, 60), (64, 256)], ids=["tall", "wide"])
+def test_svt_warm_start_is_bitwise_repeatable(shape):
+    tau = 1e-2
+    m, exact = flat_tail(shape, tau, seed=25)
+    start = start_basis("perturbed", exact, seed=26)
+    one, two = WarmStart(start.copy()), WarmStart(start.copy())
+    assert np.array_equal(svt(m, tau, one), svt(m.copy(), tau, two))
+    assert np.array_equal(one.basis, two.basis)
+
+
 def test_procrustes_orthonormal_and_optimal():
     rng = np.random.default_rng(21)
     for _ in range(25):
@@ -294,10 +414,15 @@ def test_procrustes_degenerate_input_takes_the_svd_path(m):
     assert np.array_equal(procrustes(m), svd_polar(m))
 
 
-@pytest.mark.parametrize("kernel", [procrustes, lambda m: svt(m, 1.0)], ids=["procrustes", "svt"])
+@pytest.mark.parametrize("kernel", [
+    procrustes,
+    lambda m: svt(m, 1.0),
+    lambda m: svt(m, 1.0, WarmStart(np.eye(4)[:, :1])),
+], ids=["procrustes", "svt", "svt-warm"])
 def test_overflowing_gram_is_a_numerical_error(kernel):
     # The input is finite but its Gram matrix overflows, and the
-    # eigendecomposition of that fails to converge.
+    # eigendecomposition of that fails to converge. The warm path's power
+    # step overflows the same way and hands the input to the Gram path.
     m = np.random.default_rng(0).standard_normal((30, 4)) * 1e160
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NumericalError, match="Gram eigendecomposition failed to converge"):

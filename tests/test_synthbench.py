@@ -175,11 +175,16 @@ class TestHoldout:
         (dict(noise_amp=float("nan")), "noise_amp must be positive, got nan"),
         (dict(noise_amp=float("inf")), "noise_amp must be positive, got inf"),
         (dict(noise_amp=0.0), "noise_amp must be positive, got 0.0"),
+        (dict(missing_frac=0.9, sparsity=0.5),
+         "sparsity asks for 25 gross errors but missing_frac leaves only 5 visible cells"),
     ], ids=["seed-negative", "seed-float", "seed-bool", "missing_frac-1.5", "missing_frac-1",
-            "sparsity-negative", "sparsity-nan", "noise_amp-nan", "noise_amp-inf", "noise_amp-0"])
+            "sparsity-negative", "sparsity-nan", "noise_amp-nan", "noise_amp-inf", "noise_amp-0",
+            "more-errors-than-visible-cells"])
     def test_bad_arguments(self, holdout_truth, kw, message):
-        """Each raised a raw numpy ValueError, or (noise_amp=nan) returned a
-        non-finite y, before holdout_sample checked its arguments."""
+        """Each raised a raw numpy ValueError, returned a non-finite y
+        (noise_amp=nan) or planted fewer gross errors than asked (more errors
+        than visible cells) before holdout_sample checked its arguments the
+        way SynthSpec does."""
         with pytest.raises(ValidationError, match=message):
             holdout_sample(holdout_truth, **{"seed": 9, **kw})
 

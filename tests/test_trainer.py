@@ -14,6 +14,7 @@ import pytest
 from marc import dataset, proxops, trainer
 from marc.dataset import AttributeSchema, Sample, SelectorBank, TrainingSet, assemble, columns_of, materialize_h
 from marc.errors import NumericalError, ValidationError
+from marc.formats import save_bundle
 from marc.proxops import random_orthonormal
 from marc.synthbench import SynthSpec, default_spec, generate
 from marc.trainer import (
@@ -277,6 +278,54 @@ class TestTrainLoop:
         assert np.array_equal(one.sparse_error, two.sparse_error)
         assert one.diagnostics.residual_history == two.diagnostics.residual_history
 
+    @pytest.mark.parametrize("shape", ["stock", "labels"])
+    def test_warm_g_step_trains_the_same_model(self, shape, default_instance, tmp_path,
+                                               monkeypatch):
+        """The G step's warm path changes a full run only at rounding
+        level: the same steps and stop, G and E within 1e-10 ||X||_F and
+        bases within 1e-9 of a run with the warm path switched off, bitwise
+        repeatable, and no basis reaches the saved bundle."""
+        if shape == "stock":
+            ts, _ = default_instance
+        else:
+            schema = AttributeSchema.of([
+                (f"attr{i}", [f"{prefix}{j}" for j in range(1, m + 1)])
+                for i, (prefix, m) in enumerate((("a", 8), ("b", 16), ("c", 32)), start=1)])
+            ts, _ = generate(dataclasses.replace(default_spec(), schema=schema, dim=64,
+                                                 count=256, seed=11))
+        warmed = Counter()
+        original = proxops._warm_factors
+
+        def counted(*args):
+            found = original(*args)
+            warmed[found is not None] += 1
+            return found
+
+        monkeypatch.setattr(proxops, "_warm_factors", counted)
+        warm, again = train(ts), train(ts)
+        assert warmed[True] > 2 * warmed[False] > 0
+        monkeypatch.setattr(proxops, "_warm_factors", lambda *args: None)
+        cold = train(ts)
+
+        scale = float(np.linalg.norm(ts.X))
+        assert np.abs(warm.individual - cold.individual).max() <= 1e-10 * scale
+        assert np.abs(warm.sparse_error - cold.sparse_error).max() <= 1e-10 * scale
+        for a, b in zip(warm.bases, cold.bases):
+            assert np.abs(a - b).max() <= 1e-9
+        for field in ("iterations", "stop_reason", "mu_history"):
+            assert getattr(warm.diagnostics, field) == getattr(cold.diagnostics, field)
+        for a, b in zip(warm.bases + warm.bank.selectors + [warm.individual, warm.sparse_error],
+                        again.bases + again.bank.selectors + [again.individual, again.sparse_error]):
+            assert np.array_equal(a, b)
+        assert warm.diagnostics == again.diagnostics
+
+        save_bundle(tmp_path / "warm", warm)
+        save_bundle(tmp_path / "cold", cold)
+        names = sorted(p.name for p in (tmp_path / "warm").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "cold").iterdir())
+        assert (tmp_path / "warm" / "config.json").read_bytes() \
+            == (tmp_path / "cold" / "config.json").read_bytes()
+
     def test_non_convergence_is_flagged_not_raised(self, small_instance):
         ts, _ = small_instance
         bundle = train(ts, SolverConfig(t_max=2))
@@ -405,9 +454,9 @@ class TestTrainLoop:
 
     def test_iteration_work_is_bounded(self, small_instance, monkeypatch):
         """Per Gauss-Seidel sweep (one G step each): one SVT, through the
-        Gram path, and no attribute residual, shared-component rebuild,
-        per-instantiation column lookup or materialized selector (the sweep
-        works in label space)."""
+        warm or the Gram path, never the SVD, and no attribute residual,
+        shared-component rebuild, per-instantiation column lookup or
+        materialized selector (the sweep works in label space)."""
         ts, _ = small_instance
         calls = Counter()
 
