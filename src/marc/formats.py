@@ -18,9 +18,10 @@ A bundle adds config.json and diagnostics.json (a span.marc left by older
 versions is ignored); a truth directory adds assignments.json, mask.marc,
 data.marc and, for a planted individual part of rank > 0, g_left.marc and
 g_singulars.marc. Both loaders check every matrix's shape against the others
-("<path> has shape (r, c), expected (r', c')") and every record field's
-type, and build the config through `SolverConfig`'s own checks; a failure
-raises FormatError.
+("<path> has shape (r, c), expected (r', c')") and refuse one with a NaN or
+infinite entry ("<path>: non-finite entries"), check every record field's
+type, and build the config through `SolverConfig`'s own checks; a
+failure raises FormatError.
 """
 from __future__ import annotations
 
@@ -216,15 +217,18 @@ def _read_record(path: Path, cls: type, what: str):
         raise FormatError(f"{path}: bad {what}: {exc}") from exc
 
 
-def _check_shape(m: np.ndarray, name: str | Path, shape: tuple[int, ...] | None) -> np.ndarray:
-    """`m`, if it has `shape` (any shape when that is None)."""
+def _check_matrix(m: np.ndarray, name: str | Path, shape: tuple[int, ...] | None) -> np.ndarray:
+    """`m`, if it has `shape` (any shape when that is None) and only finite
+    entries."""
     if shape is not None and m.shape != shape:
         raise FormatError(f"{name} has shape {m.shape}, expected {shape}")
+    if not np.isfinite(m).all():
+        raise FormatError(f"{name}: non-finite entries")
     return m
 
 
-def _read_shaped(path: Path, shape: tuple[int, ...] | None) -> np.ndarray:
-    return _check_shape(read_matrix(path), path, shape)
+def _read_checked(path: Path, shape: tuple[int, ...] | None) -> np.ndarray:
+    return _check_matrix(read_matrix(path), path, shape)
 
 
 def _read_selectors(path: Path, schema: AttributeSchema) -> SelectorBank:
@@ -236,7 +240,7 @@ def _read_selectors(path: Path, schema: AttributeSchema) -> SelectorBank:
     for i in range(schema.count):
         sel, offset = _matrix_from_stream(buf, offset, f"{path} record {i}")
         m = schema.size(i)
-        selectors.append(_check_shape(sel, f"{path}: record {i}", (m, m)))
+        selectors.append(_check_matrix(sel, f"{path}: record {i}", (m, m)))
     if offset != len(buf):
         raise FormatError(f"{path}: trailing bytes after the last record")
     return SelectorBank(selectors)
@@ -261,18 +265,18 @@ def _load_factors(root: Path, shape: tuple[int, int] | None = None) -> dict:
     """Read the factor files under `root` as the keyword arguments they fill
     in a ModelBundle or GroundTruth. The individual and sparse parts must
     have `shape` (when None, whatever individual.marc has) and each basis
-    their rows and one column per instantiation. A missing file raises
-    OSError."""
+    their rows and one column per instantiation, and every entry must be
+    finite. A missing file raises OSError."""
     schema = AttributeSchema.from_dict(_json_load(root / "schema.json"))
-    individual = _read_shaped(root / "individual.marc", shape)
+    individual = _read_checked(root / "individual.marc", shape)
     dim = individual.shape[0]
     return {
         "schema": schema,
-        "bases": [_read_shaped(root / f"basis_{i}.marc", (dim, schema.size(i)))
+        "bases": [_read_checked(root / f"basis_{i}.marc", (dim, schema.size(i)))
                   for i in range(schema.count)],
         "bank": _read_selectors(root / "selectors.marc", schema),
         "individual": individual,
-        "sparse_error": _read_shaped(root / "error.marc", individual.shape),
+        "sparse_error": _read_checked(root / "error.marc", individual.shape),
     }
 
 
@@ -329,12 +333,12 @@ def load_truth(path: str | Path) -> GroundTruth:
                 f"{root}: assignments[{i}] must hold {count} labels in [0, {m}) as JSON integers")
     if (root / "g_left.marc").exists():
         g_singulars = read_vector(root / "g_singulars.marc")
-        g_left = _read_shaped(root / "g_left.marc", (dim, g_singulars.size))
+        g_left = _read_checked(root / "g_left.marc", (dim, g_singulars.size))
     else:
         g_left, g_singulars = np.zeros((dim, 0)), np.zeros(0)
     return GroundTruth(
         **factors,
-        mask=_read_shaped(root / "mask.marc", data.shape),
+        mask=_read_checked(root / "mask.marc", data.shape),
         data=data,
         assignments=tuple(np.asarray(labels, dtype=np.int64) for labels in raw),
         g_left=g_left,

@@ -15,9 +15,17 @@ single pass (the exact rather than the inexact augmented Lagrangian method,
 Lin, Chen & Ma, arXiv:1009.5055): one pass per step lets the penalty grow
 past the point where the split can still change, and the iterate freezes
 feasible but wrong. A sweep solves the free selectors and the span
-coefficients together by least squares on the visible rows, through one
-`np.linalg.pinv` P of the visible design (or its k x k normal map P P^T), then
+coefficients together by least squares on the visible rows, then
 soft-thresholds the visible part of e.
+
+The least-squares fit goes through each column's k x k normal map
+(D_v^T D_v)^-1, D_v being the visible rows of the k-wide design. The maps of
+a block come from its Grams D_v^T D_v, formed by one product and factored by
+one stacked `np.linalg.eigh`. The normal equations square the condition
+number, so a Gram is trusted only when its smallest eigenvalue is above
+NORMAL_RATIO times its largest; any other column (a rank-deficient or
+ill-conditioned visible design, or one with fewer than k rows) takes its
+factor from `np.linalg.pinv(D_v)` instead.
 
 `reconstruct_many` solves a block of vectors as independent problems that
 share each sweep's matrix products; `reconstruct` is its one-vector case, so
@@ -52,6 +60,15 @@ from .trainer import ModelBundle, Schedule, TrainDiagnostics, run_penalty_steps
 # sweeps converge on slowly, many more sweeps.
 INNER_SWEEPS = 30
 INNER_TOL = 3e-3
+
+# The x step inverts each column's k x k Gram D_v^T D_v, which squares the
+# condition number: its eigenvalues carry an absolute error of about
+# eps * lambda_max, so the inverse carries a relative error of about
+# eps * cond(D_v)^2 = eps * lambda_max / lambda_min. A Gram is trusted when
+# every eigenvalue is above NORMAL_RATIO * lambda_max, where that error is
+# ~2e-13 (cond(D_v) < 32). On the benchmark's held-out masks (seeds 1 and
+# 11) the stock and cli-pipeline designs have cond(D_v) <= 6.7, far inside.
+NORMAL_RATIO = 1e-3
 
 
 @dataclass(frozen=True)
@@ -275,6 +292,37 @@ def _column(a: np.ndarray, c: int) -> np.ndarray:
     return a[:, c] if a.ndim == 2 else a
 
 
+def _normal_maps(design: np.ndarray,
+                 visible: np.ndarray) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """The k x k normal map (D_v^T D_v)^-1 of each column of the dim x B
+    boolean `visible`, D_v being the rows of the dim x k `design` it sees,
+    stacked B x k x k; and the pinv factor P = pinv(D_v) of every column
+    whose Gram is not trusted, by column. One product forms the B Grams from
+    the row-wise outer products of `design` (a lone column's Gram is
+    D^T diag(w) D), one stacked `eigh` factors them, and a trusted Gram's map
+    is V diag(1/lambda) V^T. A Gram is trusted when every eigenvalue is above
+    NORMAL_RATIO * lambda_max (a zero-width Gram is, vacuously), which a
+    column that sees fewer than k rows, or a rank-deficient D_v, never
+    passes; any other column's map is P P^T, as `np.linalg.pinv` gives it."""
+    dim, k = design.shape
+    # For one column the outer products cost more than they save: built
+    # anyway, they add ~5% to a one-vector solve (paired median over 200
+    # stock holdouts, one BLAS thread, 2-core VM).
+    if visible.shape[1] == 1:
+        grams = ((design.T * visible.T) @ design)[None]
+    else:
+        outer = (design[:, :, None] * design[:, None, :]).reshape(dim, k * k)
+        grams = (visible.T.astype(np.float64) @ outer).reshape(visible.shape[1], k, k)
+    lam, vec = np.linalg.eigh(grams)
+    trusted = np.all(lam > NORMAL_RATIO * lam[:, -1:], axis=1)
+    inverse = np.divide(1.0, lam, out=np.zeros_like(lam), where=trusted[:, None])
+    maps = (vec * inverse[:, None, :]) @ vec.transpose(0, 2, 1)
+    fallback = {int(c): np.linalg.pinv(design[visible[:, c]]) for c in np.flatnonzero(~trusted)}
+    for c, factor in fallback.items():
+        maps[c] = factor @ factor.T
+    return maps, fallback
+
+
 def _solve(
     Y: np.ndarray,
     W: np.ndarray,
@@ -288,7 +336,7 @@ def _solve(
     the column axis: its state holds 1-D arrays and a scalar mu, which its
     observer sees, and its per-column bookkeeping costs no numpy calls on
     length-1 arrays. That path pays for itself: solving the same vector as
-    a 1-column block takes ~20% longer (paired median over 200 stock
+    a 1-column block takes ~25% longer (paired median over 200 stock
     holdouts, one BLAS thread, 2-core VM)."""
     spec = _check_spec(spec, bundle.schema)
     dim = bundle.dim
@@ -336,16 +384,19 @@ def _solve(
     # The primal blocks of a sweep are x, the free selectors and the span
     # coefficients taken together, then the sparse error e. Hidden entries of
     # e carry no penalty and absorb whatever x leaves there, so the x step is
-    # each column's least-squares fit on its visible rows, P r_v, with D the
-    # stacked design [F_free, K] (K zero columns wide without the span) and
-    # P = pinv(D_v): one `np.linalg.pinv` per column. When every column has
-    # one mask, that is one P, placed on the visible columns (zero on hidden
-    # rows), and one product with it for the whole block; the normal-map form
-    # below takes ~15% longer on one vector (paired median over 200 stock
-    # holdouts, one BLAS thread, 2-core VM). Otherwise each column takes
-    # P P^T D^T (w .* r), since P P^T D_v^T = P: P P^T is its mask's k x k
-    # normal map (k the width of D), so the block takes one product with D^T
-    # and a stacked k x k one. Either way hidden rows of r enter no x step.
+    # each column's least-squares fit on its visible rows,
+    # (D_v^T D_v)^-1 D_v^T r_v, with D the stacked design [F_free, K] (K zero
+    # columns wide without the span) and k its width. `_normal_maps` gives
+    # each column's k x k normal map (D_v^T D_v)^-1 from one stacked
+    # eigendecomposition of the Grams; a column whose Gram it cannot trust
+    # (see NORMAL_RATIO) takes P P^T, P = pinv(D_v), instead. When every
+    # column has one mask, the map times D_v^T (or that column's P) is placed
+    # on the visible columns (zero on hidden rows), and each sweep takes one
+    # product with it for the whole block; the normal-map form below takes
+    # ~12% longer on one vector (paired median over 200 stock holdouts, one
+    # BLAS thread, 2-core VM). Otherwise each column takes map D^T (w .* r):
+    # the block takes one product with D^T and a stacked k x k one. Either
+    # way hidden rows of r enter no x step.
     blocks = [bases[i] for i in free] + [span]
     design = np.concatenate(blocks, axis=1)
     ends = list(itertools.accumulate((block.shape[1] for block in blocks), initial=0))
@@ -357,12 +408,12 @@ def _solve(
         "input": np.array(live),  # each working column's index in the input
     }
     if (visible.T == masks[0]).all():
-        pinv = np.zeros((design.shape[1], dim))
-        pinv[:, masks[0]] = np.linalg.pinv(design[masks[0]])
+        maps, fallback = _normal_maps(design, masks[0][:, None])
+        placed = np.zeros((design.shape[1], dim))
+        placed[:, masks[0]] = fallback[0] if fallback else maps[0] @ design[masks[0]].T
     else:
-        pinv = None
-        factors = (np.linalg.pinv(design[mask]) for mask in masks)
-        cols["maps"] = np.stack([factor @ factor.T for factor in factors])
+        placed = None
+        cols["maps"] = _normal_maps(design, visible)[0]
     # Pinned terms F_k h_k are fixed: formed once, added in schema order.
     terms = [lift(bases[i] @ sel) if sel is not None else None for i, sel in enumerate(trained)]
     pinned = np.zeros(dim)
@@ -393,8 +444,8 @@ def _solve(
         moving = True
         some_frozen = False
         for sweep in range(INNER_SWEEPS):
-            if pinv is not None:
-                new = pinv @ (target - err)
+            if placed is not None:
+                new = placed @ (target - err)
             else:
                 rhs = design.T @ (cols["visible"] * (target - err))
                 new = np.matmul(cols["maps"], rhs.T[:, :, None])[:, :, 0].T

@@ -10,7 +10,7 @@ import pytest
 
 from marc.cli import build_parser, main
 from marc.formats import (
-    load_bundle, load_manifest, load_truth, read_matrix, read_vector, write_manifest,
+    _HEADER, load_bundle, load_manifest, load_truth, read_matrix, read_vector, write_manifest,
     write_matrix, write_vector,
 )
 from marc.reconstructor import ReconConfig
@@ -218,6 +218,34 @@ class TestEval:
         assert rc == 3
         assert "assignments[1] must hold 18 labels in [0, 3) as JSON integers" \
             in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", ["basis_0.marc", "selectors.marc", "individual.marc",
+                                  "error.marc"])
+@pytest.mark.parametrize("command, where", [
+    ("complete", "bundle"), ("eval", "bundle"), ("eval", "truth"),
+], ids=["complete-bundle", "eval-bundle", "eval-truth"])
+def test_non_finite_factor_is_format_error(workspace, tmp_path, capsys, command, where,
+                                           name, value):
+    """A NaN or inf in a factor file of a bundle or a truth directory is
+    refused on load with exit 3, naming the file. It used to end in an SVD
+    (LinAlgError) or IndexError traceback, or in an eval report of inf."""
+    dirs = {"bundle": workspace / "bundle", "truth": workspace / "data" / "truth"}
+    shutil.copytree(dirs[where], tmp_path / where)
+    dirs[where] = tmp_path / where
+    path = dirs[where] / name
+    payload = bytearray(path.read_bytes())  # first entry of the (first record's) payload
+    payload[_HEADER.size:_HEADER.size + 8] = np.array(value, dtype="<f8").tobytes()
+    path.write_bytes(bytes(payload))
+    sample = workspace / "data" / "samples" / "sample_0001.marc"
+    argv = {"complete": ["complete", "-b", str(dirs["bundle"]), "-i", str(sample),
+                         "-o", str(tmp_path / "out.marc")],
+            "eval": ["eval", "-b", str(dirs["bundle"]), "--truth", str(dirs["truth"])]}[command]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"{name}{': record 0' if name == 'selectors.marc' else ''}: non-finite entries" in err
+    assert not (tmp_path / "out.marc").exists()
 
 
 class TestCompleteAndTransfer:

@@ -9,19 +9,21 @@ import numpy as np
 import pytest
 
 from conftest import bundle_from_truth
+from marc import reconstructor
 from marc.dataset import AttributeSchema
 from marc.errors import DegenerateMatrixError, NumericalError, ValidationError
 from marc.proxops import RankRule, deterministic_svd, svd_span
 from marc.reconstructor import (
     ReconConfig,
     TransferSpec,
+    _normal_maps,
     build_span,
     complete,
     reconstruct,
     reconstruct_many,
     transfer,
 )
-from marc.synthbench import SynthSpec, generate
+from marc.synthbench import SynthSpec, generate, holdout_sample
 
 
 @pytest.fixture(scope="module")
@@ -462,3 +464,119 @@ class TestBlock:
             with pytest.raises(NumericalError, match="iteration 0: the observed norm of "
                                                      "column 1 overflows"):
                 reconstruct_many(np.column_stack([y, big]), None, bundle)
+
+
+def pinv_route(design, visible):
+    """The x step's factor as `np.linalg.pinv` gives it for every column:
+    the maps P P^T and every P as a fallback, with P = pinv(D_v)."""
+    factors = {c: np.linalg.pinv(design[mask]) for c, mask in enumerate(visible.T)}
+    return np.stack([p @ p.T for p in factors.values()]), factors
+
+
+class TestNormalMaps:
+    """The x step's factor, (D_v^T D_v)^-1 from one stacked eigendecomposition
+    of the Grams, against the pinv route P P^T, P = pinv(D_v), on the design
+    of the stock model: the free bases and the default span, 12 columns."""
+
+    @pytest.fixture(scope="class")
+    def stock(self, default_instance):
+        _, truth = default_instance
+        bundle = bundle_from_truth(truth)
+        return truth, bundle, np.concatenate(bundle.bases + [build_span(bundle)], axis=1)
+
+    @staticmethod
+    def spy(monkeypatch):
+        """The row counts of the matrices `np.linalg.pinv` is called on."""
+        calls = []
+        original = np.linalg.pinv
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape[0])
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "pinv", counted)
+        return calls
+
+    @staticmethod
+    def masks(dim, count, seed):
+        """`count` random masks hiding 10-50% of `dim` entries."""
+        rng = np.random.default_rng(seed)
+        return rng.random((dim, count)) >= rng.uniform(0.1, 0.5, count)
+
+    def test_trusted_maps_match_the_pinv_route(self, stock, monkeypatch):
+        """Every Gram of 64 random masks is trusted; its map agrees with
+        P P^T to 1e-12 relative, in a block and alone (which forms its Gram
+        by another product), and pinv never runs."""
+        _, _, design = stock
+        visible = self.masks(design.shape[0], 64, seed=5)
+        want, _ = pinv_route(design, visible)
+        calls = self.spy(monkeypatch)
+        block, fallback = _normal_maps(design, visible)
+        alone = [_normal_maps(design, mask[:, None]) for mask in visible.T[:8]]
+        assert calls == [] and fallback == {} and all(not f for _, f in alone)
+        for got, ref in zip(block, want):
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+        for (got, _), ref in zip(alone, want):
+            assert np.linalg.norm(got[0] - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("case", ["few-rows", "duplicated-column", "zero-width"])
+    def test_untrusted_columns_take_the_pinv_route_bitwise(self, stock, monkeypatch, case):
+        """A column that sees fewer rows than the design has columns, and
+        every column of a design with a duplicated column (both have a
+        singular Gram), take P and P P^T exactly as pinv gives them, and pinv
+        runs for them alone. A zero-width design (everything pinned, no span)
+        has empty maps either way."""
+        _, _, design = stock
+        visible = self.masks(design.shape[0], 6, seed=7)
+        if case == "few-rows":
+            visible[:, 2] = False
+            visible[:design.shape[1] - 1, 2] = True
+        elif case == "duplicated-column":
+            design = np.column_stack([design, design[:, 3]])
+        else:
+            design = design[:, :0]
+        untrusted = {"few-rows": [2], "duplicated-column": list(range(6)), "zero-width": []}[case]
+        want, factors = pinv_route(design, visible)
+        calls = self.spy(monkeypatch)
+        maps, fallback = _normal_maps(design, visible)
+        assert calls == [np.count_nonzero(visible[:, c]) for c in untrusted]
+        assert sorted(fallback) == untrusted
+        for c in untrusted:
+            assert np.array_equal(fallback[c], factors[c])
+            assert np.array_equal(maps[c], want[c])
+        if case == "few-rows":
+            trusted = [0, 1, 3, 4, 5]
+            assert np.linalg.norm(maps[trusted] - want[trusted]) <= 1e-12 * np.linalg.norm(want)
+        assert maps.shape == want.shape
+
+    @pytest.mark.parametrize("pins, options, tol", [
+        ({}, {}, 1e-12), ({"attr2": "b3"}, {}, 1e-12), ({}, dict(use_individual=False), 1e-12),
+        ({"attr1": "a2", "attr2": "b3"}, dict(use_individual=False), 0.0),
+    ], ids=["free", "pinned", "no-span", "zero-width"])
+    def test_solves_as_the_pinv_route(self, stock, monkeypatch, pins, options, tol):
+        """Stock holdouts solved alone and as one block take the same
+        iterations and stop as with the pinv route for the factor, and end
+        within 1e-12 of it relative to the input; with a zero-width design
+        (every attribute pinned, no span) there is nothing to factor and the
+        results are bitwise equal."""
+        truth, bundle, _ = stock
+        samples = [holdout_sample(truth, seed) for seed in range(16)]
+        Y = np.column_stack([s.y for s in samples])
+        W = np.column_stack([s.mask for s in samples])
+        spec = TransferSpec.targets(truth.schema, pins)
+        config = ReconConfig(**options)
+
+        def solve():
+            alone = [reconstruct(Y[:, c], W[:, c], bundle, spec, config) for c in range(Y.shape[1])]
+            return alone + reconstruct_many(Y, W, bundle, spec, config)
+
+        gram = solve()
+        monkeypatch.setattr(reconstructor, "_normal_maps", pinv_route)
+        pinv = solve()
+        for c, (a, b) in enumerate(zip(gram, pinv)):
+            scale = np.linalg.norm(Y[:, c % Y.shape[1]])
+            for field in ("iterations", "stop_reason", "converged"):
+                assert getattr(a.diagnostics, field) == getattr(b.diagnostics, field)
+            for x, y in zip([*a.selectors, a.indiv_coeffs, a.sparse_error, a.reconstruction],
+                            [*b.selectors, b.indiv_coeffs, b.sparse_error, b.reconstruction]):
+                assert np.linalg.norm(x - y) <= tol * scale
