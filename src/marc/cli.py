@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -19,21 +18,14 @@ from pathlib import Path
 import numpy as np
 
 from . import formats
-from .dataset import AttributeSchema, assemble, check_observed
+from .dataset import AttributeSchema, assemble
 from .errors import FormatError, NumericalError, ValidationError
 from .proxops import RankRule
-from .reconstructor import (ReconConfig, TransferSpec, check_input, observed_norms,
-                            reconstruct_many, synthesize)
+from .reconstructor import ReconConfig, TransferSpec, check_input, reconstruct_many, synthesize
 from .synthbench import SynthSpec, default_spec, generate, recovery_metrics
 from .trainer import MU0_NORMS, Schedule, SolverConfig, train
 
 MATRIX_SUFFIXES = (".marc", ".csv")
-
-# complete and transfer solve a directory in blocks of at most this many
-# vectors, split evenly: wide enough that each numpy call of a sweep covers
-# many vectors, narrow enough that the solver's working arrays stay small
-# (about 30 kB per vector at 200 dims) whatever the size of the directory.
-BLOCK_WIDTH = 64
 
 # The synth flags: each sets, and takes its default and type from, one SynthSpec field.
 SYNTH_FLAGS = (
@@ -106,48 +98,40 @@ def _recon_jobs(args: argparse.Namespace) -> list[tuple[Path, Path | None, Path]
                    if p.is_file() and p.suffix.lower() in MATRIX_SUFFIXES)
     if not files:
         raise ValidationError(f"no matrix files found in directory {inp}")
-    out.mkdir(parents=True, exist_ok=True)
     return [(f, mask / f.name if mask else None, out / f.name) for f in files]
 
 
 def _run_recon_jobs(args: argparse.Namespace) -> int:
-    """complete and transfer: read every resolved job and check them as one
-    block (`check_observed`, then `observed_norms` for a norm that overflows,
-    each naming the file), then reconstruct them in blocks of at most
-    BLOCK_WIDTH with `reconstruct_many`, writing outputs and printing one
-    line per job in name order. Without --target every selector is solved
-    freely; otherwise the named attributes are pinned (--post-hoc chooses
-    the joint re-solve or the post-hoc substitution)."""
+    """complete and transfer: read every resolved job, check each vector's
+    and mask's length (`check_input`), and reconstruct them all with one
+    `reconstruct_many` call, which checks the values and names a file at
+    fault by its path. Then create the output directory, if the input is
+    one, write the outputs and print one line per job in name order.
+    Without --target every selector is solved freely; otherwise the named
+    attributes are pinned (--post-hoc chooses the joint re-solve or the
+    post-hoc substitution)."""
     targets = _parse_pairs(args.target, "--target", "attribute=instantiation")
     bundle = formats.load_bundle(args.bundle)
     config = _recon_config(args)
     jobs = _recon_jobs(args)
-    free = TransferSpec.all_free(bundle.schema)
     pins = TransferSpec.targets(bundle.schema, targets)
-    Y = np.empty((bundle.dim, len(jobs)))
-    W = np.empty((bundle.dim, len(jobs)))
+    Y, W = np.empty((2, bundle.dim, len(jobs)))
     for k, (in_path, mask_path, _) in enumerate(jobs):
         y = formats.read_vector(in_path)
         w = formats.read_vector(mask_path) if mask_path else None
-        try:
-            Y[:, k], W[:, k] = check_input(y, w, bundle.dim)
-        except ValidationError as exc:
-            raise ValidationError(f"{in_path}: {exc}") from None
-    check_observed(Y, W, lambda k: str(jobs[k][0]), "input vector", "input mask")
-    observed_norms(Y * W, lambda k: str(jobs[k][0]))
-    spec = free if args.post_hoc else pins
-    for block in np.array_split(np.arange(len(jobs)), math.ceil(len(jobs) / BLOCK_WIDTH)):
-        results = reconstruct_many(Y[:, block], W[:, block], bundle, spec, config)
-        for k, result in zip(block.tolist(), results):
-            in_path, _, out_path = jobs[k]
-            out = result.reconstruction
-            if args.post_hoc:
-                out = synthesize(bundle, pins, result.selectors, result.indiv_coeffs,
-                                 config.rank_rule)
-            formats.write_vector(out_path, out)
-            d = result.diagnostics
-            flag = "" if d.converged else f" (did not converge: {d.stop_reason})"
-            print(f"{in_path.name}: iterations={d.iterations} residual={d.final_residual:.3e}{flag}")
+        Y[:, k], W[:, k] = check_input(y, w, bundle.dim, f"{in_path}: ")
+    spec = TransferSpec.all_free(bundle.schema) if args.post_hoc else pins
+    results = reconstruct_many(Y, W, bundle, spec, config, name=lambda k: str(jobs[k][0]))
+    if Path(args.input).is_dir():
+        Path(args.output).mkdir(parents=True, exist_ok=True)
+    for (in_path, _, out_path), result in zip(jobs, results):
+        out = result.reconstruction
+        if args.post_hoc:
+            out = synthesize(bundle, pins, result.selectors, result.indiv_coeffs, config.rank_rule)
+        formats.write_vector(out_path, out)
+        d = result.diagnostics
+        flag = "" if d.converged else f" (did not converge: {d.stop_reason})"
+        print(f"{in_path.name}: iterations={d.iterations} residual={d.final_residual:.3e}{flag}")
     return 0
 
 

@@ -227,8 +227,8 @@ def _check_matrix(m: np.ndarray, name: str | Path, shape: tuple[int, ...] | None
     return m
 
 
-def _read_checked(path: Path, shape: tuple[int, ...] | None) -> np.ndarray:
-    return _check_matrix(read_matrix(path), path, shape)
+def _read_checked(path: Path, shape: tuple[int, ...] | None, read=read_matrix) -> np.ndarray:
+    return _check_matrix(read(path), path, shape)
 
 
 def _read_selectors(path: Path, schema: AttributeSchema) -> SelectorBank:
@@ -318,7 +318,7 @@ def load_truth(path: str | Path) -> GroundTruth:
     attribute, and g_left must have dim rows and one column per singular value.
     """
     root = Path(path)
-    data = read_matrix(root / "data.marc")
+    data = _read_checked(root / "data.marc", None)
     dim, count = data.shape
     factors = _load_factors(root, data.shape)
     schema = factors["schema"]
@@ -332,7 +332,7 @@ def load_truth(path: str | Path) -> GroundTruth:
             raise FormatError(
                 f"{root}: assignments[{i}] must hold {count} labels in [0, {m}) as JSON integers")
     if (root / "g_left.marc").exists():
-        g_singulars = read_vector(root / "g_singulars.marc")
+        g_singulars = _read_checked(root / "g_singulars.marc", None, read_vector)
         g_left = _read_checked(root / "g_left.marc", (dim, g_singulars.size))
     else:
         g_left, g_singulars = np.zeros((dim, 0)), np.zeros(0)

@@ -45,9 +45,9 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .dataset import AttributeSchema, check_observed
-from .errors import DegenerateMatrixError, NumericalError, ValidationError, check_integer
+from .errors import DegenerateMatrixError, ValidationError, check_integer
 from .proxops import RankRule, soft_threshold, svd_span
-from .trainer import ModelBundle, Schedule, TrainDiagnostics, run_penalty_steps
+from .trainer import ModelBundle, Schedule, TrainDiagnostics, checked_norms, run_penalty_steps
 
 # Each penalty step runs up to INNER_SWEEPS Gauss-Seidel sweeps of the primal
 # blocks (free selectors with span coefficients, then the sparse error); a
@@ -69,6 +69,11 @@ INNER_TOL = 3e-3
 # ~2e-13 (cond(D_v) < 32). On the benchmark's held-out masks (seeds 1 and
 # 11) the stock and cli-pipeline designs have cond(D_v) <= 6.7, far inside.
 NORMAL_RATIO = 1e-3
+
+# reconstruct_many solves at most this many columns at once, split evenly: a
+# sweep's numpy calls cover many vectors, yet its working arrays stay small
+# (~30 kB per vector at 200 dims). One 200-column slice ran slower than 4 of 50.
+BLOCK_WIDTH = 64
 
 
 @dataclass(frozen=True)
@@ -126,9 +131,9 @@ class ReconResult:
 class ReconState:
     """Mutable reconstruction state, exposed to observers per iteration.
     For one vector (`reconstruct`) the arrays are 1-D and mu is a float. A
-    block (`reconstruct_many`) holds its working set, the B columns still
-    running, one per column: selectors[i] is (M_i, B), indiv_coeffs (r, B),
-    sparse_error and dual (dim, B), and mu (B,)."""
+    block (`reconstruct_many`) holds the working set of one slice, the B
+    columns still running, one per column: selectors[i] is (M_i, B),
+    indiv_coeffs (r, B), sparse_error and dual (dim, B), and mu (B,)."""
 
     config: ReconConfig
     selectors: list[np.ndarray]
@@ -178,15 +183,16 @@ def synthesize(
     return out
 
 
-def check_input(y: np.ndarray, w_y: np.ndarray | None, dim: int) -> tuple[np.ndarray, np.ndarray]:
+def check_input(y: np.ndarray, w_y: np.ndarray | None, dim: int,
+                where: str = "") -> tuple[np.ndarray, np.ndarray]:
     """One input vector and its mask (None: every entry visible) as float
-    vectors of length `dim`; either of another length raises
-    ValidationError. Their values are `check_observed`'s to check."""
+    vectors of length `dim`; either of another length raises ValidationError
+    prefixed by `where`. Their values are `check_observed`'s to check."""
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     w_y = np.ones(dim) if w_y is None else np.asarray(w_y, dtype=np.float64).reshape(-1)
     for v, what in ((y, "input vector"), (w_y, "input mask")):
         if v.size != dim:
-            raise ValidationError(f"{what} has length {v.size}, expected {dim}")
+            raise ValidationError(f"{where}{what} has length {v.size}, expected {dim}")
     return y, w_y
 
 
@@ -217,7 +223,10 @@ def reconstruct(
     iterates as 1-D arrays and mu as a float."""
     y, w_y = check_input(y, w_y, bundle.dim)
     check_observed(y, w_y, data="input vector", mask="input mask")
-    [result] = _solve(y, w_y, bundle, spec, config, observer)
+    observed = y * w_y
+    norms = checked_norms([observed], "reconstruction",
+                          lambda _: "the observed norm of the input vector")
+    [result] = _solve(y, w_y, observed, norms, bundle, spec, config, observer)
     return result
 
 
@@ -228,6 +237,7 @@ def reconstruct_many(
     spec: TransferSpec | None = None,
     config: ReconConfig = ReconConfig(),
     observer: ReconObserver | None = None,
+    name: Callable[[int], str] = lambda c: f"column {c}",
 ) -> list[ReconResult]:
     """Reconstruct the B columns of the dim x B block `Y` (masks: the
     columns of `W`; None: every entry visible) against one model and one
@@ -246,7 +256,9 @@ def reconstruct_many(
     stopped at eps, at t_max, or stalled at mu_max; a stopped column leaves
     the working set. `observer` and the histories see one entry per
     penalty step, after its closing E step; the observer gets the
-    `ReconState` of the working set.
+    `ReconState` of the working set. The columns are solved in slices of at
+    most BLOCK_WIDTH, split evenly, one after another: the observer sees
+    each slice's working set in turn, t starting at 0 for each.
 
     Hidden entries of `Y` enter no step: the solve runs on W.*Y, so the
     selectors, coefficients, reconstruction and diagnostics are those of
@@ -256,28 +268,22 @@ def reconstruct_many(
 
     Pinned selectors are copied from the trained bank and never touched, so
     they come back bitwise identical. Non-convergence is flagged in
-    diagnostics, not raised. Input that breaks `dataset.check_observed`
-    raises ValidationError naming the first offending column by its index;
-    a column whose observed norm overflows float64 raises NumericalError.
+    diagnostics, not raised. The whole input is checked before any slice
+    is solved: input that breaks `dataset.check_observed` raises
+    ValidationError naming the first offending column c as `name(c)`, and a
+    column whose observed norm overflows float64 raises NumericalError.
     """
     dim = bundle.dim
     Y = np.asarray(Y, dtype=np.float64)
     if Y.ndim != 2 or Y.shape[0] != dim:
         raise ValidationError(f"input block has shape {Y.shape}, expected ({dim}, count)")
-    Y, W = check_observed(Y, W, lambda c: f"column {c}", "input vector", "input mask")
-    return _solve(Y, W, bundle, spec, config, observer)
-
-
-def observed_norms(observed: np.ndarray, name: Callable[[int], str]) -> list[float]:
-    """||w .* y|| of each column of `observed` = W .* Y, or of the one
-    vector it holds. A norm that overflows float64 raises NumericalError
-    naming `name(c)` of the first such column, with no numpy warning."""
-    with np.errstate(over="ignore"):
-        norms = [float(np.linalg.norm(v)) for v in observed.reshape(len(observed), -1).T]
-    for c in (c for c, norm in enumerate(norms) if not math.isfinite(norm)):
-        raise NumericalError(f"reconstruction diverged at iteration 0: the observed norm "
-                             f"of {name(c)} overflows float64")
-    return norms
+    Y, W = check_observed(Y, W, name, "input vector", "input mask")
+    observed = Y * W
+    norms = checked_norms(observed.T, "reconstruction", lambda c: f"the observed norm of {name(c)}")
+    slices = np.array_split(np.arange(Y.shape[1]), max(1, math.ceil(Y.shape[1] / BLOCK_WIDTH)))
+    return [result for block in slices
+            for result in _solve(Y[:, block], W[:, block], observed[:, block],
+                                 [norms[c] for c in block], bundle, spec, config, observer)]
 
 
 def _sq_norms(a: np.ndarray) -> np.ndarray | float:
@@ -326,18 +332,21 @@ def _normal_maps(design: np.ndarray,
 def _solve(
     Y: np.ndarray,
     W: np.ndarray,
+    observed: np.ndarray,
+    norms: list[float],
     bundle: ModelBundle,
     spec: TransferSpec | None,
     config: ReconConfig,
     observer: ReconObserver | None,
 ) -> list[ReconResult]:
-    """`reconstruct_many` on checked input: Y and W are (dim, B) for a
-    block, or (dim,) for one vector. One vector runs the same steps without
-    the column axis: its state holds 1-D arrays and a scalar mu, which its
-    observer sees, and its per-column bookkeeping costs no numpy calls on
-    length-1 arrays. That path pays for itself: solving the same vector as
-    a 1-column block takes ~25% longer (paired median over 200 stock
-    holdouts, one BLAS thread, 2-core VM)."""
+    """A slice of `reconstruct_many` on checked input: Y, W and `observed`
+    = Y * W are (dim, B), or (dim,) for one vector, with their B observed
+    `norms`. One vector runs the same steps without the column axis: its
+    state holds 1-D arrays and a scalar mu, which its observer sees, and its
+    per-column bookkeeping costs no numpy calls on length-1 arrays. That
+    path pays for itself: solving the same vector as a 1-column block takes
+    ~25% longer (paired median over 200 stock holdouts, one BLAS thread,
+    2-core VM)."""
     spec = _check_spec(spec, bundle.schema)
     dim = bundle.dim
     columns = [Y] if Y.ndim == 1 else list(Y.T)
@@ -347,8 +356,6 @@ def _solve(
                for i, mode in enumerate(spec.pinned)]
     free = [i for i, sel in enumerate(trained) if sel is None]
     lam = config.effective_lam(dim, 1)
-    observed = Y * W
-    norms = observed_norms(observed, lambda c: f"column {c}" if Y.ndim == 2 else "the input vector")
     results: list[ReconResult | None] = [None] * len(columns)
 
     live = [c for c, norm in enumerate(norms) if norm != 0.0]
@@ -366,12 +373,9 @@ def _solve(
         )
     if not live:
         return results
-    if Y.ndim == 1:
-        norm = norms[0]
-    else:
-        if len(live) < len(columns):
-            Y, W, observed = Y[:, live], W[:, live], observed[:, live]
-        norm = np.array([norms[c] for c in live])
+    norm = norms[0] if Y.ndim == 1 else np.array([norms[c] for c in live])
+    if Y.ndim == 2 and len(live) < len(columns):
+        Y, W, observed = Y[:, live], W[:, live], observed[:, live]
     tail = Y.shape[1:]  # () for one vector, (B,) for a block
 
     def lift(v: np.ndarray) -> np.ndarray:

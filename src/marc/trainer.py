@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Literal
+from typing import Callable, Iterable, Literal
 
 import numpy as np
 
@@ -347,6 +347,18 @@ def constraint_residual(state: TrainState, ts: TrainingSet, fit: np.ndarray) -> 
 Observer = Callable[[TrainState, int], None]
 
 
+def checked_norms(arrays: Iterable[np.ndarray], what: str,
+                  name: Callable[[int], str]) -> list[float]:
+    """The norm of each of `arrays`, taken without a numpy warning. The first
+    that overflows float64 raises NumericalError "<what> diverged at
+    iteration 0: <name(c)> overflows float64", c being its index."""
+    with np.errstate(over="ignore"):
+        norms = [float(np.linalg.norm(a)) for a in arrays]
+    for c in (c for c, norm in enumerate(norms) if not math.isfinite(norm)):
+        raise NumericalError(f"{what} diverged at iteration 0: {name(c)} overflows float64")
+    return norms
+
+
 def _as_list(values: float | np.ndarray) -> list[float]:
     """A float, or an array of floats, as a list of floats."""
     return values.tolist() if isinstance(values, np.ndarray) else [float(values)]
@@ -467,13 +479,12 @@ def train(
     run that overflows raises NumericalError with the iteration index.
     """
     lam = config.effective_lam(ts.dim, ts.count)
-    if float(np.linalg.norm(ts.X)) == 0.0:
+    [norm] = checked_norms([ts.X], "training", lambda _: "the norm of the training matrix")
+    if norm == 0.0:
         return _zero_bundle(ts, config, lam)
 
-    if config.mu0_norm == "spectral":
-        mu0 = config.mu0_scale / float(np.linalg.norm(ts.X, 2))
-    else:
-        mu0 = config.mu0_scale / float(np.linalg.norm(ts.X))
+    spectral = config.mu0_norm == "spectral"
+    mu0 = config.mu0_scale / (float(np.linalg.norm(ts.X, 2)) if spectral else norm)
 
     rng = np.random.default_rng(config.seed)
     state = TrainState(
@@ -492,7 +503,7 @@ def train(
     splits = np.cumsum([ts.schema.size(i) for i in range(ts.schema.count)])[:-1]
     cooc = cooccurrence(indicators, splits)
     products = [basis @ sel for basis, sel in zip(state.bases, state.bank.selectors)]
-    tol = INNER_TOL * float(np.linalg.norm(ts.X))
+    tol = INNER_TOL * norm
     model = np.zeros_like(ts.X)  # sum F_k H_k + G of the zero initial state
 
     def sweeps() -> np.ndarray:

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from marc import reconstructor
 from marc.cli import build_parser, main
 from marc.formats import (
     _HEADER, load_bundle, load_manifest, load_truth, read_matrix, read_vector, write_manifest,
@@ -220,17 +221,22 @@ class TestEval:
             in capsys.readouterr().err
 
 
+NON_FINITE_CASES = [
+    (command, where, name)
+    for command, where in (("complete", "bundle"), ("eval", "bundle"), ("eval", "truth"))
+    for name in ("basis_0.marc", "selectors.marc", "individual.marc", "error.marc")
+] + [("eval", "truth", "data.marc"), ("eval", "truth", "g_singulars.marc")]
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
-@pytest.mark.parametrize("name", ["basis_0.marc", "selectors.marc", "individual.marc",
-                                  "error.marc"])
-@pytest.mark.parametrize("command, where", [
-    ("complete", "bundle"), ("eval", "bundle"), ("eval", "truth"),
-], ids=["complete-bundle", "eval-bundle", "eval-truth"])
+@pytest.mark.parametrize("command, where, name", NON_FINITE_CASES,
+                         ids=["-".join(case) for case in NON_FINITE_CASES])
 def test_non_finite_factor_is_format_error(workspace, tmp_path, capsys, command, where,
                                            name, value):
-    """A NaN or inf in a factor file of a bundle or a truth directory is
-    refused on load with exit 3, naming the file. It used to end in an SVD
-    (LinAlgError) or IndexError traceback, or in an eval report of inf."""
+    """A NaN or inf in a factor file of a bundle or a truth directory, or in
+    a truth directory's data or planted singular values, is refused on load
+    with exit 3, naming the file. It used to end in an SVD (LinAlgError) or
+    IndexError traceback, or in an eval report of inf or of the bad data."""
     dirs = {"bundle": workspace / "bundle", "truth": workspace / "data" / "truth"}
     shutil.copytree(dirs[where], tmp_path / where)
     dirs[where] = tmp_path / where
@@ -338,7 +344,7 @@ class TestCompleteAndTransfer:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "b.marc: input vector has length 29, expected 30" in err
-        assert not any((tmp_path / "out").iterdir())  # checked before any solve
+        assert not (tmp_path / "out").exists()  # checked before any solve
 
     def test_overflowing_vector_past_the_first_block_names_it(self, workspace, tmp_path, capsys):
         """70 files are solved as blocks of 35; the overflowing one sits in
@@ -358,7 +364,33 @@ class TestCompleteAndTransfer:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "the observed norm of " + str(vec_dir / "v066.marc") + " overflows float64" in err
-        assert not any((tmp_path / "out").iterdir())
+        assert not (tmp_path / "out").exists()
+
+    def test_a_directory_is_checked_once(self, workspace, tmp_path, monkeypatch):
+        """70 files are solved as two slices of 35, but their values are
+        checked and their observed norms taken once, on all 70 together."""
+        vec_dir = tmp_path / "in"
+        vec_dir.mkdir()
+        rng = np.random.default_rng(6)
+        for n in range(70):
+            write_vector(vec_dir / f"v{n:03d}.marc", rng.standard_normal(30))
+        calls = {"check_observed": [], "checked_norms": []}
+
+        def spy(module, name):
+            original = getattr(module, name)
+
+            def counted(values, *args, **kwargs):
+                calls[name].append(np.shape(values))
+                return original(values, *args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        spy(reconstructor, "check_observed")
+        spy(reconstructor, "checked_norms")
+        assert main(["complete", "-b", str(workspace / "bundle"), "-i", str(vec_dir),
+                     "-o", str(tmp_path / "out"), "--t-max", "5"]) == 0
+        assert calls == {"check_observed": [(30, 70)], "checked_norms": [(70, 30)]}
+        assert len(list((tmp_path / "out").iterdir())) == 70
 
     def test_missing_mask_file_in_directory_is_io_error(self, workspace, tmp_path, capsys):
         vec_dir, mask_dir = tmp_path / "in", tmp_path / "masks"

@@ -331,23 +331,27 @@ class TestBlock:
     def assert_close(a, b, scale):
         assert np.linalg.norm(np.asarray(a) - np.asarray(b)) <= 1e-12 * scale
 
-    def columns(self, planted, one_mask):
+    def columns(self, planted, layout="own-masks"):
         """Columns covering each path: an all-zero vector, a fully hidden
         one (both take no step), an exact in-model vector, which converges
         early and leaves the working set, spiked vectors that run on, and
         two columns sharing one mask, and one with 3 visible entries, fewer
         than the design's 7 (or 4, pinned; 5 free without the span) columns,
-        whose visible design is then rank deficient. With one_mask, every
-        column has the same mask and no column is fully hidden."""
+        whose visible design is then rank deficient. With "one-mask", every
+        column has the same mask and no column is fully hidden. "two-slices"
+        adds 63 spiked columns with masks of their own and a second fully
+        hidden one at the end: 71 columns, solved as slices of 36 and 35."""
         _, _, y, _ = planted
         rng = np.random.default_rng(17)
-        spiked = []
-        for _ in range(3):
+
+        def spike():
             v = y + rng.standard_normal(y.size) * 0.05
             v[rng.choice(y.size, 3, replace=False)] += 5.0
-            spiked.append(v)
+            return v
+
+        spiked = [spike() for _ in range(3)]
         shared = (rng.random(y.size) >= 0.3).astype(float)
-        if one_mask:
+        if layout == "one-mask":
             ys = [np.zeros_like(y), y, *spiked]
             return np.column_stack(ys), np.column_stack([shared] * len(ys))
         ys = [np.zeros_like(y), spiked[0], y, *spiked]
@@ -357,9 +361,13 @@ class TestBlock:
         few[rng.choice(y.size, 3, replace=False)] = 1.0
         ys.append(spiked[1])
         ws.append(few)
+        if layout == "two-slices":
+            ys += [spike() for _ in range(63)] + [spiked[2]]
+            ws += [(rng.random(y.size) >= rng.uniform(0.1, 0.4)).astype(float)
+                   for _ in range(63)] + [np.zeros_like(y)]
         return np.column_stack(ys), np.column_stack(ws)
 
-    @pytest.mark.parametrize("one_mask", [False, True], ids=["own-masks", "one-mask"])
+    @pytest.mark.parametrize("layout", ["own-masks", "one-mask", "two-slices"])
     @pytest.mark.parametrize("pins", [{}, {"tint": "cool"}], ids=["free", "pinned"])
     @pytest.mark.parametrize("stop, options", [
         ("converged", {}), ("t_max", dict(t_max=6)), ("stalled", dict(mu_max=30.0)),
@@ -367,14 +375,15 @@ class TestBlock:
         ("t_max", dict(t_max=6, use_individual=False)),
         ("stalled", dict(mu_max=3.0, use_individual=False)),
     ], ids=["defaults", "t_max-6", "mu_max-30", "no-span", "no-span-t_max-6", "no-span-mu_max-3"])
-    def test_each_column_matches_its_single_solve(self, planted, one_mask, pins, stop, options):
+    def test_each_column_matches_its_single_solve(self, planted, layout, pins, stop, options):
         """Columns stop at different steps and leave the working set; with
         a small t_max some stop there, with a small mu_max some stall.
         Without the span (use_individual=False) its coefficients are a
         zero-width block of the design; mu_max = 30 is not small enough to
-        stall every such case, so those take mu_max = 3."""
+        stall every such case, so those take mu_max = 3. Past BLOCK_WIDTH
+        columns, every slice solves its columns as they are solved alone."""
         truth, bundle, _, _ = planted
-        Y, W = self.columns(planted, one_mask)
+        Y, W = self.columns(planted, layout)
         spec = TransferSpec.targets(truth.schema, pins)
         config = ReconConfig(rank_rule=RankRule.fixed(2), **options)
         block = reconstruct_many(Y, W, bundle, spec, config)
@@ -406,14 +415,14 @@ class TestBlock:
 
     def test_pinned_selectors_come_back_bitwise(self, planted):
         truth, bundle, _, _ = planted
-        Y, W = self.columns(planted, one_mask=False)
+        Y, W = self.columns(planted)
         spec = TransferSpec.targets(truth.schema, {"tint": "cool"})
         for result in reconstruct_many(Y, W, bundle, spec, ReconConfig(rank_rule=RankRule.fixed(2))):
             assert np.array_equal(result.selectors[1], truth.bank.selectors[1][:, 1])
 
     def test_a_block_solved_twice_is_bitwise_equal(self, planted):
         _, bundle, _, _ = planted
-        Y, W = self.columns(planted, one_mask=False)
+        Y, W = self.columns(planted)
         config = ReconConfig(rank_rule=RankRule.fixed(2))
         one, two = (reconstruct_many(Y, W, bundle, config=config) for _ in range(2))
         for a, b in zip(one, two):
@@ -425,19 +434,45 @@ class TestBlock:
             assert a.diagnostics == b.diagnostics
 
     def test_the_observer_sees_the_working_set(self, planted):
+        """The zero and fully hidden columns take no step; then columns
+        leave as they stop. Past BLOCK_WIDTH columns the observer sees each
+        slice's working set in turn, t restarting at 0."""
         _, bundle, _, _ = planted
-        Y, W = self.columns(planted, one_mask=False)
-        widths = []
-        results = reconstruct_many(Y, W, bundle, config=ReconConfig(rank_rule=RankRule.fixed(2)),
-                                   observer=lambda state, t: widths.append(state.mu.size))
-        # The zero and fully hidden columns take no step; then columns leave
-        # as they stop.
-        assert widths[0] == Y.shape[1] - 2
-        assert widths == sorted(widths, reverse=True)
-        assert len(widths) == max(r.diagnostics.iterations for r in results)
+        for layout, count in (("own-masks", 1), ("two-slices", 2)):
+            Y, W = self.columns(planted, layout)
+            seen = []
+            results = reconstruct_many(Y, W, bundle,
+                                       config=ReconConfig(rank_rule=RankRule.fixed(2)),
+                                       observer=lambda state, t: seen.append((t, state.mu.size)))
+            starts = [n for n, (t, _) in enumerate(seen) if t == 0] + [len(seen)]
+            slices = np.array_split(np.arange(Y.shape[1]), count)
+            assert len(starts) == count + 1
+            for block, a, b in zip(slices, starts, starts[1:]):
+                steps = [results[c].diagnostics.iterations for c in block]
+                widths = [width for _, width in seen[a:b]]
+                assert [t for t, _ in seen[a:b]] == list(range(max(steps)))
+                assert widths[0] == sum(1 for n in steps if n)
+                assert widths == sorted(widths, reverse=True)
 
-    def test_block_input_is_checked(self, planted):
+    @staticmethod
+    def spy_on_solve(monkeypatch):
+        """The widths of the slices `_solve` is handed."""
+        widths = []
+        original = reconstructor._solve
+
+        def counted(Y, *args):
+            widths.append(Y.shape[1])
+            return original(Y, *args)
+
+        monkeypatch.setattr(reconstructor, "_solve", counted)
+        return widths
+
+    def test_block_input_is_checked(self, planted, monkeypatch):
+        """Shapes, values and masks are checked on the whole input before
+        any slice is solved: a fault past the first slice is named, by
+        `name` when one is given, and nothing is solved."""
         _, bundle, y, _ = planted
+        solved = self.spy_on_solve(monkeypatch)
         with pytest.raises(ValidationError, match=r"input block has shape \(40,\)"):
             reconstruct_many(y, None, bundle)
         with pytest.raises(ValidationError, match=r"input masks have shape \(40, 1\)"):
@@ -450,11 +485,20 @@ class TestBlock:
         w[0, 1] = 2.0
         with pytest.raises(ValidationError, match="column 1: input mask must be strictly binary"):
             reconstruct_many(np.column_stack([y, y, y]), w, bundle)
+        wide = np.column_stack([y] * 70)
+        wide[7, 66] = np.nan
+        with pytest.raises(ValidationError, match="column 66: input vector contains non-finite"):
+            reconstruct_many(wide, None, bundle)
+        with pytest.raises(ValidationError, match="^v066.marc: input vector contains non-finite"):
+            reconstruct_many(wide, None, bundle, name=lambda c: f"v{c:03d}.marc")
+        assert solved == []
+        assert reconstruct_many(np.zeros((40, 0)), None, bundle) == []
 
-    def test_an_overflowing_norm_raises_before_any_step(self, planted):
+    def test_an_overflowing_norm_raises_before_any_step(self, planted, monkeypatch):
         """Finite entries whose norm overflows float64 raise NumericalError,
-        with no numpy warning on the way."""
+        with no numpy warning on the way, before any slice is solved."""
         _, bundle, y, _ = planted
+        solved = self.spy_on_solve(monkeypatch)
         big = 1e160 * y / np.abs(y).max()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -464,6 +508,13 @@ class TestBlock:
             with pytest.raises(NumericalError, match="iteration 0: the observed norm of "
                                                      "column 1 overflows"):
                 reconstruct_many(np.column_stack([y, big]), None, bundle)
+            wide = np.column_stack([y] * 66 + [big] + [y] * 3)
+            with pytest.raises(NumericalError, match="iteration 0: the observed norm of "
+                                                     "column 66 overflows"):
+                reconstruct_many(wide, None, bundle)
+            with pytest.raises(NumericalError, match="the observed norm of v066.marc overflows"):
+                reconstruct_many(wide, None, bundle, name=lambda c: f"v{c:03d}.marc")
+        assert solved == []
 
 
 def pinv_route(design, visible):

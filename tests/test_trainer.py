@@ -5,6 +5,7 @@ individual step)."""
 import dataclasses
 import math
 import re
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -525,7 +526,7 @@ class TestTrainLoop:
 
     @pytest.mark.parametrize("scale, cause", [
         (1e150, "Gram eigendecomposition failed to converge"),
-        (1e160, "procrustes input contains non-finite entries"),
+        (1e160, "the norm of the training matrix overflows float64"),
     ])
     def test_overflow_is_a_numerical_error(self, scale, cause):
         ts, _ = generate(dataclasses.replace(default_spec(), dim=30, count=12, seed=1))
@@ -533,6 +534,18 @@ class TestTrainLoop:
         with np.errstate(all="ignore"), \
                 pytest.raises(NumericalError, match=f"training diverged at iteration 0: {cause}"):
             train(scaled, SolverConfig(t_max=50))
+
+    def test_an_overflowing_norm_raises_before_any_step(self):
+        """Finite entries whose norm overflows float64 raise NumericalError
+        before the first step, with no numpy warning on the way."""
+        ts, _ = generate(dataclasses.replace(default_spec(), dim=30, count=12, seed=1))
+        X = ts.X.copy()
+        X[:, 4] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="training diverged at iteration 0: the norm "
+                                                     "of the training matrix overflows float64"):
+                train(TrainingSet(ts.schema, X, ts.W, ts.label_index), SolverConfig(t_max=50))
 
     def test_lam_echoed_in_diagnostics(self, small_instance):
         ts, _ = small_instance
