@@ -20,16 +20,22 @@ raises NumericalError, as an SVD does.
 
 A caller that thresholds a slowly changing matrix again and again (the
 training G step) hands `svt` a `WarmStart`, the kept right singular vectors
-of its previous call. `svt` then tries a warm path before the Gram path: a
-few block power steps from that basis until the Ritz residual is at
-rounding level, the kept values from a thin SVD of the small projected
-matrix, and the same certificate the Gram path uses on its tail (the
-spectral norm of what the basis leaves out is at most tau, by the Frobenius
-norm or else a Cholesky factorization). If there is no start, the start is
-wider than a third of the short side, the power steps converge too slowly
-or the certificate fails, the call goes on to the Gram path and then the
-SVD. Every path gives the same result to rounding; none depends on a
-module-level cache.
+of its previous call. `svt` then tries a warm path before the Gram path,
+working from the same short-side Gram matrix, which it forms once per call:
+a few block power steps on the Gram matrix from that basis until the Ritz
+residual is at rounding level, the kept values and vectors from an SVD of
+the small Ritz matrix (Rayleigh-Ritz, Halko, Martinsson & Tropp,
+arXiv:0909.4061), and a certificate that the spectral norm of what the
+basis leaves out is at most tau. Under the Gram path's own trust rule,
+tau >= GRAM_RATIO * s_max, that certificate comes from the Gram matrix
+alone; below it, from the left-out part formed from the matrix itself (by
+the Frobenius norm or else a Cholesky factorization). If there is no start,
+the start is wider than a third of the short side, the power steps converge
+too slowly, a kept value is too small for the Gram matrix to resolve or the
+certificate fails, the call goes on to the Gram path and then the SVD.
+Every path gives the same result to rounding; none depends on a
+module-level cache. A Gram matrix that overflows float64 raises
+NumericalError.
 """
 from __future__ import annotations
 
@@ -149,15 +155,22 @@ def svt(m: np.ndarray, tau: float, warm: WarmStart | None = None) -> np.ndarray:
     give the same result to rounding; svt takes the first that can be exact.
 
     The warm path, given a start Q of 0 < k <= cols // 3 columns, runs block
-    power steps Z = a^T (a Q), Q <- qr(Z) until the Ritz residual is at
-    rounding level (RITZ_TOL), and gives up once the rate it converges at
-    cannot reach that within WARM_STEPS steps. Then a = A + D, for
-    A = a Q Q^T and D = a - A, with A D^T = 0 and A^T D = Q (Z - Q Q^T Z)^T
-    at rounding level, so the spectrum of a is the union of those of A and
-    D (the argument is spelled out for the Gram path below). The thin SVD
-    a Q = U S W^T gives A's. If ||D||_2 <= tau (the certificate, on D
-    formed from a, see `_spectral_norm_at_most`), svt zeroes all of D and
-    the result is U (S - tau)_+ (Q W)^T.
+    power steps Z = (a^T a) Q, Q <- qr(Z) on the Gram matrix until the Ritz
+    residual Z - Q Q^T Z is at rounding level (RITZ_TOL), and gives up once
+    the rate it converges at cannot reach that within WARM_STEPS steps. Then
+    a = A + D, for A = a Q Q^T and D = a - A, with A D^T = 0 and A^T D =
+    Q (Z - Q Q^T Z)^T at rounding level, so the spectrum of a is the union
+    of those of A and D (the argument is spelled out for the Gram path
+    below). The k x k Ritz matrix Q^T Z = W S^2 W^T, factored by an SVD,
+    gives A's values S and right vectors Q W. The values above tau must be
+    trusted (at least GRAM_RATIO * s_max), or the warm path gives up. If
+    ||D||_2 <= tau (the certificate), svt zeroes all of D and the result is
+    a Q W (1 - tau/S)_+ (Q W)^T. The certificate has two forms. When
+    tau >= GRAM_RATIO * s_max, the Gram path's trust rule, it is a Cholesky
+    factorization of tau^2 I - D^T D, with D^T D = a^T a - Z Q^T - Q Z^T +
+    Q (Q^T Z) Q^T taken from the Gram matrix; below it, D is formed from a
+    (see `_spectral_norm_at_most`). A failed attempt hands the same Gram
+    matrix on to the Gram path.
 
     The Gram path uses a V diag((1 - tau/s)_+) V^T, with V and s^2 the
     eigenvectors and eigenvalues of the short-side Gram matrix a^T a.
@@ -185,15 +198,16 @@ def svt(m: np.ndarray, tau: float, warm: WarmStart | None = None) -> np.ndarray:
         raise ValidationError(f"svt threshold must be finite and >= 0, got {tau}")
     tall = m.shape[0] >= m.shape[1]
     a = m if tall else m.T
+    gram = _gram(a, "svt")
     start = None if warm is None else warm.basis
     if start is not None and 0 < start.shape[1] <= a.shape[1] // 3:
-        found = _warm_factors(a, tau, start)
+        found = _warm_factors(a, gram, tau, start)
         if found is not None:
             shrunk, warm.basis = found
             return shrunk @ warm.basis.T if tall else warm.basis @ shrunk.T
     try:
-        eigvals, vecs = np.linalg.eigh(a.T @ a)
-    except np.linalg.LinAlgError as exc:  # as on a Gram matrix that overflowed
+        eigvals, vecs = np.linalg.eigh(gram)
+    except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Gram eigendecomposition failed to converge: {exc}") from exc
     s = np.sqrt(np.maximum(eigvals, 0.0))  # ascending
     trusted = s >= GRAM_RATIO * s[-1]
@@ -212,44 +226,69 @@ def svt(m: np.ndarray, tau: float, warm: WarmStart | None = None) -> np.ndarray:
     return m @ project if tall else project @ m
 
 
-def _warm_factors(a: np.ndarray, tau: float, q: np.ndarray) \
+def _gram(a: np.ndarray, what: str) -> np.ndarray:
+    """a^T a for a finite `a`, without a numpy warning; an entry that
+    overflows float64 raises NumericalError "<what> Gram overflows float64"."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = a.T @ a
+    if not np.isfinite(gram).all():
+        raise NumericalError(f"{what} Gram overflows float64")
+    return gram
+
+
+def _warm_factors(a: np.ndarray, gram: np.ndarray, tau: float, q: np.ndarray) \
         -> tuple[np.ndarray, np.ndarray] | None:
-    """The warm path of `svt` on a tall `a` from the start `q`: the shrunk
-    left factor U (S - tau)_+ and the kept right singular vectors, or None
-    when the power steps stop short or the certificate fails."""
+    """The warm path of `svt` on a tall `a` with Gram matrix `gram` from the
+    start `q`: the shrunk left factor U (S - tau)_+ and the kept right
+    singular vectors, or None when the power steps stop short, a kept value
+    is untrusted or the certificate fails."""
     last = math.inf
     for step in range(WARM_STEPS):
-        y = a @ q
-        z = a.T @ y
-        ritz = float(np.linalg.norm(z - q @ (q.T @ z)))
-        tol = RITZ_TOL * float(np.vdot(y, y))  # tr(q^T z)
-        if ritz <= tol:
+        z = gram @ q
+        ritz = q.T @ z
+        residual = z - q @ ritz
+        gap = float(np.linalg.norm(residual))
+        tol = RITZ_TOL * float(np.trace(ritz))
+        if gap <= tol:
             break
-        rate = ritz / last
-        if not (rate < 1.0 and ritz * rate ** (WARM_STEPS - 1 - step) <= tol):
+        rate = gap / last
+        if not (rate < 1.0 and gap * rate ** (WARM_STEPS - 1 - step) <= tol):
             return None  # also on a non-finite residual
-        last = ritz
+        last = gap
         q = np.linalg.qr(z)[0]
     else:
         return None
     try:
-        u, s, vh = np.linalg.svd(y, full_matrices=False)
+        _, squares, wh = np.linalg.svd(ritz)
     except np.linalg.LinAlgError:
         return None
-    if not _spectral_norm_at_most(a - y @ q.T, tau):
-        return None
+    s = np.sqrt(squares)  # descending
     keep = s > tau
-    return u[:, keep] * (s[keep] - tau), q @ vh[keep].T
+    trust = GRAM_RATIO * s[0]
+    if keep.any() and s[keep][-1] < trust:
+        return None
+    y = a @ q
+    if tau >= trust:  # D^T D = G - Z Q^T - Q (Z - Q Q^T Z)^T
+        certified = _gram_at_most(gram - z @ q.T - q @ residual.T, tau)
+    else:
+        certified = _spectral_norm_at_most(a - y @ q.T, tau)
+    if not certified:
+        return None
+    w = wh[keep].T
+    return (y @ w) * (1.0 - tau / s[keep]), q @ w
 
 
 def _spectral_norm_at_most(m: np.ndarray, bound: float) -> bool:
     """||m||_2 <= bound, from the Frobenius norm when that suffices, else
-    from a Cholesky factorization of bound^2 I - G, G the short-side Gram
-    matrix of m, which exists exactly when every eigenvalue of G is below
-    bound^2."""
+    from `_gram_at_most` of the short-side Gram matrix of m."""
     if float(np.linalg.norm(m)) <= bound:
         return True
-    gram = m.T @ m if m.shape[0] >= m.shape[1] else m @ m.T
+    return _gram_at_most(m.T @ m if m.shape[0] >= m.shape[1] else m @ m.T, bound)
+
+
+def _gram_at_most(gram: np.ndarray, bound: float) -> bool:
+    """Every eigenvalue of the symmetric `gram` is below bound^2: a Cholesky
+    factorization of bound^2 I - gram exists. Overwrites `gram`."""
     gram *= -1.0
     gram[np.diag_indices_from(gram)] += bound * bound
     try:
@@ -288,7 +327,7 @@ def procrustes(m: np.ndarray) -> np.ndarray:
     m = _check_matrix(m, "procrustes input")
     tall = m.shape[0] >= m.shape[1]
     try:
-        eigvals, vecs = np.linalg.eigh(m.T @ m if tall else m @ m.T)
+        eigvals, vecs = np.linalg.eigh(_gram(m if tall else m.T, "procrustes"))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Gram eigendecomposition failed to converge: {exc}") from exc
     if not eigvals[0] >= POLAR_RATIO * POLAR_RATIO * eigvals[-1] > 0.0:

@@ -33,30 +33,33 @@ basis step is the Procrustes projection of (R Z_i) S_i^T, which equals
 R H_i^T.
 
 A sweep never forms an attribute residual. It keeps the products
-P_k = F_k S_k, forms base = X - G - E + dual/mu once and base [Z_1 ... Z_J]
-with one product, and takes R Z_i = base Z_i - sum_{k != i} P_k C_ki in
-label space, where C_ki = Z_k^T Z_i are the label co-occurrence counts,
-computed once per `train` (`attribute_sums`). After attribute i's selector
-and basis steps it refreshes P_i. After the attribute sweep the loop gathers
-sum_k F_k H_k from the same products once (`shared_sum`) and forms each
-residual of the sweep once, from dual/mu taken once per penalty step:
-X - sum F_k H_k - E + dual/mu for the G step, then fit =
-X - sum F_k H_k - G, plus dual/mu for the E step; the last sweep's fit feeds
-the residual measures and the dual step. Every step function takes the
-residual it acts on. `attribute_residual`, `error_residual` and
-`shared_component` form the same quantities from the state alone; they are
-the reference the loop is tested against.
+P_k = F_k S_k side by side in one dim x sum_k M_k matrix, forms
+base = X - G - E + dual/mu once and base [Z_1 ... Z_J] with one product,
+and takes R Z_i = base Z_i - sum_{k != i} P_k C_ki in label space, where
+C_ki = Z_k^T Z_i are the label co-occurrence counts, computed once per
+`train` (`attribute_sums`). After attribute i's selector and basis steps it
+refreshes P_i. After the attribute sweep the loop forms sum_k F_k H_k from
+the same products with one more product, [P_1 ... P_J] [Z_1 ... Z_J]^T
+(`shared_sum`; the transposed indicators are built once per `train`), and
+forms each residual of the sweep once, from dual/mu taken once per penalty
+step: X - sum F_k H_k - E + dual/mu for the G step, then fit =
+X - sum F_k H_k - G, plus dual/mu for the E step, which shrinks it in one
+pass; the last sweep's fit feeds the residual measures and the dual step.
+Every step function takes the residual it acts on. `attribute_residual`,
+`error_residual` and `shared_component` form the same quantities from the
+state alone, `shared_component` through `shared_sum` as the loop does; they
+are the reference the loop is tested against.
 
 G keeps a small rank through most of a run, and the matrix it thresholds
 changes little from one sweep to the next. So the G step starts `svt` from
 the kept right singular vectors of the previous G step, which `TrainState`
 holds (`individual_start`; never the `ModelBundle`, so saved bundles do not
-change): block power steps from that basis, accepted once the Ritz residual
-is at rounding level and a certificate shows that what the basis leaves out
-has spectral norm at most 1/mu. A call without a start (the first), with a
-start wider than a third of the short side, or that cannot converge or
-certify, takes the Gram path and then the SVD, as `svt` without a start
-does. The trained model is the same to rounding either way (about 1e-11
+change): block power steps from that basis on the Gram matrix `svt` forms
+once per call, accepted once the Ritz residual is at rounding level and a
+certificate shows that what the basis leaves out has spectral norm at most
+1/mu. A call without a start (the first), with a start wider than a third
+of the short side, or that cannot converge or certify, takes the Gram path
+on the same Gram matrix and then the SVD, as `svt` without a start does. The trained model is the same to rounding either way (about 1e-11
 relative on the benchmark instances), with the same steps and stop.
 """
 from __future__ import annotations
@@ -74,7 +77,6 @@ from .proxops import (
     deterministic_svd,
     procrustes,
     random_orthonormal,
-    shrink_matrix,
     svt,
 )
 
@@ -212,21 +214,35 @@ class ModelBundle:
 def shared_component(state: TrainState, ts: TrainingSet, exclude: int | None = None) -> np.ndarray:
     """sum_k F_k H_k over attributes, optionally skipping one.
 
-    Each term is (F_k S_k)[:, label_index[k]]. Terms are added in schema
-    order; callers that need bitwise-identical recomputation (tests,
-    invariant checks) get it by calling this again on an unchanged state.
+    This is `shared_sum` of the products F_k S_k (the skipped one zeroed),
+    as the training sweep forms it, so callers that need bitwise-identical
+    recomputation (tests, invariant checks) get it from this on an
+    unchanged state, for any number of attributes.
     """
-    return shared_sum(ts, [basis @ sel for basis, sel in zip(state.bases, state.bank.selectors)],
-                      exclude)
+    spread, blocks = label_space(ts)
+    products = stacked_products(state, blocks)
+    if exclude is not None:
+        products[:, blocks[exclude]] = 0.0
+    return shared_sum(products, spread)
 
 
-def shared_sum(ts: TrainingSet, products: list[np.ndarray], exclude: int | None = None) -> np.ndarray:
-    """`shared_component` from the per-attribute products F_k S_k."""
-    total = np.zeros_like(ts.X)
-    for k, product in enumerate(products):
-        if k != exclude:
-            total += product[:, ts.label_index[k]]
-    return total
+def shared_sum(products: np.ndarray, spread: np.ndarray) -> np.ndarray:
+    """sum_k F_k H_k as one product [P_1 ... P_J] [Z_1 ... Z_J]^T of the
+    stacked products P_k = F_k S_k (`stacked_products`) and `spread`, the
+    transposed stacked indicators (`label_space`). Each entry adds one
+    entry of every P_k and exact zeros, so with at most two attributes it
+    is the per-attribute gather-and-add bitwise; with more, BLAS may add the
+    terms in another order. No attribute gives zeros."""
+    return products @ spread
+
+
+def stacked_products(state: TrainState, blocks: list[slice]) -> np.ndarray:
+    """[F_1 S_1 ... F_J S_J], dim x sum_i M_i, attribute i's product in the
+    columns `blocks[i]`."""
+    products = np.empty((state.individual.shape[0], blocks[-1].stop if blocks else 0))
+    for basis, sel, block in zip(state.bases, state.bank.selectors, blocks):
+        products[:, block] = basis @ sel
+    return products
 
 
 def indicator(ts: TrainingSet, attr: int) -> np.ndarray:
@@ -236,13 +252,25 @@ def indicator(ts: TrainingSet, attr: int) -> np.ndarray:
     return z
 
 
-def cooccurrence(stacked: np.ndarray, splits: np.ndarray) -> list[list[np.ndarray]]:
+def label_space(ts: TrainingSet) -> tuple[np.ndarray, list[slice]]:
+    """The spread [Z_1 ... Z_J]^T, a C-contiguous sum_i M_i x count array
+    (0 x count with no attribute), and the block of rows of each Z_i^T."""
+    ends = np.cumsum([ts.schema.size(i) for i in range(ts.schema.count)], dtype=int).tolist()
+    blocks = [slice(start, end) for start, end in zip([0] + ends, ends)]
+    spread = np.zeros((ends[-1] if ends else 0, ts.count))
+    for i, block in enumerate(blocks):
+        spread[block] = indicator(ts, i).T
+    return spread, blocks
+
+
+def cooccurrence(spread: np.ndarray, blocks: list[slice]) -> list[list[np.ndarray]]:
     """C[k][i] = Z_k^T Z_i: how many columns carry each pair of labels of
     attributes k and i (diagonal blocks hold the per-label counts), cut from
-    the Gram matrix of the stacked indicators [Z_1 ... Z_J], whose column
-    blocks end at `splits`. The counts are exact in floating point."""
-    gram = stacked.T @ stacked
-    return [np.split(rows, splits, axis=1) for rows in np.split(gram, splits)]
+    the Gram matrix of the stacked indicators, whose transpose is `spread`
+    with attribute i's rows in `blocks[i]` (see `label_space`). The counts
+    are exact in floating point."""
+    gram = spread @ spread.T
+    return [[gram[rows, cols] for cols in blocks] for rows in blocks]
 
 
 def attribute_sums(
@@ -305,12 +333,15 @@ def update_g(state: TrainState, residual: np.ndarray) -> np.ndarray:
 
 
 def update_e(state: TrainState, ts: TrainingSet, residual: np.ndarray) -> np.ndarray:
-    """Sparse step on `residual`, which is error_residual(state, ts): soft
-    threshold on visible entries; hidden entries take the residual
-    unchanged, which zeroes the augmented residual there."""
-    state.sparse_error = np.where(
-        ts.visible, shrink_matrix(residual, state.lam / state.mu), residual
-    )
+    """Sparse step on `residual`, which is error_residual(state, ts), in one
+    pass: residual - W .* clip(residual, -lam/mu, lam/mu). On visible
+    entries that is the soft threshold; hidden entries take the residual
+    unchanged, which zeroes the augmented residual there. A non-finite
+    residual raises ValidationError."""
+    if not np.isfinite(residual).all():
+        raise ValidationError("sparse step input contains non-finite entries")
+    tau = state.lam / state.mu
+    state.sparse_error = residual - ts.W * np.clip(residual, -tau, tau)
     return state.sparse_error
 
 
@@ -498,11 +529,10 @@ def train(
         lam=lam,
     )
 
-    zs = [indicator(ts, i) for i in range(ts.schema.count)]
-    indicators = np.hstack(zs) if zs else np.zeros((ts.count, 0))
-    splits = np.cumsum([ts.schema.size(i) for i in range(ts.schema.count)])[:-1]
-    cooc = cooccurrence(indicators, splits)
-    products = [basis @ sel for basis, sel in zip(state.bases, state.bank.selectors)]
+    spread, blocks = label_space(ts)
+    cooc = cooccurrence(spread, blocks)
+    stacked = stacked_products(state, blocks)
+    products = [stacked[:, block] for block in blocks]  # views: P_i, updated in place
     tol = INNER_TOL * norm
     model = np.zeros_like(ts.X)  # sum F_k H_k + G of the zero initial state
 
@@ -511,13 +541,13 @@ def train(
         scaled = state.dual / state.mu
         for _ in range(INNER_SWEEPS):
             base = ts.X - state.individual - state.sparse_error + scaled
-            base_sums = np.split(base @ indicators, splits, axis=1)
-            for i in range(ts.schema.count):
-                sums = attribute_sums(base_sums[i], products, cooc, i)
+            base_sums = base @ spread.T
+            for i, block in enumerate(blocks):
+                sums = attribute_sums(base_sums[:, block], products, cooc, i)
                 update_h(state, ts, i, sums)
                 update_f(state, i, sums)
-                products[i] = state.bases[i] @ state.bank.selectors[i]
-            shared = shared_sum(ts, products)
+                products[i][...] = state.bases[i] @ state.bank.selectors[i]
+            shared = shared_sum(stacked, spread)
             unshared = ts.X - shared
             update_g(state, unshared - state.sparse_error + scaled)
             previous, model = model, shared + state.individual

@@ -140,6 +140,11 @@ class TestTrain:
 
     @pytest.mark.parametrize("scale", [1e150, 1e160])
     def test_overflow_is_a_numerical_failure(self, tmp_path, capsys, scale):
+        """Samples scaled so that a Gram matrix of the basis step overflows
+        (1e150), or the norm of the training matrix does (1e160): exit 4,
+        naming that cause, with no numpy warning."""
+        cause = {1e150: "procrustes Gram overflows float64",
+                 1e160: "the norm of the training matrix overflows float64"}[scale]
         ts, _ = generate(dataclasses.replace(default_spec(), dim=30, count=12, seed=1))
         entries = []
         for n in range(ts.count):
@@ -148,11 +153,12 @@ class TestTrain:
                       for i in range(ts.schema.count)}
             entries.append({"data": f"s{n}.marc", "mask": None, "labels": labels})
         write_manifest(tmp_path / "manifest.json", ts.schema, entries)
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             rc = main(["train", str(tmp_path / "manifest.json"), "-o", str(tmp_path / "b"),
                        "--t-max", "50"])
         assert rc == 4
-        assert "training diverged at iteration 0" in capsys.readouterr().err
+        assert f"training diverged at iteration 0: {cause}" in capsys.readouterr().err
 
     def test_negative_seed_is_validation_error(self, workspace, tmp_path, capsys):
         rc = main(["train", str(workspace / "data" / "manifest.json"),

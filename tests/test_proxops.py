@@ -1,4 +1,6 @@
 """Operator-level checks: shrinkage, SVT, Procrustes, spans, random bases."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -289,58 +291,116 @@ def spy_warm(monkeypatch):
     return outcomes
 
 
+def spy_certificates(monkeypatch):
+    """Record the name and argument shape of each spectral-norm certificate
+    svt asks for: `_gram_at_most` on a Gram matrix, `_spectral_norm_at_most`
+    on a matrix formed from the input (which may go on to `_gram_at_most`)."""
+    calls = []
+    for name in ("_gram_at_most", "_spectral_norm_at_most"):
+        original = getattr(proxops, name)
+
+        def spied(m, bound, name=name, original=original):
+            calls.append((name, m.shape))
+            return original(m, bound)
+
+        monkeypatch.setattr(proxops, name, spied)
+    return calls
+
+
+# Thresholds well above and well below GRAM_RATIO * s_max (s_max = 10 in
+# `flat_tail`): the warm path certifies its tail from the Gram matrix above
+# it and from the left-out part of the input below it.
+CERTIFICATE_FORMS = ((5e-2, "_gram_at_most"), (1e-5, "_spectral_norm_at_most"))
+
+
 @pytest.mark.parametrize("shape", [(200, 60), (64, 256)], ids=["tall", "wide"])
 @pytest.mark.parametrize("kind", ["exact", "perturbed", "random", "too-narrow", "too-wide"])
 def test_svt_warm_start_matches_svd(shape, kind, monkeypatch):
-    """From any start, the result matches the SVD's and the holder is left
-    with the five kept right singular vectors. An exact, stale or random
-    start takes the warm path, with no Gram eigendecomposition. A start too
-    narrow leaves a value above tau in the spill, which fails the
-    certificate; one too wide cannot settle its columns in the flat tail
-    within WARM_STEPS. Both fall back to the Gram path."""
-    tau = 1e-2
-    m, exact = flat_tail(shape, tau, seed=21)
-    ref = _svt_svd(m, tau)
-    outcomes = spy_warm(monkeypatch)
-    warm = WarmStart(start_basis(kind, exact, seed=22))
-    got = svt(m, tau, warm)
-    assert np.allclose(got, ref, rtol=1e-9, atol=1e-9 * np.abs(ref).max())
-    warmed = kind not in ("too-narrow", "too-wide")
-    assert outcomes == [warmed]
-    assert warm.basis.shape == (min(shape), 5)
-    assert np.allclose(warm.basis.T @ warm.basis, np.eye(5), atol=1e-12)
-    assert np.allclose(warm.basis @ warm.basis.T, exact @ exact.T, atol=1e-9)
-    if warmed:
-        monkeypatch.setattr(np.linalg, "eigh", no_svd)
-        assert np.allclose(svt(m, tau, WarmStart(warm.basis)), ref,
-                           rtol=1e-9, atol=1e-9 * np.abs(ref).max())
+    """From any start, with either certificate form, the result matches the
+    SVD's and the holder is left with the five kept right singular vectors.
+    An exact, stale or random start takes the warm path, with no Gram
+    eigendecomposition, and certifies its tail in the form its threshold
+    selects. A start too narrow leaves a value above tau in the spill,
+    which fails the certificate; one too wide cannot settle its columns in
+    the flat tail within WARM_STEPS. Both fall back to the Gram path."""
+    tall = (max(shape), min(shape))
+    for tau, form in CERTIFICATE_FORMS:
+        assert (tau >= GRAM_RATIO * 10.0) == (form == "_gram_at_most")
+        with monkeypatch.context() as mp:
+            m, exact = flat_tail(shape, tau, seed=21)
+            ref = _svt_svd(m, tau)
+            outcomes = spy_warm(mp)
+            certificates = spy_certificates(mp)
+            warm = WarmStart(start_basis(kind, exact, seed=22))
+            got = svt(m, tau, warm)
+            assert np.allclose(got, ref, rtol=1e-9, atol=1e-9 * np.abs(ref).max())
+            warmed = kind not in ("too-narrow", "too-wide")
+            assert outcomes == [warmed]
+            assert warm.basis.shape == (min(shape), 5)
+            assert np.allclose(warm.basis.T @ warm.basis, np.eye(5), atol=1e-12)
+            assert np.allclose(warm.basis @ warm.basis.T, exact @ exact.T, atol=1e-9)
+            if warmed:
+                assert certificates[0] == (form, tall if form == "_spectral_norm_at_most"
+                                           else (min(shape), min(shape)))
+                mp.setattr(np.linalg, "eigh", no_svd)
+                assert np.allclose(svt(m, tau, WarmStart(warm.basis)), ref,
+                                   rtol=1e-9, atol=1e-9 * np.abs(ref).max())
 
 
 @pytest.mark.parametrize("shape", [(200, 60), (64, 256)], ids=["tall", "wide"])
 def test_svt_warm_certificate_rejects_a_tail_value_above_tau(shape, monkeypatch):
     """One tail value at 1.05 tau: the power steps settle on the five
-    leading vectors, but the spill certificate fails and svt falls back to
-    the Gram path, whose result it returns bitwise."""
-    tau = 1e-2
-    m, exact = flat_tail(shape, tau, seed=23, lead=(10.0, 8.0, 6.0, 5.0, 4.0, 1.05 * tau))
-    cold = svt(m, tau)
+    leading vectors, but the spill certificate fails, in either form, and
+    svt falls back to the Gram path, whose result it returns bitwise. Above
+    GRAM_RATIO * s_max the Gram path keeps the sixth value; below, that
+    value is one the Gram matrix cannot resolve, and the result comes from
+    the SVD."""
+    tall = (max(shape), min(shape))
+    for tau, form in CERTIFICATE_FORMS:
+        with monkeypatch.context() as mp:
+            m, exact = flat_tail(shape, tau, seed=23,
+                                 lead=(10.0, 8.0, 6.0, 5.0, 4.0, 1.05 * tau))
+            cold = svt(m, tau)
+            outcomes = spy_warm(mp)
+            certificates = spy_certificates(mp)
+            grams = []
+            eigh = np.linalg.eigh
+
+            def counted(a):
+                grams.append(a.shape)
+                return eigh(a)
+
+            mp.setattr(np.linalg, "eigh", counted)
+            warm = WarmStart(exact[:, :5].copy())
+            got = svt(m, tau, warm)
+            assert outcomes == [False]
+            assert certificates[0] == (form, tall if form == "_spectral_norm_at_most"
+                                       else (min(shape), min(shape)))
+            assert grams == [(min(shape), min(shape))]
+            assert np.array_equal(got, cold)
+            if form == "_gram_at_most":
+                assert warm.basis.shape == (min(shape), 6)
+            else:
+                assert warm.basis is None
+            ref = _svt_svd(m, tau)
+            assert np.allclose(got, ref, rtol=1e-9, atol=1e-9 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("shape", [(200, 60), (64, 256)], ids=["tall", "wide"])
+def test_svt_warm_path_declines_an_untrusted_kept_value(shape, monkeypatch):
+    """A sixth leading value of 5e-3, above tau = 1e-5 but below
+    GRAM_RATIO * s_max = 1e-2: the Ritz matrix cannot resolve it, so the warm
+    path declines before any certificate, even from the exact start, and
+    the result is the SVD path's."""
+    tau = 1e-5
+    m, exact = flat_tail(shape, tau, seed=27, lead=(10.0, 8.0, 6.0, 5.0, 4.0, 5e-3))
     outcomes = spy_warm(monkeypatch)
-    grams = []
-    eigh = np.linalg.eigh
-
-    def counted(a):
-        grams.append(a.shape)
-        return eigh(a)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted)
-    warm = WarmStart(exact[:, :5].copy())
-    got = svt(m, tau, warm)
+    certificates = spy_certificates(monkeypatch)
+    warm = WarmStart(exact.copy())
+    assert np.array_equal(svt(m, tau, warm), _svt_svd(m, tau))
     assert outcomes == [False]
-    assert grams == [(min(shape), min(shape))]
-    assert np.array_equal(got, cold)
-    assert warm.basis.shape == (min(shape), 6)
-    ref = _svt_svd(m, tau)
-    assert np.allclose(got, ref, rtol=1e-9, atol=1e-9 * np.abs(ref).max())
+    assert ("_spectral_norm_at_most", (max(shape), min(shape))) not in certificates
+    assert warm.basis is None
 
 
 @pytest.mark.parametrize("shape", [(200, 60), (64, 256)], ids=["tall", "wide"])
@@ -420,13 +480,14 @@ def test_procrustes_degenerate_input_takes_the_svd_path(m):
     lambda m: svt(m, 1.0, WarmStart(np.eye(4)[:, :1])),
 ], ids=["procrustes", "svt", "svt-warm"])
 def test_overflowing_gram_is_a_numerical_error(kernel):
-    # The input is finite but its Gram matrix overflows, and the
-    # eigendecomposition of that fails to converge. The warm path's power
-    # step overflows the same way and hands the input to the Gram path.
+    # The input is finite but its Gram matrix overflows: the kernel says so,
+    # before any power step or eigendecomposition, with no numpy warning.
     m = np.random.default_rng(0).standard_normal((30, 4)) * 1e160
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(NumericalError, match="Gram eigendecomposition failed to converge"):
-        kernel(m)
+    name = "procrustes" if kernel is procrustes else "svt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=f"^{name} Gram overflows float64$"):
+            kernel(m)
 
 
 def rank_r_span(m, rule):

@@ -28,6 +28,7 @@ from marc.trainer import (
     cooccurrence,
     error_residual,
     indicator,
+    label_space,
     normalized_residual,
     shared_component,
     shared_sum,
@@ -55,6 +56,24 @@ def make_state(ts, seed=0, mu=0.7, lam=0.1):
         mu=mu,
         lam=lam,
     )
+
+
+def three_attribute_instance():
+    """A wide instance with three attributes of 4, 8 and 16 labels."""
+    schema = AttributeSchema.of([(f"attr{i}", [f"l{j}" for j in range(m)])
+                                 for i, m in enumerate((4, 8, 16))])
+    ts, _ = generate(SynthSpec(schema=schema, dim=16, count=64, rank_g=2, seed=8))
+    return ts
+
+
+def gathered_shared(state, ts, exclude=None):
+    """sum_k F_k H_k gathered and added attribute by attribute, in schema
+    order: the reference `shared_sum` is checked against."""
+    total = np.zeros_like(ts.X)
+    for k, (basis, sel) in enumerate(zip(state.bases, state.bank.selectors)):
+        if k != exclude:
+            total += (basis @ sel)[:, ts.label_index[k]]
+    return total
 
 
 class TestSolverConfig:
@@ -209,14 +228,14 @@ class TestStepFunctions:
         R Z_i formed in label space (co-occurrence counts and the products
         F_k S_k) equals the attribute residual times Z_i, and the shared sum
         from the same products is shared_component bitwise."""
-        schema = AttributeSchema.of([(f"attr{i}", [f"l{j}" for j in range(m)])
-                                     for i, m in enumerate((4, 8, 16))])
-        ts, _ = generate(SynthSpec(schema=schema, dim=16, count=64, rank_g=2, seed=8))
+        ts = three_attribute_instance()
         state = make_state(ts, seed=11)
         base = ts.X - state.individual - state.sparse_error + state.dual / state.mu
         products = [f @ sel for f, sel in zip(state.bases, state.bank.selectors)]
         zs = [indicator(ts, attr) for attr in range(ts.schema.count)]
-        cooc = cooccurrence(np.hstack(zs), np.cumsum([4, 8, 16])[:-1])
+        spread, blocks = label_space(ts)
+        assert np.array_equal(spread, np.hstack(zs).T) and spread.flags.c_contiguous
+        cooc = cooccurrence(spread, blocks)
         for attr, z in enumerate(zs):
             got = attribute_sums(base @ z, products, cooc, attr)
             expect = attribute_residual(state, ts, attr) @ z
@@ -225,7 +244,39 @@ class TestStepFunctions:
             assert np.array_equal(cooc[attr][attr], np.diag(counts.astype(float)))
             for k, zk in enumerate(zs):
                 assert np.array_equal(cooc[k][attr], zk.T @ z)
-        assert np.array_equal(shared_sum(ts, products), shared_component(state, ts))
+        assert np.array_equal(shared_sum(np.hstack(products), spread),
+                              shared_component(state, ts))
+
+    @pytest.mark.parametrize("sizes", [(), (3,), (2, 3), (4, 8, 16)],
+                             ids=["none", "one", "two", "three"])
+    def test_shared_sum_is_the_gather_and_add(self, sizes):
+        """The one product [P_1 ... P_J] [Z_1 ... Z_J]^T, through
+        shared_component with and without an excluded attribute, is the
+        per-attribute gather-and-add: bitwise with up to two attributes,
+        to 1e-15 relative with three; zeros with none. shared_sum of the
+        stacked products is shared_component bitwise."""
+        schema = AttributeSchema.of([(f"attr{i}", [f"l{j}" for j in range(m)])
+                                     for i, m in enumerate(sizes)])
+        rng = np.random.default_rng(len(sizes))
+        labels = tuple(rng.permutation(np.arange(64) % m) for m in sizes)
+        X = rng.standard_normal((16, 64))
+        ts = TrainingSet(schema, X, np.ones_like(X), labels)
+        state = make_state(ts, seed=12)
+        for exclude in [None, *range(len(sizes))]:
+            got = shared_component(state, ts, exclude)
+            expect = gathered_shared(state, ts, exclude)
+            assert got.shape == ts.X.shape
+            if len(sizes) <= 2:
+                assert np.array_equal(got, expect)
+            else:
+                assert np.linalg.norm(got - expect) <= 1e-15 * np.linalg.norm(expect)
+        spread, blocks = label_space(ts)
+        assert [block.stop - block.start for block in blocks] == list(sizes)
+        products = [f @ sel for f, sel in zip(state.bases, state.bank.selectors)]
+        stacked = np.hstack(products) if products else np.zeros((ts.dim, 0))
+        assert np.array_equal(shared_sum(stacked, spread), shared_component(state, ts))
+        if not sizes:
+            assert np.array_equal(shared_component(state, ts), np.zeros_like(ts.X))
 
     def test_residual_definitions(self, small_instance):
         ts, _ = small_instance
@@ -496,8 +547,9 @@ class TestTrainLoop:
         """Every residual the sweep forms is bitwise the one the reference
         functions build from the state at that moment: the G step's
         X - shared - E + dual/mu, the E step's error_residual, and the fit
-        X - shared - G that the residual measures (and the dual step) read."""
-        ts, _ = small_instance
+        X - shared - G that the residual measures (and the dual step) read.
+        So on the two-attribute instance and on a three-attribute one, whose
+        shared sum BLAS may add in any order."""
         calls = Counter()
 
         def reference(state, name):
@@ -520,20 +572,27 @@ class TestTrainLoop:
 
         for name in ("update_g", "update_e", "normalized_residual"):
             spy(name)
-        assert train(ts, SolverConfig(t_max=5)).diagnostics.iterations == 5
-        sweeps = trainer.INNER_SWEEPS * 5
-        assert calls == {"update_g": sweeps, "update_e": sweeps, "normalized_residual": 5}
+        for ts in (small_instance[0], three_attribute_instance()):
+            calls.clear()
+            assert train(ts, SolverConfig(t_max=5)).diagnostics.iterations == 5
+            sweeps = trainer.INNER_SWEEPS * 5
+            assert calls == {"update_g": sweeps, "update_e": sweeps, "normalized_residual": 5}
 
     @pytest.mark.parametrize("scale, cause", [
-        (1e150, "Gram eigendecomposition failed to converge"),
+        (1e150, "procrustes Gram overflows float64"),
         (1e160, "the norm of the training matrix overflows float64"),
     ])
     def test_overflow_is_a_numerical_error(self, scale, cause):
+        """A training matrix with a finite norm whose basis step's Gram
+        matrix overflows, and one whose norm overflows: each raises
+        NumericalError naming that cause, with no numpy warning."""
         ts, _ = generate(dataclasses.replace(default_spec(), dim=30, count=12, seed=1))
         scaled = TrainingSet(ts.schema, ts.X * scale, ts.W, ts.label_index)
-        with np.errstate(all="ignore"), \
-                pytest.raises(NumericalError, match=f"training diverged at iteration 0: {cause}"):
-            train(scaled, SolverConfig(t_max=50))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError,
+                               match=f"training diverged at iteration 0: {cause}"):
+                train(scaled, SolverConfig(t_max=50))
 
     def test_an_overflowing_norm_raises_before_any_step(self):
         """Finite entries whose norm overflows float64 raise NumericalError
