@@ -18,10 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from . import formats
-from .dataset import AttributeSchema, assemble
+from .dataset import AttributeSchema, assemble, check_input
 from .errors import FormatError, NumericalError, ValidationError
 from .proxops import RankRule
-from .reconstructor import ReconConfig, TransferSpec, check_input, reconstruct_many, synthesize
+from .reconstructor import ReconConfig, TransferSpec, reconstruct_many, synthesize
 from .synthbench import SynthSpec, default_spec, generate, recovery_metrics
 from .trainer import MU0_NORMS, Schedule, SolverConfig, train
 

@@ -5,13 +5,13 @@ instantiation per attribute, plus a binary visibility mask. Assembly stacks
 the columns into dense matrices and records, per attribute, which
 instantiation every column carries.
 
-`check_observed` holds the rule every entry point applies to observed data
-(finite values; a 0/1 mask of the same shape), vectorised over columns;
-each caller names the offending column its own way.
+Training and reconstruction share two input rules, each caller naming the
+offending sample, column or file its own way: `check_input` for lengths and
+`check_observed` for values (finite; a 0/1 mask of the same shape).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -31,11 +31,16 @@ class AttributeSchema:
 
     def __post_init__(self) -> None:
         names = [name for name, _ in self.attributes]
+        for name in names:
+            if not name or not isinstance(name, str):
+                raise ValidationError(f"attribute names must be non-empty strings, got {name!r}")
         if len(set(names)) != len(names):
             raise ValidationError("attribute names must be unique")
         for name, labels in self.attributes:
-            if not name:
-                raise ValidationError("attribute names must be non-empty")
+            for label in labels:
+                if not isinstance(label, str):
+                    raise ValidationError(
+                        f"attribute '{name}': instantiation labels must be strings, got {label!r}")
             if len(labels) < 1:
                 raise ValidationError(f"attribute '{name}' has no instantiations")
             if len(set(labels)) != len(labels):
@@ -100,12 +105,27 @@ class Sample:
     """One data vector with its visibility mask and attribute labels.
 
     `mask` may be None for a fully observed sample. `labels` maps attribute
-    name to instantiation label and must cover the schema exactly.
+    name to instantiation label and must cover the schema exactly. `name`
+    (a manifest's data path) names the sample in `assemble`'s errors.
     """
 
     data: np.ndarray
     labels: Mapping[str, str]
     mask: np.ndarray | None = None
+    name: str | None = None
+
+
+def check_input(y: np.ndarray, w_y: np.ndarray | None, dim: int,
+                where: str = "") -> tuple[np.ndarray, np.ndarray]:
+    """One input vector and its mask (None: every entry visible) as float
+    vectors of length `dim`; either of another length raises ValidationError
+    prefixed by `where`. Their values are `check_observed`'s to check."""
+    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    w_y = np.ones(dim) if w_y is None else np.asarray(w_y, dtype=np.float64).reshape(-1)
+    for v, what in ((y, "input vector"), (w_y, "input mask")):
+        if v.size != dim:
+            raise ValidationError(f"{where}{what} has length {v.size}, expected {dim}")
+    return y, w_y
 
 
 def check_observed(X: np.ndarray, W: np.ndarray | None, name: Callable[[int], str] | None = None,
@@ -140,20 +160,22 @@ class TrainingSet:
 
     X and W are dense float64 matrices of shape (dim, count). For each
     attribute, `label_index` holds a length-`count` int array giving the
-    (0-based) instantiation carried by every column.
+    (0-based) instantiation carried by every column. `name` (init only)
+    names column n in a value fault; the default is "sample n".
     """
 
     schema: AttributeSchema
     X: np.ndarray
     W: np.ndarray
     label_index: tuple[np.ndarray, ...]
+    name: InitVar[Callable[[int], str] | None] = None
     visible: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, name: Callable[[int], str] | None) -> None:
         X = np.asarray(self.X, dtype=np.float64)
         if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
             raise ValidationError("X must be a non-empty 2-D matrix")
-        X, W = check_observed(X, self.W, lambda n: f"sample {n}")
+        X, W = check_observed(X, self.W, name or (lambda n: f"sample {n}"))
         if len(self.label_index) != self.schema.count:
             raise ValidationError("label_index must have one entry per schema attribute")
         idx = []
@@ -193,48 +215,36 @@ class TrainingSet:
 
 
 def assemble(schema: AttributeSchema, samples: Sequence[Sample]) -> TrainingSet:
-    """Stack labeled samples into a TrainingSet.
-
-    Raises ValidationError naming the offending sample on any mismatch:
-    inconsistent length, missing/unknown labels, or an instantiation that
-    ends up with zero columns. TrainingSet then checks the values once.
+    """Stack labeled samples into a TrainingSet, checking each sample's
+    lengths (`check_input`, at the first sample's length) and labels once;
+    TrainingSet then checks the values once. A sample's fault raises
+    ValidationError naming it "sample '<name>'", or "sample n" when it has
+    no `name`. An instantiation left with no columns raises too.
     """
     if not samples:
         raise ValidationError("cannot assemble an empty sample list")
-    dim = None
-    cols, mask_cols = [], []
-    label_cols: list[list[int]] = [[] for _ in range(schema.count)]
+
+    def where(n: int) -> str:
+        name = samples[n].name
+        return f"sample {n}" if name is None else f"sample '{name}'"
+
+    dim = np.size(samples[0].data)
+    X, W = np.empty((2, dim, len(samples)))
+    label_index = np.empty((schema.count, len(samples)), dtype=np.int64)
     for n, sample in enumerate(samples):
-        where = f"sample {n}"
-        x = np.asarray(sample.data, dtype=np.float64).reshape(-1)
-        if dim is None:
-            dim = x.size
-        elif x.size != dim:
-            raise ValidationError(f"{where}: dimension {x.size} does not match {dim}")
-        if x.size < 1:
-            raise ValidationError(f"{where}: empty data vector")
-        if sample.mask is None:
-            w = np.ones(dim)
-        else:
-            w = np.asarray(sample.mask, dtype=np.float64).reshape(-1)
-            if w.size != dim:
-                raise ValidationError(f"{where}: mask length {w.size} does not match {dim}")
+        X[:, n], W[:, n] = check_input(sample.data, sample.mask, dim, f"{where(n)}: ")
         extra = set(sample.labels) - {name for name, _ in schema.attributes}
         if extra:
-            raise ValidationError(f"{where}: unknown attribute '{sorted(extra)[0]}'")
+            raise ValidationError(f"{where(n)}: unknown attribute '{sorted(extra)[0]}'")
         for i in range(schema.count):
             name = schema.name(i)
             if name not in sample.labels:
-                raise ValidationError(f"{where}: missing label for attribute '{name}'")
+                raise ValidationError(f"{where(n)}: missing label for attribute '{name}'")
             try:
-                label_cols[i].append(schema.inst_index(i, sample.labels[name]))
+                label_index[i, n] = schema.inst_index(i, sample.labels[name])
             except ValidationError as exc:
-                raise ValidationError(f"{where}: {exc}") from None
-        cols.append(x)
-        mask_cols.append(w)
-    X = np.column_stack(cols)
-    W = np.column_stack(mask_cols)
-    return TrainingSet(schema, X, W, tuple(np.asarray(c, dtype=np.int64) for c in label_cols))
+                raise ValidationError(f"{where(n)}: {exc}") from None
+    return TrainingSet(schema, X, W, tuple(label_index), where)
 
 
 def columns_of(ts: TrainingSet, attr: int, inst: int) -> np.ndarray:

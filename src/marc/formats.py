@@ -148,10 +148,12 @@ def write_manifest(
 
 
 def load_manifest(path: str | Path) -> tuple[AttributeSchema, list[Sample]]:
-    """Load a manifest and every sample it references.
+    """Load a manifest and every sample it references, each named by its
+    data path as written in the manifest (`Sample.name`).
 
-    Label problems raise ValidationError naming the offending sample file;
-    structural problems raise FormatError; missing files raise OSError.
+    Structural problems raise FormatError, a malformed schema mapping
+    ValidationError, and missing files OSError. The samples' lengths, labels
+    and values are `dataset.assemble`'s to check, naming each by that path.
     """
     path = Path(path)
     doc = _json_load(path)
@@ -176,12 +178,7 @@ def load_manifest(path: str | Path) -> tuple[AttributeSchema, list[Sample]]:
         labels = entry["labels"]
         if not isinstance(labels, dict):
             raise FormatError(f"{path}: sample {n} labels must be a mapping")
-        for name, label in labels.items():
-            try:
-                schema.inst_index(schema.attr_index(name), label)
-            except ValidationError as exc:
-                raise ValidationError(f"sample '{entry['data']}': {exc}") from None
-        samples.append(Sample(data=data, labels=labels, mask=mask))
+        samples.append(Sample(data=data, labels=labels, mask=mask, name=entry["data"]))
     return schema, samples
 
 
@@ -266,8 +263,13 @@ def _load_factors(root: Path, shape: tuple[int, int] | None = None) -> dict:
     in a ModelBundle or GroundTruth. The individual and sparse parts must
     have `shape` (when None, whatever individual.marc has) and each basis
     their rows and one column per instantiation, and every entry must be
-    finite. A missing file raises OSError."""
-    schema = AttributeSchema.from_dict(_json_load(root / "schema.json"))
+    finite. A schema that AttributeSchema refuses raises FormatError naming
+    schema.json, and a missing file OSError."""
+    path = root / "schema.json"
+    try:
+        schema = AttributeSchema.from_dict(_json_load(path))
+    except ValidationError as exc:
+        raise FormatError(f"{path}: bad schema: {exc}") from exc
     individual = _read_checked(root / "individual.marc", shape)
     dim = individual.shape[0]
     return {

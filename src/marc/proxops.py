@@ -58,6 +58,14 @@ def _check_matrix(m: np.ndarray, name: str) -> np.ndarray:
     return m
 
 
+def frobenius(a: np.ndarray) -> float:
+    """||a||_F of a 2-D `a`, summed by `np.einsum` in one fixed order.
+    np.linalg.norm's dot product is split across BLAS threads, so its last
+    bits, and every stop or trust decision taken on them, would depend on
+    the thread count."""
+    return math.sqrt(np.einsum("ij,ij->", a, a))
+
+
 def shrink_matrix(m: np.ndarray, tau: float) -> np.ndarray:
     """Entrywise soft threshold of a matrix: sgn(m) * max(|m| - tau, 0),
     for a finite 2-D `m` and a finite tau >= 0."""
@@ -247,7 +255,7 @@ def _warm_factors(a: np.ndarray, gram: np.ndarray, tau: float, q: np.ndarray) \
         z = gram @ q
         ritz = q.T @ z
         residual = z - q @ ritz
-        gap = float(np.linalg.norm(residual))
+        gap = frobenius(residual)
         tol = RITZ_TOL * float(np.trace(ritz))
         if gap <= tol:
             break
@@ -281,7 +289,7 @@ def _warm_factors(a: np.ndarray, gram: np.ndarray, tau: float, q: np.ndarray) \
 def _spectral_norm_at_most(m: np.ndarray, bound: float) -> bool:
     """||m||_2 <= bound, from the Frobenius norm when that suffices, else
     from `_gram_at_most` of the short-side Gram matrix of m."""
-    if float(np.linalg.norm(m)) <= bound:
+    if frobenius(m) <= bound:
         return True
     return _gram_at_most(m.T @ m if m.shape[0] >= m.shape[1] else m @ m.T, bound)
 

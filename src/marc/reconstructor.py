@@ -32,8 +32,9 @@ share each sweep's matrix products; `reconstruct` is its one-vector case, so
 both run the same steps. A vector's result is built once, when
 `trainer.run_penalty_steps` retires its problem.
 
-Inputs meet the rule training data meets, `dataset.check_observed`, once per
-call: on the one vector, or on the whole block naming the column at fault.
+Inputs meet the rules training data meets, once per call: the length rule
+`dataset.check_input` (one vector) and the value rule `dataset.check_observed`
+(the vector, or the whole block naming the column at fault).
 """
 from __future__ import annotations
 
@@ -44,7 +45,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .dataset import AttributeSchema, check_observed
+from .dataset import AttributeSchema, check_input, check_observed
 from .errors import DegenerateMatrixError, ValidationError, check_integer
 from .proxops import RankRule, soft_threshold, svd_span
 from .trainer import ModelBundle, Schedule, TrainDiagnostics, checked_norms, run_penalty_steps
@@ -181,19 +182,6 @@ def synthesize(
     if coeffs.size:
         out += build_span(bundle, rule) @ coeffs
     return out
-
-
-def check_input(y: np.ndarray, w_y: np.ndarray | None, dim: int,
-                where: str = "") -> tuple[np.ndarray, np.ndarray]:
-    """One input vector and its mask (None: every entry visible) as float
-    vectors of length `dim`; either of another length raises ValidationError
-    prefixed by `where`. Their values are `check_observed`'s to check."""
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    w_y = np.ones(dim) if w_y is None else np.asarray(w_y, dtype=np.float64).reshape(-1)
-    for v, what in ((y, "input vector"), (w_y, "input mask")):
-        if v.size != dim:
-            raise ValidationError(f"{where}{what} has length {v.size}, expected {dim}")
-    return y, w_y
 
 
 def _check_spec(spec: TransferSpec | None, schema: AttributeSchema) -> TransferSpec:

@@ -75,6 +75,7 @@ from .errors import NumericalError, ValidationError, check_integer
 from .proxops import (
     WarmStart,
     deterministic_svd,
+    frobenius,
     procrustes,
     random_orthonormal,
     svt,
@@ -361,18 +362,18 @@ def normalized_residual(state: TrainState, ts: TrainingSet, fit: np.ndarray) -> 
     """Masked convergence measure:
     ||X - sum F_k H_k - G - W.*E||_F / ||X||_F (0 for an all-zero X).
     `fit` is as in `update_duals`."""
-    denom = float(np.linalg.norm(ts.X))
+    denom = frobenius(ts.X)
     if denom == 0.0:
         return 0.0
-    return float(np.linalg.norm(fit - ts.W * state.sparse_error)) / denom
+    return frobenius(fit - ts.W * state.sparse_error) / denom
 
 
 def constraint_residual(state: TrainState, ts: TrainingSet, fit: np.ndarray) -> float:
     """Unmasked counterpart of `normalized_residual` (E enters everywhere)."""
-    denom = float(np.linalg.norm(ts.X))
+    denom = frobenius(ts.X)
     if denom == 0.0:
         return 0.0
-    return float(np.linalg.norm(fit - state.sparse_error)) / denom
+    return frobenius(fit - state.sparse_error) / denom
 
 
 Observer = Callable[[TrainState, int], None]
@@ -380,11 +381,12 @@ Observer = Callable[[TrainState, int], None]
 
 def checked_norms(arrays: Iterable[np.ndarray], what: str,
                   name: Callable[[int], str]) -> list[float]:
-    """The norm of each of `arrays`, taken without a numpy warning. The first
-    that overflows float64 raises NumericalError "<what> diverged at
-    iteration 0: <name(c)> overflows float64", c being its index."""
+    """The norm of each of `arrays` (a matrix's by `frobenius`, a vector's,
+    as reconstruction takes them, by np.linalg.norm), taken without a numpy
+    warning. The first that overflows float64 raises NumericalError "<what>
+    diverged at iteration 0: <name(c)> overflows float64", c its index."""
     with np.errstate(over="ignore"):
-        norms = [float(np.linalg.norm(a)) for a in arrays]
+        norms = [frobenius(a) if a.ndim == 2 else float(np.linalg.norm(a)) for a in arrays]
     for c in (c for c, norm in enumerate(norms) if not math.isfinite(norm)):
         raise NumericalError(f"{what} diverged at iteration 0: {name(c)} overflows float64")
     return norms
@@ -553,7 +555,7 @@ def train(
             previous, model = model, shared + state.individual
             fit = unshared - state.individual
             update_e(state, ts, fit + scaled)
-            if float(np.linalg.norm(model - previous)) <= tol:
+            if frobenius(model - previous) <= tol:
                 break
         return fit
 

@@ -234,6 +234,20 @@ NON_FINITE_CASES = [
 ] + [("eval", "truth", "data.marc"), ("eval", "truth", "g_singulars.marc")]
 
 
+def run_on_a_copy(workspace, tmp_path, command, where, edit):
+    """Run `command` ("complete" or "eval") on the workspace's bundle and
+    truth directory, after `edit(directory)` on a copy of the `where` one."""
+    dirs = {"bundle": workspace / "bundle", "truth": workspace / "data" / "truth"}
+    shutil.copytree(dirs[where], tmp_path / where)
+    dirs[where] = tmp_path / where
+    edit(dirs[where])
+    sample = workspace / "data" / "samples" / "sample_0001.marc"
+    argv = {"complete": ["complete", "-b", str(dirs["bundle"]), "-i", str(sample),
+                         "-o", str(tmp_path / "out.marc")],
+            "eval": ["eval", "-b", str(dirs["bundle"]), "--truth", str(dirs["truth"])]}[command]
+    return main(argv)
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("command, where, name", NON_FINITE_CASES,
                          ids=["-".join(case) for case in NON_FINITE_CASES])
@@ -243,20 +257,46 @@ def test_non_finite_factor_is_format_error(workspace, tmp_path, capsys, command,
     a truth directory's data or planted singular values, is refused on load
     with exit 3, naming the file. It used to end in an SVD (LinAlgError) or
     IndexError traceback, or in an eval report of inf or of the bad data."""
-    dirs = {"bundle": workspace / "bundle", "truth": workspace / "data" / "truth"}
-    shutil.copytree(dirs[where], tmp_path / where)
-    dirs[where] = tmp_path / where
-    path = dirs[where] / name
-    payload = bytearray(path.read_bytes())  # first entry of the (first record's) payload
-    payload[_HEADER.size:_HEADER.size + 8] = np.array(value, dtype="<f8").tobytes()
-    path.write_bytes(bytes(payload))
-    sample = workspace / "data" / "samples" / "sample_0001.marc"
-    argv = {"complete": ["complete", "-b", str(dirs["bundle"]), "-i", str(sample),
-                         "-o", str(tmp_path / "out.marc")],
-            "eval": ["eval", "-b", str(dirs["bundle"]), "--truth", str(dirs["truth"])]}[command]
-    assert main(argv) == 3
+    def poke(directory):
+        path = directory / name
+        payload = bytearray(path.read_bytes())  # first entry of the (first record's) payload
+        payload[_HEADER.size:_HEADER.size + 8] = np.array(value, dtype="<f8").tobytes()
+        path.write_bytes(bytes(payload))
+
+    assert run_on_a_copy(workspace, tmp_path, command, where, poke) == 3
     err = capsys.readouterr().err
     assert f"{name}{': record 0' if name == 'selectors.marc' else ''}: non-finite entries" in err
+    assert not (tmp_path / "out.marc").exists()
+
+
+SCHEMA_FAULTS = {
+    "no-instantiations": (lambda attr: attr.pop("instantiations"),
+                          "malformed schema mapping: 'instantiations'"),
+    "integer-name": (lambda attr: attr.update(name=5),
+                     "attribute names must be non-empty strings, got 5"),
+    "integer-labels": (lambda attr: attr.update(instantiations=[1, 2]),
+                       "attribute 'kind': instantiation labels must be strings, got 1"),
+}
+
+
+@pytest.mark.parametrize("fault", SCHEMA_FAULTS)
+@pytest.mark.parametrize("command, where", [("complete", "bundle"), ("eval", "bundle"),
+                                            ("eval", "truth")])
+def test_bad_schema_is_format_error(workspace, tmp_path, capsys, command, where, fault):
+    """A schema.json that AttributeSchema refuses is a file fault of its
+    bundle or truth directory: exit 3, naming the file. A missing
+    "instantiations" used to exit 2 without a path, and integer names or
+    labels used to load."""
+    change, message = SCHEMA_FAULTS[fault]
+
+    def edit(directory):
+        doc = json.loads((directory / "schema.json").read_text())
+        change(doc["attributes"][0])
+        (directory / "schema.json").write_text(json.dumps(doc))
+
+    assert run_on_a_copy(workspace, tmp_path, command, where, edit) == 3
+    path = tmp_path / where / "schema.json"
+    assert capsys.readouterr().err == f"error: {path}: bad schema: {message}\n"
     assert not (tmp_path / "out.marc").exists()
 
 

@@ -46,6 +46,10 @@ class TestAttributeSchema:
             AttributeSchema.of([("a", [])])
         with pytest.raises(ValidationError, match="non-empty"):
             AttributeSchema.of([("", ["x"])])
+        with pytest.raises(ValidationError, match="names must be non-empty strings, got 5"):
+            AttributeSchema.of([(5, ["x"])])
+        with pytest.raises(ValidationError, match="'a': instantiation labels must be strings, got 1"):
+            AttributeSchema.of([("a", ["x", 1])])
 
     def test_empty_schema_is_legal(self):
         schema = AttributeSchema.of([])
@@ -78,8 +82,10 @@ class TestAssemble:
     def test_error_messages_name_the_sample(self):
         schema = AttributeSchema.of([("kind", ["a", "b"])])
         good = Sample(np.zeros(4), {"kind": "a"})
-        with pytest.raises(ValidationError, match="sample 1: dimension 3"):
+        with pytest.raises(ValidationError, match="sample 1: input vector has length 3, expected 4"):
             assemble(schema, [good, Sample(np.zeros(3), {"kind": "b"})])
+        with pytest.raises(ValidationError, match="^sample 's1.marc': input vector has length 3"):
+            assemble(schema, [good, Sample(np.zeros(3), {"kind": "b"}, name="s1.marc")])
         with pytest.raises(ValidationError, match="sample 1: non-finite"):
             assemble(schema, [good, Sample(np.array([1.0, np.nan, 0, 0]), {"kind": "b"})])
         with pytest.raises(ValidationError, match="sample 1: mask"):

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from marc.dataset import AttributeSchema
+from marc.dataset import AttributeSchema, assemble
 from marc.errors import FormatError, ValidationError
 from marc.formats import (
     load_bundle,
@@ -128,6 +128,7 @@ class TestManifest:
         assert schema == SCHEMA
         assert len(samples) == 4
         assert samples[1].labels == {"kind": "b"}
+        assert [sample.name for sample in samples] == [f"s{n}.marc" for n in range(4)]
         assert np.array_equal(samples[2].data, read_vector(tmp_path / "s2.marc"))
         assert np.array_equal(samples[0].mask, read_vector(tmp_path / "w0.marc"))
 
@@ -141,8 +142,8 @@ class TestManifest:
         entries = write_sample_files(tmp_path)
         entries[2]["labels"] = {"kind": "c"}
         write_manifest(tmp_path / "manifest.json", SCHEMA, entries)
-        with pytest.raises(ValidationError, match="sample 's2.marc'"):
-            load_manifest(tmp_path / "manifest.json")
+        with pytest.raises(ValidationError, match="^sample 's2.marc': unknown instantiation 'c'"):
+            assemble(*load_manifest(tmp_path / "manifest.json"))
 
     def test_structural_errors(self, tmp_path):
         path = tmp_path / "manifest.json"

@@ -1,11 +1,14 @@
 """One rule for observed data behind every entry point: finite values, and a
-strictly 0/1 mask of the data's shape (`dataset.check_observed`)."""
+strictly 0/1 mask of the data's shape (`dataset.check_observed`), after one
+length rule (`dataset.check_input`). `marc train` names a sample at fault by
+its file, whatever the fault."""
 import re
 
 import numpy as np
 import pytest
 
 from conftest import bundle_from_truth
+from marc import dataset
 from marc.cli import main
 from marc.dataset import AttributeSchema, Sample, TrainingSet, assemble, check_observed
 from marc.errors import ValidationError
@@ -65,12 +68,15 @@ def via_reconstruct_many(X, W, masks, model, tmp_path):
     reconstruct_many(X, W, model[0])
 
 
-def via_train(X, W, masks, model, tmp_path):
+def via_train(X, W, masks, model, tmp_path, bad_labels=None):
+    """`marc train` on a manifest of sample files s<n>.marc; `bad_labels`,
+    if given, replaces the labels of sample BAD."""
     entries = []
     for n in range(COUNT):
         write_vector(tmp_path / f"s{n}.marc", X[:, n])
         write_vector(tmp_path / f"m{n}.marc", masks[n])
-        entries.append({"data": f"s{n}.marc", "mask": f"m{n}.marc", "labels": {"kind": LABELS[n]}})
+        labels = bad_labels if n == BAD and bad_labels is not None else {"kind": LABELS[n]}
+        entries.append({"data": f"s{n}.marc", "mask": f"m{n}.marc", "labels": labels})
     write_manifest(tmp_path / "manifest.json", SCHEMA, entries)
     return main(["train", str(tmp_path / "manifest.json"), "-o", str(tmp_path / "out")])
 
@@ -90,7 +96,7 @@ def via_complete(X, W, masks, model, tmp_path):
 EXPECTED = {
     via_assemble: ("sample 2: non-finite entries",
                    "sample 2: mask must be strictly binary",
-                   "sample 2: mask length 11 does not match 12"),
+                   "sample 2: input mask has length 11, expected 12"),
     via_training_set: ("sample 2: non-finite entries",
                        "sample 2: mask must be strictly binary",
                        r"masks have shape \(11, 4\), which does not match \(12, 4\)"),
@@ -100,9 +106,9 @@ EXPECTED = {
     via_reconstruct_many: ("column 2: input vector contains non-finite entries",
                            "column 2: input mask must be strictly binary",
                            r"input masks have shape \(11, 4\), which does not match \(12, 4\)"),
-    via_train: ("sample 2: non-finite entries",
-                "sample 2: mask must be strictly binary",
-                "sample 2: mask length 11 does not match 12"),
+    via_train: ("^sample 's2.marc': non-finite entries",
+                "^sample 's2.marc': mask must be strictly binary",
+                "^sample 's2.marc': input mask has length 11, expected 12"),
     via_complete: ("v2.marc: input vector contains non-finite entries",
                    "v2.marc: input mask must be strictly binary",
                    "v2.marc: input mask has length 11, expected 12"),
@@ -124,6 +130,43 @@ def test_every_entry_point_refuses_bad_observed_data(entry, fault, model, tmp_pa
     else:
         with pytest.raises(ValidationError, match=want):
             entry(X, W, masks, model, tmp_path)
+
+
+LABEL_FAULTS = {
+    "unknown label": ({"kind": "c"}, "unknown instantiation 'c' for attribute 'kind'"),
+    "missing label": ({}, "missing label for attribute 'kind'"),
+    "unknown attribute": ({"kind": "b", "tint": "x"}, "unknown attribute 'tint'"),
+}
+
+
+@pytest.mark.parametrize("fault", LABEL_FAULTS)
+def test_train_names_a_sample_with_bad_labels_by_its_file(fault, model, tmp_path, capsys):
+    labels, want = LABEL_FAULTS[fault]
+    X, W, masks = faulty(None)
+    assert via_train(X, W, masks, model, tmp_path, labels) == 2
+    assert capsys.readouterr().err == f"error: sample 's2.marc': {want}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_resolves_each_label_and_checks_the_values_once(model, tmp_path, monkeypatch):
+    """One `marc train` resolves every label of every sample once and runs
+    the value rule once, on the assembled matrix."""
+    calls = {"inst_index": 0, "check_observed": 0}
+    inst_index, check_observed = AttributeSchema.inst_index, dataset.check_observed
+
+    def counted_inst_index(*args):
+        calls["inst_index"] += 1
+        return inst_index(*args)
+
+    def counted_check_observed(*args, **kwargs):
+        calls["check_observed"] += 1
+        return check_observed(*args, **kwargs)
+
+    monkeypatch.setattr(AttributeSchema, "inst_index", counted_inst_index)
+    monkeypatch.setattr(dataset, "check_observed", counted_check_observed)
+    X, W, masks = faulty(None)
+    assert via_train(X, W, masks, model, tmp_path) == 0
+    assert calls == {"inst_index": COUNT * SCHEMA.count, "check_observed": 1}
 
 
 def test_the_first_column_at_fault_is_named_whatever_its_fault():

@@ -14,6 +14,7 @@ from marc.proxops import (
     WarmStart,
     _svt_svd,
     deterministic_svd,
+    frobenius,
     procrustes,
     random_orthonormal,
     shrink_matrix,
@@ -89,6 +90,18 @@ def test_shrink_matrix_rejects_bad_input():
         shrink_matrix(np.ones((2, 2)), -1.0)
     with pytest.raises(ValidationError):
         shrink_matrix(np.ones(4), 0.1)  # 1-D
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (7, 3), (200, 60)])
+def test_frobenius_is_the_norm_to_rounding(shape):
+    """`frobenius` sums in its own order, not np.linalg.norm's, so the two
+    agree to rounding only; an overflowing sum reads inf, without a warning."""
+    a = np.random.default_rng(2).standard_normal(shape)
+    got = frobenius(a)
+    assert type(got) is float and got == pytest.approx(np.linalg.norm(a), rel=1e-14)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert frobenius(np.full(shape, 1e200)) == np.inf
 
 
 def test_deterministic_svd_reconstructs_and_fixes_signs():
