@@ -228,8 +228,6 @@ def svt(m: np.ndarray, tau: float, warm: WarmStart | None = None) -> np.ndarray:
     vecs = vecs[:, keep]
     if warm is not None:
         warm.basis = vecs
-    if not keep.any():
-        return np.zeros_like(m)
     project = (vecs * (1.0 - tau / s[keep])) @ vecs.T
     return m @ project if tall else project @ m
 
@@ -261,11 +259,9 @@ def _warm_factors(a: np.ndarray, gram: np.ndarray, tau: float, q: np.ndarray) \
             break
         rate = gap / last
         if not (rate < 1.0 and gap * rate ** (WARM_STEPS - 1 - step) <= tol):
-            return None  # also on a non-finite residual
+            return None  # at the last step whenever gap > tol; on a non-finite one too
         last = gap
         q = np.linalg.qr(z)[0]
-    else:
-        return None
     try:
         _, squares, wh = np.linalg.svd(ritz)
     except np.linalg.LinAlgError:
@@ -311,8 +307,6 @@ def _svt_svd(m: np.ndarray, tau: float) -> np.ndarray:
     u, s, vh = deterministic_svd(m)
     shrunk = np.maximum(s - tau, 0.0)
     keep = int(np.count_nonzero(shrunk))
-    if keep == 0:
-        return np.zeros_like(m)
     return (u[:, :keep] * shrunk[:keep]) @ vh[:keep]
 
 

@@ -29,8 +29,9 @@ factor from `np.linalg.pinv(D_v)` instead.
 
 `reconstruct_many` solves a block of vectors as independent problems that
 share each sweep's matrix products; `reconstruct` is its one-vector case, so
-both run the same steps. A vector's result is built once, when
-`trainer.run_penalty_steps` retires its problem.
+both run the same steps. Every vector's result is built once, by the one
+`retire` of its slice: `trainer.run_penalty_steps` retires a problem when it
+stops, and a vector with no visible signal is retired before the first step.
 
 Inputs meet the rules training data meets, once per call: the length rule
 `dataset.check_input` (one vector) and the value rule `dataset.check_observed`
@@ -134,7 +135,8 @@ class ReconState:
     For one vector (`reconstruct`) the arrays are 1-D and mu is a float. A
     block (`reconstruct_many`) holds the working set of one slice, the B
     columns still running, one per column: selectors[i] is (M_i, B),
-    indiv_coeffs (r, B), sparse_error and dual (dim, B), and mu (B,)."""
+    indiv_coeffs (r, B), sparse_error and dual (dim, B), and mu (B,). The
+    step index is not a field: observers get it as their argument t."""
 
     config: ReconConfig
     selectors: list[np.ndarray]
@@ -143,7 +145,6 @@ class ReconState:
     dual: np.ndarray
     mu: float | np.ndarray
     lam: float
-    t: int = 0
 
 
 ReconObserver = Callable[[ReconState, int], None]
@@ -252,7 +253,10 @@ def reconstruct_many(
     selectors, coefficients, reconstruction and diagnostics are those of
     the masked input. Only the returned sparse error reads them: its hidden
     entries add them back, so that there it absorbs y minus the synthesis.
-    A column with no visible signal (W.*y = 0) takes no step.
+    A column with no visible signal (W.*y = 0) takes no step: it leaves
+    the working set as a stopped column does, but before the first step,
+    with zero free selectors and coefficients, the pinned synthesis as its
+    reconstruction, and TrainDiagnostics.zero_input(lam) as its record.
 
     Pinned selectors are copied from the trained bank and never touched, so
     they come back bitwise identical. Non-convergence is flagged in
@@ -268,7 +272,8 @@ def reconstruct_many(
     Y, W = check_observed(Y, W, name, "input vector", "input mask")
     observed = Y * W
     norms = checked_norms(observed.T, "reconstruction", lambda c: f"the observed norm of {name(c)}")
-    slices = np.array_split(np.arange(Y.shape[1]), max(1, math.ceil(Y.shape[1] / BLOCK_WIDTH)))
+    count = Y.shape[1]
+    slices = np.array_split(np.arange(count), math.ceil(count / BLOCK_WIDTH)) if count else []
     return [result for block in slices
             for result in _solve(Y[:, block], W[:, block], observed[:, block],
                                  [norms[c] for c in block], bundle, spec, config, observer)]
@@ -300,8 +305,8 @@ def _normal_maps(design: np.ndarray,
     passes; any other column's map is P P^T, as `np.linalg.pinv` gives it."""
     dim, k = design.shape
     # For one column the outer products cost more than they save: built
-    # anyway, they add ~5% to a one-vector solve (paired median over 200
-    # stock holdouts, one BLAS thread, 2-core VM).
+    # anyway, they add ~5% to a one-vector solve (paired per-call median over
+    # 200 stock holdouts, free and pinned in turn, one BLAS thread, 2-core VM).
     if visible.shape[1] == 1:
         grams = ((design.T * visible.T) @ design)[None]
     else:
@@ -333,8 +338,8 @@ def _solve(
     state holds 1-D arrays and a scalar mu, which its observer sees, and its
     per-column bookkeeping costs no numpy calls on length-1 arrays. That
     path pays for itself: solving the same vector as a 1-column block takes
-    ~25% longer (paired median over 200 stock holdouts, one BLAS thread,
-    2-core VM)."""
+    ~25% longer (paired per-call median over 200 stock holdouts, free and
+    pinned in turn, one BLAS thread, 2-core VM)."""
     spec = _check_spec(spec, bundle.schema)
     dim = bundle.dim
     columns = [Y] if Y.ndim == 1 else list(Y.T)
@@ -345,25 +350,10 @@ def _solve(
     free = [i for i, sel in enumerate(trained) if sel is None]
     lam = config.effective_lam(dim, 1)
     results: list[ReconResult | None] = [None] * len(columns)
-
-    live = [c for c, norm in enumerate(norms) if norm != 0.0]
-    for c in (c for c, norm in enumerate(norms) if norm == 0.0):
-        selectors = [sel.copy() if sel is not None else np.zeros(bundle.schema.size(i))
-                     for i, sel in enumerate(trained)]
-        coeffs = np.zeros(span.shape[1])
-        out = synthesize(bundle, spec, selectors, coeffs, config.rank_rule)
-        results[c] = ReconResult(
-            selectors=selectors,
-            indiv_coeffs=coeffs,
-            sparse_error=np.where(_column(W, c) != 0.0, 0.0, columns[c] - out),
-            reconstruction=out,
-            diagnostics=TrainDiagnostics.zero_input(lam),
-        )
-    if not live:
-        return results
-    norm = norms[0] if Y.ndim == 1 else np.array([norms[c] for c in live])
-    if Y.ndim == 2 and len(live) < len(columns):
-        Y, W, observed = Y[:, live], W[:, live], observed[:, live]
+    zero = [c for c, norm in enumerate(norms) if norm == 0.0]
+    # A zero-signal column retires before the first step: no step reads its
+    # norm, and 1 keeps its mu0 finite.
+    norm = (norms[0] or 1.0) if Y.ndim == 1 else np.array([norm or 1.0 for norm in norms])
     tail = Y.shape[1:]  # () for one vector, (B,) for a block
 
     def lift(v: np.ndarray) -> np.ndarray:
@@ -385,10 +375,11 @@ def _solve(
     # column has one mask, the map times D_v^T (or that column's P) is placed
     # on the visible columns (zero on hidden rows), and each sweep takes one
     # product with it for the whole block; the normal-map form below takes
-    # ~12% longer on one vector (paired median over 200 stock holdouts, one
-    # BLAS thread, 2-core VM). Otherwise each column takes map D^T (w .* r):
-    # the block takes one product with D^T and a stacked k x k one. Either
-    # way hidden rows of r enter no x step.
+    # ~9% longer on one vector (paired per-call median over 200 stock
+    # holdouts, free and pinned in turn, one BLAS thread, 2-core VM).
+    # Otherwise each column takes map D^T (w .* r): the block takes one
+    # product with D^T and a stacked k x k one. Either way hidden rows of r
+    # enter no x step.
     blocks = [bases[i] for i in free] + [span]
     design = np.concatenate(blocks, axis=1)
     ends = list(itertools.accumulate((block.shape[1] for block in blocks), initial=0))
@@ -397,7 +388,7 @@ def _solve(
         "visible": visible, "observed": observed, "norm": norm,
         "tol_sq": (INNER_TOL * norm) ** 2,
         "x": np.zeros((design.shape[1],) + tail),
-        "input": np.array(live),  # each working column's index in the input
+        "input": np.arange(len(columns)),  # each working column's index in the input
     }
     if (visible.T == masks[0]).all():
         maps, fallback = _normal_maps(design, masks[0][:, None])
@@ -415,16 +406,21 @@ def _solve(
     cols["free_target"] = observed - lift(pinned)
     state = ReconState(
         config=config,
-        selectors=[np.repeat(lift(sel), len(live), axis=-1) if sel is not None
+        selectors=[np.repeat(lift(sel), len(columns), axis=-1) if sel is not None
                    else np.zeros((bundle.schema.size(i),) + tail)
                    for i, sel in enumerate(trained)],
         indiv_coeffs=np.zeros((span.shape[1],) + tail),
-        sparse_error=np.zeros(Y.shape),
+        sparse_error=np.where(visible, 0.0, -lift(pinned)),
         dual=np.zeros(Y.shape),
         mu=config.mu0_scale / norm,
         lam=lam,
     )
-    shared = indiv = np.zeros(Y.shape)  # the last closing step's sum F_k h_k and K w
+    # The last closing step's sum F_k h_k and K w. They and e start at the
+    # result of a column that takes no step: the pinned synthesis, with e
+    # absorbing its residual on hidden entries. A column that steps never
+    # reads those entries: the x step skips hidden rows, and the closing E
+    # step overwrites e.
+    shared, indiv = np.broadcast_to(lift(pinned), Y.shape), np.zeros(Y.shape)
 
     def sweeps() -> np.ndarray:
         nonlocal shared, indiv
@@ -494,7 +490,10 @@ def _solve(
         state.dual = state.dual[:, keep]
         state.mu = state.mu[keep]
 
-    run_penalty_steps(state, sweeps, residual, observer, "reconstruction", retire)
+    if zero:
+        retire(zero, [TrainDiagnostics.zero_input(lam) for _ in zero])
+    if len(zero) < len(columns):
+        run_penalty_steps(state, sweeps, residual, observer, "reconstruction", retire)
     return results
 
 

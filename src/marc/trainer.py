@@ -169,7 +169,8 @@ class TrainDiagnostics:
 class TrainState:
     """Mutable solver state; updated in place by the step functions.
     `individual_start` holds the kept right singular vectors of the last G
-    step, where the next one starts (see `update_g`)."""
+    step, where the next one starts (see `update_g`). The step index is not a
+    field: `run_penalty_steps` counts steps and hands observers each one's."""
 
     config: SolverConfig
     bases: list[np.ndarray]
@@ -179,7 +180,6 @@ class TrainState:
     dual: np.ndarray
     mu: float
     lam: float
-    t: int = 0
     individual_start: WarmStart = field(default_factory=WarmStart)
 
 
@@ -358,22 +358,16 @@ def update_duals(state, fit: np.ndarray) -> None:
         else min(mu, state.config.mu_max)
 
 
-def normalized_residual(state: TrainState, ts: TrainingSet, fit: np.ndarray) -> float:
+def normalized_residual(state: TrainState, ts: TrainingSet, norm: float, fit: np.ndarray) -> float:
     """Masked convergence measure:
-    ||X - sum F_k H_k - G - W.*E||_F / ||X||_F (0 for an all-zero X).
-    `fit` is as in `update_duals`."""
-    denom = frobenius(ts.X)
-    if denom == 0.0:
-        return 0.0
-    return frobenius(fit - ts.W * state.sparse_error) / denom
+    ||X - sum F_k H_k - G - W.*E||_F / ||X||_F, `norm` being the nonzero
+    ||X||_F that `train` takes once. `fit` is as in `update_duals`."""
+    return frobenius(fit - ts.W * state.sparse_error) / norm
 
 
-def constraint_residual(state: TrainState, ts: TrainingSet, fit: np.ndarray) -> float:
+def constraint_residual(state: TrainState, ts: TrainingSet, norm: float, fit: np.ndarray) -> float:
     """Unmasked counterpart of `normalized_residual` (E enters everywhere)."""
-    denom = frobenius(ts.X)
-    if denom == 0.0:
-        return 0.0
-    return frobenius(fit - state.sparse_error) / denom
+    return frobenius(fit - state.sparse_error) / norm
 
 
 Observer = Callable[[TrainState, int], None]
@@ -408,7 +402,7 @@ def run_penalty_steps(
     """The augmented-Lagrangian loop that `train` and `reconstruct_many`
     share, over B independent problems solved side by side.
 
-    `state` holds config (a Schedule), dual, mu, lam, sparse_error and t.
+    `state` holds config (a Schedule), dual, mu, lam and sparse_error.
     mu is a float for one problem (training, or one vector to reconstruct),
     or a length-B array for B problems, whose b-th entry belongs to the b-th
     column of the working set: the problems still running, in their
@@ -447,8 +441,7 @@ def run_penalty_steps(
         if observer is not None:
             observer(state, t)
         update_duals(state, fit)
-        state.t = t + 1
-        left = t_max - state.t
+        left = t_max - 1 - t
         stopped, closed = [], []
         for c, (mu_history, res_history, unmasked_history) in enumerate(records):
             r = res[c]
@@ -465,7 +458,7 @@ def run_penalty_steps(
                 continue
             stopped.append(c)
             closed.append(TrainDiagnostics(
-                iterations=state.t,
+                iterations=t + 1,
                 converged=reason == "converged",
                 final_residual=r,
                 final_residual_unmasked=res_unmasked[c],
@@ -560,7 +553,7 @@ def train(
         return fit
 
     def residual(fit: np.ndarray) -> tuple[float, float]:
-        return normalized_residual(state, ts, fit), constraint_residual(state, ts, fit)
+        return normalized_residual(state, ts, norm, fit), constraint_residual(state, ts, norm, fit)
 
     closed: list[TrainDiagnostics] = []
     run_penalty_steps(state, sweeps, residual, observer, "training",

@@ -24,6 +24,7 @@ from marc.reconstructor import (
     transfer,
 )
 from marc.synthbench import SynthSpec, generate, holdout_sample
+from marc.trainer import TrainDiagnostics
 
 
 @pytest.fixture(scope="module")
@@ -412,6 +413,44 @@ class TestBlock:
         assert stop in reasons
         if stop != "t_max":
             assert len({r.diagnostics.iterations for r in block if r.diagnostics.iterations}) > 2
+
+    @pytest.mark.parametrize("pins", [{}, {"tint": "cool"}], ids=["free", "pinned"])
+    @pytest.mark.parametrize("use_individual", [True, False], ids=["span", "no-span"])
+    def test_a_column_with_no_visible_signal_takes_its_fixed_result(self, planted, pins,
+                                                                   use_individual):
+        """A zero vector and a fully hidden nonzero one take no step, alone
+        and in a block whose other columns stop at different steps. Free
+        selectors and span coefficients are zero, pinned selectors the
+        trained ones; the reconstruction is the pinned synthesis, which the
+        sparse error absorbs on hidden entries alone; the record is that of
+        zero input. All of it bitwise, signed zeros included."""
+        truth, bundle, _, _ = planted
+        Y, W = self.columns(planted)
+        spec = TransferSpec.targets(truth.schema, pins)
+        config = ReconConfig(rank_rule=RankRule.fixed(2), use_individual=use_individual)
+        block = reconstruct_many(Y, W, bundle, spec, config)
+        assert len({result.diagnostics.iterations for result in block[2:]}) > 2
+        trained = [np.zeros(truth.schema.size(i)) if mode is None
+                   else bundle.bank.selectors[i][:, mode] for i, mode in enumerate(spec.pinned)]
+        synthesis = np.zeros(bundle.dim)
+        for i, mode in enumerate(spec.pinned):
+            if mode is not None:
+                synthesis += bundle.bases[i] @ trained[i]
+
+        def bitwise(a, b):
+            return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+        assert not np.any(Y[:, 0]) and np.any(Y[:, 1]) and not np.any(W[:, 1])
+        for c in (0, 1):  # the zero vector and the fully hidden one
+            y, visible = Y[:, c], W[:, c] != 0.0
+            for result in (block[c], reconstruct(y, W[:, c], bundle, spec, config)):
+                assert all(map(bitwise, result.selectors, trained))
+                assert bitwise(result.indiv_coeffs, np.zeros(2 if use_individual else 0))
+                assert bitwise(result.reconstruction, synthesis)
+                assert bitwise(result.sparse_error,
+                               np.where(visible, 0.0, y - result.reconstruction))
+                assert result.diagnostics == TrainDiagnostics.zero_input(
+                    config.effective_lam(bundle.dim, 1))
 
     def test_pinned_selectors_come_back_bitwise(self, planted):
         truth, bundle, _, _ = planted

@@ -285,9 +285,9 @@ class TestStepFunctions:
         gap_masked = fit - ts.W * state.sparse_error
         gap_full = fit - state.sparse_error
         norm_x = np.linalg.norm(ts.X)
-        assert np.isclose(normalized_residual(state, ts, fit),
+        assert np.isclose(normalized_residual(state, ts, norm_x, fit),
                           np.linalg.norm(gap_masked) / norm_x)
-        assert np.isclose(constraint_residual(state, ts, fit),
+        assert np.isclose(constraint_residual(state, ts, norm_x, fit),
                           np.linalg.norm(gap_full) / norm_x)
 
 
@@ -547,9 +547,10 @@ class TestTrainLoop:
         """Every residual the sweep forms is bitwise the one the reference
         functions build from the state at that moment: the G step's
         X - shared - E + dual/mu, the E step's error_residual, and the fit
-        X - shared - G that the residual measures (and the dual step) read.
-        So on the two-attribute instance and on a three-attribute one, whose
-        shared sum BLAS may add in any order."""
+        X - shared - G that the residual measures (and the dual step) read,
+        the measures with ||X||_F as their norm. So on the two-attribute
+        instance and on a three-attribute one, whose shared sum BLAS may add
+        in any order."""
         calls = Counter()
 
         def reference(state, name):
@@ -565,6 +566,8 @@ class TestTrainLoop:
 
             def checked(state, *args):
                 assert np.array_equal(args[-1], reference(state, name)), name
+                if name == "normalized_residual":
+                    assert args[-2] == proxops.frobenius(ts.X)
                 calls[name] += 1
                 return original(state, *args)
 
@@ -577,6 +580,20 @@ class TestTrainLoop:
             assert train(ts, SolverConfig(t_max=5)).diagnostics.iterations == 5
             sweeps = trainer.INNER_SWEEPS * 5
             assert calls == {"update_g": sweeps, "update_e": sweeps, "normalized_residual": 5}
+
+    def test_train_norms_the_data_once(self, default_instance, monkeypatch):
+        """One train takes ||X||_F once, before its first step; the residual
+        measures of every step divide by that norm."""
+        ts, _ = default_instance
+        normed = Counter()
+
+        def counted(a):
+            normed[a is ts.X] += 1
+            return proxops.frobenius(a)
+
+        monkeypatch.setattr(trainer, "frobenius", counted)
+        train(ts)
+        assert normed[True] == 1
 
     @pytest.mark.parametrize("scale, cause", [
         (1e150, "procrustes Gram overflows float64"),
