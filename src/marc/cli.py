@@ -241,8 +241,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", "-t", action="append", required=True,
                    metavar="ATTR=INST", help="pin an attribute (repeatable)")
     p.add_argument("--post-hoc", action="store_true",
-                   help="substitute pinned selectors after a free solve instead "
-                        "of re-solving around them")
+                   help="complete freely, then substitute the pinned selectors: the "
+                        "vector re-rendered with the new instantiations; the default "
+                        "joint re-solve fits the free parts around the pins instead, "
+                        "and they absorb part of the change")
     p.set_defaults(func=_run_recon_jobs)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset with ground truth")

@@ -85,6 +85,23 @@ def soft_threshold(m: np.ndarray, tau: float) -> np.ndarray:
     return m - np.minimum(np.maximum(m, -tau), tau)
 
 
+def largest_gap(values: np.ndarray) -> int | np.ndarray:
+    """How many of `values` stand above the largest absolute gap of their
+    sorted magnitudes: with m_1 >= m_2 >= ... >= m_n the magnitudes, the
+    count c of the largest gap m_c - m_{c+1}, the smallest such c when
+    several gaps tie. A 2-D array is cut column by column, one count per
+    column. With no gap (fewer than two values, or all magnitudes equal) the
+    count is 0: nothing stands apart. The largest absolute gap, not the
+    largest ratio: a ratio cut also splits values at rounding level, where
+    neighbours differ by orders of magnitude."""
+    mags = np.sort(np.abs(values), axis=0)[::-1]
+    if mags.shape[0] < 2:
+        return 0 if mags.ndim == 1 else np.zeros(mags.shape[1], dtype=np.intp)
+    gaps = mags[:-1] - mags[1:]
+    count = np.where(np.max(gaps, axis=0) > 0.0, np.argmax(gaps, axis=0) + 1, 0)
+    return int(count) if mags.ndim == 1 else count
+
+
 def deterministic_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Thin SVD with a fixed sign convention.
 

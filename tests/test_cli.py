@@ -315,7 +315,11 @@ class TestCompleteAndTransfer:
         assert np.all(np.isfinite(filled))
 
     def test_unconverged_vector_names_the_reason(self, workspace, tmp_path, capsys):
-        sample = workspace / "data" / "samples" / "sample_0000.marc"
+        # Dense out-of-model noise: a vector the model fits exactly apart
+        # from a few gross errors would be decoded and certified at step 1.
+        y = read_vector(workspace / "data" / "samples" / "sample_0000.marc")
+        sample = tmp_path / "sample_0000.marc"
+        write_vector(sample, y + np.random.default_rng(4).standard_normal(y.size) * 0.05)
         rc = main(["complete", "-b", str(workspace / "bundle"), "-i", str(sample),
                    "-o", str(tmp_path / "filled.marc"), "--t-max", "1"])
         assert rc == 0

@@ -15,6 +15,7 @@ from marc.proxops import (
     _svt_svd,
     deterministic_svd,
     frobenius,
+    largest_gap,
     procrustes,
     random_orthonormal,
     shrink_matrix,
@@ -66,6 +67,37 @@ def test_soft_threshold_is_the_kernel_on_any_shape():
     v = np.random.default_rng(8).standard_normal(40) * 3
     assert np.array_equal(soft_threshold(v, 0.8), shrink_matrix(v[:, None], 0.8)[:, 0])
     assert np.array_equal(soft_threshold(v, 0.0), v)
+
+
+@pytest.mark.parametrize("values, count", [
+    ([], 0),                                  # empty: no gap
+    ([-4.0], 0),                              # one value: no gap
+    ([0.0, 0.0, 0.0], 0),                     # all zeros: no gap
+    ([2.5, -2.5, 2.5, -2.5], 0),              # all magnitudes equal: no gap
+    ([0.01, -7.0, 0.02, 6.5, -0.015], 2),     # two levels, signs ignored
+    ([5.0, 1.0, 5.0, 1.0, 1.0], 2),           # tied values fall on one side together
+    ([3.0, 2.0, 1.0], 1),                     # tied gaps: the smallest count
+    ([1.0, 2.0, 4.0, 6.0], 1),                # gaps 2, 2, 1: the first of the tied two
+    ([1e-16, 3e-16, 1e-15], 1),               # absolute, not ratio: 1e-15 stands apart
+])
+def test_largest_gap_counts_the_values_above_it(values, count):
+    got = largest_gap(np.array(values))
+    assert type(got) is int and got == count
+
+
+def test_largest_gap_cuts_each_column_of_a_matrix():
+    rng = np.random.default_rng(3)
+    columns = [rng.standard_normal(30) * 1e-3 for _ in range(4)]
+    columns[0][[2, 9]] = [5.0, -4.0]
+    columns[1][:] = 0.0
+    columns[3][7] = 1.0
+    m = np.column_stack(columns)
+    got = largest_gap(m)
+    assert got.shape == (4,)
+    assert got.tolist() == [largest_gap(c) for c in columns]
+    assert got[0] == 2 and got[1] == 0 and got[3] == 1
+    assert largest_gap(np.zeros((0, 3))).tolist() == [0, 0, 0]
+    assert largest_gap(np.ones((1, 3))).tolist() == [0, 0, 0]
 
 
 def test_shrink_scalar_zero_threshold_is_identity():

@@ -3,6 +3,7 @@ configuration, and recovery quality at a gentle penalty start
 (mu0_scale=1.25). The planted-model fixtures make the correct answer known
 in closed form."""
 import dataclasses
+import itertools
 import warnings
 
 import numpy as np
@@ -12,7 +13,7 @@ from conftest import bundle_from_truth
 from marc import reconstructor
 from marc.dataset import AttributeSchema
 from marc.errors import DegenerateMatrixError, NumericalError, ValidationError
-from marc.proxops import RankRule, deterministic_svd, svd_span
+from marc.proxops import RankRule, deterministic_svd, largest_gap, svd_span
 from marc.reconstructor import (
     ReconConfig,
     TransferSpec,
@@ -280,8 +281,10 @@ class TestContracts:
     def test_non_convergence_is_flagged(self, planted):
         # Gross errors keep two iterations short of eps; an exact in-model
         # vector is fitted by the first least-squares step and converges.
+        # Dense out-of-model noise keeps the first step's decode from
+        # certifying the spiked vector, which it would solve exactly.
         _, bundle, y, _ = planted
-        spiked = y.copy()
+        spiked = y + np.random.default_rng(8).standard_normal(y.size) * 0.05
         spiked[[3, 17]] += 5.0
         result = reconstruct(spiked, None, bundle, config=ReconConfig(t_max=2))
         assert not result.diagnostics.converged
@@ -334,8 +337,10 @@ class TestBlock:
 
     def columns(self, planted, layout="own-masks"):
         """Columns covering each path: an all-zero vector, a fully hidden
-        one (both take no step), an exact in-model vector, which converges
-        early and leaves the working set, spiked vectors that run on, and
+        one (both take no step), an exact in-model vector, which the first
+        step's decode certifies, spiked vectors whose dense out-of-model
+        noise keeps the decode from certifying them, so that they run on and
+        stop at different steps, and
         two columns sharing one mask, and one with 3 visible entries, fewer
         than the design's 7 (or 4, pinned; 5 free without the span) columns,
         whose visible design is then rank deficient. With "one-mask", every
@@ -556,6 +561,11 @@ class TestBlock:
         assert solved == []
 
 
+def no_decode(design, maps, trusted, visible, target, x, norm):
+    """`reconstructor._decode` with nothing certified: the ALM alone."""
+    return x, np.zeros(np.shape(norm), dtype=bool)
+
+
 def pinv_route(design, visible):
     """The x step's factor as `np.linalg.pinv` gives it for every column:
     the maps P P^T and every P as a fallback, with P = pinv(D_v)."""
@@ -648,8 +658,11 @@ class TestNormalMaps:
         iterations and stop as with the pinv route for the factor, and end
         within 1e-12 of it relative to the input; with a zero-width design
         (every attribute pinned, no span) there is nothing to factor and the
-        results are bitwise equal."""
+        results are bitwise equal. The decode is not tried on a column whose
+        map comes from pinv, so both routes run without it: this compares
+        the ALM's two factors."""
         truth, bundle, _ = stock
+        monkeypatch.setattr(reconstructor, "_decode", no_decode)
         samples = [holdout_sample(truth, seed) for seed in range(16)]
         Y = np.column_stack([s.y for s in samples])
         W = np.column_stack([s.mask for s in samples])
@@ -670,3 +683,132 @@ class TestNormalMaps:
             for x, y in zip([*a.selectors, a.indiv_coeffs, a.sparse_error, a.reconstruction],
                             [*b.selectors, b.indiv_coeffs, b.sparse_error, b.reconstruction]):
                 assert np.linalg.norm(x - y) <= tol * scale
+
+
+class TestDecode:
+    """The first step's decode against an independent check: a certified
+    column is the exact LAD fit, an uncertified one is the ALM's result
+    bitwise, on the stock planted model."""
+
+    @pytest.fixture(scope="class")
+    def stock(self, default_instance):
+        _, truth = default_instance
+        return truth, bundle_from_truth(truth)
+
+    @staticmethod
+    def solve(monkeypatch, sample, bundle, spec):
+        """One vector solved with the decode, whether it certified, and the
+        same vector solved with the decode patched out (the ALM alone)."""
+        flags = []
+        decode = reconstructor._decode
+
+        def spy(*args):
+            x, certified = decode(*args)
+            flags.append(bool(certified))
+            return x, certified
+
+        with monkeypatch.context() as patch:
+            patch.setattr(reconstructor, "_decode", spy)
+            result = reconstruct(sample.y, sample.mask, bundle, spec)
+        with monkeypatch.context() as patch:
+            patch.setattr(reconstructor, "_decode", no_decode)
+            alm = reconstruct(sample.y, sample.mask, bundle, spec)
+        assert len(flags) == 1
+        return result, flags[0], alm
+
+    @staticmethod
+    def same(a, b):
+        """Bitwise equal results and equal records."""
+        return all(x.tobytes() == y.tobytes() for x, y in zip(
+            [*a.selectors, a.indiv_coeffs, a.sparse_error, a.reconstruction],
+            [*b.selectors, b.indiv_coeffs, b.sparse_error, b.reconstruction])) \
+            and a.diagnostics == b.diagnostics
+
+    @staticmethod
+    def error(result, sample):
+        return np.linalg.norm(result.reconstruction - sample.clean) / np.linalg.norm(sample.clean)
+
+    @pytest.mark.parametrize("pins", [{}, {"attr2": "b3"}], ids=["free", "pinned"])
+    def test_certified_columns_pass_an_independent_check(self, stock, monkeypatch, pins):
+        """For each certified column, `np.linalg.lstsq` redoes the decode:
+        the visible least-squares fit, the cut of its residual, the refit on
+        the kept rows, and the minimum-norm g with D_K^T g = -D_S^T sign(r_S).
+        The solver's x is that refit, fits the kept rows to rounding, has
+        ||g||_inf < 1 and completes the hidden entries to 1e-12; it took one
+        step and its residual is 0. Every uncertified column is bitwise the
+        ALM's result."""
+        truth, bundle = stock
+        spec = TransferSpec.targets(truth.schema, pins)
+        free = [i for i, mode in enumerate(spec.pinned) if mode is None]
+        design = np.concatenate([bundle.bases[i] for i in free] + [build_span(bundle)], axis=1)
+        pinned = sum((bundle.bases[i] @ bundle.bank.selectors[i][:, mode]
+                      for i, mode in enumerate(spec.pinned) if mode is not None),
+                     np.zeros(bundle.dim))
+        certified = 0
+        for seed in range(24):
+            sample = holdout_sample(truth, seed)
+            result, decoded, alm = self.solve(monkeypatch, sample, bundle, spec)
+            if not decoded:
+                assert self.same(result, alm)
+                continue
+            certified += 1
+            seen = sample.mask != 0.0
+            d_v, y_v = design[seen], (sample.y - pinned)[seen]
+            r = y_v - d_v @ np.linalg.lstsq(d_v, y_v, rcond=None)[0]
+            spikes = np.zeros(r.size, dtype=bool)
+            spikes[np.argsort(-np.abs(r), kind="stable")[:largest_gap(r)]] = True
+            d_k, d_s = d_v[~spikes], d_v[spikes]
+            refit = np.linalg.lstsq(d_k, y_v[~spikes], rcond=None)[0]
+            got = np.concatenate([result.selectors[i] for i in free] + [result.indiv_coeffs])
+            scale = np.linalg.norm(y_v)
+            assert np.linalg.norm(got - refit) <= 1e-12 * scale
+            assert np.linalg.norm(y_v[~spikes] - d_k @ got) <= y_v.size * np.finfo(float).eps * scale
+            sign = np.sign(y_v[spikes] - d_s @ refit)
+            g = np.linalg.lstsq(d_k.T, -d_s.T @ sign, rcond=None)[0]
+            assert np.allclose(d_k.T @ g, -d_s.T @ sign, atol=1e-12)
+            assert np.abs(g).max() < 1.0
+            if not pins:
+                assert self.error(result, sample) <= 1e-12
+            d = result.diagnostics
+            assert (d.iterations, d.stop_reason, d.final_residual) == (1, "converged", 0.0)
+        # Every stock completion certifies; transfers to b3 only where the
+        # pin leaves no dense residual.
+        assert certified == 24 if not pins else 0 < certified < 24
+
+    def test_positive_definite_tries_each_matrix_after_a_failure(self):
+        """The decode's test of I - D_S M D_S^T: a stacked Cholesky, and
+        after it fails, one matrix at a time."""
+        eye = np.eye(3)
+        singular = np.diag([1.0, 1.0, 0.0])
+        assert reconstructor._positive_definite(np.stack([eye, 2 * eye])).tolist() == [True, True]
+        assert reconstructor._positive_definite(
+            np.stack([eye, singular, -eye, 0.5 * eye])).tolist() == [True, False, False, True]
+        assert reconstructor._positive_definite(singular[None]).tolist() == [False]
+        assert reconstructor._positive_definite(np.zeros((2, 0, 0))).tolist() == [True, True]
+
+    @pytest.mark.parametrize("missing, sparsity, amplitude", [
+        *itertools.product((0.3, 0.5), (0.05, 0.15, 0.30), (0.5, 5.0)), (0.6, 0.20, 1.0),
+    ])
+    def test_decoder_regime_grid(self, stock, monkeypatch, missing, sparsity, amplitude):
+        """Across hidden fractions, spike densities and amplitudes, each
+        completion is either certified and exact (1e-12 relative to the
+        clean vector) or bitwise the ALM's result, so no cell ends worse
+        than the ALM alone. 60% hidden with 20% spikes is a cell where the
+        ALM alone fails (median error 0.69 over 20 vectors) and a few
+        vectors still certify."""
+        truth, bundle = stock
+        spec = TransferSpec.all_free(truth.schema)
+        errors, alm_errors, certified = [], [], 0
+        for seed in range(6):
+            sample = holdout_sample(truth, seed, missing, sparsity, amplitude)
+            result, decoded, alm = self.solve(monkeypatch, sample, bundle, spec)
+            if decoded:
+                certified += 1
+                assert self.error(result, sample) <= 1e-12
+            else:
+                assert self.same(result, alm)
+            errors.append(self.error(result, sample))
+            alm_errors.append(self.error(alm, sample))
+        assert max(errors) <= max(max(alm_errors), 1e-12)
+        if (missing, sparsity) == (0.3, 0.05):
+            assert certified == 6
