@@ -44,7 +44,9 @@ def _add_schedule_flags(p: argparse.ArgumentParser, lam_default: str) -> None:
     defaults = Schedule()
     p.add_argument("--lambda", dest="lam", type=float, default=defaults.lam,
                    help=f"sparsity weight (default {lam_default})")
-    p.add_argument("--eps", type=float, default=defaults.eps, help="convergence threshold")
+    p.add_argument("--eps", type=float, default=defaults.eps,
+                   help="convergence threshold; in complete and transfer it also bounds a "
+                        "certified decode's distance to the exact fit")
     p.add_argument("--t-max", type=int, default=defaults.t_max, help="iteration cap")
     p.add_argument("--rho", type=float, default=defaults.rho, help="penalty growth factor")
     p.add_argument("--mu-max", type=float, default=defaults.mu_max, help="penalty cap")

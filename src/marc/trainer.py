@@ -97,8 +97,11 @@ class Schedule:
     share: sparsity weight lam (None selects 1/sqrt of the larger side of
     the data at solve time), stop threshold eps, iteration cap t_max, and
     the penalty, which starts at mu0_scale over a norm of the data and grows
-    by rho per step up to mu_max. Like every config, it checks itself when
-    built: an invalid value raises ValidationError."""
+    by rho per step up to mu_max. In reconstruction eps also bounds the
+    first step's decode: a vector is certified when its refit is provably
+    within eps * ||w .* target||_1 of every exact (least-absolute-deviations)
+    fit. Like every config, it checks itself when built: an invalid value
+    raises ValidationError."""
 
     lam: float | None = None
     eps: float = 1e-7
