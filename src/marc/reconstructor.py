@@ -34,17 +34,16 @@ shapes the path to it. That fit is often exact or nearly so, the gross
 errors being the rows it misses (Candes & Tao, Decoding by linear
 programming, 2005). So the first penalty step, right after its first
 least-squares fit, decodes each vector (`_decode`): it cuts the rows above
-the largest absolute gap of the residual, refits on the rest by a
-row-deletion update of the normal map, and certifies the refit by a dual
-certificate whose duality gap bounds its distance to every LAD optimum by
-eps * ||w .* target||_1, eps being the schedule's stop threshold. The refit
-need not fit the kept rows exactly, so vectors certify through trained
-models too. A vector whose refit fails on that bound alone cuts again, up to
-DECODE_ROUNDS cuts, unless the row-deletion identity shows that the next
-refit cannot meet it. A certified vector keeps its refit, its e takes the
-residual on every entry, and it stops `converged` after that step with a
-residual of 0. Any other vector runs the steps as it would without the
-decode, bitwise.
+the largest absolute gap of the residual, refits on the kept rows alone
+through their own normal map, trusted by the same NORMAL_RATIO rule as the
+x step's, and certifies the refit by a dual certificate whose duality gap
+bounds its distance to every LAD optimum by eps * ||w .* target||_1, eps
+being the schedule's stop threshold. The refit need not fit the kept rows
+exactly, so vectors certify through trained models too. A vector whose
+refit fails on that bound alone cuts again, up to DECODE_ROUNDS cuts. A
+certified vector keeps its refit, its e takes the residual on every entry,
+and it stops `converged` after that step with a residual of 0. Any other
+vector runs the steps as it would without the decode, bitwise.
 
 `reconstruct_many` solves a block of vectors as independent problems that
 share each sweep's matrix products; `reconstruct` is its one-vector case, so
@@ -99,11 +98,16 @@ NORMAL_RATIO = 1e-3
 # certificate g has ||g||_inf <= 1 - CERT_MARGIN: the margin keeps a
 # certificate that only rounding puts below 1 from counting. A column that
 # fails on its misfit alone cuts again, up to DECODE_ROUNDS cuts in all. Two
-# suffice where measured: through cli-pipeline's trained stock bundle (200
-# held-out completions of seed 1) and through the planted model with one
-# basis row moved, every completion certifies by the second cut;
-# over the 13 decoder-grid cells of 20 vectors each, a third or a fifth cut
-# certified no vector more than the second.
+# suffice through cli-pipeline's trained stock bundle (200 held-out
+# completions of seed 1 certify by the second cut) and through the planted
+# model with one basis row moved. More cuts certify more where gross errors
+# are dense: over 13 cells of 20 stock holdouts (the decoder grid's hidden
+# fractions, spike densities and amplitudes), free completions certify
+# 173 / 177 / 179 of 260 at 2 / 3 / 5 cuts through the planted model and
+# 161 / 171 / 173 through the one-row-off one, while the trained bundle's
+# 200 transfers certify 58 at each, and a failing column pays every cut
+# (a third cut: 94.8 -> 99.0 ms for those transfers, min of 4, one BLAS
+# thread, 2-core VM).
 CERT_MARGIN = 1e-9
 DECODE_ROUNDS = 2
 
@@ -280,14 +284,15 @@ def reconstruct_many(
     stopped at eps, at t_max, or stalled at mu_max; a stopped column leaves
     the working set. At the first step the sweeps start with a decode: a
     column whose visible entries the design fits apart from the rows of a
-    few gross errors (cut at the largest gap of the residual, and cut again,
-    up to DECODE_ROUNDS cuts, while the refit fails only on its misfit),
-    and whose refit a dual certificate proves to be within eps *
-    ||w .* target||_1 of every least-absolute-deviations optimum, takes that
-    refit, and stops converged after the step with a residual of 0. The
-    refit need not fit its kept rows exactly, so columns certify through
-    trained models too (see `_decode` for the bound, and for when a column
-    is not certified). Every other column runs on, bitwise as it would
+    few gross errors (cut at the largest gap of the residual, refitted on
+    the kept rows alone, and cut again, up to DECODE_ROUNDS cuts, while the
+    refit fails only on its misfit), and whose refit a dual certificate
+    proves to be within eps * ||w .* target||_1 of every
+    least-absolute-deviations optimum, takes that refit, and stops
+    converged after the step with a residual of 0. The refit need not fit
+    its kept rows exactly, so columns certify through trained models too
+    (see `_decode` for the bound, and for when a column is not
+    certified). Every other column runs on, bitwise as it would
     without the decode. `observer` and the histories see one entry per
     penalty step, after its closing E step; the observer gets the
     `ReconState` of the working set. The columns are solved in slices of at
@@ -387,149 +392,79 @@ def _positive_definite(a: np.ndarray) -> np.ndarray:
     return np.ones(len(a), dtype=bool)
 
 
-def _decode(design: np.ndarray, maps: np.ndarray, trusted: np.ndarray, visible: np.ndarray,
-            target: np.ndarray, x: np.ndarray, norm: float | np.ndarray,
-            eps: float) -> tuple[np.ndarray, np.ndarray]:
+def _decode(design: np.ndarray, trusted: np.ndarray, visible: np.ndarray, target: np.ndarray,
+            x: np.ndarray, norm: float | np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """Certified decoding of the least-absolute-deviations fit
     min_x ||t_v - D_v x||_1 (t = `target`) from its least-squares fit `x`,
     for one vector (1-D arrays, a float norm) or a block (one column each).
 
     S, the rows of a column's visible residual r = t - D x above the largest
     absolute gap of |r| (`largest_gap`), are cut, and x is refitted on the
-    kept rows K by the row-deletion (Woodbury) formula
-    x_K = x - M D_S^T z, z = (I - D_S M D_S^T)^-1 r_S, M = (D_v^T D_v)^-1
-    being the column's normal map in `maps` (stacked, or one for every
-    column); z is also the refit's residual on S. Then
-    g = -D_K M D_S^T (I - D_S M D_S^T)^-1 sign(z) = -D_K M_K D_S^T sign(z)
-    makes u = (g on K, sign(z) on S) a dual certificate: D_v^T u = 0, and
-    when ||g||_inf < 1 every LAD optimum x* satisfies
-    ||D_K (x* - x_K)||_1 <= 2 ||r_K||_1 / (1 - ||g||_inf), r_K being the
-    refit's residual on K (the duality gap; for r_K = 0, x_K is the one
-    optimum: Candes & Tao, Decoding by linear programming, IEEE Trans. Inf.
-    Theory 2005). A column is certified when ||g||_inf <= 1 - CERT_MARGIN
-    and that bound is at most `eps` * ||t_v||_1: its x_K is within the
-    schedule's own tolerance of every optimum, whether or not the design
-    fits K exactly.
+    kept rows K alone: x_K = M_K D^T (K .* t), M_K = (D_K^T D_K)^-1 being
+    the normal map `_normal_maps` gives for K. With r = t - D x_K,
+    g = -D_K M_K D_S^T sign(r_S) makes u = (g on K, sign(r_S) on S) a dual
+    certificate: D_v^T u = 0, and when ||g||_inf < 1 every LAD optimum x*
+    satisfies ||D_K (x* - x_K)||_1 <= 2 ||r_K||_1 / (1 - ||g||_inf) (the
+    duality gap; for r_K = 0, x_K is the one optimum: Candes & Tao, Decoding
+    by linear programming, IEEE Trans. Inf. Theory 2005). A column is
+    certified when ||g||_inf <= 1 - CERT_MARGIN and that bound is at most
+    `eps` * ||t_v||_1: its x_K is within the schedule's own tolerance of
+    every optimum, whether or not the design fits K exactly.
 
     A column that fails on the bound alone cuts again, at the largest gap
-    of |r_K| on K, and refits by the same formula with S holding every row
-    cut so far, up to DECODE_ROUNDS cuts in all: the rows where an inexact
-    model is off, and gross errors the first fit smeared below the gap,
-    leave K at a later cut (Barrodale & Roberts, SIAM J. Numer. Anal.
-    1973). Before such a round, `_deletion_precheck` gives its refit's L2
-    misfit on K from the rows T it would cut; as ||.||_1 >= ||.||_2, a
-    column that cannot meet the bound there stops.
+    of |r_K| on K, and refits on what is kept by the same rule, up to
+    DECODE_ROUNDS cuts in all: the rows where an inexact model is off, and
+    gross errors the first fit smeared below the gap, leave K at a later cut
+    (Barrodale & Roberts, SIAM J. Numer. Anal. 1973).
 
-    A column whose map is not `trusted` (the pinv route; one flag for every
-    column, or one per column), whose cut would keep fewer than k rows, or
-    whose I - D_S M D_S^T has an eigenvalue at most NORMAL_RATIO
-    (`_positive_definite` of it minus NORMAL_RATIO * I) is not certified.
-    Returns x with each certified column replaced by its x_K, and which
-    columns were certified (0-d for one vector)."""
+    A column whose visible Gram is not `trusted` (one flag per column) is
+    not decoded, and a refit whose kept rows' Gram fails the same
+    NORMAL_RATIO rule (`_normal_maps` takes it by pinv; so it does when K
+    holds fewer than k rows) is not certified. Returns x with each certified
+    column replaced by its x_K, and which columns were certified (0-d for
+    one vector)."""
     dim, k = design.shape
     count = np.size(norm)
-    y, x2, seen = target.reshape(dim, count), x.reshape(k, count), visible.reshape(dim, count)
-    r = y - design @ x2
+    y, seen = target.reshape(dim, count), visible.reshape(dim, count)
+    out = x.reshape(k, count).copy()
     certified = np.zeros(count, dtype=bool)
-    refits = x2
-    # The columns still decoding: their visible rows, their K, their current
-    # fit's residual, their |S|, their norm and their bound eps * ||t_v||_1
-    # (after the first cut, the residual, the bound and the misfits are
-    # taken relative to the norm, so that no sum overflows); from the second
-    # cut, also their last refit's M D_S^T and (I - D_S M D_S^T)^-1.
-    live, vis, kept, res, sizes = np.arange(count), seen, seen, r, 0
+    # The columns still decoding: their K, their current fit's residual, their
+    # norm and their bound eps * ||t_v||_1; after the first cut, residual,
+    # bound and misfit are taken relative to the norm, so that no sum
+    # overflows.
+    live, kept, res, go = np.arange(count), seen, y - design @ out, trusted
     scale = np.reshape(norm, count)
     budget = eps * (np.abs(y) / scale * seen).sum(axis=0)
     for cut_round in range(DECODE_ROUNDS):
+        if not go.all():
+            live, kept, res = live[go], kept[:, go], res[:, go]
+            scale, budget = scale[go], budget[go]
+        if not live.size:
+            break
         mags = np.abs(res)
         # Rows off K take the column's smallest kept magnitude: they open no
         # gap, and no cut reaches them.
         mags = np.where(kept, mags, np.where(kept, mags, np.inf).min(axis=0))
-        extra = largest_gap(mags)
-        sizes = sizes + extra  # |S| after this cut
-        # Rows by falling magnitude: a column's first `extra` rows are its new
-        # cut, the next holds its largest kept magnitude. Ties cannot
-        # straddle the gap.
-        order = np.argsort(mags, axis=0)[::-1]
-        go = kept.sum(axis=0) - extra >= k
-        go &= extra > 0 if cut_round else trusted
-        if cut_round and go.any():
-            go &= _deletion_precheck(design, maps if len(maps) == 1 else maps[live], mapped,
-                                     inverse, order[:extra.max()], extra, res, kept, budget)
-        if not go.any():
-            break
-        if not go.all():
-            live, vis, kept, mags, order = live[go], vis[:, go], kept[:, go], mags[:, go], order[:, go]
-            sizes, scale, budget = sizes[go], scale[go], budget[go]
-        if cut_round:  # S ranks first, then the new cut
-            mags[vis & ~kept] = np.inf
-            order = np.argsort(mags, axis=0)[::-1]
-        # Each column's rows of S, padded to one more than the widest with
-        # zero rows of D_S: a padded row adds a unit block to
-        # I - D_S M D_S^T and a zero column to M D_S^T, so it changes
-        # nothing.
-        rows = order[:sizes.max() + 1]
-        picked = design[rows.T]
-        picked[np.arange(rows.shape[0]) >= sizes[:, None]] = 0.0
-        mapped = (maps[live] if len(maps) > 1 else maps) @ picked.transpose(0, 2, 1)
-        unit = np.eye(rows.shape[0])
-        downdate = unit - picked @ mapped
-        safe = _positive_definite(downdate - NORMAL_RATIO * unit)
-        downdate[~safe] = unit  # not certified; keeps the stacked inverse defined
-        inverse = np.linalg.inv(downdate)
-        z = inverse @ r[rows, live].T[:, :, None]
-        steps = mapped @ np.concatenate([z, inverse @ np.sign(z)], axis=2)
-        refit = x2[:, live] - steps[:, :, 0].T
-        fit = design @ np.concatenate([refit, steps[:, :, 1].T], axis=1)
-        n = live.size
-        kept = kept & (mags <= mags[rows[sizes, np.arange(n)], np.arange(n)])
-        res = (y[:, live] - fit[:, :n]) / scale
+        # The cut keeps the magnitudes up to the largest one below the gap;
+        # ties cannot straddle it.
+        edge = np.sort(mags, axis=0)[dim - 1 - largest_gap(mags), np.arange(live.size)]
+        kept = kept & (mags <= edge)
+        maps, untrusted = _normal_maps(design, kept)
+        refit = np.matmul(maps, (design.T @ (kept * y[:, live])).T[:, :, None])[:, :, 0].T
+        r = y[:, live] - design @ refit
+        signs = (seen[:, live] & ~kept) * np.sign(r)
+        # g up to its sign, which the bound does not read
+        g = design @ np.matmul(maps, (design.T @ signs).T[:, :, None])[:, :, 0].T
+        res = r / scale
         misfit = (np.abs(res) * kept).sum(axis=0)
-        bound = (np.abs(fit[:, n:]) * kept).max(axis=0)
-        feasible = safe & (bound <= 1.0 - CERT_MARGIN)
+        bound = (np.abs(g) * kept).max(axis=0)
+        feasible = bound <= 1.0 - CERT_MARGIN
+        feasible[list(untrusted)] = False
         done = feasible & (2.0 * misfit <= budget * (1.0 - bound))
-        if done.any():
-            refits = x2.copy() if refits is x2 else refits
-            refits[:, live[done]] = refit[:, done]
-            certified[live[done]] = True
-        again = feasible & ~done
-        if cut_round == DECODE_ROUNDS - 1 or not again.any():
-            break
-        if not again.all():
-            live, vis, kept, res = live[again], vis[:, again], kept[:, again], res[:, again]
-            sizes, scale, budget = sizes[again], scale[again], budget[again]
-            mapped, inverse = mapped[again], inverse[again]
-    if refits is not x2:
-        x = refits.reshape(x.shape)
-    return x, certified.reshape(np.shape(norm))
-
-
-def _deletion_precheck(design: np.ndarray, maps: np.ndarray, mapped: np.ndarray,
-                       inverse: np.ndarray, rows: np.ndarray, extra: np.ndarray,
-                       res: np.ndarray, kept: np.ndarray, budget: np.ndarray) -> np.ndarray:
-    """Which columns of a further `_decode` round can still certify, one
-    flag per column of `res`. A column's new cut T, its first `extra`
-    `rows`, leaves a refit whose L2 misfit on K - T is, by the row-deletion
-    identity, ||r_{K-T}||^2 = ||r_K||^2 - r_T^T (I - D_T M_K D_T^T)^-1 r_T,
-    r_K being the current fit's residual `res` on K (`kept`), relative to
-    the norm like `budget`, and M_K = M + M D_S^T (I - D_S M D_S^T)^-1 D_S M
-    coming from the last round's `mapped` = M D_S^T and `inverse`. A column
-    passes when 2 ||r_{K-T}|| is within its `budget` (L1 >= L2: the bound
-    cannot be met otherwise) and every eigenvalue of I - D_T M_K D_T^T is
-    above NORMAL_RATIO: that matrix is a Schur complement of the refit's
-    I - D_S' M D_S'^T, whose smallest eigenvalue is no larger, so the
-    refit would fail `_decode`'s test."""
-    slots = np.arange(rows.shape[0])[:, None]
-    pad = slots >= extra
-    picked = design[rows.T]
-    picked[pad.T] = 0.0
-    m_k = maps + mapped @ inverse @ mapped.transpose(0, 2, 1)
-    lam, vec = np.linalg.eigh(np.eye(rows.shape[0]) - picked @ m_k @ picked.transpose(0, 2, 1))
-    m_t = np.where(pad, 0.0, res[rows, np.arange(rows.shape[1])]).T
-    along = (m_t[:, None, :] @ vec)[:, 0]  # V^T r_T
-    drop = (along * along / np.maximum(lam, NORMAL_RATIO)).sum(axis=1)
-    rss = (res * res * kept).sum(axis=0) - drop
-    return (lam[:, 0] > NORMAL_RATIO) & (4.0 * rss <= budget * budget)
+        out[:, live[done]] = refit[:, done]
+        certified[live[done]] = True
+        go = feasible & ~done
+    return out.reshape(x.shape), certified.reshape(np.shape(norm))
 
 
 def _solve(
@@ -604,13 +539,12 @@ def _solve(
         maps, fallback = _normal_maps(design, masks[0][:, None])
         placed = np.zeros((design.shape[1], dim))
         placed[:, masks[0]] = fallback[0] if fallback else maps[0] @ design[masks[0]].T
-        factor = {"maps": maps, "trusted": np.array([not fallback])}  # one for every column
+        cols["trusted"] = np.full(len(columns), not fallback)
     else:
         placed = None
         cols["maps"], fallback = _normal_maps(design, visible)
         cols["trusted"] = np.ones(len(columns), dtype=bool)
         cols["trusted"][list(fallback)] = False
-        factor = cols
     # Pinned terms F_k h_k are fixed: formed once, added in schema order.
     terms = [lift(bases[i] @ sel) if sel is not None else None for i, sel in enumerate(trained)]
     pinned = np.zeros(dim)
@@ -661,8 +595,8 @@ def _solve(
                 # The first step's x is the least-squares fit (e = 0 on
                 # visible rows, and the dual is zero): decode from it. A
                 # certified column is frozen at its refit.
-                x, certified = _decode(design, factor["maps"], factor["trusted"],
-                                       cols["visible"], target, x, cols["norm"], config.eps)
+                x, certified = _decode(design, cols["trusted"], cols["visible"], target, x,
+                                       cols["norm"], config.eps)
                 moving &= ~certified
             still = np.count_nonzero(moving) if moving.ndim else bool(moving)
             if sweep == INNER_SWEEPS - 1 or not still:

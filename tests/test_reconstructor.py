@@ -565,7 +565,7 @@ class TestBlock:
 SHIFTED_ROW = 17
 
 
-def no_decode(design, maps, trusted, visible, target, x, norm, eps):
+def no_decode(design, trusted, visible, target, x, norm, eps):
     """`reconstructor._decode` with nothing certified: the ALM alone."""
     return x, np.zeros(np.shape(norm), dtype=bool)
 
@@ -899,67 +899,69 @@ class TestDecode:
             outcomes.add(decoded)
         assert outcomes == {True, False}
 
-    def test_the_deletion_identity_predicts_the_next_refit(self, stock):
-        """`_deletion_precheck` on a refit of the stock design with its first
-        rows S cut: the L2 misfit it predicts for cutting the next rows T as
-        well is that of the `np.linalg.lstsq` refit on what is left, to
-        1e-9 relative, for T of one to four rows. Its verdict turns exactly
-        there: a bound just above 2 ||r_{K-T}|| passes, one just below fails."""
+    def test_a_kept_gram_the_normal_rule_refuses_is_not_certified(self, stock, monkeypatch):
+        """A cut whose kept rows' Gram fails the NORMAL_RATIO rule is not
+        certified, and the vector comes back as the ALM's result, bitwise.
+        The stock holdout of seed 159 at 60% hidden and 20% spikes is one:
+        its full visible Gram is trusted, the Gram of the rows its second cut
+        keeps is not. The rule alone decides it for the holdout of seed 2,
+        which certifies at its first cut: with NORMAL_RATIO between the
+        smallest-eigenvalue-to-trace ratios of its kept rows' Gram and of its
+        full visible Gram, it no longer certifies."""
+        truth, bundle = stock
+        spec = TransferSpec.all_free(truth.schema)
+        maps = reconstructor._normal_maps
+        refused = []  # per call: the x step's Grams, then each cut's
+
+        def spy(design, visible):
+            got = maps(design, visible)
+            refused.append(bool(got[1]))
+            return got
+
+        monkeypatch.setattr(reconstructor, "_normal_maps", spy)
+        sample = holdout_sample(truth, 159, 0.6, 0.20, 1.0)
+        result, decoded, alm = self.solve(monkeypatch, sample, bundle, spec)
+        assert refused[:3] == [False, False, True]
+        assert not decoded and self.same(result, alm)
+
+        design = np.concatenate(bundle.bases + [build_span(bundle)], axis=1)
+        sample = holdout_sample(truth, 2)
+        seen = sample.mask != 0.0
+        kept = self.redo(design[seen], sample.y[seen], ReconConfig().eps)[1]
+
+        def ratio(rows):
+            lam = np.linalg.eigvalsh(rows.T @ rows)
+            return lam[0] / lam.sum()
+
+        low, high = ratio(design[seen][kept]), ratio(design[seen])
+        assert low < high
+        assert self.solve(monkeypatch, sample, bundle, spec)[1]
+        monkeypatch.setattr(reconstructor, "NORMAL_RATIO", np.sqrt(low * high))
+        refused.clear()
+        result, decoded, alm = self.solve(monkeypatch, sample, bundle, spec)
+        assert refused[:2] == [False, True]
+        assert not decoded and self.same(result, alm)
+
+    def test_a_visible_gram_the_normal_rule_refuses_is_not_decoded(self, stock):
+        """A column whose visible Gram the x step does not trust (its map
+        came from pinv) is not decoded, although its cut would certify: the
+        stock holdout of seed 2, decoded from its least-squares fit."""
         truth, bundle = stock
         design = np.concatenate(bundle.bases + [build_span(bundle)], axis=1)
-        rng = np.random.default_rng(8)
-        y = rng.standard_normal(bundle.dim)
-        maps = np.linalg.inv(design.T @ design)[None]
-        cut = np.arange(bundle.dim) < 6
-        d_s = design[cut]
-        mapped = (maps[0] @ d_s.T)[None]
-        inverse = np.linalg.inv(np.eye(6) - d_s @ mapped[0])[None]
-        fit = np.linalg.lstsq(design[~cut], y[~cut], rcond=None)[0]
-        res = (y - design @ fit)[:, None]
-        kept = ~cut[:, None]
-        order = np.argsort(np.where(kept[:, 0], np.abs(res[:, 0]), -1.0))[::-1]
-        for size in (1, 2, 4):
-            rows = order[:size, None]
-            left = kept[:, 0].copy()
-            left[rows[:, 0]] = False
-            refit = np.linalg.lstsq(design[left], y[left], rcond=None)[0]
-            misfit = np.linalg.norm(y[left] - design[left] @ refit)
-            for factor, passes in ((1 + 1e-9, True), (1 - 1e-9, False)):
-                budget = np.array([2.0 * misfit * factor])
-                got = reconstructor._deletion_precheck(design, maps, mapped, inverse, rows,
-                                                       np.array([size]), res, kept, budget)
-                assert got.tolist() == [passes]
-
-    def test_dense_transfers_stop_at_the_deletion_precheck(self, stock, monkeypatch):
-        """A transfer to b3 of a vector with another label leaves a dense
-        residual: its first refit fails on the misfit alone, and the
-        deletion identity then rules out the second cut, so no second refit
-        (and no second `_positive_definite` test) is made."""
-        truth, bundle = stock
-        spec = TransferSpec.targets(truth.schema, {"attr2": "b3"})
-        tests, verdicts = [], []
-        test, precheck = reconstructor._positive_definite, reconstructor._deletion_precheck
-        monkeypatch.setattr(reconstructor, "_positive_definite",
-                            lambda a: tests.append(len(a)) or test(a))
-        monkeypatch.setattr(reconstructor, "_deletion_precheck",
-                            lambda *args: verdicts.append(precheck(*args).tolist())
-                            or verdicts[-1])
-        dense = 0
-        for seed in range(12):
-            sample = holdout_sample(truth, seed)
-            if sample.labels["attr2"] == "b3":
-                continue
-            tests.clear()
-            verdicts.clear()
-            result = reconstruct(sample.y, sample.mask, bundle, spec)
-            assert result.diagnostics.iterations > 1
-            assert tests == [1] and verdicts == [[False]]
-            dense += 1
-        assert dense >= 6
+        sample = holdout_sample(truth, 2)
+        seen = sample.mask != 0.0
+        target = sample.y * seen
+        x = np.linalg.lstsq(design[seen], sample.y[seen], rcond=None)[0]
+        for trusted in (True, False):
+            out, decoded = reconstructor._decode(design, np.array([trusted]), seen, target, x,
+                                                 np.linalg.norm(target), ReconConfig().eps)
+            assert bool(decoded) == trusted
+            assert (out.tobytes() == x.tobytes()) != trusted
 
     def test_positive_definite_tries_each_matrix_after_a_failure(self):
-        """The decode's test of I - D_S M D_S^T: a stacked Cholesky, and
-        after it fails, one matrix at a time."""
+        """The trust test of a block's shifted Grams G - NORMAL_RATIO * tr(G) * I
+        in `_normal_maps`: a stacked Cholesky, and after it fails, one matrix
+        at a time."""
         eye = np.eye(3)
         singular = np.diag([1.0, 1.0, 0.0])
         assert reconstructor._positive_definite(np.stack([eye, 2 * eye])).tolist() == [True, True]
