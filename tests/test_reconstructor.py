@@ -339,8 +339,9 @@ class TestBlock:
         """Columns covering each path: an all-zero vector, a fully hidden
         one (both take no step), an exact in-model vector, which the first
         step's decode certifies, spiked vectors whose dense out-of-model
-        noise keeps the decode from certifying them, so that they run on and
-        stop at different steps, and
+        noise keeps the decode from certifying their completions, so that
+        they run on and stop at different steps (their transfers certify at
+        the vertex), and
         two columns sharing one mask, and one with 3 visible entries, fewer
         than the design's 7 (or 4, pinned; 5 free without the span) columns,
         whose visible design is then rank deficient. With "one-mask", every
@@ -373,6 +374,18 @@ class TestBlock:
                    for _ in range(63)] + [np.zeros_like(y)]
         return np.column_stack(ys), np.column_stack(ws)
 
+    @staticmethod
+    def decodes(monkeypatch, pins):
+        """The runs a test makes: one with the decode; for a transfer, one
+        more with `_decode` patched to `no_decode`, the ALM alone, since the
+        decode certifies every pinned column it may try. The last run is the
+        one whose columns stop at different steps."""
+        yield
+        if pins:
+            with monkeypatch.context() as patch:
+                patch.setattr(reconstructor, "_decode", no_decode)
+                yield
+
     @pytest.mark.parametrize("layout", ["own-masks", "one-mask", "two-slices"])
     @pytest.mark.parametrize("pins", [{}, {"tint": "cool"}], ids=["free", "pinned"])
     @pytest.mark.parametrize("stop, options", [
@@ -381,20 +394,31 @@ class TestBlock:
         ("t_max", dict(t_max=6, use_individual=False)),
         ("stalled", dict(mu_max=3.0, use_individual=False)),
     ], ids=["defaults", "t_max-6", "mu_max-30", "no-span", "no-span-t_max-6", "no-span-mu_max-3"])
-    def test_each_column_matches_its_single_solve(self, planted, layout, pins, stop, options):
+    def test_each_column_matches_its_single_solve(self, planted, monkeypatch, layout, pins, stop,
+                                                  options):
         """Columns stop at different steps and leave the working set; with
         a small t_max some stop there, with a small mu_max some stall.
         Without the span (use_individual=False) its coefficients are a
         zero-width block of the design; mu_max = 30 is not small enough to
         stall every such case, so those take mu_max = 3. Past BLOCK_WIDTH
-        columns, every slice solves its columns as they are solved alone."""
+        columns, every slice solves its columns as they are solved alone.
+        Transfers are checked with the decode and with the ALM alone, which
+        gives the stop reasons and step counts the last asserts look for."""
         truth, bundle, _, _ = planted
         Y, W = self.columns(planted, layout)
         spec = TransferSpec.targets(truth.schema, pins)
         config = ReconConfig(rank_rule=RankRule.fixed(2), **options)
-        block = reconstruct_many(Y, W, bundle, spec, config)
+        for _ in self.decodes(monkeypatch, pins):
+            block = reconstruct_many(Y, W, bundle, spec, config)
+            self.match_single_solves(Y, W, bundle, spec, config, block)
+        reasons = {r.diagnostics.stop_reason for r in block}
+        assert stop in reasons
+        if stop != "t_max":
+            assert len({r.diagnostics.iterations for r in block if r.diagnostics.iterations}) > 2
+
+    def match_single_solves(self, Y, W, bundle, spec, config, block):
+        """Each column of `block` is solved as `reconstruct` solves it alone."""
         assert len(block) == Y.shape[1]
-        reasons = set()
         for c, got in enumerate(block):
             want = reconstruct(Y[:, c], W[:, c], bundle, spec, config)
             # Bases and span are orthonormal, so every part is on the scale
@@ -414,17 +438,14 @@ class TestBlock:
                 self.assert_close(a, b, 1.0)
             assert len(g.mu_history) == len(w.mu_history)
             self.assert_close(g.mu_history, w.mu_history, np.linalg.norm(w.mu_history))
-            reasons.add(g.stop_reason)
-        assert stop in reasons
-        if stop != "t_max":
-            assert len({r.diagnostics.iterations for r in block if r.diagnostics.iterations}) > 2
 
     @pytest.mark.parametrize("pins", [{}, {"tint": "cool"}], ids=["free", "pinned"])
     @pytest.mark.parametrize("use_individual", [True, False], ids=["span", "no-span"])
-    def test_a_column_with_no_visible_signal_takes_its_fixed_result(self, planted, pins,
-                                                                   use_individual):
+    def test_a_column_with_no_visible_signal_takes_its_fixed_result(self, planted, monkeypatch,
+                                                                   pins, use_individual):
         """A zero vector and a fully hidden nonzero one take no step, alone
-        and in a block whose other columns stop at different steps. Free
+        and in a block whose other columns stop at different steps (for a
+        transfer, with the ALM alone; with the decode too). Free
         selectors and span coefficients are zero, pinned selectors the
         trained ones; the reconstruction is the pinned synthesis, which the
         sparse error absorbs on hidden entries alone; the record is that of
@@ -433,8 +454,15 @@ class TestBlock:
         Y, W = self.columns(planted)
         spec = TransferSpec.targets(truth.schema, pins)
         config = ReconConfig(rank_rule=RankRule.fixed(2), use_individual=use_individual)
-        block = reconstruct_many(Y, W, bundle, spec, config)
+        for _ in self.decodes(monkeypatch, pins):
+            block = self.check_no_signal_columns(truth, bundle, Y, W, spec, config)
         assert len({result.diagnostics.iterations for result in block[2:]}) > 2
+
+    @staticmethod
+    def check_no_signal_columns(truth, bundle, Y, W, spec, config):
+        """Columns 0 and 1 of `Y` take their fixed result, in a block and
+        alone. Returns the block's results."""
+        block = reconstruct_many(Y, W, bundle, spec, config)
         trained = [np.zeros(truth.schema.size(i)) if mode is None
                    else bundle.bank.selectors[i][:, mode] for i, mode in enumerate(spec.pinned)]
         synthesis = np.zeros(bundle.dim)
@@ -450,12 +478,13 @@ class TestBlock:
             y, visible = Y[:, c], W[:, c] != 0.0
             for result in (block[c], reconstruct(y, W[:, c], bundle, spec, config)):
                 assert all(map(bitwise, result.selectors, trained))
-                assert bitwise(result.indiv_coeffs, np.zeros(2 if use_individual else 0))
+                assert bitwise(result.indiv_coeffs, np.zeros(2 if config.use_individual else 0))
                 assert bitwise(result.reconstruction, synthesis)
                 assert bitwise(result.sparse_error,
                                np.where(visible, 0.0, y - result.reconstruction))
                 assert result.diagnostics == TrainDiagnostics.zero_input(
                     config.effective_lam(bundle.dim, 1))
+        return block
 
     def test_pinned_selectors_come_back_bitwise(self, planted):
         truth, bundle, _, _ = planted
@@ -565,7 +594,7 @@ class TestBlock:
 SHIFTED_ROW = 17
 
 
-def no_decode(design, trusted, visible, target, x, norm, eps):
+def no_decode(design, trusted, visible, target, x, norm, eps, pinned):
     """`reconstructor._decode` with nothing certified: the ALM alone."""
     return x, np.zeros(np.shape(norm), dtype=bool)
 
@@ -767,14 +796,22 @@ class TestDecode:
         return dataclasses.replace(bundle, bases=bases)
 
     @staticmethod
-    def redo(d_v, y_v, eps):
-        """`_decode`'s rule redone by `np.linalg.lstsq` on the visible design
-        `d_v` and target `y_v`: cut the rows of K above the largest gap of the
-        residual, refit on what is kept, and take the minimum-norm g with
-        D_K^T g = -D_S^T sign(r_S); certified when ||g||_inf < 1 and
-        2 ||r_K||_1 / (1 - ||g||_inf) <= eps ||y_v||_1, else cut again while
-        ||g||_inf < 1, up to DECODE_ROUNDS cuts. Returns the last refit, its
-        kept rows, its g, the cuts made and whether it certified."""
+    def signs(r, kept, norm):
+        """u off K: sign(r), but 0 where |r| <= 1e-13 * `norm` (rounding)."""
+        return np.where(~kept & (np.abs(r) > 1e-13 * norm), np.sign(r), 0.0)
+
+    @classmethod
+    def redo(cls, d_v, y_v, eps, norm=None):
+        """`_decode`'s gap cuts redone by `np.linalg.lstsq` on the visible
+        design `d_v` and target `y_v`: cut the rows of K above the largest gap
+        of the residual, refit on what is kept, and take the minimum-norm g
+        with D_K^T g = -D_S^T u_S, u = `signs` (a row fitted to rounding
+        takes u = 0, relative to the observed `norm`, ||y_v|| by default);
+        certified when ||g||_inf < 1 and 2 ||r_{u=0}||_1 / (1 - ||g||_inf) <=
+        eps ||y_v||_1, else cut again while ||g||_inf < 1, up to
+        DECODE_ROUNDS cuts. Returns the last refit, its kept rows, its g, the
+        cuts made and whether it certified."""
+        norm = np.linalg.norm(y_v) if norm is None else norm
         kept = np.ones(y_v.size, dtype=bool)
         x = np.linalg.lstsq(d_v, y_v, rcond=None)[0]
         for cuts in range(1, reconstructor.DECODE_ROUNDS + 1):
@@ -783,11 +820,12 @@ class TestDecode:
             kept[np.argsort(-mags, kind="stable")[:largest_gap(mags)]] = False
             x = np.linalg.lstsq(d_v[kept], y_v[kept], rcond=None)[0]
             r = y_v - d_v @ x
-            g = np.linalg.lstsq(d_v[kept].T, -d_v[~kept].T @ np.sign(r[~kept]), rcond=None)[0]
+            u = cls.signs(r, kept, norm)
+            g = np.linalg.lstsq(d_v[kept].T, -d_v[~kept].T @ u[~kept], rcond=None)[0]
             top = np.abs(g).max(initial=0.0)
             if top >= 1.0:
                 break
-            if 2.0 * np.abs(r[kept]).sum() <= eps * np.abs(y_v).sum() * (1.0 - top):
+            if 2.0 * np.abs(r[u == 0.0]).sum() <= eps * np.abs(y_v).sum() * (1.0 - top):
                 return x, kept, g, cuts, True
         return x, kept, g, cuts, False
 
@@ -795,16 +833,20 @@ class TestDecode:
     @pytest.mark.parametrize("pins", [{}, {"attr2": "b3"}], ids=["free", "pinned"])
     def test_certified_columns_pass_an_independent_check(self, stock, monkeypatch, pins, model):
         """`redo` decodes every vector again by `np.linalg.lstsq`, cut round
-        by cut round, and certifies the same vectors. A certified vector's x
-        is that refit; its dual certificate, u = g on K and sign(r) on S,
-        checked on its own, has ||u||_inf <= 1 and D_v^T u = 0 to rounding,
-        and the primal-dual gap ||t_v - D_v x||_1 - u^T t_v is within the
-        bound eps * ||t_v||_1. A certified completion matches the clean
-        vector to 1e-12 on every row the model gets right; it took one step
-        and its residual is 0. Every uncertified vector is bitwise the ALM's
-        result. On the planted model every completion certifies at the first
-        cut; on the inexact one, all but those hiding the shifted row certify
-        at the second."""
+        by cut round, and the gap cuts certify the same vectors; a vector
+        they certify has that refit as its x. A transfer they leave goes to
+        the vertex stage, and every one certifies there: its x is the exact
+        fit of the k rows it fits best (the basis B), and K = B in the checks
+        below. Every certified vector's dual certificate, u = g on K and
+        `signs` off K, checked on its own, has ||u||_inf <= 1 and D_v^T u = 0
+        to rounding, and the primal-dual gap ||t_v - D_v x||_1 - u^T t_v is
+        within the bound eps * ||t_v||_1. A certified completion matches the
+        clean vector to 1e-12 on every row the model gets right; it took one
+        step and its residual is 0. Every uncertified vector is bitwise the
+        ALM's result. On the planted model every completion certifies at the
+        first cut; on the inexact one, all but those hiding the shifted row
+        certify at the second. Of the 24 transfers to b3 the cuts certify 7,
+        through either model, and the vertex stage the other 17."""
         truth, bundle = stock
         if model == "inexact":
             bundle = self.inexact(bundle)
@@ -812,27 +854,38 @@ class TestDecode:
         eps = ReconConfig().eps
         free = [i for i, mode in enumerate(spec.pinned) if mode is None]
         design = np.concatenate([bundle.bases[i] for i in free] + [build_span(bundle)], axis=1)
+        k = design.shape[1]
         pinned = sum((bundle.bases[i] @ bundle.bank.selectors[i][:, mode]
                       for i, mode in enumerate(spec.pinned) if mode is not None),
                      np.zeros(bundle.dim))
         right = np.arange(bundle.dim) != SHIFTED_ROW if model == "inexact" else slice(None)
-        cuts = []
+        cuts, vertices = [], 0
         for seed in range(24):
             sample = holdout_sample(truth, seed)
             result, decoded, alm = self.solve(monkeypatch, sample, bundle, spec)
             seen = sample.mask != 0.0
             d_v, y_v = design[seen], (sample.y - pinned)[seen]
-            refit, kept, g, rounds, certifies = self.redo(d_v, y_v, eps)
-            assert decoded == certifies
-            if not decoded:
-                assert self.same(result, alm)
-                continue
-            cuts.append(rounds)
+            norm = np.linalg.norm(sample.y[seen])
+            refit, kept, g, rounds, certifies = self.redo(d_v, y_v, eps, norm)
             got = np.concatenate([result.selectors[i] for i in free] + [result.indiv_coeffs])
             scale = np.linalg.norm(y_v)
-            assert np.linalg.norm(got - refit) <= 1e-12 * scale
             r = y_v - d_v @ got
-            u = np.sign(r)
+            if certifies:
+                assert decoded
+                cuts.append(rounds)
+                assert np.linalg.norm(got - refit) <= 1e-12 * scale
+            elif pins and decoded:
+                vertices += 1
+                kept = np.zeros(y_v.size, dtype=bool)
+                kept[np.argsort(np.abs(r), kind="stable")[:k]] = True
+                exact = np.linalg.solve(d_v[kept], y_v[kept])
+                assert np.linalg.norm(got - exact) <= 1e-12 * scale
+                g = np.linalg.lstsq(d_v[kept].T, -d_v[~kept].T @ self.signs(r, kept, norm)[~kept],
+                                    rcond=None)[0]
+            else:
+                assert not decoded and self.same(result, alm)
+                continue
+            u = self.signs(r, kept, norm)
             u[kept] = g
             assert np.abs(u).max() <= 1.0
             assert np.linalg.norm(d_v.T @ u) <= 1e-12 * np.linalg.norm(u)
@@ -843,9 +896,8 @@ class TestDecode:
                 assert np.linalg.norm((result.reconstruction - sample.clean)[right]) <= 1e-12 * clean
             d = result.diagnostics
             assert (d.iterations, d.stop_reason, d.final_residual) == (1, "converged", 0.0)
-        # Transfers to b3 certify only where the pin leaves no dense residual.
         if pins:
-            assert 0 < len(cuts) < 24
+            assert (len(cuts), vertices) == (7, 17)
         else:
             assert cuts == [1] * 24 if model == "planted" else sorted(cuts) == [1] * 3 + [2] * 21
 
@@ -945,18 +997,191 @@ class TestDecode:
     def test_a_visible_gram_the_normal_rule_refuses_is_not_decoded(self, stock):
         """A column whose visible Gram the x step does not trust (its map
         came from pinv) is not decoded, although its cut would certify: the
-        stock holdout of seed 2, decoded from its least-squares fit."""
+        stock holdout of seed 2, decoded from its least-squares fit. Nor
+        does it enter the vertex stage: the transfer to b3 of that holdout,
+        which only the vertex certifies."""
         truth, bundle = stock
-        design = np.concatenate(bundle.bases + [build_span(bundle)], axis=1)
+        span = build_span(bundle)
+        pinned = bundle.bases[1] @ bundle.bank.selectors[1][:, 2]
         sample = holdout_sample(truth, 2)
         seen = sample.mask != 0.0
-        target = sample.y * seen
-        x = np.linalg.lstsq(design[seen], sample.y[seen], rcond=None)[0]
-        for trusted in (True, False):
-            out, decoded = reconstructor._decode(design, np.array([trusted]), seen, target, x,
-                                                 np.linalg.norm(target), ReconConfig().eps)
-            assert bool(decoded) == trusted
-            assert (out.tobytes() == x.tobytes()) != trusted
+        norm, eps = np.linalg.norm(sample.y * seen), ReconConfig().eps
+        for design, t, vertex in ((np.concatenate(bundle.bases + [span], axis=1), 0.0, False),
+                                  (np.concatenate([bundle.bases[0], span], axis=1), pinned, True)):
+            target = (sample.y - t) * seen
+            x = np.linalg.lstsq(design[seen], target[seen], rcond=None)[0]
+            gap = reconstructor._decode(design, np.array([True]), seen, target, x, norm, eps, False)
+            assert bool(gap[1]) != vertex  # the cuts certify the completion, not the transfer
+            for trusted in (True, False):
+                out, decoded = reconstructor._decode(design, np.array([trusted]), seen, target, x,
+                                                     norm, eps, vertex)
+                assert bool(decoded) == trusted
+                assert (out.tobytes() == x.tobytes()) != trusted
+
+    def test_a_row_fitted_to_rounding_takes_no_sign(self, stock, monkeypatch):
+        """The stock holdout of seed 9 at 50% hidden and 15% spikes
+        (amplitude 0.5) cuts rows its refit then fits to ~1e-16: with u =
+        sign(r) on them, as `redo` gives it with a zero norm, rounding picks
+        the signs and ||g||_inf reaches 1. With u = 0 there, counted in the
+        misfit, it certifies, exact to the clean vector, in one step."""
+        truth, bundle = stock
+        sample = holdout_sample(truth, 9, 0.5, 0.15, 0.5)
+        seen = sample.mask != 0.0
+        design = np.concatenate(bundle.bases + [build_span(bundle)], axis=1)
+        eps = ReconConfig().eps
+        assert not self.redo(design[seen], sample.y[seen], eps, norm=0.0)[-1]
+        assert self.redo(design[seen], sample.y[seen], eps)[-1]
+        result, decoded, _ = self.solve(monkeypatch, sample, bundle, TransferSpec.all_free(truth.schema))
+        assert decoded and self.error(result, sample) <= 1e-12
+        d = result.diagnostics
+        assert (d.iterations, d.stop_reason, d.final_residual) == (1, "converged", 0.0)
+
+    @staticmethod
+    def gap_only(monkeypatch):
+        """Patch `_decode` to skip its vertex stage: the gap cuts alone."""
+        decode = reconstructor._decode
+        monkeypatch.setattr(reconstructor, "_decode", lambda *args: decode(*args[:-1], False))
+
+    @staticmethod
+    def parts(result):
+        """The free selectors and span coefficients of a transfer to b3."""
+        return result.selectors[0].tobytes() + result.indiv_coeffs.tobytes()
+
+    def test_certified_transfers_do_not_read_the_schedule(self, stock, monkeypatch):
+        """A certified transfer is the exact fit of its final basis, which
+        the schedule does not reach: its selectors, coefficients and
+        reconstruction are bitwise the same at rho 1.1 and 1.5, lam 0.05 and
+        mu0_scale 10 as at the defaults, while the ALM's results (the decode
+        patched out) move with each of them."""
+        truth, bundle = stock
+        spec = TransferSpec.targets(truth.schema, {"attr2": "b3"})
+        samples = [holdout_sample(truth, seed) for seed in range(12)]
+        configs = [ReconConfig(rho=1.1), ReconConfig(rho=1.5), ReconConfig(lam=0.05),
+                   ReconConfig(mu0_scale=10.0)]
+
+        def solve(config):
+            return [reconstruct(s.y, s.mask, bundle, spec, config) for s in samples]
+
+        base = solve(ReconConfig())
+        assert all(r.diagnostics.iterations == 1 for r in base)
+        for config in configs:
+            for a, b in zip(base, solve(config)):
+                assert self.parts(a) == self.parts(b)
+                assert a.reconstruction.tobytes() == b.reconstruction.tobytes()
+        monkeypatch.setattr(reconstructor, "_decode", no_decode)
+        alm = solve(ReconConfig())
+        for config in configs:
+            moved = [np.linalg.norm(a.reconstruction - b.reconstruction)
+                     / np.linalg.norm(a.reconstruction) for a, b in zip(alm, solve(config))]
+            assert np.median(moved) > 1e-3
+
+    def test_vertex_certified_transfers_match_their_single_solves_bitwise(self, stock,
+                                                                         monkeypatch):
+        """A vertex-certified column's x is D_B^-1 t_B by `np.linalg.solve`
+        on its own basis, so its selectors and coefficients are bitwise the
+        same in a block and alone: 34 of 48 stock holdouts transferred to b3
+        certify there (the gap cuts certify the other 14)."""
+        truth, bundle = stock
+        spec = TransferSpec.targets(truth.schema, {"attr2": "b3"})
+        samples = [holdout_sample(truth, seed) for seed in range(48)]
+        Y = np.column_stack([s.y for s in samples])
+        W = np.column_stack([s.mask for s in samples])
+        block = reconstruct_many(Y, W, bundle, spec)
+        alone = [reconstruct(s.y, s.mask, bundle, spec) for s in samples]
+        with monkeypatch.context() as patch:
+            self.gap_only(patch)
+            gap = [reconstruct(s.y, s.mask, bundle, spec).diagnostics.iterations == 1
+                   for s in samples]
+        vertex = [c for c, r in enumerate(alone) if r.diagnostics.iterations == 1 and not gap[c]]
+        assert (len(vertex), sum(gap)) == (34, 14)
+        for c in vertex:
+            assert block[c].diagnostics.iterations == 1
+            assert self.parts(block[c]) == self.parts(alone[c])
+
+    def test_a_singular_weighted_gram_or_basis_falls_back_per_column(self, stock, monkeypatch):
+        """A column whose weighted Gram or first basis D_B is singular is not
+        certified by the vertex stage, judged column by column: alone it
+        comes back bitwise the ALM's result, while its block's other column
+        certifies as it does alone. Basis: three rows where the design (the free basis,
+        without the span) and the target are zero, which the first IRLS fit
+        fits exactly, so they enter D_B; the column that hides them
+        certifies. Gram: a design column that is zero on the rows one column
+        sees, on `_decode` called directly."""
+        truth, bundle = stock
+        spec = TransferSpec.targets(truth.schema, {"attr2": "b3"})
+        config = ReconConfig(use_individual=False)
+        rows = [0, 1, 2]
+        bases = [b.copy() for b in bundle.bases]
+        bases[0][rows] = 0.0
+        zeroed = dataclasses.replace(bundle, bases=bases)
+        pinned = bases[1] @ bundle.bank.selectors[1][:, 2]
+        samples = [holdout_sample(truth, seed) for seed in (1, 2)]
+        for sample, seen in zip(samples, (1.0, 0.0)):
+            sample.y[rows] = pinned[rows]
+            sample.mask[rows] = seen
+        Y = np.column_stack([s.y for s in samples])
+        W = np.column_stack([s.mask for s in samples])
+        block = reconstruct_many(Y, W, zeroed, spec, config)
+        alone = [reconstruct(s.y, s.mask, zeroed, spec, config) for s in samples]
+        with monkeypatch.context() as patch:
+            patch.setattr(reconstructor, "_decode", no_decode)
+            alm = reconstruct(samples[0].y, samples[0].mask, zeroed, spec, config)
+        assert self.same(alone[0], alm)
+        # In the block, column 0 runs the ALM beside a column that retired
+        # after one step: its result matches its single solve to rounding.
+        assert block[0].diagnostics.iterations == alm.diagnostics.iterations > 1
+        scale = np.linalg.norm(Y[:, 0])
+        assert np.linalg.norm(block[0].reconstruction - alm.reconstruction) <= 1e-12 * scale
+        assert block[1].diagnostics.iterations == alone[1].diagnostics.iterations == 1
+        assert self.parts(block[1]) == self.parts(alone[1])
+
+        design = np.concatenate([bundle.bases[0], build_span(bundle)], axis=1)
+        design[:, 0] = np.where(samples[0].mask != 0.0, 0.0, design[:, 0])
+        target = np.column_stack([(s.y - pinned) * s.mask for s in samples])
+        seen = W != 0.0
+        x = np.column_stack([np.linalg.lstsq(design[m], t[m], rcond=None)[0]
+                             for m, t in zip(seen.T, target.T)])
+        norm = np.linalg.norm(Y * W, axis=0)
+        out, certified = reconstructor._decode(design, np.ones(2, dtype=bool), seen, target, x,
+                                               norm, ReconConfig().eps, True)
+        assert certified.tolist() == [False, True]
+        assert out[:, 0].tobytes() == x[:, 0].tobytes()
+
+    def test_a_column_at_the_pivot_cap_falls_back(self, stock, monkeypatch):
+        """With PIVOTS patched to 0, only transfers whose first basis is
+        already a vertex certify there; every other one the gap cuts leave
+        is bitwise the ALM's result."""
+        truth, bundle = stock
+        spec = TransferSpec.targets(truth.schema, {"attr2": "b3"})
+        monkeypatch.setattr(reconstructor, "PIVOTS", 0)
+        outcomes = []
+        for seed in range(24):
+            result, decoded, alm = self.solve(monkeypatch, holdout_sample(truth, seed), bundle, spec)
+            if not decoded:
+                assert self.same(result, alm)
+            outcomes.append(decoded)
+        assert sum(outcomes) == 7
+
+    def test_the_vertex_stage_takes_transfers_with_a_design_only(self, stock, monkeypatch):
+        """Completions never enter the vertex stage, even where the gap cuts
+        certify few of them (50% hidden, 30% spikes); nor does a transfer
+        with a zero-width design (every attribute pinned, no span), which
+        comes back bitwise the ALM's result."""
+        truth, bundle = stock
+        calls = []
+        vertex = reconstructor._vertex
+        monkeypatch.setattr(reconstructor, "_vertex", lambda *args: calls.append(1) or vertex(*args))
+        free = TransferSpec.all_free(truth.schema)
+        decoded = [self.solve(monkeypatch, holdout_sample(truth, seed, 0.5, 0.30, 5.0), bundle,
+                              free)[1] for seed in range(6)]
+        assert not all(decoded) and calls == []
+        spec = TransferSpec.targets(truth.schema, {"attr1": "a2", "attr2": "b3"})
+        sample = holdout_sample(truth, 3)
+        config = ReconConfig(use_individual=False)
+        result = reconstruct(sample.y, sample.mask, bundle, spec, config)
+        monkeypatch.setattr(reconstructor, "_decode", no_decode)
+        assert self.same(result, reconstruct(sample.y, sample.mask, bundle, spec, config))
+        assert calls == []
 
     def test_positive_definite_tries_each_matrix_after_a_failure(self):
         """The trust test of a block's shifted Grams G - NORMAL_RATIO * tr(G) * I
