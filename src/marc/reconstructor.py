@@ -19,9 +19,9 @@ coefficients together by least squares on the visible rows, then
 soft-thresholds the visible part of e.
 
 The least-squares fit goes through each column's k x k normal map
-(D_v^T D_v)^-1, D_v being the visible rows of the k-wide design. The maps of
-a block come from its Grams G = D_v^T D_v, formed by one product, tested by
-one stacked Cholesky factorization and inverted by one stacked
+(D_v^T D_v)^-1, D_v being the visible rows of the k-wide design. Every map,
+a lone vector's as a block's, comes from its Gram G = D_v^T D_v by one rule:
+tested by a stacked Cholesky factorization and inverted by one stacked
 `np.linalg.inv`. The normal equations square the condition number, so a
 Gram is trusted only when its smallest eigenvalue is above NORMAL_RATIO
 times its trace; any other column (a rank-deficient or ill-conditioned
@@ -50,7 +50,8 @@ its breakdown (50% hidden, 30% gross errors), and there its exact optimum
 was further from the clean vector than the ALM's result. A certified vector
 keeps its refit, its e takes the residual on every entry, and it stops
 `converged` after that step with a residual of 0. Any other vector runs the
-steps as it would without the decode, bitwise.
+steps as it would without the decode, bitwise when solved alone; in a block,
+whose working set narrows as certified columns retire, to rounding.
 
 `reconstruct_many` solves a block of vectors as independent problems that
 share each sweep's matrix products; `reconstruct` is its one-vector case, so
@@ -317,7 +318,9 @@ def reconstruct_many(
     its selectors and coefficients depend on that basis alone, so they are
     the same bitwise in a block and alone and at any schedule (see
     `_decode` for the bound, and for when a column is not certified).
-    Every other column runs on, bitwise as it would without the decode.
+    Every other column runs on as it would without the decode, with the
+    same iterations: bitwise alone, and to rounding (1e-12 in the tests) in
+    a block, whose working set rounds differently once certified ones retire.
     `observer` and the histories see one entry per penalty step, after its
     closing E step; the observer gets the `ReconState` of the working set.
     The columns are solved in slices of at most BLOCK_WIDTH, split evenly,
@@ -372,42 +375,31 @@ def _normal_maps(design: np.ndarray,
     boolean `visible`, D_v being the rows of the dim x k `design` it sees,
     stacked B x k x k; and the pinv factor P = pinv(D_v) of every column
     whose Gram is not trusted, by column. One product forms the B Grams from
-    the row-wise outer products of `design` (a lone column's Gram is
+    the row-wise outer products of `design` (two form a lone column's,
     D^T diag(w) D). A Gram G is trusted when its smallest eigenvalue is
     above NORMAL_RATIO * tr(G) (a zero-width Gram is, vacuously), which a
     column that sees fewer than k rows, or a rank-deficient D_v, never
-    passes. A block tests its Grams by `_positive_definite` of
-    G - NORMAL_RATIO * tr(G) * I and takes the trusted maps by one stacked
-    `np.linalg.inv`; a lone Gram is factored by `eigh`, whose eigenvalues
-    give the same test, and its map is V diag(1/lambda) V^T. Any other
-    column's map is P P^T, as `np.linalg.pinv` gives it."""
+    passes: for every B alike, a Cholesky factorization of
+    G - NORMAL_RATIO * tr(G) * I tests it, and one stacked `np.linalg.inv`
+    takes the trusted maps. Any other column's map is P P^T, as
+    `np.linalg.pinv` gives it."""
     dim, k = design.shape
-    # For one column the outer products cost more than they save: built
-    # anyway, they add ~5% to a one-vector solve (paired per-call median over
-    # 200 stock holdouts, free and pinned in turn, one BLAS thread, 2-core VM).
+    # For one column the outer products cost more than they save: +24% / +8%
+    # on free / pinned calls that certify, +8% on penalty-loop solves (the
+    # traffic and timing `_solve`'s doc names).
     if visible.shape[1] == 1:
         grams = ((design.T * visible.T) @ design)[None]
-        lam, vec = np.linalg.eigh(grams)
-        trusted = np.all(lam > NORMAL_RATIO * lam.sum(axis=1, keepdims=True), axis=1)
-        inverse = np.divide(1.0, lam, out=np.zeros_like(lam), where=trusted[:, None])
-        maps = (vec * inverse[:, None, :]) @ vec.transpose(0, 2, 1)
     else:
         outer = (design[:, :, None] * design[:, None, :]).reshape(dim, k * k)
         grams = (visible.T.astype(np.float64) @ outer).reshape(visible.shape[1], k, k)
-        unit = np.eye(k)
-        trace = np.trace(grams, axis1=1, axis2=2)[:, None, None]
-        trusted = _positive_definite(grams - NORMAL_RATIO * trace * unit)
-        maps = np.linalg.inv(np.where(trusted[:, None, None], grams, unit))
+    unit = np.eye(k)
+    trace = np.trace(grams, axis1=1, axis2=2)[:, None, None]
+    trusted = _per_matrix(np.linalg.cholesky, grams - NORMAL_RATIO * trace * unit)[1]
+    maps = np.linalg.inv(np.where(trusted[:, None, None], grams, unit))
     fallback = {int(c): np.linalg.pinv(design[visible[:, c]]) for c in np.flatnonzero(~trusted)}
     for c, factor in fallback.items():
         maps[c] = factor @ factor.T
     return maps, fallback
-
-
-def _positive_definite(a: np.ndarray) -> np.ndarray:
-    """Which of the stacked symmetric matrices `a` are positive definite:
-    those `np.linalg.cholesky` factors, tried as `_per_matrix` tries them."""
-    return _per_matrix(np.linalg.cholesky, a)[1]
 
 
 def _decode(design: np.ndarray, trusted: np.ndarray, visible: np.ndarray, target: np.ndarray,
@@ -447,14 +439,15 @@ def _decode(design: np.ndarray, trusted: np.ndarray, visible: np.ndarray, target
 
     The vertex stage takes every trusted column still uncertified, when
     `pinned` and the design has a column: `_vertex` finds a basis B of k
-    visible rows, and the column's x_B = D_B^-1 t_B, refitted by
-    `np.linalg.solve`, takes the certificate above with K = B, where
-    g = -D_B^-T D_S^T sign(r_S), and one check more: D_v^T u = 0 to
+    visible rows, and one `np.linalg.inv` of D_B gives both its refit
+    x_B = D_B^-1 t_B and the certificate above with K = B,
+    g = -D_B^-T D_S^T sign(r_S), checked once more: D_v^T u = 0 to
     1e-12 * ||u||_1 (it catches an ill-conditioned D_B). A column whose
-    weighted Gram or first D_B is singular, that reaches PIVOTS, or whose
-    certificate fails is not certified. Completions never enter the stage:
-    where the cuts fail on a completion, LAD is often past its breakdown,
-    its exact optimum further from the clean vector than the ALM's result.
+    weighted Gram or first or last D_B is singular, that reaches PIVOTS, or
+    whose certificate fails is not certified. Completions never enter the
+    stage: where the cuts fail on a completion, LAD is often past its
+    breakdown, its exact optimum further from the clean vector than the
+    ALM's result.
     Returns x with each certified column replaced by its x_K or x_B, and
     which columns were certified (0-d for one vector)."""
     dim, k = design.shape
@@ -506,19 +499,17 @@ def _decode(design: np.ndarray, trusted: np.ndarray, visible: np.ndarray, target
         basis, found = _vertex(design, rows, t, start)
         basis, found = basis.reshape(-1, k), np.reshape(found, -1)
         basic = (basis.T, np.arange(len(stage)))  # each column's entries on its basis
-        d_b = design[basis]
-        refit, solved = _per_matrix(np.linalg.solve, d_b, y[:, stage][basic].T[:, :, None])
-        refit = refit[:, :, 0].T
+        inverse, solved = _per_matrix(np.linalg.inv, design[basis])
+        refit = np.matmul(inverse, y[:, stage][basic].T[:, :, None])[:, :, 0].T
         res = (y[:, stage] - design @ refit) / scales[stage]
         kept = np.zeros(res.shape, dtype=bool)
         kept[basic] = True
         signs, counted = _signs(res, seen[:, stage], kept)
-        g, dual = _per_matrix(np.linalg.solve, d_b.transpose(0, 2, 1),
-                              -(design.T @ signs).T[:, :, None])
+        g = -np.matmul((design.T @ signs).T[:, None, :], inverse)[:, 0, :]  # -D_B^-T D_S^T s
         u = signs.copy()
-        u[basic] = g[:, :, 0].T
+        u[basic] = g.T
         balanced = np.sqrt(_sq_norms(design.T @ u)) <= 1e-12 * np.abs(u).sum(axis=0)
-        bound = np.where(found & solved & dual & balanced, np.abs(g).max(axis=(1, 2)), np.inf)
+        bound = np.where(found & solved & balanced, np.abs(g).max(axis=1), np.inf)
         done = _passes(res, counted, bound, budgets[stage])
         out[:, stage[done]] = refit[:, done]
         certified[stage[done]] = True
@@ -679,9 +670,11 @@ def _solve(
     `norms`. One vector runs the same steps without the column axis: its
     state holds 1-D arrays and a scalar mu, which its observer sees, and its
     per-column bookkeeping costs no numpy calls on length-1 arrays. That
-    path pays for itself: solving the same vector as a 1-column block takes
-    ~25% longer (paired per-call median over 200 stock holdouts, free and
-    pinned in turn, one BLAS thread, 2-core VM)."""
+    path pays for itself: as a 1-column block, calls that certify at the
+    first step take 8% / 10% longer (200 free / 200 pinned recon-holdout
+    calls of seed 4242) and penalty-loop solves 22% (40 stock holdouts, 50%
+    hidden, 30% spikes); paired per-call medians, min of 5, one BLAS
+    thread, 2-core VM."""
     spec = _check_spec(spec, bundle.schema)
     dim = bundle.dim
     columns = [Y] if Y.ndim == 1 else list(Y.T)
@@ -711,14 +704,14 @@ def _solve(
     # each column's least-squares fit on its visible rows,
     # (D_v^T D_v)^-1 D_v^T r_v, with D the stacked design [F_free, K] (K zero
     # columns wide without the span) and k its width. `_normal_maps` gives
-    # each column's k x k normal map (D_v^T D_v)^-1 from one stacked
-    # eigendecomposition of the Grams; a column whose Gram it cannot trust
-    # (see NORMAL_RATIO) takes P P^T, P = pinv(D_v), instead. When every
-    # column has one mask, the map times D_v^T (or that column's P) is placed
-    # on the visible columns (zero on hidden rows), and each sweep takes one
-    # product with it for the whole block; the normal-map form below takes
-    # ~9% longer on one vector (paired per-call median over 200 stock
-    # holdouts, free and pinned in turn, one BLAS thread, 2-core VM).
+    # each column's k x k normal map (D_v^T D_v)^-1, one stacked inverse of
+    # the Grams; a column whose Gram it cannot trust (see NORMAL_RATIO)
+    # takes P P^T, P = pinv(D_v), instead. When every column has one mask,
+    # the map times D_v^T (or that column's P) is placed on the visible
+    # columns (zero on hidden rows), and each sweep takes one product with
+    # it for the whole block. On one vector the normal-map form below takes
+    # 9% longer on penalty-loop solves, 4% / 2% less on free / pinned calls
+    # that certify and so run one sweep (measured as the doc above says).
     # Otherwise each column takes map D^T (w .* r): the block takes one
     # product with D^T and a stacked k x k one. Either way hidden rows of r
     # enter no x step.

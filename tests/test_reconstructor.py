@@ -607,9 +607,10 @@ def pinv_route(design, visible):
 
 
 class TestNormalMaps:
-    """The x step's factor, (D_v^T D_v)^-1 from one stacked eigendecomposition
-    of the Grams, against the pinv route P P^T, P = pinv(D_v), on the design
-    of the stock model: the free bases and the default span, 12 columns."""
+    """The x step's factor, (D_v^T D_v)^-1 by one stacked `np.linalg.inv` of
+    the Grams a shifted Cholesky test trusts, against the pinv route P P^T,
+    P = pinv(D_v), on the design of the stock model: the free bases and the
+    default span, 12 columns."""
 
     @pytest.fixture(scope="class")
     def stock(self, default_instance):
@@ -682,13 +683,32 @@ class TestNormalMaps:
             assert np.linalg.norm(maps[trusted] - want[trusted]) <= 1e-12 * np.linalg.norm(want)
         assert maps.shape == want.shape
 
+    def test_a_lone_column_inverts_its_own_gram(self, stock, monkeypatch):
+        """A lone column's map is bitwise `np.linalg.inv` of its own Gram
+        D^T diag(w) D, formed by two products, after the same test a block
+        takes: a Cholesky factorization of G - NORMAL_RATIO * tr(G) * I."""
+        _, _, design = stock
+        k = design.shape[1]
+        shifted = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: shifted.append(a) or cholesky(a))
+        for mask in self.masks(design.shape[0], 8, seed=11).T:
+            gram = (design.T * mask) @ design
+            maps, fallback = _normal_maps(design, mask[:, None])
+            assert fallback == {} and maps.shape == (1, k, k)
+            assert maps[0].tobytes() == np.linalg.inv(gram).tobytes()
+            want = gram - reconstructor.NORMAL_RATIO * np.trace(gram) * np.eye(k)
+            assert len(shifted) == 1 and shifted.pop()[0].tobytes() == want.tobytes()
+
     def test_a_block_and_a_lone_column_trust_the_same_grams(self, stock):
-        """A Gram G is trusted when lambda_min(G) > NORMAL_RATIO * tr(G): a
-        block tests it by a Cholesky factorization of the shifted Gram, a
-        lone column by the eigenvalues of its own `eigh`. With one design
-        column shrunk so that the masks' Grams straddle the threshold, both
-        refuse the same columns, those the eigenvalues single out; the
-        block's stacked Cholesky fails, so it tests its columns one by one."""
+        """A Gram G is trusted when lambda_min(G) > NORMAL_RATIO * tr(G),
+        which a block and a lone column test alike, by a Cholesky
+        factorization of the shifted Gram. With one design column shrunk so
+        that the masks' Grams straddle the threshold, both refuse the same
+        columns, those the eigenvalues single out; the block's stacked
+        Cholesky fails, so it tests its columns one by one. Each lone
+        column's map, formed from its Gram by other products, matches the
+        block's to 1e-14 relative."""
         _, _, design = stock
         visible = self.masks(design.shape[0], 24, seed=9)
 
@@ -704,9 +724,12 @@ class TestNormalMaps:
             reconstructor.NORMAL_RATIO / np.median(lam[:, 0] / lam.sum(axis=1))))
         want = np.flatnonzero(lam[:, 0] <= reconstructor.NORMAL_RATIO * lam.sum(axis=1))
         assert 0 < want.size < visible.shape[1]
-        _, block = _normal_maps(design, visible)
-        alone = [c for c in range(visible.shape[1]) if _normal_maps(design, visible[:, c:c + 1])[1]]
+        maps, block = _normal_maps(design, visible)
+        lone = [_normal_maps(design, visible[:, c:c + 1]) for c in range(visible.shape[1])]
+        alone = [c for c, (_, fallback) in enumerate(lone) if fallback]
         assert sorted(block) == alone == want.tolist()
+        for (got, _), ref in zip(lone, maps):
+            assert np.linalg.norm(got[0] - ref) <= 1e-14 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("pins, options, tol", [
         ({}, {}, 1e-12), ({"attr2": "b3"}, {}, 1e-12), ({}, dict(use_individual=False), 1e-12),
@@ -1077,10 +1100,11 @@ class TestDecode:
 
     def test_vertex_certified_transfers_match_their_single_solves_bitwise(self, stock,
                                                                          monkeypatch):
-        """A vertex-certified column's x is D_B^-1 t_B by `np.linalg.solve`
-        on its own basis, so its selectors and coefficients are bitwise the
-        same in a block and alone: 34 of 48 stock holdouts transferred to b3
-        certify there (the gap cuts certify the other 14)."""
+        """A vertex-certified column's x is D_B^-1 t_B, read from one
+        `np.linalg.inv` of its own basis, so its selectors and coefficients
+        are bitwise the same in a block and alone: 34 of 48 stock holdouts
+        transferred to b3 certify there (the gap cuts certify the other
+        14)."""
         truth, bundle = stock
         spec = TransferSpec.targets(truth.schema, {"attr2": "b3"})
         samples = [holdout_sample(truth, seed) for seed in range(48)]
@@ -1184,16 +1208,20 @@ class TestDecode:
         assert calls == []
 
     def test_positive_definite_tries_each_matrix_after_a_failure(self):
-        """The trust test of a block's shifted Grams G - NORMAL_RATIO * tr(G) * I
-        in `_normal_maps`: a stacked Cholesky, and after it fails, one matrix
-        at a time."""
+        """The trust test of the shifted Grams G - NORMAL_RATIO * tr(G) * I
+        in `_normal_maps`, `_per_matrix` of `np.linalg.cholesky`: a stacked
+        Cholesky, and after it fails, one matrix at a time."""
         eye = np.eye(3)
         singular = np.diag([1.0, 1.0, 0.0])
-        assert reconstructor._positive_definite(np.stack([eye, 2 * eye])).tolist() == [True, True]
-        assert reconstructor._positive_definite(
-            np.stack([eye, singular, -eye, 0.5 * eye])).tolist() == [True, False, False, True]
-        assert reconstructor._positive_definite(singular[None]).tolist() == [False]
-        assert reconstructor._positive_definite(np.zeros((2, 0, 0))).tolist() == [True, True]
+
+        def positive_definite(a):
+            return reconstructor._per_matrix(np.linalg.cholesky, a)[1].tolist()
+
+        assert positive_definite(np.stack([eye, 2 * eye])) == [True, True]
+        assert positive_definite(np.stack([eye, singular, -eye, 0.5 * eye])) == [
+            True, False, False, True]
+        assert positive_definite(singular[None]) == [False]
+        assert positive_definite(np.zeros((2, 0, 0))) == [True, True]
 
     @pytest.mark.parametrize("missing, sparsity, amplitude, floor", [
         (missing, sparsity, amplitude, floor)
