@@ -22,7 +22,7 @@ from .dataset import AttributeSchema, assemble, check_input
 from .errors import FormatError, NumericalError, ValidationError
 from .proxops import RankRule
 from .reconstructor import ReconConfig, TransferSpec, reconstruct_many, synthesize
-from .synthbench import SynthSpec, default_spec, generate, recovery_metrics
+from .synthbench import SynthSpec, check_sizes, default_spec, generate, recovery_metrics
 from .trainer import MU0_NORMS, Schedule, SolverConfig, train
 
 MATRIX_SUFFIXES = (".marc", ".csv")
@@ -174,14 +174,15 @@ def _parse_pairs(pairs: list[str], flag: str, form: str) -> dict[str, str]:
 def _cmd_synth(args: argparse.Namespace) -> int:
     schema = default_spec().schema
     if args.attr:
-        attributes = []
+        sizes = {}
         for name, count in _parse_pairs(args.attr, "--attr", "name=count").items():
             try:
-                m = int(count)
+                sizes[name] = int(count)
             except ValueError:
                 raise ValidationError(f"--attr count must be an integer, got '{count}'") from None
-            attributes.append((name, [f"{name}_{j}" for j in range(1, m + 1)]))
-        schema = AttributeSchema.of(attributes)
+        check_sizes(sizes, args.dim, args.count)  # before any label is built
+        schema = AttributeSchema.of([(name, [f"{name}_{j}" for j in range(1, m + 1)])
+                                     for name, m in sizes.items()])
     spec = SynthSpec(schema=schema, **{field: getattr(args, field) for _, field, _ in SYNTH_FLAGS})
     ts, truth = generate(spec)
     out = Path(args.output)

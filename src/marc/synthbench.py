@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -44,24 +44,28 @@ class SynthSpec:
     seed: int = 7
 
     def __post_init__(self) -> None:
-        for name, least in (("dim", 1), ("count", 1), ("rank_g", 0), ("seed", 0)):
-            check_integer(getattr(self, name), name, least)
-        for i in range(self.schema.count):
-            if self.schema.size(i) > self.count:
-                raise ValidationError(
-                    f"attribute '{self.schema.name(i)}' has more instantiations "
-                    f"than samples"
-                )
-            if self.schema.size(i) > self.dim:
-                raise ValidationError(
-                    f"attribute '{self.schema.name(i)}' has more instantiations "
-                    f"than dimensions"
-                )
+        check_sizes({self.schema.name(i): self.schema.size(i) for i in range(self.schema.count)},
+                    self.dim, self.count)
+        for name in ("rank_g", "seed"):
+            check_integer(getattr(self, name), name)
         if not 0 <= self.rank_g < min(self.dim, self.count):
             raise ValidationError(f"rank_g must be in [0, min(dim, count)), got {self.rank_g}")
         if self.rank_g > 9:
             raise ValidationError("rank_g > 9 would need a nonpositive singular value")
         _check_corruption(self.dim * self.count, self.missing_frac, self.sparsity, self.noise_amp)
+
+
+def check_sizes(sizes: Mapping[str, int], dim: int, count: int) -> None:
+    """ValidationError unless `dim` and `count` are integers >= 1 and no
+    attribute, named with its number of instantiations in `sizes`, has more
+    instantiations than `count` samples or `dim` dimensions. A caller that
+    builds the labels checks their numbers here first."""
+    check_integer(dim, "dim", 1)
+    check_integer(count, "count", 1)
+    for name, size in sizes.items():
+        for bound, what in ((count, "samples"), (dim, "dimensions")):
+            if size > bound:
+                raise ValidationError(f"attribute '{name}' has more instantiations than {what}")
 
 
 def _check_corruption(cells: int, missing_frac: float, sparsity: float, noise_amp: float) -> None:

@@ -3,6 +3,7 @@ exit codes and console output are observable without spawning children."""
 import dataclasses
 import json
 import shutil
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -87,6 +88,23 @@ class TestSynth:
     def test_invalid_spec_is_validation_error(self, tmp_path, capsys, flags, message):
         assert main(["synth", "-o", str(tmp_path / "x"), *flags]) == 2
         assert message in capsys.readouterr().err
+
+    def test_attr_count_past_the_samples_is_refused_before_its_labels_are_built(self, tmp_path,
+                                                                               capsys):
+        """An --attr count larger than --samples exits 2 with SynthSpec's
+        message before a label is built: a million labels would take ~145 MB
+        (and a count of 1e9 all memory); the refusal takes a few MB."""
+        tracemalloc.start()
+        try:
+            rc = main(["synth", "-o", str(tmp_path / "x"), "--attr", "a=1000000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            "error: attribute 'a' has more instantiations than samples\n"
+        assert peak < 4e6
+        assert not (tmp_path / "x").exists()
 
 
 class TestTrain:
@@ -348,15 +366,16 @@ class TestCompleteAndTransfer:
         for a, b in zip(*outs):
             assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("command, extra", [("complete", []),
-                                                ("transfer", ["-t", "tone=tone_2"]),
-                                                ("transfer", ["-t", "tone=tone_2", "--post-hoc"])],
-                             ids=["complete", "transfer", "transfer-post-hoc"])
+    @pytest.mark.parametrize("command, extra, masked", [
+        ("complete", [], True), ("transfer", ["-t", "tone=tone_2"], True),
+        ("transfer", ["-t", "tone=tone_2", "--post-hoc"], True), ("complete", [], False)],
+        ids=["complete", "transfer", "transfer-post-hoc", "complete-no-mask"])
     def test_directory_agrees_with_single_file_runs(self, workspace, tmp_path, capsys,
-                                                    command, extra):
+                                                    command, extra, masked):
         """A directory is solved in blocks; each output matches the file run
         alone to 1e-12, and the lines come in name order with the same
-        iteration counts. Five files, one all zero, with their own masks."""
+        iteration counts. Five files, one all zero, with their own masks, or
+        with none, so that every column of the block sees every entry."""
         vec_dir, mask_dir = tmp_path / "in", tmp_path / "masks"
         vec_dir.mkdir()
         mask_dir.mkdir()
@@ -369,14 +388,16 @@ class TestCompleteAndTransfer:
         write_vector(mask_dir / "zero.marc", np.ones(30))
         names = sorted(names + ["zero.marc"])
         bundle = str(workspace / "bundle")
-        assert main([command, "-b", bundle, "-i", str(vec_dir), "-m", str(mask_dir),
+        masks = ["-m", str(mask_dir)] if masked else []
+        assert main([command, "-b", bundle, "-i", str(vec_dir), *masks,
                      "-o", str(tmp_path / "all"), *extra]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert [line.split(":")[0] for line in lines] == names
         for name, line in zip(names, lines):
             out = tmp_path / f"one_{name}"
-            assert main([command, "-b", bundle, "-i", str(vec_dir / name),
-                         "-m", str(mask_dir / name), "-o", str(out), *extra]) == 0
+            mask = ["-m", str(mask_dir / name)] if masked else []
+            assert main([command, "-b", bundle, "-i", str(vec_dir / name), *mask,
+                         "-o", str(out), *extra]) == 0
             alone = capsys.readouterr().out.strip()
             assert line.split()[1] == alone.split()[1]  # iterations=N
             got, want = read_vector(tmp_path / "all" / name), read_vector(out)

@@ -2,14 +2,17 @@
 configuration, and recovery quality at a gentle penalty start
 (mu0_scale=1.25). The planted-model fixtures make the correct answer known
 in closed form."""
+import ast
 import dataclasses
 import itertools
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import bundle_from_truth
+from marc import decode as decoder
 from marc import reconstructor
 from marc.dataset import AttributeSchema
 from marc.errors import DegenerateMatrixError, NumericalError, ValidationError
@@ -17,7 +20,6 @@ from marc.proxops import RankRule, deterministic_svd, largest_gap, svd_span
 from marc.reconstructor import (
     ReconConfig,
     TransferSpec,
-    _normal_maps,
     build_span,
     complete,
     reconstruct,
@@ -377,13 +379,13 @@ class TestBlock:
     @staticmethod
     def decodes(monkeypatch, pins):
         """The runs a test makes: one with the decode; for a transfer, one
-        more with `_decode` patched to `no_decode`, the ALM alone, since the
+        more with `decode.decode` patched to `no_decode`, the ALM alone, since the
         decode certifies every pinned column it may try. The last run is the
         one whose columns stop at different steps."""
         yield
         if pins:
             with monkeypatch.context() as patch:
-                patch.setattr(reconstructor, "_decode", no_decode)
+                patch.setattr(decoder, "decode", no_decode)
                 yield
 
     @pytest.mark.parametrize("layout", ["own-masks", "one-mask", "two-slices"])
@@ -595,15 +597,15 @@ SHIFTED_ROW = 17
 
 
 def no_decode(design, trusted, visible, target, x, norm, eps, pinned):
-    """`reconstructor._decode` with nothing certified: the ALM alone."""
+    """`decode.decode` with nothing certified: the ALM alone."""
     return x, np.zeros(np.shape(norm), dtype=bool)
 
 
 def pinv_route(design, visible):
-    """The x step's factor as `np.linalg.pinv` gives it for every column:
-    the maps P P^T and every P as a fallback, with P = pinv(D_v)."""
-    factors = {c: np.linalg.pinv(design[mask]) for c, mask in enumerate(visible.T)}
-    return np.stack([p @ p.T for p in factors.values()]), factors
+    """The x step's maps as `np.linalg.pinv` gives them for every column:
+    P P^T with P = pinv(D_v), every column flagged as untrusted."""
+    factors = [np.linalg.pinv(design[mask]) for mask in visible.T]
+    return np.stack([p @ p.T for p in factors]), np.zeros(len(factors), dtype=bool)
 
 
 class TestNormalMaps:
@@ -645,9 +647,9 @@ class TestNormalMaps:
         visible = self.masks(design.shape[0], 64, seed=5)
         want, _ = pinv_route(design, visible)
         calls = self.spy(monkeypatch)
-        block, fallback = _normal_maps(design, visible)
-        alone = [_normal_maps(design, mask[:, None]) for mask in visible.T[:8]]
-        assert calls == [] and fallback == {} and all(not f for _, f in alone)
+        block, trusted = decoder.normal_maps(design, visible)
+        alone = [decoder.normal_maps(design, mask[:, None]) for mask in visible.T[:8]]
+        assert calls == [] and trusted.all() and all(t.tolist() == [True] for _, t in alone)
         for got, ref in zip(block, want):
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
         for (got, _), ref in zip(alone, want):
@@ -657,8 +659,8 @@ class TestNormalMaps:
     def test_untrusted_columns_take_the_pinv_route_bitwise(self, stock, monkeypatch, case):
         """A column that sees fewer rows than the design has columns, and
         every column of a design with a duplicated column (both have a
-        singular Gram), take P and P P^T exactly as pinv gives them, and pinv
-        runs for them alone. A zero-width design (everything pinned, no span)
+        singular Gram), are flagged untrusted and take P P^T exactly as pinv
+        gives P, and pinv runs for them alone. A zero-width design (everything pinned, no span)
         has empty maps either way."""
         _, _, design = stock
         visible = self.masks(design.shape[0], 6, seed=7)
@@ -670,13 +672,12 @@ class TestNormalMaps:
         else:
             design = design[:, :0]
         untrusted = {"few-rows": [2], "duplicated-column": list(range(6)), "zero-width": []}[case]
-        want, factors = pinv_route(design, visible)
+        want, _ = pinv_route(design, visible)
         calls = self.spy(monkeypatch)
-        maps, fallback = _normal_maps(design, visible)
+        maps, trusted = decoder.normal_maps(design, visible)
         assert calls == [np.count_nonzero(visible[:, c]) for c in untrusted]
-        assert sorted(fallback) == untrusted
+        assert np.flatnonzero(~trusted).tolist() == untrusted
         for c in untrusted:
-            assert np.array_equal(fallback[c], factors[c])
             assert np.array_equal(maps[c], want[c])
         if case == "few-rows":
             trusted = [0, 1, 3, 4, 5]
@@ -694,10 +695,10 @@ class TestNormalMaps:
         monkeypatch.setattr(np.linalg, "cholesky", lambda a: shifted.append(a) or cholesky(a))
         for mask in self.masks(design.shape[0], 8, seed=11).T:
             gram = (design.T * mask) @ design
-            maps, fallback = _normal_maps(design, mask[:, None])
-            assert fallback == {} and maps.shape == (1, k, k)
+            maps, trusted = decoder.normal_maps(design, mask[:, None])
+            assert trusted.tolist() == [True] and maps.shape == (1, k, k)
             assert maps[0].tobytes() == np.linalg.inv(gram).tobytes()
-            want = gram - reconstructor.NORMAL_RATIO * np.trace(gram) * np.eye(k)
+            want = gram - decoder.NORMAL_RATIO * np.trace(gram) * np.eye(k)
             assert len(shifted) == 1 and shifted.pop()[0].tobytes() == want.tobytes()
 
     def test_a_block_and_a_lone_column_trust_the_same_grams(self, stock):
@@ -721,13 +722,13 @@ class TestNormalMaps:
         # about s^2: put the threshold at the median ratio.
         _, lam = eigenvalues(0.1)
         design, lam = eigenvalues(0.1 * np.sqrt(
-            reconstructor.NORMAL_RATIO / np.median(lam[:, 0] / lam.sum(axis=1))))
-        want = np.flatnonzero(lam[:, 0] <= reconstructor.NORMAL_RATIO * lam.sum(axis=1))
+            decoder.NORMAL_RATIO / np.median(lam[:, 0] / lam.sum(axis=1))))
+        want = np.flatnonzero(lam[:, 0] <= decoder.NORMAL_RATIO * lam.sum(axis=1))
         assert 0 < want.size < visible.shape[1]
-        maps, block = _normal_maps(design, visible)
-        lone = [_normal_maps(design, visible[:, c:c + 1]) for c in range(visible.shape[1])]
-        alone = [c for c, (_, fallback) in enumerate(lone) if fallback]
-        assert sorted(block) == alone == want.tolist()
+        maps, trusted = decoder.normal_maps(design, visible)
+        lone = [decoder.normal_maps(design, visible[:, c:c + 1]) for c in range(visible.shape[1])]
+        alone = [c for c, (_, flag) in enumerate(lone) if not flag[0]]
+        assert np.flatnonzero(~trusted).tolist() == alone == want.tolist()
         for (got, _), ref in zip(lone, maps):
             assert np.linalg.norm(got[0] - ref) <= 1e-14 * np.linalg.norm(ref)
 
@@ -744,7 +745,7 @@ class TestNormalMaps:
         map comes from pinv, so both routes run without it: this compares
         the ALM's two factors."""
         truth, bundle, _ = stock
-        monkeypatch.setattr(reconstructor, "_decode", no_decode)
+        monkeypatch.setattr(decoder, "decode", no_decode)
         samples = [holdout_sample(truth, seed) for seed in range(16)]
         Y = np.column_stack([s.y for s in samples])
         W = np.column_stack([s.mask for s in samples])
@@ -756,7 +757,7 @@ class TestNormalMaps:
             return alone + reconstruct_many(Y, W, bundle, spec, config)
 
         gram = solve()
-        monkeypatch.setattr(reconstructor, "_normal_maps", pinv_route)
+        monkeypatch.setattr(decoder, "normal_maps", pinv_route)
         pinv = solve()
         for c, (a, b) in enumerate(zip(gram, pinv)):
             scale = np.linalg.norm(Y[:, c % Y.shape[1]])
@@ -765,6 +766,20 @@ class TestNormalMaps:
             for x, y in zip([*a.selectors, a.indiv_coeffs, a.sparse_error, a.reconstruction],
                             [*b.selectors, b.indiv_coeffs, b.sparse_error, b.reconstruction]):
                 assert np.linalg.norm(x - y) <= tol * scale
+
+
+def test_the_decoder_imports_only_proxops_from_the_package():
+    """`decode` imports numpy and, of the package, `proxops` alone, so that
+    `trainer`, which `reconstructor` imports, can import it too."""
+    imported = set()
+    for node in ast.walk(ast.parse(Path(decoder.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module] if node.module else [alias.name for alias in node.names]
+            imported |= {"." * node.level + name for name in names}
+    assert "numpy" in imported
+    assert {name for name in imported if name.startswith((".", "marc"))} == {".proxops"}
 
 
 class TestDecode:
@@ -782,7 +797,7 @@ class TestDecode:
         """One vector solved with the decode, whether it certified, and the
         same vector solved with the decode patched out (the ALM alone)."""
         flags = []
-        decode = reconstructor._decode
+        decode = decoder.decode
 
         def spy(*args):
             x, certified = decode(*args)
@@ -790,10 +805,10 @@ class TestDecode:
             return x, certified
 
         with monkeypatch.context() as patch:
-            patch.setattr(reconstructor, "_decode", spy)
+            patch.setattr(decoder, "decode", spy)
             result = reconstruct(sample.y, sample.mask, bundle, spec)
         with monkeypatch.context() as patch:
-            patch.setattr(reconstructor, "_decode", no_decode)
+            patch.setattr(decoder, "decode", no_decode)
             alm = reconstruct(sample.y, sample.mask, bundle, spec)
         assert len(flags) == 1
         return result, flags[0], alm
@@ -825,7 +840,7 @@ class TestDecode:
 
     @classmethod
     def redo(cls, d_v, y_v, eps, norm=None):
-        """`_decode`'s gap cuts redone by `np.linalg.lstsq` on the visible
+        """`decode.decode`'s gap cuts redone by `np.linalg.lstsq` on the visible
         design `d_v` and target `y_v`: cut the rows of K above the largest gap
         of the residual, refit on what is kept, and take the minimum-norm g
         with D_K^T g = -D_S^T u_S, u = `signs` (a row fitted to rounding
@@ -837,7 +852,7 @@ class TestDecode:
         norm = np.linalg.norm(y_v) if norm is None else norm
         kept = np.ones(y_v.size, dtype=bool)
         x = np.linalg.lstsq(d_v, y_v, rcond=None)[0]
-        for cuts in range(1, reconstructor.DECODE_ROUNDS + 1):
+        for cuts in range(1, decoder.DECODE_ROUNDS + 1):
             mags = np.abs(y_v - d_v @ x)
             mags[~kept] = mags[kept].min()
             kept[np.argsort(-mags, kind="stable")[:largest_gap(mags)]] = False
@@ -936,7 +951,7 @@ class TestDecode:
         hidden = [s.mask[SHIFTED_ROW] == 0.0 for s in samples]
         assert sum(hidden) == 3
         with monkeypatch.context() as patch:
-            patch.setattr(reconstructor, "DECODE_ROUNDS", 1)
+            patch.setattr(decoder, "DECODE_ROUNDS", 1)
             once = [self.solve(monkeypatch, s, bundle, spec)[1] for s in samples]
         assert once == hidden
         right = np.arange(bundle.dim) != SHIFTED_ROW
@@ -985,15 +1000,15 @@ class TestDecode:
         full visible Gram, it no longer certifies."""
         truth, bundle = stock
         spec = TransferSpec.all_free(truth.schema)
-        maps = reconstructor._normal_maps
+        maps = decoder.normal_maps
         refused = []  # per call: the x step's Grams, then each cut's
 
         def spy(design, visible):
             got = maps(design, visible)
-            refused.append(bool(got[1]))
+            refused.append(not got[1].all())
             return got
 
-        monkeypatch.setattr(reconstructor, "_normal_maps", spy)
+        monkeypatch.setattr(decoder, "normal_maps", spy)
         sample = holdout_sample(truth, 159, 0.6, 0.20, 1.0)
         result, decoded, alm = self.solve(monkeypatch, sample, bundle, spec)
         assert refused[:3] == [False, False, True]
@@ -1011,7 +1026,7 @@ class TestDecode:
         low, high = ratio(design[seen][kept]), ratio(design[seen])
         assert low < high
         assert self.solve(monkeypatch, sample, bundle, spec)[1]
-        monkeypatch.setattr(reconstructor, "NORMAL_RATIO", np.sqrt(low * high))
+        monkeypatch.setattr(decoder, "NORMAL_RATIO", np.sqrt(low * high))
         refused.clear()
         result, decoded, alm = self.solve(monkeypatch, sample, bundle, spec)
         assert refused[:2] == [False, True]
@@ -1033,10 +1048,10 @@ class TestDecode:
                                   (np.concatenate([bundle.bases[0], span], axis=1), pinned, True)):
             target = (sample.y - t) * seen
             x = np.linalg.lstsq(design[seen], target[seen], rcond=None)[0]
-            gap = reconstructor._decode(design, np.array([True]), seen, target, x, norm, eps, False)
+            gap = decoder.decode(design, np.array([True]), seen, target, x, norm, eps, False)
             assert bool(gap[1]) != vertex  # the cuts certify the completion, not the transfer
             for trusted in (True, False):
-                out, decoded = reconstructor._decode(design, np.array([trusted]), seen, target, x,
+                out, decoded = decoder.decode(design, np.array([trusted]), seen, target, x,
                                                      norm, eps, vertex)
                 assert bool(decoded) == trusted
                 assert (out.tobytes() == x.tobytes()) != trusted
@@ -1061,9 +1076,9 @@ class TestDecode:
 
     @staticmethod
     def gap_only(monkeypatch):
-        """Patch `_decode` to skip its vertex stage: the gap cuts alone."""
-        decode = reconstructor._decode
-        monkeypatch.setattr(reconstructor, "_decode", lambda *args: decode(*args[:-1], False))
+        """Patch `decode.decode` to skip its vertex stage: the gap cuts alone."""
+        decode = decoder.decode
+        monkeypatch.setattr(decoder, "decode", lambda *args: decode(*args[:-1], False))
 
     @staticmethod
     def parts(result):
@@ -1091,7 +1106,7 @@ class TestDecode:
             for a, b in zip(base, solve(config)):
                 assert self.parts(a) == self.parts(b)
                 assert a.reconstruction.tobytes() == b.reconstruction.tobytes()
-        monkeypatch.setattr(reconstructor, "_decode", no_decode)
+        monkeypatch.setattr(decoder, "decode", no_decode)
         alm = solve(ReconConfig())
         for config in configs:
             moved = [np.linalg.norm(a.reconstruction - b.reconstruction)
@@ -1130,7 +1145,7 @@ class TestDecode:
         without the span) and the target are zero, which the first IRLS fit
         fits exactly, so they enter D_B; the column that hides them
         certifies. Gram: a design column that is zero on the rows one column
-        sees, on `_decode` called directly."""
+        sees, on `decode.decode` called directly."""
         truth, bundle = stock
         spec = TransferSpec.targets(truth.schema, {"attr2": "b3"})
         config = ReconConfig(use_individual=False)
@@ -1148,7 +1163,7 @@ class TestDecode:
         block = reconstruct_many(Y, W, zeroed, spec, config)
         alone = [reconstruct(s.y, s.mask, zeroed, spec, config) for s in samples]
         with monkeypatch.context() as patch:
-            patch.setattr(reconstructor, "_decode", no_decode)
+            patch.setattr(decoder, "decode", no_decode)
             alm = reconstruct(samples[0].y, samples[0].mask, zeroed, spec, config)
         assert self.same(alone[0], alm)
         # In the block, column 0 runs the ALM beside a column that retired
@@ -1166,7 +1181,7 @@ class TestDecode:
         x = np.column_stack([np.linalg.lstsq(design[m], t[m], rcond=None)[0]
                              for m, t in zip(seen.T, target.T)])
         norm = np.linalg.norm(Y * W, axis=0)
-        out, certified = reconstructor._decode(design, np.ones(2, dtype=bool), seen, target, x,
+        out, certified = decoder.decode(design, np.ones(2, dtype=bool), seen, target, x,
                                                norm, ReconConfig().eps, True)
         assert certified.tolist() == [False, True]
         assert out[:, 0].tobytes() == x[:, 0].tobytes()
@@ -1177,7 +1192,7 @@ class TestDecode:
         is bitwise the ALM's result."""
         truth, bundle = stock
         spec = TransferSpec.targets(truth.schema, {"attr2": "b3"})
-        monkeypatch.setattr(reconstructor, "PIVOTS", 0)
+        monkeypatch.setattr(decoder, "PIVOTS", 0)
         outcomes = []
         for seed in range(24):
             result, decoded, alm = self.solve(monkeypatch, holdout_sample(truth, seed), bundle, spec)
@@ -1193,8 +1208,8 @@ class TestDecode:
         comes back bitwise the ALM's result."""
         truth, bundle = stock
         calls = []
-        vertex = reconstructor._vertex
-        monkeypatch.setattr(reconstructor, "_vertex", lambda *args: calls.append(1) or vertex(*args))
+        vertex = decoder._vertex
+        monkeypatch.setattr(decoder, "_vertex", lambda *args: calls.append(1) or vertex(*args))
         free = TransferSpec.all_free(truth.schema)
         decoded = [self.solve(monkeypatch, holdout_sample(truth, seed, 0.5, 0.30, 5.0), bundle,
                               free)[1] for seed in range(6)]
@@ -1203,19 +1218,19 @@ class TestDecode:
         sample = holdout_sample(truth, 3)
         config = ReconConfig(use_individual=False)
         result = reconstruct(sample.y, sample.mask, bundle, spec, config)
-        monkeypatch.setattr(reconstructor, "_decode", no_decode)
+        monkeypatch.setattr(decoder, "decode", no_decode)
         assert self.same(result, reconstruct(sample.y, sample.mask, bundle, spec, config))
         assert calls == []
 
     def test_positive_definite_tries_each_matrix_after_a_failure(self):
         """The trust test of the shifted Grams G - NORMAL_RATIO * tr(G) * I
-        in `_normal_maps`, `_per_matrix` of `np.linalg.cholesky`: a stacked
+        in `decode.normal_maps`, `_per_matrix` of `np.linalg.cholesky`: a stacked
         Cholesky, and after it fails, one matrix at a time."""
         eye = np.eye(3)
         singular = np.diag([1.0, 1.0, 0.0])
 
         def positive_definite(a):
-            return reconstructor._per_matrix(np.linalg.cholesky, a)[1].tolist()
+            return decoder._per_matrix(np.linalg.cholesky, a)[1].tolist()
 
         assert positive_definite(np.stack([eye, 2 * eye])) == [True, True]
         assert positive_definite(np.stack([eye, singular, -eye, 0.5 * eye])) == [
