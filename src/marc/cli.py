@@ -23,7 +23,7 @@ from .errors import FormatError, NumericalError, ValidationError
 from .proxops import RankRule
 from .reconstructor import ReconConfig, TransferSpec, reconstruct_many, synthesize
 from .synthbench import SynthSpec, check_sizes, default_spec, generate, recovery_metrics
-from .trainer import MU0_NORMS, Schedule, SolverConfig, train
+from .trainer import Schedule, SolverConfig, train
 
 MATRIX_SUFFIXES = (".marc", ".csv")
 
@@ -75,14 +75,13 @@ def _add_common_recon_flags(p: argparse.ArgumentParser) -> None:
                            f"(default {ReconConfig().rank_rule.energy})")
     span.add_argument("--no-individual", action="store_true",
                       help="drop the individual span from the reconstruction")
-    p.add_argument("--seed", type=int, default=0,
-                   help="accepted for interface uniformity; reconstruction is "
-                        "deterministic and ignores it")
 
 
 def _recon_config(args: argparse.Namespace) -> ReconConfig:
-    kwargs = dict(_schedule_kwargs(args), use_individual=not args.no_individual)
-    if args.rank is not None:
+    kwargs = _schedule_kwargs(args)
+    if args.no_individual:
+        kwargs["rank_rule"] = None
+    elif args.rank is not None:
         kwargs["rank_rule"] = RankRule.fixed(args.rank)
     elif args.energy is not None:
         kwargs["rank_rule"] = RankRule.energy_fraction(args.energy)
@@ -140,7 +139,7 @@ def _run_recon_jobs(args: argparse.Namespace) -> int:
 def _cmd_train(args: argparse.Namespace) -> int:
     schema, samples = formats.load_manifest(args.manifest)
     ts = assemble(schema, samples)
-    config = SolverConfig(**_schedule_kwargs(args), mu0_norm=args.mu0_norm, seed=args.seed)
+    config = SolverConfig(**_schedule_kwargs(args), seed=args.seed)
     start = time.perf_counter()
     bundle = train(ts, config)
     wall = time.perf_counter() - start
@@ -229,10 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("manifest", help="dataset manifest (JSON)")
     p.add_argument("--output", "-o", required=True, help="bundle directory to write")
     _add_schedule_flags(p, "1/sqrt(max(dim, count))")
-    solver = SolverConfig()
-    p.add_argument("--mu0-norm", choices=MU0_NORMS, default=solver.mu0_norm,
-                   help="norm of X scaling the initial penalty")
-    p.add_argument("--seed", type=int, default=solver.seed, help="basis initialization seed")
+    p.add_argument("--seed", type=int, default=SolverConfig().seed,
+                   help="basis initialization seed")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("complete", help="fill in partially observed vectors")
@@ -267,8 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", required=True, help="ground-truth directory from synth")
     p.add_argument("--out-json", default=None, help="also write the report as JSON")
     p.add_argument("--out-txt", default=None, help="also write the report as key=value text")
-    p.add_argument("--seed", type=int, default=0,
-                   help="accepted for interface uniformity; eval is deterministic")
     p.set_defaults(func=_cmd_eval)
 
     return parser

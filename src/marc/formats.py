@@ -14,14 +14,14 @@ A trained bundle and a planted ground truth hold the same factors, stored
 by one writer and read by one reader in the same files: schema.json,
 basis_<i>.marc per attribute, selectors.marc (the per-attribute selector
 matrices as binary records in schema order), individual.marc and error.marc.
-A bundle adds config.json and diagnostics.json (a span.marc left by older
-versions is ignored); a truth directory adds assignments.json, mask.marc,
-data.marc and, for a planted individual part of rank > 0, g_left.marc and
-g_singulars.marc. Both loaders check every matrix's shape against the others
-("<path> has shape (r, c), expected (r', c')") and refuse one with a NaN or
-infinite entry ("<path>: non-finite entries"), check every record field's
-type, and build the config through `SolverConfig`'s own checks; a
-failure raises FormatError.
+A bundle adds config.json and diagnostics.json (older versions' span.marc
+and config echo "mu0_norm": "spectral" are ignored); a truth directory adds
+assignments.json, mask.marc, data.marc and, for a planted individual part
+of rank > 0, g_left.marc and g_singulars.marc. Both loaders check every
+matrix's shape against the others ("<path> has shape (r, c), expected
+(r', c')"), refuse one with a NaN or infinite entry ("<path>: non-finite
+entries"), check every record field's type, and build the config through
+`SolverConfig`'s own checks; a failure raises FormatError.
 """
 from __future__ import annotations
 
@@ -198,14 +198,18 @@ def _has_type(value: object, hint: object) -> bool:
     return isinstance(value, hint) and isinstance(value, bool) == (hint is bool)
 
 
-def _read_record(path: Path, cls: type, what: str):
+def _read_record(path: Path, cls: type, what: str, legacy: dict | None = None):
     """Read the JSON object at `path` into the dataclass `cls`. Unknown or
     missing keys, a value that does not have its field's declared type, and
     a record that its own construction checks refuse raise FormatError
-    naming `what`. Types are checked before the record is built."""
+    naming `what`. Types are checked before the record is built. A `legacy`
+    key, a field `cls` no longer has, is dropped if it holds its one value."""
     doc = _json_load(path)
     hints = typing.get_type_hints(cls)
     try:
+        for key, value in (legacy or {}).items():
+            if (held := doc.pop(key, value)) != value:
+                raise ValidationError(f"{key} must be {value!r} or absent, got {held!r}")
         for f in dataclasses.fields(cls):
             if f.name in doc and not _has_type(doc[f.name], hints[f.name]):
                 raise ValidationError(f"{f.name} must be {f.type}, got {doc[f.name]!r}")
@@ -294,7 +298,8 @@ def load_bundle(path: str | Path) -> ModelBundle:
     root = Path(path)
     return ModelBundle(
         **_load_factors(root),
-        config=_read_record(root / "config.json", SolverConfig, "config echo"),
+        config=_read_record(root / "config.json", SolverConfig, "config echo",
+                            legacy={"mu0_norm": "spectral"}),
         diagnostics=_read_record(root / "diagnostics.json", TrainDiagnostics, "diagnostics"),
     )
 

@@ -45,7 +45,8 @@ stops, and a vector with no visible signal is retired before the first step.
 
 Inputs meet the rules training data meets, once per call: the length rule
 `dataset.check_input` (one vector) and the value rule `dataset.check_observed`
-(the vector, or the whole block naming the column at fault).
+(the vector, or the whole block naming the column at fault), and so is the
+transfer spec, an empty block's too.
 """
 from __future__ import annotations
 
@@ -84,11 +85,15 @@ BLOCK_WIDTH = 64
 class ReconConfig(Schedule):
     """Reconstruction hyperparameters: the shared schedule (lam = None
     selects 1/sqrt(dim)), plus rank_rule, which picks the width of the
-    individual span K, and use_individual; False drops K entirely (for
-    models whose individual part is degenerate or unwanted)."""
+    individual span K; None drops K entirely (for models whose individual
+    part is degenerate or unwanted)."""
 
-    rank_rule: RankRule = RankRule.energy_fraction(0.99)
-    use_individual: bool = True
+    rank_rule: RankRule | None = RankRule.energy_fraction(0.99)
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not isinstance(self.rank_rule, (RankRule, type(None))):
+            raise ValidationError(f"rank_rule must be a RankRule or None, got {self.rank_rule!r}")
 
 
 @dataclass(frozen=True)
@@ -152,18 +157,18 @@ class ReconState:
 ReconObserver = Callable[[ReconState, int], None]
 
 
-def build_span(bundle: ModelBundle, rule: RankRule | None = None) -> np.ndarray:
+def build_span(bundle: ModelBundle, rule: RankRule | None) -> np.ndarray:
     """Orthonormal basis of the trained individual component, as wide as
-    `rule` picks (default: ReconConfig's), cut from the bundle's SVD;
-    the bundle is left as it was. An identically zero individual part has no
-    span of any width, an explicit rank included; reconstruct such a model
-    with use_individual=False."""
+    `rule` picks, cut from the bundle's SVD; the bundle is left as it was.
+    No rule (None) is the zero-width span. An identically zero individual
+    part has no span of any width, an explicit rank included; reconstruct
+    such a model with rank_rule=None."""
     if rule is None:
-        rule = ReconConfig().rank_rule
+        return np.zeros((bundle.dim, 0))
     if bundle.individual_svd[1][0] == 0.0:  # the spectral norm of G
         raise DegenerateMatrixError(
             "the trained individual component is identically zero; "
-            "reconstruct without it (use_individual=False, --no-individual)"
+            "reconstruct without it (rank_rule=None, --no-individual)"
         )
     return svd_span(bundle.individual_svd, rule)
 
@@ -173,7 +178,7 @@ def synthesize(
     spec: TransferSpec,
     selectors: list[np.ndarray],
     coeffs: np.ndarray,
-    rule: RankRule,
+    rule: RankRule | None,
 ) -> np.ndarray:
     """sum_i F_i h_i + K w, where h_i is the trained selector of the
     instantiation `spec` pins attribute i to, or else selectors[i], and K is
@@ -217,6 +222,7 @@ def reconstruct(
     observed = y * w_y
     norms = checked_norms([observed], "reconstruction",
                           lambda _: "the observed norm of the input vector")
+    spec = _check_spec(spec, bundle.schema)
     [result] = _solve(y, w_y, observed, norms, bundle, spec, config, observer)
     return result
 
@@ -280,10 +286,12 @@ def reconstruct_many(
 
     Pinned selectors are copied from the trained bank and never touched, so
     they come back bitwise identical. Non-convergence is flagged in
-    diagnostics, not raised. The whole input is checked before any slice
-    is solved: input that breaks `dataset.check_observed` raises
-    ValidationError naming the first offending column c as `name(c)`, and a
-    column whose observed norm overflows float64 raises NumericalError.
+    diagnostics, not raised. The whole input and the spec are checked before
+    any slice is solved, if there is none too: input that breaks
+    `dataset.check_observed` raises ValidationError naming the first
+    offending column c as `name(c)`, a spec that does not fit the schema
+    ValidationError, and a column whose observed norm overflows float64
+    raises NumericalError.
     """
     dim = bundle.dim
     Y = np.asarray(Y, dtype=np.float64)
@@ -292,6 +300,7 @@ def reconstruct_many(
     Y, W = check_observed(Y, W, name, "input vector", "input mask")
     observed = Y * W
     norms = checked_norms(observed.T, "reconstruction", lambda c: f"the observed norm of {name(c)}")
+    spec = _check_spec(spec, bundle.schema)
     count = Y.shape[1]
     slices = np.array_split(np.arange(count), math.ceil(count / BLOCK_WIDTH)) if count else []
     return [result for block in slices
@@ -317,24 +326,23 @@ def _solve(
     observed: np.ndarray,
     norms: list[float],
     bundle: ModelBundle,
-    spec: TransferSpec | None,
+    spec: TransferSpec,
     config: ReconConfig,
     observer: ReconObserver | None,
 ) -> list[ReconResult]:
-    """A slice of `reconstruct_many` on checked input: Y, W and `observed`
-    = Y * W are (dim, B), or (dim,) for one vector, with their B observed
-    `norms`. One vector runs the same steps without the column axis: its
-    state holds 1-D arrays and a scalar mu, which its observer sees, and its
-    per-column bookkeeping costs no numpy calls on length-1 arrays. That
-    path pays for itself: as a 1-column block, calls that certify at the
-    first step take 8% / 9% longer (200 free / 200 pinned recon-holdout
-    calls of seed 4242) and penalty-loop solves 25% (the free solves of 80
-    stock holdouts, 50% hidden, 30% spikes); paired per-call medians, min of
-    5, one BLAS thread, 2-core VM."""
-    spec = _check_spec(spec, bundle.schema)
+    """A slice of `reconstruct_many` on checked input and spec: Y, W and
+    `observed` = Y * W are (dim, B), or (dim,) for one vector, with their B
+    observed `norms`. One vector runs the same steps without the column
+    axis: its state holds 1-D arrays and a scalar mu, which its observer
+    sees, and its per-column bookkeeping costs no numpy calls on length-1
+    arrays. That path pays for itself: as a 1-column block, calls that
+    certify at the first step take 8% / 9% longer (200 free / 200 pinned
+    recon-holdout calls of seed 4242) and penalty-loop solves 25% (the free
+    solves of 80 stock holdouts, 50% hidden, 30% spikes); paired per-call
+    medians, min of 5, one BLAS thread, 2-core VM."""
     dim = bundle.dim
     columns = [Y] if Y.ndim == 1 else list(Y.T)
-    span = build_span(bundle, config.rank_rule) if config.use_individual else np.zeros((dim, 0))
+    span = build_span(bundle, config.rank_rule)
     bases = bundle.bases
     trained = [bundle.bank.selectors[i][:, mode] if mode is not None else None
                for i, mode in enumerate(spec.pinned)]

@@ -15,13 +15,14 @@ a selector step and an orthonormal basis step, then a singular-value-
 threshold step for G and a masked soft-threshold step for E. Sweeps repeat
 until one moves sum F_k H_k + G by at most INNER_TOL * ||X||_F, at most
 INNER_SWEEPS times; then come a dual ascent step and a geometric penalty
-increase capped at mu_max. Solving each step's subproblem (the exact rather
-than the inexact augmented Lagrangian method, Lin, Chen & Ma,
-arXiv:1009.5055) matters at the pinned schedule: with one pass per step the
-iterate becomes feasible and freezes at the wrong split before the dual has
-done its work. The loop around the sweeps (penalty schedule, observer, stop
-rules and the run's record, `TrainDiagnostics`) is `run_penalty_steps`,
-which reconstruction shares.
+increase from mu0_scale / ||X||_2 (the spectral norm of X), capped at
+mu_max. Solving each step's subproblem (the exact rather than the inexact
+augmented Lagrangian method, Lin, Chen & Ma, arXiv:1009.5055) matters at the
+pinned schedule: with one pass per step the iterate becomes feasible and
+freezes at the wrong split before the dual has done its work. The loop
+around the sweeps (penalty schedule, observer, stop rules and the run's
+record, `TrainDiagnostics`) is `run_penalty_steps`, which reconstruction
+shares.
 
 Selectors are handled in indicator form. With Z_i the count x M_i one-hot
 matrix of attribute i's labels and S_i its (M_i, M_i) selector block,
@@ -87,9 +88,6 @@ from .proxops import (
 INNER_SWEEPS = 10
 INNER_TOL = 1e-5
 
-# The norms of X that SolverConfig.mu0_norm may name.
-MU0_NORMS = ("spectral", "frobenius")
-
 
 @dataclass(frozen=True)
 class Schedule:
@@ -131,18 +129,13 @@ class Schedule:
 
 @dataclass(frozen=True)
 class SolverConfig(Schedule):
-    """Training hyperparameters: the shared schedule, plus mu0_norm, the
-    norm of X that scales the initial penalty ("spectral", the default, or
-    "frobenius"), and the seed of the random initial bases."""
+    """Training hyperparameters: the shared schedule, whose penalty starts at
+    mu0_scale / ||X||_2, plus the seed of the random initial bases."""
 
-    mu0_norm: str = "spectral"
     seed: int = 0
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.mu0_norm not in MU0_NORMS:
-            allowed = " or ".join(repr(norm) for norm in MU0_NORMS)
-            raise ValidationError(f"mu0_norm must be {allowed}, got '{self.mu0_norm}'")
         check_integer(self.seed, "seed")
 
 
@@ -512,9 +505,6 @@ def train(
     if norm == 0.0:
         return _zero_bundle(ts, config, lam)
 
-    spectral = config.mu0_norm == "spectral"
-    mu0 = config.mu0_scale / (float(np.linalg.norm(ts.X, 2)) if spectral else norm)
-
     rng = np.random.default_rng(config.seed)
     state = TrainState(
         config=config,
@@ -523,7 +513,7 @@ def train(
         individual=np.zeros_like(ts.X),
         sparse_error=np.zeros_like(ts.X),
         dual=np.zeros_like(ts.X),
-        mu=mu0,
+        mu=config.mu0_scale / float(np.linalg.norm(ts.X, 2)),
         lam=lam,
     )
 

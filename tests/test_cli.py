@@ -511,6 +511,7 @@ class TestCompleteAndTransfer:
         ("diagnostics", "residual_history", "x"),
         ("config", "rho", "fast"),
         ("config", "t_max", -3),
+        ("config", "mu0_norm", "frobenius"),
     ])
     def test_corrupt_record_is_format_error(self, workspace, tmp_path, capsys, name, key, value):
         bundle = tmp_path / "bundle"
@@ -530,14 +531,16 @@ class TestCompleteAndTransfer:
         bundle = tmp_path / "bundle"
         shutil.copytree(workspace / "bundle", bundle)
         sample = workspace / "data" / "samples" / "sample_0000.marc"
-        args = ["complete", "-b", str(bundle), "-i", str(sample), "--rank", "1",
-                "--t-max", "60"]
-        assert main(args + ["-o", str(tmp_path / "plain.marc")]) == 0
         wide = np.linalg.qr(np.random.default_rng(5).standard_normal((30, 3)))[0]
-        write_matrix(bundle / "span.marc", wide)
-        assert main(args + ["-o", str(tmp_path / "leftover.marc")]) == 0
-        assert np.array_equal(read_vector(tmp_path / "plain.marc"),
-                              read_vector(tmp_path / "leftover.marc"))
+        for flag, value in (("--rank", "1"), ("--energy", "0.5")):
+            (bundle / "span.marc").unlink(missing_ok=True)
+            args = ["complete", "-b", str(bundle), "-i", str(sample), flag, value,
+                    "--t-max", "60"]
+            assert main(args + ["-o", str(tmp_path / "plain.marc")]) == 0
+            write_matrix(bundle / "span.marc", wide)
+            assert main(args + ["-o", str(tmp_path / "leftover.marc")]) == 0
+            assert np.array_equal(read_vector(tmp_path / "plain.marc"),
+                                  read_vector(tmp_path / "leftover.marc"))
 
     def test_transfer_routes(self, workspace, tmp_path):
         sample = workspace / "data" / "samples" / "sample_0001.marc"
@@ -604,6 +607,18 @@ class TestCompleteAndTransfer:
                   "--rank", "2", "--energy", "0.9"])
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "m.json", "-o", "b", "--mu0-norm", "spectral"],
+        ["complete", "-b", "b", "-i", "x.marc", "-o", "y.marc", "--seed", "0"],
+        ["transfer", "-b", "b", "-i", "x.marc", "-o", "y.marc", "-t", "a=b", "--seed", "0"],
+        ["eval", "-b", "b", "--truth", "t", "--seed", "0"],
+    ], ids=["train-mu0-norm", "complete-seed", "transfer-seed", "eval-seed"])
+    def test_removed_flags_are_refused(self, capsys, argv):
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestDefaultsStayPinned:
     """The argparse defaults duplicate the config dataclass defaults; this
@@ -618,7 +633,6 @@ class TestDefaultsStayPinned:
         assert args.rho == cfg.rho
         assert args.mu_max == cfg.mu_max
         assert args.mu0_scale == cfg.mu0_scale
-        assert args.mu0_norm == cfg.mu0_norm
         assert args.seed == cfg.seed
 
     def test_recon_defaults(self):

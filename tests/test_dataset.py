@@ -139,6 +139,13 @@ class TestTrainingSet:
         with pytest.raises(ValidationError,
                            match="label_index for attribute 'kind' must be an integer"):
             TrainingSet(schema, X, W, (np.array([0, 1, 0.5, 1]),))
+        with pytest.raises(ValidationError, match="X must be a non-empty 2-D matrix"):
+            TrainingSet(schema, np.ones(4), W, idx)
+        with pytest.raises(ValidationError, match="one entry per schema attribute"):
+            TrainingSet(schema, X, W, idx + idx)
+        with pytest.raises(ValidationError,
+                           match="label_index for attribute 'kind' must have length 4"):
+            TrainingSet(schema, X, W, (np.array([0, 1, 0]),))
 
 
 class TestColumnsAndSelectors:
@@ -177,3 +184,5 @@ class TestColumnsAndSelectors:
         bad = SelectorBank([np.zeros((3, 2))])
         with pytest.raises(ValidationError, match="must be"):
             materialize_h(bad, ts, 0)
+        with pytest.raises(ValidationError, match="attribute index 1 out of range"):
+            materialize_h(SelectorBank.zeros(ts.schema), ts, 1)

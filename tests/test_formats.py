@@ -24,6 +24,7 @@ from marc.formats import (
     write_matrix,
     write_vector,
 )
+from marc.reconstructor import complete
 from marc.synthbench import SynthSpec, generate
 from marc.trainer import SolverConfig, train
 
@@ -98,6 +99,11 @@ class TestMatrixContainer:
         with pytest.raises(FormatError, match=message):
             read_matrix(path)
 
+    def test_only_matrices_are_written(self, tmp_path):
+        with pytest.raises(ValidationError, match="can only store 2-D matrices, got ndim=3"):
+            write_matrix(tmp_path / "m.marc", np.zeros((2, 2, 2)))
+        assert not (tmp_path / "m.marc").exists()
+
     def test_vector_rejects_true_matrix(self, tmp_path):
         write_matrix(tmp_path / "m.marc", np.zeros((2, 3)))
         with pytest.raises(FormatError, match="expected a vector"):
@@ -147,6 +153,9 @@ class TestManifest:
 
     def test_structural_errors(self, tmp_path):
         path = tmp_path / "manifest.json"
+        path.write_text("{not json\n")
+        with pytest.raises(FormatError, match="manifest.json: invalid JSON"):
+            load_manifest(path)
         path.write_text("[]\n")
         with pytest.raises(FormatError, match="JSON object"):
             load_manifest(path)
@@ -164,6 +173,11 @@ class TestManifest:
                                     "schema": SCHEMA.to_dict(),
                                     "samples": [{"labels": {}}]}))
         with pytest.raises(FormatError, match="sample 0 needs"):
+            load_manifest(path)
+        entries = write_sample_files(tmp_path)
+        entries[2]["labels"] = ["a"]
+        write_manifest(path, SCHEMA, entries)
+        with pytest.raises(FormatError, match="sample 2 labels must be a mapping"):
             load_manifest(path)
 
     @pytest.mark.parametrize("field", ["data", "mask"])
@@ -270,6 +284,7 @@ class TestBundleArchive:
         ("config", "rho", "fast", "rho must be float, got 'fast'"),
         ("config", "t_max", -3, "t_max must be >= 1, got -3"),
         ("config", "seed", -1, "seed must be a non-negative integer, got -1"),
+        ("config", "mu0_norm", "frobenius", "mu0_norm must be 'spectral' or absent, got 'frobenius'"),
     ])
     def test_records_are_checked(self, tmp_path, trained_small, name, key, value, message):
         save_bundle(tmp_path / "bundle", trained_small)
@@ -312,6 +327,22 @@ class TestBundleArchive:
         save_bundle(tmp_path / "bundle", trained_small)
         write_matrix(tmp_path / "bundle" / "span.marc", np.zeros((29, 3)))
         assert_bundles_equal(trained_small, load_bundle(tmp_path / "bundle"))
+
+    def test_legacy_mu0_norm_echo_loads(self, tmp_path, trained_small):
+        # Older config echoes hold "mu0_norm": "spectral", the norm training
+        # still scales the initial penalty by; such a bundle loads as it was.
+        for name in ("fresh", "legacy"):
+            save_bundle(tmp_path / name, trained_small)
+        path = tmp_path / "legacy" / "config.json"
+        doc = json.loads(path.read_text())
+        assert "mu0_norm" not in doc
+        doc["mu0_norm"] = "spectral"
+        path.write_text(json.dumps(doc))
+        fresh, legacy = load_bundle(tmp_path / "fresh"), load_bundle(tmp_path / "legacy")
+        assert_bundles_equal(fresh, legacy)
+        rng = np.random.default_rng(8)
+        y, w = rng.standard_normal(fresh.dim), (rng.random(fresh.dim) >= 0.2).astype(float)
+        assert complete(y, w, fresh).tobytes() == complete(y, w, legacy).tobytes()
 
 
 class TestTruthArchive:

@@ -58,7 +58,8 @@ class TestValidation:
             with pytest.raises(ValidationError):
                 ReconConfig(**bad)
 
-    @pytest.mark.parametrize("bad", [dict(rho=1.0), dict(t_max=0), dict(mu_max=float("inf"))])
+    @pytest.mark.parametrize("bad", [dict(rho=1.0), dict(t_max=0), dict(mu_max=float("inf")),
+                                     dict(rank_rule=0.9)])
     def test_config_checks_itself_when_built(self, bad):
         with pytest.raises(ValidationError):
             dataclasses.replace(ReconConfig(), **bad)
@@ -85,6 +86,13 @@ class TestValidation:
             reconstruct(y, None, bundle, spec=TransferSpec((None,)))
         with pytest.raises(ValidationError, match="out of range"):
             reconstruct(y, None, bundle, spec=TransferSpec((None, 3)))
+        # The spec is checked once per call, before any slice: an empty
+        # block has none, and is checked all the same.
+        empty = np.zeros((bundle.dim, 0))
+        with pytest.raises(ValidationError, match="pinned instantiation 99 out of range"):
+            reconstruct_many(empty, None, bundle, TransferSpec((99, None)))
+        with pytest.raises(ValidationError, match="does not cover"):
+            reconstruct_many(empty, None, bundle, TransferSpec((None,)))
         with pytest.raises(ValidationError, match="pinned instantiation must be an integer"):
             TransferSpec((True, None))
 
@@ -104,12 +112,12 @@ class TestSpan:
         truth, _, _, _ = planted
         bundle = bundle_from_truth(truth)
         bundle = dataclasses.replace(bundle, individual=np.zeros_like(bundle.individual))
-        with pytest.raises(DegenerateMatrixError, match="use_individual=False"):
-            build_span(bundle)
+        with pytest.raises(DegenerateMatrixError, match="rank_rule=None"):
+            build_span(bundle, ReconConfig().rank_rule)
         # An explicit rank finds no span either, so the message offers none.
-        with pytest.raises(DegenerateMatrixError, match="use_individual=False") as info:
+        with pytest.raises(DegenerateMatrixError, match="rank_rule=None") as info:
             build_span(bundle, RankRule.fixed(2))
-        assert "rank" not in str(info.value)
+        assert "--rank" not in str(info.value) and "RankRule" not in str(info.value)
 
     def test_span_follows_each_rank_rule(self, planted):
         truth, _, y, _ = planted
@@ -127,7 +135,7 @@ class TestSpan:
         truth, _, y, _ = planted
         bundle = bundle_from_truth(truth)
         bundle = dataclasses.replace(bundle, individual=np.zeros_like(bundle.individual))
-        cfg = ReconConfig(use_individual=False, mu0_scale=1.25)
+        cfg = ReconConfig(rank_rule=None, mu0_scale=1.25)
         result = reconstruct(y, None, bundle, config=cfg)
         assert result.indiv_coeffs.size == 0
         assert result.diagnostics.iterations >= 1
@@ -208,7 +216,7 @@ class TestRecoveryAtDefaults:
     def test_nothing_free_and_nothing_visible(self, planted):
         truth, bundle, y, _ = planted
         spec = TransferSpec.targets(truth.schema, {"shape": "round", "tint": "cool"})
-        cfg = ReconConfig(use_individual=False)
+        cfg = ReconConfig(rank_rule=None)
         pinned = reconstruct(y, np.zeros_like(y), bundle, spec=spec, config=cfg)
         expect = truth.bases[0] @ truth.bank.selectors[0][:, 0] \
             + truth.bases[1] @ truth.bank.selectors[1][:, 1]
@@ -392,15 +400,15 @@ class TestBlock:
     @pytest.mark.parametrize("pins", [{}, {"tint": "cool"}], ids=["free", "pinned"])
     @pytest.mark.parametrize("stop, options", [
         ("converged", {}), ("t_max", dict(t_max=6)), ("stalled", dict(mu_max=30.0)),
-        ("converged", dict(use_individual=False)),
-        ("t_max", dict(t_max=6, use_individual=False)),
-        ("stalled", dict(mu_max=3.0, use_individual=False)),
+        ("converged", dict(rank_rule=None)),
+        ("t_max", dict(t_max=6, rank_rule=None)),
+        ("stalled", dict(mu_max=3.0, rank_rule=None)),
     ], ids=["defaults", "t_max-6", "mu_max-30", "no-span", "no-span-t_max-6", "no-span-mu_max-3"])
     def test_each_column_matches_its_single_solve(self, planted, monkeypatch, layout, pins, stop,
                                                   options):
         """Columns stop at different steps and leave the working set; with
         a small t_max some stop there, with a small mu_max some stall.
-        Without the span (use_individual=False) its coefficients are a
+        Without the span (rank_rule=None) its coefficients are a
         zero-width block of the design; mu_max = 30 is not small enough to
         stall every such case, so those take mu_max = 3. Past BLOCK_WIDTH
         columns, every slice solves its columns as they are solved alone.
@@ -409,7 +417,7 @@ class TestBlock:
         truth, bundle, _, _ = planted
         Y, W = self.columns(planted, layout)
         spec = TransferSpec.targets(truth.schema, pins)
-        config = ReconConfig(rank_rule=RankRule.fixed(2), **options)
+        config = ReconConfig(**{"rank_rule": RankRule.fixed(2), **options})
         for _ in self.decodes(monkeypatch, pins):
             block = reconstruct_many(Y, W, bundle, spec, config)
             self.match_single_solves(Y, W, bundle, spec, config, block)
@@ -442,9 +450,9 @@ class TestBlock:
             self.assert_close(g.mu_history, w.mu_history, np.linalg.norm(w.mu_history))
 
     @pytest.mark.parametrize("pins", [{}, {"tint": "cool"}], ids=["free", "pinned"])
-    @pytest.mark.parametrize("use_individual", [True, False], ids=["span", "no-span"])
+    @pytest.mark.parametrize("rank_rule", [RankRule.fixed(2), None], ids=["span", "no-span"])
     def test_a_column_with_no_visible_signal_takes_its_fixed_result(self, planted, monkeypatch,
-                                                                   pins, use_individual):
+                                                                   pins, rank_rule):
         """A zero vector and a fully hidden nonzero one take no step, alone
         and in a block whose other columns stop at different steps (for a
         transfer, with the ALM alone; with the decode too). Free
@@ -455,7 +463,7 @@ class TestBlock:
         truth, bundle, _, _ = planted
         Y, W = self.columns(planted)
         spec = TransferSpec.targets(truth.schema, pins)
-        config = ReconConfig(rank_rule=RankRule.fixed(2), use_individual=use_individual)
+        config = ReconConfig(rank_rule=rank_rule)
         for _ in self.decodes(monkeypatch, pins):
             block = self.check_no_signal_columns(truth, bundle, Y, W, spec, config)
         assert len({result.diagnostics.iterations for result in block[2:]}) > 2
@@ -480,7 +488,7 @@ class TestBlock:
             y, visible = Y[:, c], W[:, c] != 0.0
             for result in (block[c], reconstruct(y, W[:, c], bundle, spec, config)):
                 assert all(map(bitwise, result.selectors, trained))
-                assert bitwise(result.indiv_coeffs, np.zeros(2 if config.use_individual else 0))
+                assert bitwise(result.indiv_coeffs, np.zeros(0 if config.rank_rule is None else 2))
                 assert bitwise(result.reconstruction, synthesis)
                 assert bitwise(result.sparse_error,
                                np.where(visible, 0.0, y - result.reconstruction))
@@ -618,7 +626,8 @@ class TestNormalMaps:
     def stock(self, default_instance):
         _, truth = default_instance
         bundle = bundle_from_truth(truth)
-        return truth, bundle, np.concatenate(bundle.bases + [build_span(bundle)], axis=1)
+        span = build_span(bundle, ReconConfig().rank_rule)
+        return truth, bundle, np.concatenate(bundle.bases + [span], axis=1)
 
     @staticmethod
     def spy(monkeypatch):
@@ -733,8 +742,8 @@ class TestNormalMaps:
             assert np.linalg.norm(got[0] - ref) <= 1e-14 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("pins, options, tol", [
-        ({}, {}, 1e-12), ({"attr2": "b3"}, {}, 1e-12), ({}, dict(use_individual=False), 1e-12),
-        ({"attr1": "a2", "attr2": "b3"}, dict(use_individual=False), 0.0),
+        ({}, {}, 1e-12), ({"attr2": "b3"}, {}, 1e-12), ({}, dict(rank_rule=None), 1e-12),
+        ({"attr1": "a2", "attr2": "b3"}, dict(rank_rule=None), 0.0),
     ], ids=["free", "pinned", "no-span", "zero-width"])
     def test_solves_as_the_pinv_route(self, stock, monkeypatch, pins, options, tol):
         """Stock holdouts solved alone and as one block take the same
@@ -891,7 +900,8 @@ class TestDecode:
         spec = TransferSpec.targets(truth.schema, pins)
         eps = ReconConfig().eps
         free = [i for i, mode in enumerate(spec.pinned) if mode is None]
-        design = np.concatenate([bundle.bases[i] for i in free] + [build_span(bundle)], axis=1)
+        span = build_span(bundle, ReconConfig().rank_rule)
+        design = np.concatenate([bundle.bases[i] for i in free] + [span], axis=1)
         k = design.shape[1]
         pinned = sum((bundle.bases[i] @ bundle.bank.selectors[i][:, mode]
                       for i, mode in enumerate(spec.pinned) if mode is not None),
@@ -970,7 +980,8 @@ class TestDecode:
         truth, bundle = stock
         spec = TransferSpec.all_free(truth.schema)
         eps = ReconConfig().eps
-        design = np.concatenate(bundle.bases + [build_span(bundle)], axis=1)
+        design = np.concatenate(bundle.bases + [build_span(bundle, ReconConfig().rank_rule)],
+                                axis=1)
         sample = holdout_sample(truth, 0)
         seen = sample.mask != 0.0
         noise = np.random.default_rng(3).standard_normal(bundle.dim) * seen
@@ -1014,7 +1025,8 @@ class TestDecode:
         assert refused[:3] == [False, False, True]
         assert not decoded and self.same(result, alm)
 
-        design = np.concatenate(bundle.bases + [build_span(bundle)], axis=1)
+        design = np.concatenate(bundle.bases + [build_span(bundle, ReconConfig().rank_rule)],
+                                axis=1)
         sample = holdout_sample(truth, 2)
         seen = sample.mask != 0.0
         kept = self.redo(design[seen], sample.y[seen], ReconConfig().eps)[1]
@@ -1039,7 +1051,7 @@ class TestDecode:
         does it enter the vertex stage: the transfer to b3 of that holdout,
         which only the vertex certifies."""
         truth, bundle = stock
-        span = build_span(bundle)
+        span = build_span(bundle, ReconConfig().rank_rule)
         pinned = bundle.bases[1] @ bundle.bank.selectors[1][:, 2]
         sample = holdout_sample(truth, 2)
         seen = sample.mask != 0.0
@@ -1065,7 +1077,8 @@ class TestDecode:
         truth, bundle = stock
         sample = holdout_sample(truth, 9, 0.5, 0.15, 0.5)
         seen = sample.mask != 0.0
-        design = np.concatenate(bundle.bases + [build_span(bundle)], axis=1)
+        design = np.concatenate(bundle.bases + [build_span(bundle, ReconConfig().rank_rule)],
+                                axis=1)
         eps = ReconConfig().eps
         assert not self.redo(design[seen], sample.y[seen], eps, norm=0.0)[-1]
         assert self.redo(design[seen], sample.y[seen], eps)[-1]
@@ -1148,7 +1161,7 @@ class TestDecode:
         sees, on `decode.decode` called directly."""
         truth, bundle = stock
         spec = TransferSpec.targets(truth.schema, {"attr2": "b3"})
-        config = ReconConfig(use_individual=False)
+        config = ReconConfig(rank_rule=None)
         rows = [0, 1, 2]
         bases = [b.copy() for b in bundle.bases]
         bases[0][rows] = 0.0
@@ -1174,7 +1187,8 @@ class TestDecode:
         assert block[1].diagnostics.iterations == alone[1].diagnostics.iterations == 1
         assert self.parts(block[1]) == self.parts(alone[1])
 
-        design = np.concatenate([bundle.bases[0], build_span(bundle)], axis=1)
+        design = np.concatenate([bundle.bases[0], build_span(bundle, ReconConfig().rank_rule)],
+                                axis=1)
         design[:, 0] = np.where(samples[0].mask != 0.0, 0.0, design[:, 0])
         target = np.column_stack([(s.y - pinned) * s.mask for s in samples])
         seen = W != 0.0
@@ -1216,7 +1230,7 @@ class TestDecode:
         assert not all(decoded) and calls == []
         spec = TransferSpec.targets(truth.schema, {"attr1": "a2", "attr2": "b3"})
         sample = holdout_sample(truth, 3)
-        config = ReconConfig(use_individual=False)
+        config = ReconConfig(rank_rule=None)
         result = reconstruct(sample.y, sample.mask, bundle, spec, config)
         monkeypatch.setattr(decoder, "decode", no_decode)
         assert self.same(result, reconstruct(sample.y, sample.mask, bundle, spec, config))

@@ -35,6 +35,7 @@ class TestSpecValidation:
         dict(rank_g=10, dim=50, count=50), dict(sparsity=1.0),
         dict(sparsity=-0.1), dict(missing_frac=1.0), dict(noise_amp=0.0),
         dict(seed=-5), dict(seed=True), dict(seed=2.0), dict(dim=50.5),
+        dict(rank_g=5, count=5),
     ])
     def test_bad_parameters(self, kw):
         with pytest.raises(ValidationError):

@@ -81,7 +81,6 @@ class TestSolverConfig:
         cfg = SolverConfig()
         assert (cfg.eps, cfg.t_max, cfg.rho, cfg.mu_max) == (1e-7, 1000, 1.2, 1e7)
         assert cfg.mu0_scale == 25.0
-        assert cfg.mu0_norm == "spectral"
         assert cfg.lam is None
 
     def test_effective_lam(self):
@@ -92,7 +91,6 @@ class TestSolverConfig:
     @pytest.mark.parametrize("bad", [
         dict(lam=-1.0), dict(lam=0.0), dict(eps=0.0), dict(t_max=0),
         dict(rho=1.0), dict(mu_max=0.0), dict(mu0_scale=0.0),
-        dict(mu0_norm="nuclear"),
         dict(seed=-1), dict(seed=True), dict(seed=1.0), dict(seed="0"),
         dict(t_max=2.5), dict(t_max=True),
     ])
