@@ -21,7 +21,7 @@ from . import formats
 from .dataset import AttributeSchema, assemble, check_input
 from .errors import FormatError, NumericalError, ValidationError
 from .proxops import RankRule
-from .reconstructor import ReconConfig, TransferSpec, reconstruct_many, synthesize
+from .reconstructor import ReconConfig, TransferSpec, reconstruct_many
 from .synthbench import SynthSpec, check_sizes, default_spec, generate, recovery_metrics
 from .trainer import Schedule, SolverConfig, train
 
@@ -108,28 +108,23 @@ def _run_recon_jobs(args: argparse.Namespace) -> int:
     `reconstruct_many` call, which checks the values and names a file at
     fault by its path. Then create the output directory, if the input is
     one, write the outputs and print one line per job in name order.
-    Without --target every selector is solved freely; otherwise the named
-    attributes are pinned (--post-hoc chooses the joint re-solve or the
-    post-hoc substitution)."""
+    Without --target every selector is solved freely; otherwise each
+    completion is re-rendered with the named attributes pinned."""
     targets = _parse_pairs(args.target, "--target", "attribute=instantiation")
     bundle = formats.load_bundle(args.bundle)
     config = _recon_config(args)
     jobs = _recon_jobs(args)
-    pins = TransferSpec.targets(bundle.schema, targets)
+    spec = TransferSpec.targets(bundle.schema, targets)
     Y, W = np.empty((2, bundle.dim, len(jobs)))
     for k, (in_path, mask_path, _) in enumerate(jobs):
         y = formats.read_vector(in_path)
         w = formats.read_vector(mask_path) if mask_path else None
         Y[:, k], W[:, k] = check_input(y, w, bundle.dim, f"{in_path}: ")
-    spec = TransferSpec.all_free(bundle.schema) if args.post_hoc else pins
     results = reconstruct_many(Y, W, bundle, spec, config, name=lambda k: str(jobs[k][0]))
     if Path(args.input).is_dir():
         Path(args.output).mkdir(parents=True, exist_ok=True)
     for (in_path, _, out_path), result in zip(jobs, results):
-        out = result.reconstruction
-        if args.post_hoc:
-            out = synthesize(bundle, pins, result.selectors, result.indiv_coeffs, config.rank_rule)
-        formats.write_vector(out_path, out)
+        formats.write_vector(out_path, result.reconstruction)
         d = result.diagnostics
         flag = "" if d.converged else f" (did not converge: {d.stop_reason})"
         print(f"{in_path.name}: iterations={d.iterations} residual={d.final_residual:.3e}{flag}")
@@ -234,17 +229,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("complete", help="fill in partially observed vectors")
     _add_common_recon_flags(p)
-    p.set_defaults(func=_run_recon_jobs, target=[], post_hoc=False)
+    p.set_defaults(func=_run_recon_jobs, target=[])
 
-    p = sub.add_parser("transfer", help="reconstruct with pinned attribute instantiations")
+    p = sub.add_parser("transfer", help="re-render vectors with pinned attribute instantiations")
     _add_common_recon_flags(p)
     p.add_argument("--target", "-t", action="append", required=True,
                    metavar="ATTR=INST", help="pin an attribute (repeatable)")
-    p.add_argument("--post-hoc", action="store_true",
-                   help="complete freely, then substitute the pinned selectors: the "
-                        "vector re-rendered with the new instantiations; the default "
-                        "joint re-solve fits the free parts around the pins instead, "
-                        "and they absorb part of the change")
     p.set_defaults(func=_run_recon_jobs)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset with ground truth")

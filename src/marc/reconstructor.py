@@ -6,15 +6,16 @@ A test vector y (with binary visibility mask w_y) is decomposed as
 
 where the F_i are the trained bases, K is an orthonormal basis of the
 trained individual component, and e is sparse on visible entries while
-absorbing hidden entries exactly. Completion solves every selector h_i
-freely; transfer pins chosen attributes to trained selectors and re-solves
-the remaining variables jointly around them.
+absorbing hidden entries exactly. Every vector is solved with every
+selector h_i free, its completion; a transfer then re-renders that
+completion with the attributes its spec pins taking their trained
+selectors.
 
 Each penalty step solves its subproblem by Gauss-Seidel sweeps rather than a
 single pass (the exact rather than the inexact augmented Lagrangian method,
 Lin, Chen & Ma, arXiv:1009.5055): one pass per step lets the penalty grow
 past the point where the split can still change, and the iterate freezes
-feasible but wrong. A sweep solves the free selectors and the span
+feasible but wrong. A sweep solves the selectors and the span
 coefficients together by least squares on the visible rows, then
 soft-thresholds the visible part of e.
 
@@ -23,19 +24,16 @@ fit through its k x k normal map (D_v^T D_v)^-1, D_v being the visible rows
 of the k-wide design: `decode.normal_maps` gives the maps, by one trust rule
 and one inverse, and which of them it trusts.
 
-With the free selectors and the span unpenalised, a vector's optimum is the
+With the selectors and the span unpenalised, a vector's optimum is the
 least-absolute-deviations fit of its visible entries by the design; lam only
 shapes the path to it. So the first penalty step, right after its first
 least-squares fit, decodes each vector by `decode.decode`, the certified LAD
-decoder of the `decode` module (gap cuts, then for transfers an exact
-vertex), with eps the schedule's stop threshold. Completions skip the
-vertex: where the cuts fail on a completion, LAD is often past its
-breakdown (50% hidden, 30% gross errors), and there its exact optimum was
-further from the clean vector than the ALM's result. A certified vector
-keeps its refit, its e takes the residual on every entry, and it stops
-`converged` after that step with a residual of 0. Any other vector runs the
-steps as it would without the decode, bitwise when solved alone; in a block,
-whose working set narrows as certified columns retire, to rounding.
+decoder of the `decode` module (gap cuts), with eps the schedule's stop
+threshold. A certified vector keeps its refit, its e takes the residual on
+every entry, and it stops `converged` after that step with a residual of 0.
+Any other vector runs the steps as it would without the decode, bitwise
+when solved alone; in a block, whose working set narrows as certified
+columns retire, to rounding.
 
 `reconstruct_many` solves a block of vectors as independent problems that
 share each sweep's matrix products; `reconstruct` is its one-vector case, so
@@ -50,6 +48,7 @@ transfer spec, an empty block's too.
 """
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -64,14 +63,13 @@ from .proxops import RankRule, soft_threshold, svd_span
 from .trainer import ModelBundle, Schedule, TrainDiagnostics, checked_norms, run_penalty_steps
 
 # Each penalty step runs up to INNER_SWEEPS Gauss-Seidel sweeps of the primal
-# blocks (free selectors with span coefficients, then the sparse error); a
+# blocks (selectors with span coefficients, then the sparse error); a
 # sweep that moves the synthesis by at most INNER_TOL * ||y|| ends the step.
 # Measured on planted models at the pinned schedule: with a cap of 10, 7-14 in
 # 100 spiked, 30%-hidden vectors of a 40-dim model still completed wrongly
 # (the first steps need more sweeps to pull clean signal back out of e);
 # tolerances from 1.5e-2 up failed on the 200-dim stock model. Tighter
-# tolerances buy no accuracy and cost transfers, whose l1-like subproblems
-# sweeps converge on slowly, many more sweeps.
+# tolerances buy no accuracy and cost more sweeps.
 INNER_SWEEPS = 30
 INNER_TOL = 3e-3
 
@@ -98,8 +96,9 @@ class ReconConfig(Schedule):
 
 @dataclass(frozen=True)
 class TransferSpec:
-    """Per-attribute mode: None solves the selector freely, an instantiation
-    index pins it to the trained selector for that instantiation."""
+    """Per-attribute mode: None keeps the selector the completion solves, an
+    instantiation index replaces it with the trained selector for that
+    instantiation (see `reconstruct_many`)."""
 
     pinned: tuple[int | None, ...]
 
@@ -223,8 +222,8 @@ def reconstruct(
     norms = checked_norms([observed], "reconstruction",
                           lambda _: "the observed norm of the input vector")
     spec = _check_spec(spec, bundle.schema)
-    [result] = _solve(y, w_y, observed, norms, bundle, spec, config, observer)
-    return result
+    [result] = _solve(y, w_y, observed, norms, bundle, config, observer)
+    return _transfer(result, y, w_y, bundle, spec, config.rank_rule)
 
 
 def reconstruct_many(
@@ -256,24 +255,28 @@ def reconstruct_many(
     few gross errors (cut at the largest gap of the residual, refitted on
     the kept rows alone, and cut again, up to `decode.DECODE_ROUNDS` cuts,
     while the refit fails only on its misfit), and whose refit a dual
-    certificate proves to be within eps * ||w .* target||_1 of every
+    certificate proves to be within eps * ||w .* y||_1 of every
     least-absolute-deviations optimum, takes that refit, and stops
-    converged after the step with a residual of 0. The refit need not fit
-    its kept rows exactly, so columns certify through trained models too.
-    When `spec` pins an attribute, a column the cuts leave goes on to an
-    exact LAD solution, the fit of the k visible rows a basis exchange ends
-    on, which takes the same certificate and, certified, ends the same way;
-    its selectors and coefficients depend on that basis alone, so they are
-    the same bitwise in a block and alone and at any schedule (see
-    `decode.decode` for the bound, and for when a column is not certified).
-    Every other column runs on as it would without the decode, with the
-    same iterations: bitwise alone, and to rounding (1e-12 in the tests) in
-    a block, whose working set rounds differently once certified ones retire.
-    `observer` and the histories see one entry per penalty step, after its
-    closing E step; the observer gets the `ReconState` of the working set.
-    The columns are solved in slices of at most BLOCK_WIDTH, split evenly,
-    one after another: the observer sees each slice's working set in turn,
-    t starting at 0 for each.
+    converged after the step with a residual of 0 (see `decode.decode` for
+    the bound, and for when a column is not certified). The refit need not
+    fit its kept rows exactly, so columns certify through trained models
+    too. Every other column runs on as it would without the decode, with
+    the same iterations: bitwise alone, and to rounding (1e-12 in the
+    tests) in a block, whose working set rounds differently once certified
+    ones retire. `observer` and the histories see one entry per penalty
+    step, after its closing E step; the observer gets the `ReconState` of
+    the working set. The columns are solved in slices of at most
+    BLOCK_WIDTH, split evenly, one after another: the observer sees each
+    slice's working set in turn, t starting at 0 for each.
+
+    Every column is solved this way with every selector free: that is its
+    completion, whatever `spec` pins. A transfer then re-renders the
+    completion, and solves nothing more: each attribute `spec` pins takes
+    a copy of its trained selector, so it comes back bitwise identical; the
+    reconstruction is `synthesize`'s sum under the pins, bitwise; and the
+    sparse error keeps the completion's visible entries and absorbs y
+    minus the new reconstruction on hidden ones. The free selectors, span
+    coefficients and diagnostics are the completion's.
 
     Hidden entries of `Y` enter no step: the solve runs on W.*Y, so the
     selectors, coefficients, reconstruction and diagnostics are those of
@@ -281,17 +284,16 @@ def reconstruct_many(
     entries add them back, so that there it absorbs y minus the synthesis.
     A column with no visible signal (W.*y = 0) takes no step: it leaves
     the working set as a stopped column does, but before the first step,
-    with zero free selectors and coefficients, the pinned synthesis as its
-    reconstruction, and TrainDiagnostics.zero_input(lam) as its record.
+    with zero selectors and coefficients, so that its reconstruction is
+    the pinned synthesis, and TrainDiagnostics.zero_input(lam) as its
+    record.
 
-    Pinned selectors are copied from the trained bank and never touched, so
-    they come back bitwise identical. Non-convergence is flagged in
-    diagnostics, not raised. The whole input and the spec are checked before
-    any slice is solved, if there is none too: input that breaks
-    `dataset.check_observed` raises ValidationError naming the first
-    offending column c as `name(c)`, a spec that does not fit the schema
-    ValidationError, and a column whose observed norm overflows float64
-    raises NumericalError.
+    Non-convergence is flagged in diagnostics, not raised. The whole input
+    and the spec are checked before any slice is solved, if there is none
+    too: input that breaks `dataset.check_observed` raises ValidationError
+    naming the first offending column c as `name(c)`, a spec that does not
+    fit the schema ValidationError, and a column whose observed norm
+    overflows float64 raises NumericalError.
     """
     dim = bundle.dim
     Y = np.asarray(Y, dtype=np.float64)
@@ -303,9 +305,27 @@ def reconstruct_many(
     spec = _check_spec(spec, bundle.schema)
     count = Y.shape[1]
     slices = np.array_split(np.arange(count), math.ceil(count / BLOCK_WIDTH)) if count else []
-    return [result for block in slices
-            for result in _solve(Y[:, block], W[:, block], observed[:, block],
-                                 [norms[c] for c in block], bundle, spec, config, observer)]
+    results = [result for block in slices
+               for result in _solve(Y[:, block], W[:, block], observed[:, block],
+                                    [norms[c] for c in block], bundle, config, observer)]
+    return [_transfer(result, Y[:, c], W[:, c], bundle, spec, config.rank_rule)
+            for c, result in enumerate(results)]
+
+
+def _transfer(result: ReconResult, y: np.ndarray, w_y: np.ndarray, bundle: ModelBundle,
+              spec: TransferSpec, rule: RankRule | None) -> ReconResult:
+    """The completion `result` of `y` (mask `w_y`) re-rendered under the
+    pins of `spec`: each pinned selector a copy of the trained one, the
+    reconstruction `synthesize`'s sum, and the sparse error the
+    completion's on visible entries and y minus that reconstruction on
+    hidden ones. A free spec returns `result` itself."""
+    if all(mode is None for mode in spec.pinned):
+        return result
+    selectors = [sel if mode is None else bundle.bank.selectors[i][:, mode].copy()
+                 for i, (mode, sel) in enumerate(zip(spec.pinned, result.selectors))]
+    out = synthesize(bundle, spec, selectors, result.indiv_coeffs, rule)
+    return dataclasses.replace(result, selectors=selectors, reconstruction=out,
+                               sparse_error=np.where(w_y != 0.0, result.sparse_error, y - out))
 
 
 def _sq_norms(a: np.ndarray) -> np.ndarray | float:
@@ -326,27 +346,23 @@ def _solve(
     observed: np.ndarray,
     norms: list[float],
     bundle: ModelBundle,
-    spec: TransferSpec,
     config: ReconConfig,
     observer: ReconObserver | None,
 ) -> list[ReconResult]:
-    """A slice of `reconstruct_many` on checked input and spec: Y, W and
-    `observed` = Y * W are (dim, B), or (dim,) for one vector, with their B
-    observed `norms`. One vector runs the same steps without the column
-    axis: its state holds 1-D arrays and a scalar mu, which its observer
-    sees, and its per-column bookkeeping costs no numpy calls on length-1
-    arrays. That path pays for itself: as a 1-column block, calls that
-    certify at the first step take 8% / 9% longer (200 free / 200 pinned
-    recon-holdout calls of seed 4242) and penalty-loop solves 25% (the free
-    solves of 80 stock holdouts, 50% hidden, 30% spikes); paired per-call
-    medians, min of 5, one BLAS thread, 2-core VM."""
+    """The completions of a slice of `reconstruct_many` on checked input: Y,
+    W and `observed` = Y * W are (dim, B), or (dim,) for one vector, with
+    their B observed `norms`. One vector runs the same steps without the
+    column axis: its state holds 1-D arrays and a scalar mu, which its
+    observer sees, and its per-column bookkeeping costs no numpy calls on
+    length-1 arrays. That path pays for itself: as a 1-column block, calls
+    that certify at the first step take 8% longer (200 free recon-holdout
+    calls of seed 4242) and penalty-loop solves 25% (the free solves of 80
+    stock holdouts, 50% hidden, 30% spikes); paired per-call medians, min
+    of 5, one BLAS thread, 2-core VM."""
     dim = bundle.dim
     columns = [Y] if Y.ndim == 1 else list(Y.T)
     span = build_span(bundle, config.rank_rule)
     bases = bundle.bases
-    trained = [bundle.bank.selectors[i][:, mode] if mode is not None else None
-               for i, mode in enumerate(spec.pinned)]
-    free = [i for i, sel in enumerate(trained) if sel is None]
     lam = config.effective_lam(dim, 1)
     results: list[ReconResult | None] = [None] * len(columns)
     zero = [c for c, norm in enumerate(norms) if norm == 0.0]
@@ -354,25 +370,21 @@ def _solve(
     # norm, and 1 keeps its mu0 finite.
     norm = (norms[0] or 1.0) if Y.ndim == 1 else np.array([norm or 1.0 for norm in norms])
     tail = Y.shape[1:]  # () for one vector, (B,) for a block
-
-    def lift(v: np.ndarray) -> np.ndarray:
-        """A per-vector array shaped to broadcast along the column axis."""
-        return v.reshape(v.shape + (1,) * len(tail))
-
     visible = W != 0.0
 
-    # The primal blocks of a sweep are x, the free selectors and the span
+    # The primal blocks of a sweep are x, the selectors and the span
     # coefficients taken together, then the sparse error e. Hidden entries of
     # e carry no penalty and absorb whatever x leaves there, so the x step is
     # each column's least-squares fit on its visible rows,
-    # (D_v^T D_v)^-1 D_v^T r_v, with D the stacked design [F_free, K] (K zero
-    # columns wide without the span) and k its width. `decode.normal_maps`
-    # gives each column's k x k normal map (D_v^T D_v)^-1, and each column
-    # takes map D^T (w .* r): the block takes one product with D^T and a
-    # stacked k x k one, so hidden rows of r enter no x step. A column whose
-    # Gram the maps do not trust (see `decode.NORMAL_RATIO`) has the map
-    # P P^T, P = pinv(D_v), and is not decoded.
-    blocks = [bases[i] for i in free] + [span]
+    # (D_v^T D_v)^-1 D_v^T r_v, with D the stacked design [F_1 .. F_n, K] (K
+    # zero columns wide without the span) and k its width.
+    # `decode.normal_maps` gives each column's k x k normal map
+    # (D_v^T D_v)^-1, and each column takes map D^T (w .* r): the block takes
+    # one product with D^T and a stacked k x k one, so hidden rows of r enter
+    # no x step. A column whose Gram the maps do not trust (see
+    # `decode.NORMAL_RATIO`) has the map P P^T, P = pinv(D_v), and is not
+    # decoded.
+    blocks = [*bases, span]
     design = np.concatenate(blocks, axis=1)
     ends = list(itertools.accumulate((block.shape[1] for block in blocks), initial=0))
     pieces = [slice(a, b) for a, b in zip(ends, ends[1:])]
@@ -384,30 +396,21 @@ def _solve(
         "input": np.arange(len(columns)),  # each working column's index in the input
         "maps": maps if tail else maps[0], "trusted": trusted,
     }
-    # Pinned terms F_k h_k are fixed: formed once, added in schema order.
-    terms = [lift(bases[i] @ sel) if sel is not None else None for i, sel in enumerate(trained)]
-    pinned = np.zeros(dim)
-    for term in terms:
-        if term is not None:
-            pinned += term.reshape(dim)
-    cols["free_target"] = observed - lift(pinned)
     state = ReconState(
         config=config,
-        selectors=[np.repeat(lift(sel), len(columns), axis=-1) if sel is not None
-                   else np.zeros((bundle.schema.size(i),) + tail)
-                   for i, sel in enumerate(trained)],
+        selectors=[np.zeros((bundle.schema.size(i),) + tail)
+                   for i in range(bundle.schema.count)],
         indiv_coeffs=np.zeros((span.shape[1],) + tail),
-        sparse_error=np.where(visible, 0.0, -lift(pinned)),
+        sparse_error=np.zeros(Y.shape),
         dual=np.zeros(Y.shape),
         mu=config.mu0_scale / norm,
         lam=lam,
     )
     # The last closing step's sum F_k h_k and K w. They and e start at the
-    # result of a column that takes no step: the pinned synthesis, with e
-    # absorbing its residual on hidden entries. A column that steps never
-    # reads those entries: the x step skips hidden rows, and the closing E
-    # step overwrites e.
-    shared, indiv = np.broadcast_to(lift(pinned), Y.shape), np.zeros(Y.shape)
+    # result of a column that takes no step: zero, with e absorbing y on
+    # hidden entries. A column that steps never reads those entries: the x
+    # step skips hidden rows, and the closing E step overwrites e.
+    shared, indiv = np.zeros(Y.shape), np.zeros(Y.shape)
     first = True
 
     def sweeps() -> np.ndarray:
@@ -415,7 +418,7 @@ def _solve(
         x, tol_sq = cols["x"], cols["tol_sq"]
         scaled_dual = state.dual / state.mu
         bound = lam / state.mu
-        target = cols["free_target"] + scaled_dual
+        target = cols["observed"] + scaled_dual
         err = state.sparse_error
         moving = True
         some_frozen = False
@@ -433,8 +436,7 @@ def _solve(
                 # visible rows, and the dual is zero): decode from it. A
                 # certified column is frozen at its refit.
                 x, certified = decode.decode(design, cols["trusted"], cols["visible"], target,
-                                             x, cols["norm"], config.eps,
-                                             len(free) < len(trained))
+                                             x, cols["norm"], config.eps)
                 moving &= ~certified
             still = np.count_nonzero(moving) if moving.ndim else bool(moving)
             if sweep == INNER_SWEEPS - 1 or not still:
@@ -442,14 +444,13 @@ def _solve(
             some_frozen = still < moving.size
             err = soft_threshold(target - design @ x, bound)
         cols["x"] = x
-        for i, piece in zip(free, pieces):
-            state.selectors[i] = x[piece]
+        state.selectors = [x[piece] for piece in pieces[:-1]]
         state.indiv_coeffs = x[pieces[-1]]
         # The closing E step, on every entry from freshly summed components,
         # so that hidden entries of e equal the residual bitwise.
         shared = np.zeros(state.sparse_error.shape)
-        for k, term in enumerate(terms):
-            shared += bases[k] @ state.selectors[k] if term is None else term
+        for basis, sel in zip(bases, state.selectors):
+            shared += basis @ sel
         indiv = span @ state.indiv_coeffs
         unexplained = cols["observed"] - shared - indiv
         augmented = unexplained + scaled_dual
@@ -515,26 +516,13 @@ def transfer(
     bundle: ModelBundle,
     targets: Mapping[str, str],
     config: ReconConfig = ReconConfig(),
-    post_hoc: bool = False,
 ) -> np.ndarray:
-    """Reconstruct `y` with the target attributes pinned to trained
-    instantiations.
-
-    Default: a joint re-solve, the pinned selectors held fixed and every
-    other selector and the span fitted around them. The free parts absorb
-    what the pin changes, so the result is the model's account of the
-    visible entries under the pin, their least-absolute-deviations fit,
-    which the decode certifies (at a vertex where the gap cuts do not reach
-    it; see `reconstruct_many`), not `y` re-rendered: on 100 stock holdouts
-    transferred to attr2=b3 through the planted model it is off the
-    re-rendered clean vector by 2.0e-1 (median). With post_hoc=True the
-    vector is completed freely and the pinned selectors are substituted into
-    the synthesis: `y` re-rendered, as accurate as the completion (7.4e-16
-    median on the same vectors, whose completions are certified). Pinned to
-    the vector's own labels, both routes agree.
+    """Re-render `y` with the target attributes pinned to trained
+    instantiations: the vector is completed with every selector free, and
+    the pinned selectors are substituted into the synthesis
+    (`reconstruct_many` says how), so the result is as accurate as the
+    completion. Pinned to the vector's own labels, it is the completion
+    with the trained selectors in place of the solved ones.
     """
     spec = TransferSpec.targets(bundle.schema, targets)
-    if not post_hoc:
-        return reconstruct(y, w_y, bundle, spec, config).reconstruction
-    result = reconstruct(y, w_y, bundle, TransferSpec.all_free(bundle.schema), config)
-    return synthesize(bundle, spec, result.selectors, result.indiv_coeffs, config.rank_rule)
+    return reconstruct(y, w_y, bundle, spec, config).reconstruction

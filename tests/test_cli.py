@@ -15,7 +15,7 @@ from marc.formats import (
     _HEADER, load_bundle, load_manifest, load_truth, read_matrix, read_vector, write_manifest,
     write_matrix, write_vector,
 )
-from marc.reconstructor import ReconConfig
+from marc.reconstructor import ReconConfig, TransferSpec, reconstruct, synthesize
 from marc.synthbench import default_spec, generate
 from marc.trainer import SolverConfig
 
@@ -368,8 +368,8 @@ class TestCompleteAndTransfer:
 
     @pytest.mark.parametrize("command, extra, masked", [
         ("complete", [], True), ("transfer", ["-t", "tone=tone_2"], True),
-        ("transfer", ["-t", "tone=tone_2", "--post-hoc"], True), ("complete", [], False)],
-        ids=["complete", "transfer", "transfer-post-hoc", "complete-no-mask"])
+        ("complete", [], False)],
+        ids=["complete", "transfer", "complete-no-mask"])
     def test_directory_agrees_with_single_file_runs(self, workspace, tmp_path, capsys,
                                                     command, extra, masked):
         """A directory is solved in blocks; each output matches the file run
@@ -543,18 +543,20 @@ class TestCompleteAndTransfer:
                                   read_vector(tmp_path / "leftover.marc"))
 
     def test_transfer_routes(self, workspace, tmp_path):
+        """`marc transfer` writes bitwise what `synthesize` gives, under the
+        pin, from the free result `reconstruct` gives for that file."""
         sample = workspace / "data" / "samples" / "sample_0001.marc"
-        args = ["transfer", "-b", str(workspace / "bundle"),
-                "-i", str(sample), "--t-max", "60",
-                "--target", "tone=tone_2"]
-        joint = tmp_path / "joint.marc"
-        posthoc = tmp_path / "posthoc.marc"
-        assert main(args + ["-o", str(joint)]) == 0
-        assert main(args + ["-o", str(posthoc), "--post-hoc"]) == 0
-        a = read_vector(joint)
-        b = read_vector(posthoc)
-        assert a.shape == b.shape == (30,)
-        assert np.all(np.isfinite(a)) and np.all(np.isfinite(b))
+        mask = workspace / "data" / "samples" / "sample_0001_mask.marc"
+        out = tmp_path / "moved.marc"
+        assert main(["transfer", "-b", str(workspace / "bundle"), "-i", str(sample),
+                     "-m", str(mask), "--t-max", "60", "--target", "tone=tone_2",
+                     "-o", str(out)]) == 0
+        bundle = load_bundle(workspace / "bundle")
+        config = ReconConfig(t_max=60)
+        free = reconstruct(read_vector(sample), read_vector(mask), bundle, config=config)
+        spec = TransferSpec.targets(bundle.schema, {"tone": "tone_2"})
+        want = synthesize(bundle, spec, free.selectors, free.indiv_coeffs, config.rank_rule)
+        assert read_vector(out).tobytes() == want.tobytes()
 
     def test_transfer_validation(self, workspace, tmp_path, capsys):
         sample = workspace / "data" / "samples" / "sample_0001.marc"
@@ -612,7 +614,8 @@ class TestCompleteAndTransfer:
         ["complete", "-b", "b", "-i", "x.marc", "-o", "y.marc", "--seed", "0"],
         ["transfer", "-b", "b", "-i", "x.marc", "-o", "y.marc", "-t", "a=b", "--seed", "0"],
         ["eval", "-b", "b", "--truth", "t", "--seed", "0"],
-    ], ids=["train-mu0-norm", "complete-seed", "transfer-seed", "eval-seed"])
+        ["transfer", "-b", "b", "-i", "x.marc", "-o", "y.marc", "-t", "a=b", "--post-hoc"],
+    ], ids=["train-mu0-norm", "complete-seed", "transfer-seed", "eval-seed", "transfer-post-hoc"])
     def test_removed_flags_are_refused(self, capsys, argv):
         with pytest.raises(SystemExit) as stop:
             main(argv)

@@ -14,7 +14,7 @@ import pytest
 from conftest import bundle_from_truth
 from marc import decode as decoder
 from marc import reconstructor
-from marc.dataset import AttributeSchema
+from marc.dataset import AttributeSchema, SelectorBank
 from marc.errors import DegenerateMatrixError, NumericalError, ValidationError
 from marc.proxops import RankRule, deterministic_svd, largest_gap, svd_span
 from marc.reconstructor import (
@@ -24,6 +24,7 @@ from marc.reconstructor import (
     complete,
     reconstruct,
     reconstruct_many,
+    synthesize,
     transfer,
 )
 from marc.synthbench import SynthSpec, generate, holdout_sample
@@ -183,8 +184,7 @@ class TestRecoveryAtGentleStart:
     def test_post_hoc_transfer_applies_planted_shift(self, planted):
         truth, bundle, y, _ = planted
         cfg = ReconConfig(**GENTLE)
-        moved = transfer(y, None, bundle, {"tint": "cool"}, config=cfg,
-                         post_hoc=True)
+        moved = transfer(y, None, bundle, {"tint": "cool"}, config=cfg)
         shift = truth.bases[1] @ (truth.bank.selectors[1][:, 1]
                                   - truth.bank.selectors[1][:, 0])
         assert np.linalg.norm(moved - (y + shift)) / np.linalg.norm(y) <= 1e-6
@@ -243,14 +243,22 @@ class TestContracts:
         assert free.diagnostics.converged
         assert not np.any(free.reconstruction)
         spec = TransferSpec.targets(truth.schema, {"shape": "round"})
-        pinned = reconstruct(zero, None, bundle, spec=spec)
-        expect = truth.bases[0] @ truth.bank.selectors[0][:, 0]
-        assert np.array_equal(pinned.reconstruction, expect)
+        round_ = truth.bank.selectors[0][:, 0]
+        expect = truth.bases[0] @ round_
+        pinned = [reconstruct(zero, None, bundle, spec=spec),
+                  *reconstruct_many(np.column_stack([zero, zero]), None, bundle, spec)]
+        for result in pinned:
+            assert result.reconstruction.tobytes() == expect.tobytes()
+            assert result.selectors[0].tobytes() == round_.tobytes()
+            assert not np.any(result.selectors[1]) and not np.any(result.sparse_error)
+            assert result.diagnostics == free.diagnostics
 
     @pytest.mark.parametrize("pins", [{}, {"tint": "cool"}])
     def test_hidden_entries_of_y_enter_no_step(self, planted, pins):
         """Values at hidden cells change nothing but the sparse error there,
-        which absorbs them: the solve is that of y * w bitwise."""
+        which absorbs them: the solve is that of y * w bitwise, for a
+        completion as for a transfer, alone and in a block. The hidden
+        sparse error is y minus the reconstruction there, bitwise."""
         truth, bundle, y, _ = planted
         rng = np.random.default_rng(5)
         w = (rng.random(y.size) >= 0.3).astype(float)
@@ -261,14 +269,20 @@ class TestContracts:
         spec = TransferSpec.targets(truth.schema, pins)
         one = reconstruct(loud, w, bundle, spec=spec)
         two = reconstruct(loud * w, w, bundle, spec=spec)
-        for a, b in zip(one.selectors, two.selectors):
-            assert np.array_equal(a, b)
-        assert np.array_equal(one.indiv_coeffs, two.indiv_coeffs)
-        assert np.array_equal(one.reconstruction, two.reconstruction)
-        assert one.diagnostics == two.diagnostics
-        assert np.array_equal(one.sparse_error[~hidden], two.sparse_error[~hidden])
-        assert np.allclose(one.sparse_error[hidden] - two.sparse_error[hidden], 1e6,
-                           rtol=1e-12)
+        block = reconstruct_many(np.column_stack([loud, loud * w]), np.column_stack([w, w]),
+                                 bundle, spec)
+        for a, b in ((one, two), block):
+            for x, z in zip(a.selectors, b.selectors):
+                assert np.array_equal(x, z)
+            assert np.array_equal(a.indiv_coeffs, b.indiv_coeffs)
+            assert np.array_equal(a.reconstruction, b.reconstruction)
+            assert a.diagnostics == b.diagnostics
+            assert np.array_equal(a.sparse_error[~hidden], b.sparse_error[~hidden])
+            assert np.allclose(a.sparse_error[hidden] - b.sparse_error[hidden], 1e6,
+                               rtol=1e-12)
+            for result, y_in in ((a, loud), (b, loud * w)):
+                assert np.array_equal(result.sparse_error[hidden],
+                                      (y_in - result.reconstruction)[hidden])
 
     def test_mu_schedule(self, planted):
         _, bundle, y, _ = planted
@@ -338,6 +352,58 @@ class TestContracts:
         assert ticks == list(range(result.diagnostics.iterations))
 
 
+class TestTransfer:
+    """A transfer is its completion re-rendered under the pins."""
+
+    @pytest.mark.parametrize("rank_rule", [ReconConfig().rank_rule, None], ids=["span", "no-span"])
+    def test_a_transfer_re_renders_its_completion(self, default_instance, rank_rule):
+        """24 stock holdouts transferred to attr2=b3 through the planted
+        model, alone and as one block. Where the completion certifies (all
+        24 with the default span; none without it, whose design misses the
+        individual part), the transfer is within 1e-14 of the clean vector
+        re-rendered with b3, relative to it. Every pinned selector is
+        bitwise the trained column. Alone, the free selectors, span
+        coefficients, record and visible sparse error are bitwise the free
+        solve's, the reconstruction is bitwise `synthesize`'s sum from them,
+        and the hidden sparse error is y minus it."""
+        _, truth = default_instance
+        bundle = bundle_from_truth(truth)
+        config = ReconConfig(rank_rule=rank_rule)
+        attr = truth.schema.attr_index("attr2")
+        b3 = truth.schema.inst_index(attr, "b3")
+        basis, trained = truth.bases[attr], truth.bank.selectors[attr]
+        spec = TransferSpec.targets(truth.schema, {"attr2": "b3"})
+        samples = [holdout_sample(truth, seed) for seed in range(24)]
+        Y = np.column_stack([s.y for s in samples])
+        W = np.column_stack([s.mask for s in samples])
+        block = reconstruct_many(Y, W, bundle, spec, config)
+        certified = 0
+        for sample, in_block in zip(samples, block):
+            alone = reconstruct(sample.y, sample.mask, bundle, spec, config)
+            free = reconstruct(sample.y, sample.mask, bundle, config=config)
+            own = truth.schema.inst_index(attr, sample.labels["attr2"])
+            target = sample.clean - basis @ trained[:, own] + basis @ trained[:, b3]
+            d = free.diagnostics
+            if (d.iterations, d.stop_reason, d.final_residual) == (1, "converged", 0.0):
+                certified += 1
+                for result in (alone, in_block):
+                    rel = np.linalg.norm(result.reconstruction - target) / np.linalg.norm(target)
+                    assert rel <= 1e-14
+            for result in (alone, in_block):
+                assert result.selectors[attr].tobytes() == trained[:, b3].tobytes()
+            for i, (a, b) in enumerate(zip(alone.selectors, free.selectors)):
+                assert i == attr or a.tobytes() == b.tobytes()
+            assert alone.indiv_coeffs.tobytes() == free.indiv_coeffs.tobytes()
+            assert alone.diagnostics == free.diagnostics
+            seen = sample.mask != 0.0
+            assert alone.sparse_error[seen].tobytes() == free.sparse_error[seen].tobytes()
+            synthesis = synthesize(bundle, spec, free.selectors, free.indiv_coeffs, rank_rule)
+            assert alone.reconstruction.tobytes() == synthesis.tobytes()
+            hidden = (sample.y - synthesis)[~seen]
+            assert alone.sparse_error[~seen].tobytes() == hidden.tobytes()
+        assert certified == (24 if rank_rule else 0)
+
+
 class TestBlock:
     """reconstruct_many solves each column as reconstruct solves it alone."""
 
@@ -349,12 +415,10 @@ class TestBlock:
         """Columns covering each path: an all-zero vector, a fully hidden
         one (both take no step), an exact in-model vector, which the first
         step's decode certifies, spiked vectors whose dense out-of-model
-        noise keeps the decode from certifying their completions, so that
-        they run on and stop at different steps (their transfers certify at
-        the vertex), and
-        two columns sharing one mask, and one with 3 visible entries, fewer
-        than the design's 7 (or 4, pinned; 5 free without the span) columns,
-        whose visible design is then rank deficient. With "one-mask", every
+        noise keeps the decode from certifying them, so that they run on
+        and stop at different steps, and two columns sharing one mask, and
+        one with 3 visible entries, fewer than the design's 7 (5 without the
+        span) columns, whose visible design is then rank deficient. With "one-mask", every
         column has the same mask and no column is fully hidden. "two-slices"
         adds 63 spiked columns with masks of their own and a second fully
         hidden one at the end: 71 columns, solved as slices of 36 and 35."""
@@ -384,18 +448,6 @@ class TestBlock:
                    for _ in range(63)] + [np.zeros_like(y)]
         return np.column_stack(ys), np.column_stack(ws)
 
-    @staticmethod
-    def decodes(monkeypatch, pins):
-        """The runs a test makes: one with the decode; for a transfer, one
-        more with `decode.decode` patched to `no_decode`, the ALM alone, since the
-        decode certifies every pinned column it may try. The last run is the
-        one whose columns stop at different steps."""
-        yield
-        if pins:
-            with monkeypatch.context() as patch:
-                patch.setattr(decoder, "decode", no_decode)
-                yield
-
     @pytest.mark.parametrize("layout", ["own-masks", "one-mask", "two-slices"])
     @pytest.mark.parametrize("pins", [{}, {"tint": "cool"}], ids=["free", "pinned"])
     @pytest.mark.parametrize("stop, options", [
@@ -404,23 +456,20 @@ class TestBlock:
         ("t_max", dict(t_max=6, rank_rule=None)),
         ("stalled", dict(mu_max=3.0, rank_rule=None)),
     ], ids=["defaults", "t_max-6", "mu_max-30", "no-span", "no-span-t_max-6", "no-span-mu_max-3"])
-    def test_each_column_matches_its_single_solve(self, planted, monkeypatch, layout, pins, stop,
-                                                  options):
+    def test_each_column_matches_its_single_solve(self, planted, layout, pins, stop, options):
         """Columns stop at different steps and leave the working set; with
         a small t_max some stop there, with a small mu_max some stall.
         Without the span (rank_rule=None) its coefficients are a
         zero-width block of the design; mu_max = 30 is not small enough to
         stall every such case, so those take mu_max = 3. Past BLOCK_WIDTH
-        columns, every slice solves its columns as they are solved alone.
-        Transfers are checked with the decode and with the ALM alone, which
-        gives the stop reasons and step counts the last asserts look for."""
+        columns, every slice solves its columns as they are solved alone. A
+        transfer re-renders each column's completion, in a block as alone."""
         truth, bundle, _, _ = planted
         Y, W = self.columns(planted, layout)
         spec = TransferSpec.targets(truth.schema, pins)
         config = ReconConfig(**{"rank_rule": RankRule.fixed(2), **options})
-        for _ in self.decodes(monkeypatch, pins):
-            block = reconstruct_many(Y, W, bundle, spec, config)
-            self.match_single_solves(Y, W, bundle, spec, config, block)
+        block = reconstruct_many(Y, W, bundle, spec, config)
+        self.match_single_solves(Y, W, bundle, spec, config, block)
         reasons = {r.diagnostics.stop_reason for r in block}
         assert stop in reasons
         if stop != "t_max":
@@ -451,11 +500,10 @@ class TestBlock:
 
     @pytest.mark.parametrize("pins", [{}, {"tint": "cool"}], ids=["free", "pinned"])
     @pytest.mark.parametrize("rank_rule", [RankRule.fixed(2), None], ids=["span", "no-span"])
-    def test_a_column_with_no_visible_signal_takes_its_fixed_result(self, planted, monkeypatch,
-                                                                   pins, rank_rule):
+    def test_a_column_with_no_visible_signal_takes_its_fixed_result(self, planted, pins,
+                                                                   rank_rule):
         """A zero vector and a fully hidden nonzero one take no step, alone
-        and in a block whose other columns stop at different steps (for a
-        transfer, with the ALM alone; with the decode too). Free
+        and in a block whose other columns stop at different steps. Free
         selectors and span coefficients are zero, pinned selectors the
         trained ones; the reconstruction is the pinned synthesis, which the
         sparse error absorbs on hidden entries alone; the record is that of
@@ -464,8 +512,7 @@ class TestBlock:
         Y, W = self.columns(planted)
         spec = TransferSpec.targets(truth.schema, pins)
         config = ReconConfig(rank_rule=rank_rule)
-        for _ in self.decodes(monkeypatch, pins):
-            block = self.check_no_signal_columns(truth, bundle, Y, W, spec, config)
+        block = self.check_no_signal_columns(truth, bundle, Y, W, spec, config)
         assert len({result.diagnostics.iterations for result in block[2:]}) > 2
 
     @staticmethod
@@ -604,7 +651,7 @@ class TestBlock:
 SHIFTED_ROW = 17
 
 
-def no_decode(design, trusted, visible, target, x, norm, eps, pinned):
+def no_decode(design, trusted, visible, target, x, norm, eps):
     """`decode.decode` with nothing certified: the ALM alone."""
     return x, np.zeros(np.shape(norm), dtype=bool)
 
@@ -669,8 +716,8 @@ class TestNormalMaps:
         """A column that sees fewer rows than the design has columns, and
         every column of a design with a duplicated column (both have a
         singular Gram), are flagged untrusted and take P P^T exactly as pinv
-        gives P, and pinv runs for them alone. A zero-width design (everything pinned, no span)
-        has empty maps either way."""
+        gives P, and pinv runs for them alone. A zero-width design (no
+        attributes, no span) has empty maps either way."""
         _, _, design = stock
         visible = self.masks(design.shape[0], 6, seed=7)
         if case == "few-rows":
@@ -743,22 +790,26 @@ class TestNormalMaps:
 
     @pytest.mark.parametrize("pins, options, tol", [
         ({}, {}, 1e-12), ({"attr2": "b3"}, {}, 1e-12), ({}, dict(rank_rule=None), 1e-12),
-        ({"attr1": "a2", "attr2": "b3"}, dict(rank_rule=None), 0.0),
+        (None, dict(rank_rule=None), 0.0),
     ], ids=["free", "pinned", "no-span", "zero-width"])
     def test_solves_as_the_pinv_route(self, stock, monkeypatch, pins, options, tol):
         """Stock holdouts solved alone and as one block take the same
         iterations and stop as with the pinv route for the factor, and end
         within 1e-12 of it relative to the input; with a zero-width design
-        (every attribute pinned, no span) there is nothing to factor and the
-        results are bitwise equal. The decode is not tried on a column whose
-        map comes from pinv, so both routes run without it: this compares
-        the ALM's two factors."""
+        (a schema with no attributes, no span) there is nothing to factor
+        and the results are bitwise equal. The decode is not tried on a
+        column whose map comes from pinv, so both routes run without it:
+        this compares the ALM's two factors."""
         truth, bundle, _ = stock
+        if pins is None:
+            bundle = dataclasses.replace(bundle, schema=AttributeSchema.of([]), bases=[],
+                                         bank=SelectorBank([]))
+            pins = {}
         monkeypatch.setattr(decoder, "decode", no_decode)
         samples = [holdout_sample(truth, seed) for seed in range(16)]
         Y = np.column_stack([s.y for s in samples])
         W = np.column_stack([s.mask for s in samples])
-        spec = TransferSpec.targets(truth.schema, pins)
+        spec = TransferSpec.targets(bundle.schema, pins)
         config = ReconConfig(**options)
 
         def solve():
@@ -876,78 +927,56 @@ class TestDecode:
                 return x, kept, g, cuts, True
         return x, kept, g, cuts, False
 
-    @pytest.mark.parametrize("model", ["planted", "inexact"])
-    @pytest.mark.parametrize("pins", [{}, {"attr2": "b3"}], ids=["free", "pinned"])
-    def test_certified_columns_pass_an_independent_check(self, stock, monkeypatch, pins, model):
-        """`redo` decodes every vector again by `np.linalg.lstsq`, cut round
-        by cut round, and the gap cuts certify the same vectors; a vector
-        they certify has that refit as its x. A transfer they leave goes to
-        the vertex stage, and every one certifies there: its x is the exact
-        fit of the k rows it fits best (the basis B), and K = B in the checks
-        below. Every certified vector's dual certificate, u = g on K and
-        `signs` off K, checked on its own, has ||u||_inf <= 1 and D_v^T u = 0
-        to rounding, and the primal-dual gap ||t_v - D_v x||_1 - u^T t_v is
-        within the bound eps * ||t_v||_1. A certified completion matches the
-        clean vector to 1e-12 on every row the model gets right; it took one
-        step and its residual is 0. Every uncertified vector is bitwise the
-        ALM's result. On the planted model every completion certifies at the
-        first cut; on the inexact one, all but those hiding the shifted row
-        certify at the second. Of the 24 transfers to b3 the cuts certify 7,
-        through either model, and the vertex stage the other 17."""
+    @pytest.mark.parametrize("model", ["planted", "inexact"], ids=["free-planted", "free-inexact"])
+    def test_certified_columns_pass_an_independent_check(self, stock, monkeypatch, model):
+        """`redo` decodes every completion again by `np.linalg.lstsq`, cut
+        round by cut round, and the gap cuts certify the same vectors; a
+        vector they certify has that refit as its x. Every certified
+        vector's dual certificate, u = g on K and `signs` off K, checked on
+        its own, has ||u||_inf <= 1 and D_v^T u = 0 to rounding, and the
+        primal-dual gap ||t_v - D_v x||_1 - u^T t_v is within the bound
+        eps * ||t_v||_1. A certified completion matches the clean vector to
+        1e-12 on every row the model gets right; it took one step and its
+        residual is 0. Every uncertified vector is bitwise the ALM's result.
+        On the planted model every completion certifies at the first cut; on
+        the inexact one, all but those hiding the shifted row certify at the
+        second."""
         truth, bundle = stock
         if model == "inexact":
             bundle = self.inexact(bundle)
-        spec = TransferSpec.targets(truth.schema, pins)
+        spec = TransferSpec.all_free(truth.schema)
         eps = ReconConfig().eps
-        free = [i for i, mode in enumerate(spec.pinned) if mode is None]
         span = build_span(bundle, ReconConfig().rank_rule)
-        design = np.concatenate([bundle.bases[i] for i in free] + [span], axis=1)
-        k = design.shape[1]
-        pinned = sum((bundle.bases[i] @ bundle.bank.selectors[i][:, mode]
-                      for i, mode in enumerate(spec.pinned) if mode is not None),
-                     np.zeros(bundle.dim))
+        design = np.concatenate(bundle.bases + [span], axis=1)
         right = np.arange(bundle.dim) != SHIFTED_ROW if model == "inexact" else slice(None)
-        cuts, vertices = [], 0
+        cuts = []
         for seed in range(24):
             sample = holdout_sample(truth, seed)
             result, decoded, alm = self.solve(monkeypatch, sample, bundle, spec)
             seen = sample.mask != 0.0
-            d_v, y_v = design[seen], (sample.y - pinned)[seen]
+            d_v, y_v = design[seen], sample.y[seen]
             norm = np.linalg.norm(sample.y[seen])
             refit, kept, g, rounds, certifies = self.redo(d_v, y_v, eps, norm)
-            got = np.concatenate([result.selectors[i] for i in free] + [result.indiv_coeffs])
+            got = np.concatenate(result.selectors + [result.indiv_coeffs])
             scale = np.linalg.norm(y_v)
             r = y_v - d_v @ got
-            if certifies:
-                assert decoded
-                cuts.append(rounds)
-                assert np.linalg.norm(got - refit) <= 1e-12 * scale
-            elif pins and decoded:
-                vertices += 1
-                kept = np.zeros(y_v.size, dtype=bool)
-                kept[np.argsort(np.abs(r), kind="stable")[:k]] = True
-                exact = np.linalg.solve(d_v[kept], y_v[kept])
-                assert np.linalg.norm(got - exact) <= 1e-12 * scale
-                g = np.linalg.lstsq(d_v[kept].T, -d_v[~kept].T @ self.signs(r, kept, norm)[~kept],
-                                    rcond=None)[0]
-            else:
+            if not certifies:
                 assert not decoded and self.same(result, alm)
                 continue
+            assert decoded
+            cuts.append(rounds)
+            assert np.linalg.norm(got - refit) <= 1e-12 * scale
             u = self.signs(r, kept, norm)
             u[kept] = g
             assert np.abs(u).max() <= 1.0
             assert np.linalg.norm(d_v.T @ u) <= 1e-12 * np.linalg.norm(u)
             gap = np.abs(r).sum() - u @ y_v
             assert -1e-12 * scale <= gap <= eps * np.abs(y_v).sum()
-            if not pins:
-                clean = np.linalg.norm(sample.clean)
-                assert np.linalg.norm((result.reconstruction - sample.clean)[right]) <= 1e-12 * clean
+            clean = np.linalg.norm(sample.clean)
+            assert np.linalg.norm((result.reconstruction - sample.clean)[right]) <= 1e-12 * clean
             d = result.diagnostics
             assert (d.iterations, d.stop_reason, d.final_residual) == (1, "converged", 0.0)
-        if pins:
-            assert (len(cuts), vertices) == (7, 17)
-        else:
-            assert cuts == [1] * 24 if model == "planted" else sorted(cuts) == [1] * 3 + [2] * 21
+        assert cuts == [1] * 24 if model == "planted" else sorted(cuts) == [1] * 3 + [2] * 21
 
     def test_an_inexact_model_certifies_at_the_second_cut(self, stock, monkeypatch):
         """Through a model off by 1e-3 on one row, a single cut certifies
@@ -1047,26 +1076,19 @@ class TestDecode:
     def test_a_visible_gram_the_normal_rule_refuses_is_not_decoded(self, stock):
         """A column whose visible Gram the x step does not trust (its map
         came from pinv) is not decoded, although its cut would certify: the
-        stock holdout of seed 2, decoded from its least-squares fit. Nor
-        does it enter the vertex stage: the transfer to b3 of that holdout,
-        which only the vertex certifies."""
+        stock holdout of seed 2, decoded from its least-squares fit."""
         truth, bundle = stock
-        span = build_span(bundle, ReconConfig().rank_rule)
-        pinned = bundle.bases[1] @ bundle.bank.selectors[1][:, 2]
+        design = np.concatenate(bundle.bases + [build_span(bundle, ReconConfig().rank_rule)],
+                                axis=1)
         sample = holdout_sample(truth, 2)
         seen = sample.mask != 0.0
         norm, eps = np.linalg.norm(sample.y * seen), ReconConfig().eps
-        for design, t, vertex in ((np.concatenate(bundle.bases + [span], axis=1), 0.0, False),
-                                  (np.concatenate([bundle.bases[0], span], axis=1), pinned, True)):
-            target = (sample.y - t) * seen
-            x = np.linalg.lstsq(design[seen], target[seen], rcond=None)[0]
-            gap = decoder.decode(design, np.array([True]), seen, target, x, norm, eps, False)
-            assert bool(gap[1]) != vertex  # the cuts certify the completion, not the transfer
-            for trusted in (True, False):
-                out, decoded = decoder.decode(design, np.array([trusted]), seen, target, x,
-                                                     norm, eps, vertex)
-                assert bool(decoded) == trusted
-                assert (out.tobytes() == x.tobytes()) != trusted
+        target = sample.y * seen
+        x = np.linalg.lstsq(design[seen], target[seen], rcond=None)[0]
+        for trusted in (True, False):
+            out, decoded = decoder.decode(design, np.array([trusted]), seen, target, x, norm, eps)
+            assert bool(decoded) == trusted
+            assert (out.tobytes() == x.tobytes()) != trusted
 
     def test_a_row_fitted_to_rounding_takes_no_sign(self, stock, monkeypatch):
         """The stock holdout of seed 9 at 50% hidden and 15% spikes
@@ -1086,155 +1108,6 @@ class TestDecode:
         assert decoded and self.error(result, sample) <= 1e-12
         d = result.diagnostics
         assert (d.iterations, d.stop_reason, d.final_residual) == (1, "converged", 0.0)
-
-    @staticmethod
-    def gap_only(monkeypatch):
-        """Patch `decode.decode` to skip its vertex stage: the gap cuts alone."""
-        decode = decoder.decode
-        monkeypatch.setattr(decoder, "decode", lambda *args: decode(*args[:-1], False))
-
-    @staticmethod
-    def parts(result):
-        """The free selectors and span coefficients of a transfer to b3."""
-        return result.selectors[0].tobytes() + result.indiv_coeffs.tobytes()
-
-    def test_certified_transfers_do_not_read_the_schedule(self, stock, monkeypatch):
-        """A certified transfer is the exact fit of its final basis, which
-        the schedule does not reach: its selectors, coefficients and
-        reconstruction are bitwise the same at rho 1.1 and 1.5, lam 0.05 and
-        mu0_scale 10 as at the defaults, while the ALM's results (the decode
-        patched out) move with each of them."""
-        truth, bundle = stock
-        spec = TransferSpec.targets(truth.schema, {"attr2": "b3"})
-        samples = [holdout_sample(truth, seed) for seed in range(12)]
-        configs = [ReconConfig(rho=1.1), ReconConfig(rho=1.5), ReconConfig(lam=0.05),
-                   ReconConfig(mu0_scale=10.0)]
-
-        def solve(config):
-            return [reconstruct(s.y, s.mask, bundle, spec, config) for s in samples]
-
-        base = solve(ReconConfig())
-        assert all(r.diagnostics.iterations == 1 for r in base)
-        for config in configs:
-            for a, b in zip(base, solve(config)):
-                assert self.parts(a) == self.parts(b)
-                assert a.reconstruction.tobytes() == b.reconstruction.tobytes()
-        monkeypatch.setattr(decoder, "decode", no_decode)
-        alm = solve(ReconConfig())
-        for config in configs:
-            moved = [np.linalg.norm(a.reconstruction - b.reconstruction)
-                     / np.linalg.norm(a.reconstruction) for a, b in zip(alm, solve(config))]
-            assert np.median(moved) > 1e-3
-
-    def test_vertex_certified_transfers_match_their_single_solves_bitwise(self, stock,
-                                                                         monkeypatch):
-        """A vertex-certified column's x is D_B^-1 t_B, read from one
-        `np.linalg.inv` of its own basis, so its selectors and coefficients
-        are bitwise the same in a block and alone: 34 of 48 stock holdouts
-        transferred to b3 certify there (the gap cuts certify the other
-        14)."""
-        truth, bundle = stock
-        spec = TransferSpec.targets(truth.schema, {"attr2": "b3"})
-        samples = [holdout_sample(truth, seed) for seed in range(48)]
-        Y = np.column_stack([s.y for s in samples])
-        W = np.column_stack([s.mask for s in samples])
-        block = reconstruct_many(Y, W, bundle, spec)
-        alone = [reconstruct(s.y, s.mask, bundle, spec) for s in samples]
-        with monkeypatch.context() as patch:
-            self.gap_only(patch)
-            gap = [reconstruct(s.y, s.mask, bundle, spec).diagnostics.iterations == 1
-                   for s in samples]
-        vertex = [c for c, r in enumerate(alone) if r.diagnostics.iterations == 1 and not gap[c]]
-        assert (len(vertex), sum(gap)) == (34, 14)
-        for c in vertex:
-            assert block[c].diagnostics.iterations == 1
-            assert self.parts(block[c]) == self.parts(alone[c])
-
-    def test_a_singular_weighted_gram_or_basis_falls_back_per_column(self, stock, monkeypatch):
-        """A column whose weighted Gram or first basis D_B is singular is not
-        certified by the vertex stage, judged column by column: alone it
-        comes back bitwise the ALM's result, while its block's other column
-        certifies as it does alone. Basis: three rows where the design (the free basis,
-        without the span) and the target are zero, which the first IRLS fit
-        fits exactly, so they enter D_B; the column that hides them
-        certifies. Gram: a design column that is zero on the rows one column
-        sees, on `decode.decode` called directly."""
-        truth, bundle = stock
-        spec = TransferSpec.targets(truth.schema, {"attr2": "b3"})
-        config = ReconConfig(rank_rule=None)
-        rows = [0, 1, 2]
-        bases = [b.copy() for b in bundle.bases]
-        bases[0][rows] = 0.0
-        zeroed = dataclasses.replace(bundle, bases=bases)
-        pinned = bases[1] @ bundle.bank.selectors[1][:, 2]
-        samples = [holdout_sample(truth, seed) for seed in (1, 2)]
-        for sample, seen in zip(samples, (1.0, 0.0)):
-            sample.y[rows] = pinned[rows]
-            sample.mask[rows] = seen
-        Y = np.column_stack([s.y for s in samples])
-        W = np.column_stack([s.mask for s in samples])
-        block = reconstruct_many(Y, W, zeroed, spec, config)
-        alone = [reconstruct(s.y, s.mask, zeroed, spec, config) for s in samples]
-        with monkeypatch.context() as patch:
-            patch.setattr(decoder, "decode", no_decode)
-            alm = reconstruct(samples[0].y, samples[0].mask, zeroed, spec, config)
-        assert self.same(alone[0], alm)
-        # In the block, column 0 runs the ALM beside a column that retired
-        # after one step: its result matches its single solve to rounding.
-        assert block[0].diagnostics.iterations == alm.diagnostics.iterations > 1
-        scale = np.linalg.norm(Y[:, 0])
-        assert np.linalg.norm(block[0].reconstruction - alm.reconstruction) <= 1e-12 * scale
-        assert block[1].diagnostics.iterations == alone[1].diagnostics.iterations == 1
-        assert self.parts(block[1]) == self.parts(alone[1])
-
-        design = np.concatenate([bundle.bases[0], build_span(bundle, ReconConfig().rank_rule)],
-                                axis=1)
-        design[:, 0] = np.where(samples[0].mask != 0.0, 0.0, design[:, 0])
-        target = np.column_stack([(s.y - pinned) * s.mask for s in samples])
-        seen = W != 0.0
-        x = np.column_stack([np.linalg.lstsq(design[m], t[m], rcond=None)[0]
-                             for m, t in zip(seen.T, target.T)])
-        norm = np.linalg.norm(Y * W, axis=0)
-        out, certified = decoder.decode(design, np.ones(2, dtype=bool), seen, target, x,
-                                               norm, ReconConfig().eps, True)
-        assert certified.tolist() == [False, True]
-        assert out[:, 0].tobytes() == x[:, 0].tobytes()
-
-    def test_a_column_at_the_pivot_cap_falls_back(self, stock, monkeypatch):
-        """With PIVOTS patched to 0, only transfers whose first basis is
-        already a vertex certify there; every other one the gap cuts leave
-        is bitwise the ALM's result."""
-        truth, bundle = stock
-        spec = TransferSpec.targets(truth.schema, {"attr2": "b3"})
-        monkeypatch.setattr(decoder, "PIVOTS", 0)
-        outcomes = []
-        for seed in range(24):
-            result, decoded, alm = self.solve(monkeypatch, holdout_sample(truth, seed), bundle, spec)
-            if not decoded:
-                assert self.same(result, alm)
-            outcomes.append(decoded)
-        assert sum(outcomes) == 7
-
-    def test_the_vertex_stage_takes_transfers_with_a_design_only(self, stock, monkeypatch):
-        """Completions never enter the vertex stage, even where the gap cuts
-        certify few of them (50% hidden, 30% spikes); nor does a transfer
-        with a zero-width design (every attribute pinned, no span), which
-        comes back bitwise the ALM's result."""
-        truth, bundle = stock
-        calls = []
-        vertex = decoder._vertex
-        monkeypatch.setattr(decoder, "_vertex", lambda *args: calls.append(1) or vertex(*args))
-        free = TransferSpec.all_free(truth.schema)
-        decoded = [self.solve(monkeypatch, holdout_sample(truth, seed, 0.5, 0.30, 5.0), bundle,
-                              free)[1] for seed in range(6)]
-        assert not all(decoded) and calls == []
-        spec = TransferSpec.targets(truth.schema, {"attr1": "a2", "attr2": "b3"})
-        sample = holdout_sample(truth, 3)
-        config = ReconConfig(rank_rule=None)
-        result = reconstruct(sample.y, sample.mask, bundle, spec, config)
-        monkeypatch.setattr(decoder, "decode", no_decode)
-        assert self.same(result, reconstruct(sample.y, sample.mask, bundle, spec, config))
-        assert calls == []
 
     def test_positive_definite_tries_each_matrix_after_a_failure(self):
         """The trust test of the shifted Grams G - NORMAL_RATIO * tr(G) * I
