@@ -11,7 +11,7 @@ columns' norms and a tolerance, so it serves any caller that holds those;
 Least-squares fits go through each column's k x k normal map
 (D_v^T D_v)^-1 (`normal_maps`): the decoder's refits, and every x step of a
 reconstruction, a lone vector's as a block's. Every map comes from its Gram
-G = D_v^T D_v by one rule: tested by a stacked Cholesky factorization and
+G = D_v^T D_v by one rule: tested by `proxops.positive_definite` and
 inverted by one stacked `np.linalg.inv`. The normal equations square the
 condition number, so a Gram is trusted only when its smallest eigenvalue is
 above NORMAL_RATIO times its trace; any other column (a rank-deficient or
@@ -31,20 +31,18 @@ fails on that bound alone cuts again, up to DECODE_ROUNDS cuts.
 """
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
-from .proxops import largest_gap
+from .proxops import largest_gap, positive_definite
 
 # Each least-squares fit inverts a column's k x k Gram D_v^T D_v, which
 # squares the condition number: its eigenvalues carry an absolute error of
 # about eps * lambda_max, so the inverse carries a relative error of about
 # eps * cond(D_v)^2 = eps * lambda_max / lambda_min. A Gram G is trusted
-# when every eigenvalue is above NORMAL_RATIO * tr(G), which a Cholesky
-# factorization of G - NORMAL_RATIO * tr(G) * I tests; as tr(G) >= lambda_max,
-# that error is then below ~2e-13 (cond(D_v) < 32), and as
-# tr(G) <= k * lambda_max, every Gram with cond(D_v) below
+# when every eigenvalue is above NORMAL_RATIO * tr(G), which
+# `positive_definite` of G - NORMAL_RATIO * tr(G) * I tests; as
+# tr(G) >= lambda_max, that error is then below ~2e-13 (cond(D_v) < 32), and
+# as tr(G) <= k * lambda_max, every Gram with cond(D_v) below
 # 1 / sqrt(k * NORMAL_RATIO) (9.1 at k = 12) is trusted. On the benchmark's
 # held-out masks (seeds 1 and 11) the stock and cli-pipeline designs have
 # cond(D_v) <= 6.7.
@@ -88,15 +86,15 @@ def normal_maps(design: np.ndarray, visible: np.ndarray) -> tuple[np.ndarray, np
     Grams come from `_grams`. A Gram G is trusted when its smallest
     eigenvalue is above NORMAL_RATIO * tr(G) (a zero-width Gram is,
     vacuously), which a column that sees fewer than k rows, or a
-    rank-deficient D_v, never passes: for every B alike, a Cholesky
-    factorization of G - NORMAL_RATIO * tr(G) * I tests it, and one stacked
-    `np.linalg.inv` takes the trusted maps. Any other column's map is P P^T,
+    rank-deficient D_v, never passes: for every B alike, `positive_definite`
+    of G - NORMAL_RATIO * tr(G) * I tests it, and one stacked `np.linalg.inv`
+    takes the trusted maps. Any other column's map is P P^T,
     P = pinv(D_v) as `np.linalg.pinv` gives it."""
     k = design.shape[1]
     grams = _grams(design, visible.T)
     unit = np.eye(k)
     trace = np.trace(grams, axis1=1, axis2=2)[:, None, None]
-    trusted = _per_matrix(np.linalg.cholesky, grams - NORMAL_RATIO * trace * unit)[1]
+    trusted = positive_definite(grams - NORMAL_RATIO * trace * unit)
     maps = np.linalg.inv(np.where(trusted[:, None, None], grams, unit))
     for c in np.flatnonzero(~trusted):
         factor = np.linalg.pinv(design[visible[:, c]])
@@ -201,18 +199,3 @@ def _passes(res: np.ndarray, counted: np.ndarray, bound: np.ndarray,
     ones) taken as K."""
     misfit = (np.abs(res) * counted).sum(axis=0)
     return (bound <= 1.0 - CERT_MARGIN) & (2.0 * misfit <= budget * (1.0 - bound))
-
-
-def _per_matrix(solver: Callable[[np.ndarray], np.ndarray],
-                a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`solver(a)` (`np.linalg.cholesky`) on the stacked matrices `a`, and
-    which of them it solved. A stacked call fails for the whole stack on one
-    matrix, so after a failure each is solved alone; one that fails comes
-    back as zeros, flagged False."""
-    try:
-        return solver(a), np.ones(a.shape[:-2], dtype=bool)
-    except np.linalg.LinAlgError:
-        if a.ndim == 2:
-            return np.zeros(a.shape), np.zeros((), dtype=bool)
-        parts = [_per_matrix(solver, m) for m in a]
-        return np.array([p[0] for p in parts]), np.array([p[1] for p in parts])

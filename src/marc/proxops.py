@@ -8,13 +8,12 @@ so repeated runs and serialized models are bitwise reproducible.
 
 `svt` and `procrustes` are the exceptions: they first eigendecompose the
 Gram matrix of the short side, whose cost is a fraction of the SVD's, and
-fall back to `deterministic_svd` only when that cannot be exact. `svt` keeps
-the singular values of at least GRAM_RATIO * s_max, which the Gram matrix
-resolves to ~1e-10 relative, and drops the rest once it has checked that
-their whole block has spectral norm at most tau (see `svt` for why that is
-exact). `procrustes` takes the polar factor m (m^T m)^-1/2 when the condition
-number is at most 1 / POLAR_RATIO and polishes it with one Newton-Schulz
-step. Neither result depends on eigenvector signs, so both are bitwise
+fall back to `deterministic_svd` only when that cannot be exact. `svt` takes
+the Gram path when every value that decides its result is at least
+GRAM_RATIO * s_max, which the Gram matrix resolves to ~1e-10 relative.
+`procrustes` takes the polar factor m (m^T m)^-1/2 when the condition number
+is at most 1 / POLAR_RATIO and polishes it with one Newton-Schulz step.
+Neither result depends on eigenvector signs, so both are bitwise
 reproducible on either path. An eigendecomposition that fails to converge
 raises NumericalError, as an SVD does.
 
@@ -26,16 +25,16 @@ a few block power steps on the Gram matrix from that basis until the Ritz
 residual is at rounding level, the kept values and vectors from an SVD of
 the small Ritz matrix (Rayleigh-Ritz, Halko, Martinsson & Tropp,
 arXiv:0909.4061), and a certificate that the spectral norm of what the
-basis leaves out is at most tau. Under the Gram path's own trust rule,
-tau >= GRAM_RATIO * s_max, that certificate comes from the Gram matrix
-alone; below it, from the left-out part formed from the matrix itself (by
-the Frobenius norm or else a Cholesky factorization). If there is no start,
-the start is wider than a third of the short side, the power steps converge
-too slowly, a kept value is too small for the Gram matrix to resolve or the
-certificate fails, the call goes on to the Gram path and then the SVD.
-Every path gives the same result to rounding; none depends on a
-module-level cache. A Gram matrix that overflows float64 raises
-NumericalError.
+basis leaves out is at most tau. If there is no start, the start is wider
+than a third of the short side, the power steps converge too slowly, a kept
+value is too small for the Gram matrix to resolve or the certificate fails,
+the call goes on to the Gram path or the SVD. Every path gives the same
+result to rounding; none depends on a module-level cache. A Gram matrix
+that overflows float64 raises NumericalError.
+
+`positive_definite` is the one test of positive definiteness behind these
+certificates and behind `decode`'s trust in a normal map: whether a
+Cholesky factorization exists.
 """
 from __future__ import annotations
 
@@ -123,8 +122,8 @@ def deterministic_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
 # The Gram path squares the condition number: an eigenvalue of m^T m carries
 # an absolute error of about eps * sigma_max^2, so a singular value is
 # trusted when it is at least GRAM_RATIO * sigma_max, where its error is
-# ~1e-10 relative. svt keeps only trusted values, and drops the rest after
-# checking that they are at most tau.
+# ~1e-10 relative. svt takes the Gram path only when every value that
+# decides its result is trusted: max(tau, s_min) >= GRAM_RATIO * s_max.
 GRAM_RATIO = 1e-3
 
 # procrustes takes its polar factor from the Gram matrix when the input's
@@ -183,39 +182,25 @@ def svt(m: np.ndarray, tau: float, warm: WarmStart | None = None) -> np.ndarray:
     power steps Z = (a^T a) Q, Q <- qr(Z) on the Gram matrix until the Ritz
     residual Z - Q Q^T Z is at rounding level (RITZ_TOL), and gives up once
     the rate it converges at cannot reach that within WARM_STEPS steps. Then
-    a = A + D, for A = a Q Q^T and D = a - A, with A D^T = 0 and A^T D =
-    Q (Z - Q Q^T Z)^T at rounding level, so the spectrum of a is the union
-    of those of A and D (the argument is spelled out for the Gram path
-    below). The k x k Ritz matrix Q^T Z = W S^2 W^T, factored by an SVD,
-    gives A's values S and right vectors Q W. The values above tau must be
-    trusted (at least GRAM_RATIO * s_max), or the warm path gives up. If
-    ||D||_2 <= tau (the certificate), svt zeroes all of D and the result is
-    a Q W (1 - tau/S)_+ (Q W)^T. The certificate has two forms. When
-    tau >= GRAM_RATIO * s_max, the Gram path's trust rule, it is a Cholesky
-    factorization of tau^2 I - D^T D, with D^T D = a^T a - Z Q^T - Q Z^T +
-    Q (Q^T Z) Q^T taken from the Gram matrix; below it, D is formed from a
-    (see `_spectral_norm_at_most`). A failed attempt hands the same Gram
-    matrix on to the Gram path.
+    a = A + D, for A = a Q Q^T and D = a - A. The rows of A and D are
+    orthogonal (A D^T = 0), and their columns are orthogonal up to rounding
+    (A^T D = Q (Z - Q Q^T Z)^T), so the spectrum of a is, up to rounding,
+    the union of those of A and D. The k x k Ritz matrix Q^T Z = W S^2 W^T,
+    factored by an SVD, gives A's values S and right vectors Q W. The values
+    above tau must be trusted (at least GRAM_RATIO * s_max), or the warm
+    path gives up. If ||D||_2 <= tau (the certificate), svt zeroes all of D
+    and the result is a Q W (1 - tau/S)_+ (Q W)^T. The certificate is that
+    tau^2 I - D^T D is `positive_definite`. When tau >= GRAM_RATIO * s_max,
+    the Gram path's trust rule, D^T D = a^T a - Z Q^T - Q Z^T +
+    Q (Q^T Z) Q^T is taken from the Gram matrix; below it, from D formed
+    from a. A failed attempt hands the same Gram matrix on to the Gram path.
 
-    The Gram path uses a V diag((1 - tau/s)_+) V^T, with V and s^2 the
-    eigenvectors and eigenvalues of the short-side Gram matrix a^T a.
-    Singular values of at least GRAM_RATIO * s_max come out of the Gram
-    matrix accurate to about 1e-10 relative. The Gram path is taken directly
-    when max(tau, s_min) >= GRAM_RATIO * s_max, so every value that decides
-    the result is accurate.
-
-    Otherwise the untrusted tail, s < GRAM_RATIO * s_max (with tau below it
-    too), is certified instead of resolved. With V_k the trusted and V_t
-    the tail eigenvectors, a = A + D for A = a V_k V_k^T and D = a V_t V_t^T.
-    The rows of A and D are orthogonal (A D^T = 0), and their columns are
-    orthogonal up to rounding (A^T D = V_k V_k^T (a^T a) V_t V_t^T, about
-    eps * ||a||^2, because V diagonalizes a^T a to that accuracy). So the
-    spectrum of a is, up to rounding, the union of those of A and D. If
-    ||D||_2 = ||a V_t||_2 <= tau, svt zeroes all of D and the result is the
-    Gram-path projector over the trusted values alone, all of them above
-    tau. Only when that certificate fails (a value the Gram matrix cannot
-    resolve may lie above tau) does the result come from `deterministic_svd`,
-    and a `warm` holder is left with no basis.
+    The Gram path eigendecomposes the short-side Gram matrix a^T a = V
+    diag(s^2) V^T. Singular values of at least GRAM_RATIO * s_max come out
+    of it accurate to about 1e-10 relative, so when max(tau, s_min) >=
+    GRAM_RATIO * s_max every value that decides the result is accurate, and
+    the result is a V diag((1 - tau/s)_+) V^T. Otherwise it comes from
+    `deterministic_svd`, and a `warm` holder is left with no basis.
     """
     m = _check_matrix(m, "svt input")
     tau = float(tau)
@@ -235,13 +220,11 @@ def svt(m: np.ndarray, tau: float, warm: WarmStart | None = None) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Gram eigendecomposition failed to converge: {exc}") from exc
     s = np.sqrt(np.maximum(eigvals, 0.0))  # ascending
-    trusted = s >= GRAM_RATIO * s[-1]
-    if max(tau, s[0]) < GRAM_RATIO * s[-1] \
-            and not _spectral_norm_at_most(a @ vecs[:, ~trusted], tau):
+    if max(tau, s[0]) < GRAM_RATIO * s[-1]:
         if warm is not None:
             warm.basis = None
         return _svt_svd(m, tau)
-    keep = trusted & (s > tau)  # s > tau, or the trusted values once the tail is certified
+    keep = s > tau
     vecs = vecs[:, keep]
     if warm is not None:
         warm.basis = vecs
@@ -290,33 +273,27 @@ def _warm_factors(a: np.ndarray, gram: np.ndarray, tau: float, q: np.ndarray) \
         return None
     y = a @ q
     if tau >= trust:  # D^T D = G - Z Q^T - Q (Z - Q Q^T Z)^T
-        certified = _gram_at_most(gram - z @ q.T - q @ residual.T, tau)
+        spill = gram - z @ q.T - q @ residual.T
     else:
-        certified = _spectral_norm_at_most(a - y @ q.T, tau)
-    if not certified:
+        spill = _gram(a - y @ q.T, "svt")
+    if not positive_definite(tau * tau * np.eye(len(spill)) - spill):
         return None
     w = wh[keep].T
     return (y @ w) * (1.0 - tau / s[keep]), q @ w
 
 
-def _spectral_norm_at_most(m: np.ndarray, bound: float) -> bool:
-    """||m||_2 <= bound, from the Frobenius norm when that suffices, else
-    from `_gram_at_most` of the short-side Gram matrix of m."""
-    if frobenius(m) <= bound:
-        return True
-    return _gram_at_most(m.T @ m if m.shape[0] >= m.shape[1] else m @ m.T, bound)
-
-
-def _gram_at_most(gram: np.ndarray, bound: float) -> bool:
-    """Every eigenvalue of the symmetric `gram` is below bound^2: a Cholesky
-    factorization of bound^2 I - gram exists. Overwrites `gram`."""
-    gram *= -1.0
-    gram[np.diag_indices_from(gram)] += bound * bound
+def positive_definite(a: np.ndarray) -> np.ndarray:
+    """Whether the symmetric `a`, or each matrix of a stack of them, is
+    positive definite: a Cholesky factorization of it exists. Flags shaped
+    as the stack, 0-d for one matrix. A stacked factorization fails for the
+    whole stack on one matrix, so after a failure each is tested alone."""
     try:
-        np.linalg.cholesky(gram)
+        np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        return False
-    return True
+        if a.ndim == 2:
+            return np.zeros((), dtype=bool)
+        return np.array([positive_definite(m) for m in a])
+    return np.ones(a.shape[:-2], dtype=bool)
 
 
 def _svt_svd(m: np.ndarray, tau: float) -> np.ndarray:

@@ -355,16 +355,16 @@ def _solve(
     column axis: its state holds 1-D arrays and a scalar mu, which its
     observer sees, and its per-column bookkeeping costs no numpy calls on
     length-1 arrays. That path pays for itself: as a 1-column block, calls
-    that certify at the first step take 8% longer (200 free recon-holdout
-    calls of seed 4242) and penalty-loop solves 25% (the free solves of 80
-    stock holdouts, 50% hidden, 30% spikes); paired per-call medians, min
-    of 5, one BLAS thread, 2-core VM."""
+    that certify at the first step take 1.7-2.2% longer (200 free
+    recon-holdout calls of seed 4242) and penalty-loop solves 23-26% (the
+    free solves of 30 stock holdouts, 50% hidden, 30% spikes, amplitude 5);
+    paired per-call medians over three runs, min of 5, one BLAS thread,
+    2-core VM, with the same reconstructions and iterations either way."""
     dim = bundle.dim
-    columns = [Y] if Y.ndim == 1 else list(Y.T)
     span = build_span(bundle, config.rank_rule)
     bases = bundle.bases
     lam = config.effective_lam(dim, 1)
-    results: list[ReconResult | None] = [None] * len(columns)
+    results: list[ReconResult | None] = [None] * len(norms)
     zero = [c for c, norm in enumerate(norms) if norm == 0.0]
     # A zero-signal column retires before the first step: no step reads its
     # norm, and 1 keeps its mu0 finite.
@@ -393,7 +393,7 @@ def _solve(
         "visible": visible, "observed": observed, "norm": norm,
         "tol_sq": (INNER_TOL * norm) ** 2,
         "x": np.zeros((design.shape[1],) + tail),
-        "input": np.arange(len(columns)),  # each working column's index in the input
+        "input": np.arange(len(norms)),  # each working column's index in the input
         "maps": maps if tail else maps[0], "trusted": trusted,
     }
     state = ReconState(
@@ -475,11 +475,11 @@ def _solve(
             results[k] = ReconResult(
                 selectors=[_column(sel, c).copy() for sel in state.selectors],
                 indiv_coeffs=_column(state.indiv_coeffs, c).copy(),
-                sparse_error=np.where(_column(cols["visible"], c), e, e + columns[k]),
+                sparse_error=np.where(_column(cols["visible"], c), e, e + _column(Y, k)),
                 reconstruction=_column(shared, c) + _column(indiv, c),
                 diagnostics=diag,
             )
-        if np.ndim(state.mu) == 0 or len(stopped) == state.mu.size:
+        if len(stopped) == np.size(state.mu):
             return
         keep = np.ones(state.mu.size, dtype=bool)
         keep[stopped] = False
@@ -493,7 +493,7 @@ def _solve(
 
     if zero:
         retire(zero, [TrainDiagnostics.zero_input(lam) for _ in zero])
-    if len(zero) < len(columns):
+    if len(zero) < len(norms):
         run_penalty_steps(state, sweeps, residual, observer, "reconstruction", retire)
     return results
 

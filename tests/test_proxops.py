@@ -1,5 +1,7 @@
 """Operator-level checks: shrinkage, SVT, Procrustes, spans, random bases."""
+import ast
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,13 +204,13 @@ def test_svt_gram_path_matches_svd(shape, monkeypatch):
 
 @pytest.mark.parametrize("shape", [(60, 40), (40, 60)])
 def test_svt_fallback_on_rank_deficient_input(shape):
-    """Rank 3 with a tiny threshold: max(tau, s_min) < GRAM_RATIO * s_max.
-    The zero tail is certified and the result matches the SVD's; once the
-    untrusted tail holds a value above tau, the result comes from the SVD,
-    bitwise."""
+    """Rank 3 with a tiny threshold: max(tau, s_min) < GRAM_RATIO * s_max,
+    so the result comes from the SVD, bitwise, and matches it; so it does
+    once the unresolved tail holds a value above tau."""
     m = with_spectrum(*shape, [3.0, 2.0, 1.0], seed=3)
     tau = 1e-9
     got = svt(m, tau)
+    assert np.array_equal(got, _svt_svd(m, tau))
     assert np.allclose(got, svd_reference(m, tau), rtol=1e-9, atol=1e-12)
     assert np.linalg.matrix_rank(got) <= np.linalg.matrix_rank(m) == 3
     spilled = with_spectrum(*shape, [3.0, 2.0, 1.0, 1e-6], seed=3)
@@ -216,27 +218,28 @@ def test_svt_fallback_on_rank_deficient_input(shape):
 
 
 @pytest.mark.parametrize("shape", [(200, 60), (60, 200)])
-def test_svt_certified_tail_matches_svd(shape, monkeypatch):
+def test_svt_unresolved_tail_takes_the_svd(shape):
     """Rank 5 over a tail of values at 0.8 tau, all far below GRAM_RATIO *
-    s_max, as G looks once training has settled. The tail is too large for
-    the Frobenius check, so the spectral bound certifies it: no SVD, and
-    the result matches the SVD's."""
+    s_max, as G looks once training has settled. Without a warm start that
+    takes it, the Gram matrix cannot resolve the tail, so the result is the
+    SVD path's, bitwise, and a holder whose start is too wide to try is
+    left with no basis."""
     tau = 1e-4
     k = min(shape)
     s = np.concatenate([[10.0, 8.0, 6.0, 5.0, 4.0], np.full(k - 5, 0.8 * tau)])
     assert tau <= 1e-2 * GRAM_RATIO * s[0]
     m = with_spectrum(*shape, s, seed=12)
-    ref = svd_reference(m, tau)
-    monkeypatch.setattr(proxops, "deterministic_svd", no_svd)
-    got = svt(m, tau)
-    assert np.allclose(got, ref, rtol=1e-9, atol=1e-9 * np.abs(ref).max())
+    warm = WarmStart(np.eye(k)[:, :k // 3 + 1])
+    got = svt(m, tau, warm)
+    assert np.array_equal(got, _svt_svd(m, tau))
+    assert warm.basis is None
     assert np.linalg.matrix_rank(got) == 5
 
 
 @pytest.mark.parametrize("shape", [(200, 60), (60, 200)])
 def test_svt_tail_above_threshold_falls_back(shape):
-    """The same shape with one tail value at 2 tau: the bound fails and the
-    result is the SVD path's, bitwise."""
+    """The same shape with one tail value at 2 tau: the result is the SVD
+    path's, bitwise."""
     tau = 1e-4
     k = min(shape)
     s = np.concatenate([[10.0, 8.0, 6.0, 5.0, 4.0, 2.0 * tau], np.full(k - 6, 0.8 * tau)])
@@ -337,40 +340,53 @@ def spy_warm(monkeypatch):
 
 
 def spy_certificates(monkeypatch):
-    """Record the name and argument shape of each spectral-norm certificate
-    svt asks for: `_gram_at_most` on a Gram matrix, `_spectral_norm_at_most`
-    on a matrix formed from the input (which may go on to `_gram_at_most`)."""
+    """Record the name and argument shape of each Gram matrix svt forms
+    (`_gram`) and each `positive_definite` test it asks for, in order."""
     calls = []
-    for name in ("_gram_at_most", "_spectral_norm_at_most"):
+    for name in ("_gram", "positive_definite"):
         original = getattr(proxops, name)
 
-        def spied(m, bound, name=name, original=original):
+        def spied(m, *args, name=name, original=original):
             calls.append((name, m.shape))
-            return original(m, bound)
+            return original(m, *args)
 
         monkeypatch.setattr(proxops, name, spied)
     return calls
 
 
+def certificate_calls(form, shape):
+    """What `spy_certificates` records for an svt call on a `shape` input
+    whose warm path reaches the certificate of `form`: the call's own Gram
+    matrix of the tall side, then for the "spill" form the Gram matrix of
+    the left-out part formed from the input, and one `positive_definite`
+    test on the short side."""
+    tall, short = (max(shape), min(shape)), (min(shape), min(shape))
+    spill = [("_gram", tall)] if form == "spill" else []
+    return [("_gram", tall), *spill, ("positive_definite", short)]
+
+
 # Thresholds well above and well below GRAM_RATIO * s_max (s_max = 10 in
-# `flat_tail`): the warm path certifies its tail from the Gram matrix above
-# it and from the left-out part of the input below it.
-CERTIFICATE_FORMS = ((5e-2, "_gram_at_most"), (1e-5, "_spectral_norm_at_most"))
+# `flat_tail`): the warm path takes the left-out part's Gram matrix from the
+# input's Gram matrix above it ("gram") and forms it from the left-out part
+# of the input below it ("spill").
+CERTIFICATE_FORMS = ((5e-2, "gram"), (1e-5, "spill"))
 
 
 @pytest.mark.parametrize("shape", [(200, 60), (64, 256)], ids=["tall", "wide"])
 @pytest.mark.parametrize("kind", ["exact", "perturbed", "random", "too-narrow", "too-wide"])
 def test_svt_warm_start_matches_svd(shape, kind, monkeypatch):
     """From any start, with either certificate form, the result matches the
-    SVD's and the holder is left with the five kept right singular vectors.
-    An exact, stale or random start takes the warm path, with no Gram
-    eigendecomposition, and certifies its tail in the form its threshold
-    selects. A start too narrow leaves a value above tau in the spill,
+    SVD's. An exact, stale or random start takes the warm path, with no
+    Gram eigendecomposition, certifies its tail in the form its threshold
+    selects, and leaves the holder with the five kept right singular
+    vectors. A start too narrow leaves a value above tau in the spill,
     which fails the certificate; one too wide cannot settle its columns in
-    the flat tail within WARM_STEPS. Both fall back to the Gram path."""
-    tall = (max(shape), min(shape))
+    the flat tail within WARM_STEPS. Both fall back: above GRAM_RATIO *
+    s_max to the Gram path, which leaves the same five vectors; below it,
+    where the Gram matrix cannot resolve the tail, to the SVD, bitwise,
+    which leaves no basis."""
     for tau, form in CERTIFICATE_FORMS:
-        assert (tau >= GRAM_RATIO * 10.0) == (form == "_gram_at_most")
+        assert (tau >= GRAM_RATIO * 10.0) == (form == "gram")
         with monkeypatch.context() as mp:
             m, exact = flat_tail(shape, tau, seed=21)
             ref = _svt_svd(m, tau)
@@ -381,12 +397,15 @@ def test_svt_warm_start_matches_svd(shape, kind, monkeypatch):
             assert np.allclose(got, ref, rtol=1e-9, atol=1e-9 * np.abs(ref).max())
             warmed = kind not in ("too-narrow", "too-wide")
             assert outcomes == [warmed]
+            if not warmed and form == "spill":
+                assert np.array_equal(got, ref)
+                assert warm.basis is None
+                continue
             assert warm.basis.shape == (min(shape), 5)
             assert np.allclose(warm.basis.T @ warm.basis, np.eye(5), atol=1e-12)
             assert np.allclose(warm.basis @ warm.basis.T, exact @ exact.T, atol=1e-9)
             if warmed:
-                assert certificates[0] == (form, tall if form == "_spectral_norm_at_most"
-                                           else (min(shape), min(shape)))
+                assert certificates == certificate_calls(form, shape)
                 mp.setattr(np.linalg, "eigh", no_svd)
                 assert np.allclose(svt(m, tau, WarmStart(warm.basis)), ref,
                                    rtol=1e-9, atol=1e-9 * np.abs(ref).max())
@@ -396,11 +415,10 @@ def test_svt_warm_start_matches_svd(shape, kind, monkeypatch):
 def test_svt_warm_certificate_rejects_a_tail_value_above_tau(shape, monkeypatch):
     """One tail value at 1.05 tau: the power steps settle on the five
     leading vectors, but the spill certificate fails, in either form, and
-    svt falls back to the Gram path, whose result it returns bitwise. Above
-    GRAM_RATIO * s_max the Gram path keeps the sixth value; below, that
-    value is one the Gram matrix cannot resolve, and the result comes from
-    the SVD."""
-    tall = (max(shape), min(shape))
+    svt falls back to the Gram matrix's eigendecomposition, whose result it
+    returns bitwise, with no further certificate. Above GRAM_RATIO * s_max
+    the Gram path keeps the sixth value; below, that value is one the Gram
+    matrix cannot resolve, and the result comes from the SVD."""
     for tau, form in CERTIFICATE_FORMS:
         with monkeypatch.context() as mp:
             m, exact = flat_tail(shape, tau, seed=23,
@@ -419,15 +437,15 @@ def test_svt_warm_certificate_rejects_a_tail_value_above_tau(shape, monkeypatch)
             warm = WarmStart(exact[:, :5].copy())
             got = svt(m, tau, warm)
             assert outcomes == [False]
-            assert certificates[0] == (form, tall if form == "_spectral_norm_at_most"
-                                       else (min(shape), min(shape)))
+            assert certificates == certificate_calls(form, shape)
             assert grams == [(min(shape), min(shape))]
             assert np.array_equal(got, cold)
-            if form == "_gram_at_most":
+            ref = _svt_svd(m, tau)
+            if form == "gram":
                 assert warm.basis.shape == (min(shape), 6)
             else:
+                assert np.array_equal(got, ref)
                 assert warm.basis is None
-            ref = _svt_svd(m, tau)
             assert np.allclose(got, ref, rtol=1e-9, atol=1e-9 * np.abs(ref).max())
 
 
@@ -444,7 +462,7 @@ def test_svt_warm_path_declines_an_untrusted_kept_value(shape, monkeypatch):
     warm = WarmStart(exact.copy())
     assert np.array_equal(svt(m, tau, warm), _svt_svd(m, tau))
     assert outcomes == [False]
-    assert ("_spectral_norm_at_most", (max(shape), min(shape))) not in certificates
+    assert certificates == [("_gram", (max(shape), min(shape)))]
     assert warm.basis is None
 
 
@@ -533,6 +551,21 @@ def test_overflowing_gram_is_a_numerical_error(kernel):
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match=f"^{name} Gram overflows float64$"):
             kernel(m)
+
+
+def test_only_proxops_names_cholesky():
+    """One test of positive definiteness serves the package: of the modules
+    of `marc`, only `proxops` names `np.linalg.cholesky`, in
+    `positive_definite`."""
+    naming = set()
+    for path in Path(proxops.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            named = (node.attr if isinstance(node, ast.Attribute)
+                     else node.id if isinstance(node, ast.Name)
+                     else node.name if isinstance(node, ast.alias) else None)
+            if named == "cholesky":
+                naming.add(path.name)
+    assert naming == {"proxops.py"}
 
 
 def rank_r_span(m, rule):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import bundle_from_truth
-from marc import decode as decoder
+from marc import decode as decoder, proxops
 from marc import reconstructor
 from marc.dataset import AttributeSchema, SelectorBank
 from marc.errors import DegenerateMatrixError, NumericalError, ValidationError
@@ -1111,13 +1111,13 @@ class TestDecode:
 
     def test_positive_definite_tries_each_matrix_after_a_failure(self):
         """The trust test of the shifted Grams G - NORMAL_RATIO * tr(G) * I
-        in `decode.normal_maps`, `_per_matrix` of `np.linalg.cholesky`: a stacked
+        in `decode.normal_maps`, `proxops.positive_definite`: a stacked
         Cholesky, and after it fails, one matrix at a time."""
         eye = np.eye(3)
         singular = np.diag([1.0, 1.0, 0.0])
 
         def positive_definite(a):
-            return decoder._per_matrix(np.linalg.cholesky, a)[1].tolist()
+            return proxops.positive_definite(a).tolist()
 
         assert positive_definite(np.stack([eye, 2 * eye])) == [True, True]
         assert positive_definite(np.stack([eye, singular, -eye, 0.5 * eye])) == [
