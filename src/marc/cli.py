@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 import time
 from pathlib import Path
@@ -205,10 +204,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     truth = formats.load_truth(args.truth)
     report = recovery_metrics(bundle, truth)
     sys.stdout.write(report.to_text())
-    if args.out_json:
-        Path(args.out_json).write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
-    if args.out_txt:
-        Path(args.out_txt).write_text(report.to_text())
+    formats.write_report(report, args.out_json, args.out_txt)
     return 0
 
 

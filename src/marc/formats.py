@@ -22,11 +22,24 @@ matrix's shape against the others ("<path> has shape (r, c), expected
 (r', c')"), refuse one with a NaN or infinite entry ("<path>: non-finite
 entries"), check every record field's type, and build the config through
 `SolverConfig`'s own checks; a failure raises FormatError.
+
+Every file marc writes goes through one writer, `_rewrite`: it opens the
+path without truncating it (a new file gets mode 0o666 less the umask, as
+with `open(path, "wb")`), writes the new bytes over the old ones and then
+trims the file to their length. On ext4 mounted with `discard`, rewriting a
+file through `O_TRUNC`, as `Path.write_bytes` does, cost as much as
+creating it: 200 files of 1,616 B took 15.6-17.0 ms (median), against
+0.8-1.9 ms in place. This is no more atomic than a truncating write: a
+reader that opens a file while it is rewritten, or after a write that
+failed part way, can see old bytes past the new ones where a truncating
+write showed a short file.
 """
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
+import os
 import struct
 import typing
 import warnings
@@ -36,7 +49,7 @@ import numpy as np
 
 from .dataset import AttributeSchema, Sample, SelectorBank
 from .errors import FormatError, ValidationError
-from .synthbench import GroundTruth
+from .synthbench import GroundTruth, MetricsReport
 from .trainer import ModelBundle, SolverConfig, TrainDiagnostics
 
 MAGIC = b"MARC"
@@ -67,6 +80,14 @@ def _matrix_from_stream(buf: bytes, offset: int, where: str) -> tuple[np.ndarray
     return flat.reshape(rows, cols).astype(np.float64, copy=True), start + need
 
 
+def _rewrite(path: Path, data: bytes) -> None:
+    """Write `data` as the whole content of `path`, over the file in place if
+    it exists: no O_TRUNC, no temporary file."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+        f.write(data)
+        f.truncate()
+
+
 def write_matrix(path: str | Path, m: np.ndarray) -> None:
     """Write a matrix, a 1-D array as one column; ".csv" extension selects
     text, anything else binary."""
@@ -77,9 +98,11 @@ def write_matrix(path: str | Path, m: np.ndarray) -> None:
     if m.ndim != 2:
         raise ValidationError(f"can only store 2-D matrices, got ndim={m.ndim}")
     if path.suffix.lower() == ".csv":
-        np.savetxt(path, m, fmt="%.17g", delimiter=",")
+        text = io.BytesIO()
+        np.savetxt(text, m, fmt="%.17g", delimiter=",")
+        _rewrite(path, text.getvalue())
     else:
-        path.write_bytes(_matrix_bytes(m))
+        _rewrite(path, _matrix_bytes(m))
 
 
 def read_matrix(path: str | Path) -> np.ndarray:
@@ -117,7 +140,7 @@ def read_vector(path: str | Path) -> np.ndarray:
 
 
 def _json_dump(path: Path, obj: object) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    _rewrite(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode())
 
 
 def _json_load(path: Path) -> dict:
@@ -255,8 +278,7 @@ def _save_factors(path: str | Path, model: ModelBundle | GroundTruth) -> Path:
     _json_dump(root / "schema.json", model.schema.to_dict())
     for i, basis in enumerate(model.bases):
         write_matrix(root / f"basis_{i}.marc", basis)
-    root.joinpath("selectors.marc").write_bytes(
-        b"".join(_matrix_bytes(sel) for sel in model.bank.selectors))
+    _rewrite(root / "selectors.marc", b"".join(_matrix_bytes(sel) for sel in model.bank.selectors))
     write_matrix(root / "individual.marc", model.individual)
     write_matrix(root / "error.marc", model.sparse_error)
     return root
@@ -351,3 +373,13 @@ def load_truth(path: str | Path) -> GroundTruth:
         g_left=g_left,
         g_singulars=g_singulars,
     )
+
+
+def write_report(report: MetricsReport, json_path: str | Path | None,
+                 text_path: str | Path | None) -> None:
+    """Write `marc eval`'s report as sorted, indented JSON and as its
+    key=value text, each to its path if one is given."""
+    if json_path:
+        _json_dump(Path(json_path), report.to_dict())
+    if text_path:
+        _rewrite(Path(text_path), report.to_text().encode())

@@ -200,7 +200,7 @@ def svt(m: np.ndarray, tau: float, warm: WarmStart | None = None) -> np.ndarray:
     of it accurate to about 1e-10 relative, so when max(tau, s_min) >=
     GRAM_RATIO * s_max every value that decides the result is accurate, and
     the result is a V diag((1 - tau/s)_+) V^T. Otherwise it comes from
-    `deterministic_svd`, and a `warm` holder is left with no basis.
+    `deterministic_svd`, whose kept right vectors a `warm` holder gets.
     """
     m = _check_matrix(m, "svt input")
     tau = float(tau)
@@ -221,9 +221,7 @@ def svt(m: np.ndarray, tau: float, warm: WarmStart | None = None) -> np.ndarray:
         raise NumericalError(f"Gram eigendecomposition failed to converge: {exc}") from exc
     s = np.sqrt(np.maximum(eigvals, 0.0))  # ascending
     if max(tau, s[0]) < GRAM_RATIO * s[-1]:
-        if warm is not None:
-            warm.basis = None
-        return _svt_svd(m, tau)
+        return _svt_svd(m, tau, warm)
     keep = s > tau
     vecs = vecs[:, keep]
     if warm is not None:
@@ -296,11 +294,14 @@ def positive_definite(a: np.ndarray) -> np.ndarray:
     return np.ones(a.shape[:-2], dtype=bool)
 
 
-def _svt_svd(m: np.ndarray, tau: float) -> np.ndarray:
-    """`svt` through the full SVD; exact for any spectrum."""
+def _svt_svd(m: np.ndarray, tau: float, warm: WarmStart | None = None) -> np.ndarray:
+    """`svt` through the full SVD; exact for any spectrum. A `warm` holder
+    gets the kept right singular vectors, of m or of m^T for a wide `m`."""
     u, s, vh = deterministic_svd(m)
     shrunk = np.maximum(s - tau, 0.0)
     keep = int(np.count_nonzero(shrunk))
+    if warm is not None:
+        warm.basis = vh[:keep].T if m.shape[0] >= m.shape[1] else u[:, :keep]
     return (u[:, :keep] * shrunk[:keep]) @ vh[:keep]
 
 

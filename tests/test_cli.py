@@ -207,6 +207,15 @@ class TestEval:
                             "support_f1", "subspace_angles"}
         assert (tmp_path / "r.txt").read_text() == out
 
+    @pytest.mark.parametrize("flag", ["--out-json", "--out-txt"])
+    def test_unwritable_report_is_io_error(self, workspace, tmp_path, capsys, flag):
+        (tmp_path / "taken").mkdir()
+        for target in (tmp_path / "taken", tmp_path / "missing" / "r"):
+            rc = main(["eval", "-b", str(workspace / "bundle"),
+                       "--truth", str(workspace / "data" / "truth"), flag, str(target)])
+            assert rc == 3
+            assert "error: [Errno " in capsys.readouterr().err
+
     def test_malformed_truth_selectors_are_format_error(self, workspace, tmp_path, capsys):
         truth = tmp_path / "truth"
         shutil.copytree(workspace / "data" / "truth", truth)
@@ -331,6 +340,16 @@ class TestCompleteAndTransfer:
         filled = read_vector(out)
         assert filled.shape == (30,)
         assert np.all(np.isfinite(filled))
+
+    def test_unwritable_output_is_io_error(self, workspace, tmp_path, capsys):
+        sample = workspace / "data" / "samples" / "sample_0000.marc"
+        (tmp_path / "taken.marc").mkdir()
+        for out in (tmp_path / "taken.marc", tmp_path / "missing" / "filled.marc"):
+            rc = main(["complete", "-b", str(workspace / "bundle"),
+                       "-i", str(sample), "-o", str(out), "--t-max", "60"])
+            assert rc == 3
+            assert "error: [Errno " in capsys.readouterr().err
+        assert not (tmp_path / "missing").exists()
 
     def test_unconverged_vector_names_the_reason(self, workspace, tmp_path, capsys):
         # Dense out-of-model noise: a vector the model fits exactly apart

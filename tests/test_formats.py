@@ -1,15 +1,20 @@
 """On-disk formats: the binary matrix container, CSV fallback, dataset
 manifests, and the bundle/truth archive directories. Round-trips must be
 bitwise for binary files."""
+import ast
 import dataclasses
 import json
+import os
 import re
+import stat
 import struct
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from marc import formats
 from marc.dataset import AttributeSchema, assemble
 from marc.errors import FormatError, ValidationError
 from marc.formats import (
@@ -108,6 +113,86 @@ class TestMatrixContainer:
         write_matrix(tmp_path / "m.marc", np.zeros((2, 3)))
         with pytest.raises(FormatError, match="expected a vector"):
             read_vector(tmp_path / "m.marc")
+
+
+class TestInPlaceWriter:
+    """Every file is rewritten in place and trimmed to the new length."""
+
+    @pytest.mark.parametrize("suffix", [".marc", ".csv"])
+    def test_shorter_rewrite_leaves_no_stale_tail(self, tmp_path, suffix):
+        path = tmp_path / f"m{suffix}"
+        write_matrix(path, np.random.default_rng(5).standard_normal((20, 20)))
+        small = np.array([[1.5], [-2.0], [1e-300]])
+        write_matrix(path, small)
+        fresh = tmp_path / f"fresh{suffix}"
+        write_matrix(fresh, small)
+        assert path.read_bytes() == fresh.read_bytes()
+        back = read_matrix(path)
+        assert back.shape == (3, 1)
+        assert back.tobytes() == small.tobytes()
+
+    def test_rewrite_keeps_the_inode(self, tmp_path):
+        path = tmp_path / "v.marc"
+        write_vector(path, np.arange(50.0))
+        inode = path.stat().st_ino
+        write_vector(path, np.arange(3.0))
+        assert path.stat().st_ino == inode
+        assert np.array_equal(read_vector(path), np.arange(3.0))
+
+    def test_new_file_mode_follows_the_umask(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            write_vector(tmp_path / "new.marc", np.arange(3.0))
+            (tmp_path / "reference").write_bytes(b"")
+        finally:
+            os.umask(old)
+        assert (stat.S_IMODE((tmp_path / "new.marc").stat().st_mode)
+                == stat.S_IMODE((tmp_path / "reference").stat().st_mode) == 0o640)
+
+    @pytest.mark.parametrize("name", ["v.marc", "v.csv", "manifest.json"])
+    @pytest.mark.parametrize("where", ["directory", "missing-parent"])
+    def test_unwritable_path_raises_as_write_bytes_does(self, tmp_path, where, name):
+        if where == "directory":
+            path = tmp_path / name
+            path.mkdir()
+        else:
+            path = tmp_path / "missing" / name
+        with pytest.raises(OSError) as expected:
+            path.write_bytes(b"")
+        with pytest.raises(type(expected.value)):
+            if name == "manifest.json":
+                write_manifest(path, SCHEMA, [])
+            else:
+                write_vector(path, np.arange(3.0))
+        assert not (tmp_path / "missing").exists()
+
+
+def _opens_for_writing(node: ast.AST) -> bool:
+    """A call of `open` (builtin or method) with a mode that writes."""
+    if not (isinstance(node, ast.Call) and (
+            isinstance(node.func, ast.Name) and node.func.id == "open"
+            or isinstance(node.func, ast.Attribute) and node.func.attr == "open")):
+        return False
+    modes = [*node.args, *(k.value for k in node.keywords if k.arg == "mode")]
+    return any(isinstance(m, ast.Constant) and isinstance(m.value, str)
+               and re.fullmatch(r"[rwxabt+]+", m.value) and set("wxa+") & set(m.value)
+               for m in modes)
+
+
+def test_only_formats_writes_files():
+    """One writer serves the package: of the modules of `marc`, only
+    `formats` names `write_bytes`, `write_text`, `savetxt` or a writing
+    `os.open` flag, or opens a file in a write mode."""
+    writers = {"write_bytes", "write_text", "savetxt", "O_WRONLY", "O_RDWR", "O_CREAT"}
+    writing = set()
+    for path in Path(formats.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            named = (node.attr if isinstance(node, ast.Attribute)
+                     else node.id if isinstance(node, ast.Name)
+                     else node.name if isinstance(node, ast.alias) else None)
+            if named in writers or _opens_for_writing(node):
+                writing.add(path.name)
+    assert writing == {"formats.py"}
 
 
 SCHEMA = AttributeSchema.of([("kind", ["a", "b"])])

@@ -223,7 +223,7 @@ def test_svt_unresolved_tail_takes_the_svd(shape):
     s_max, as G looks once training has settled. Without a warm start that
     takes it, the Gram matrix cannot resolve the tail, so the result is the
     SVD path's, bitwise, and a holder whose start is too wide to try is
-    left with no basis."""
+    handed the SVD's five kept right singular vectors."""
     tau = 1e-4
     k = min(shape)
     s = np.concatenate([[10.0, 8.0, 6.0, 5.0, 4.0], np.full(k - 5, 0.8 * tau)])
@@ -232,7 +232,9 @@ def test_svt_unresolved_tail_takes_the_svd(shape):
     warm = WarmStart(np.eye(k)[:, :k // 3 + 1])
     got = svt(m, tau, warm)
     assert np.array_equal(got, _svt_svd(m, tau))
-    assert warm.basis is None
+    lead = np.linalg.svd(m if shape[0] >= shape[1] else m.T)[2][:5].T
+    assert warm.basis.shape == (k, 5)
+    assert np.allclose(warm.basis @ warm.basis.T, lead @ lead.T, atol=1e-9)
     assert np.linalg.matrix_rank(got) == 5
 
 
@@ -382,9 +384,8 @@ def test_svt_warm_start_matches_svd(shape, kind, monkeypatch):
     vectors. A start too narrow leaves a value above tau in the spill,
     which fails the certificate; one too wide cannot settle its columns in
     the flat tail within WARM_STEPS. Both fall back: above GRAM_RATIO *
-    s_max to the Gram path, which leaves the same five vectors; below it,
-    where the Gram matrix cannot resolve the tail, to the SVD, bitwise,
-    which leaves no basis."""
+    s_max to the Gram path; below it, where the Gram matrix cannot resolve
+    the tail, to the SVD, bitwise. Either leaves the same five vectors."""
     for tau, form in CERTIFICATE_FORMS:
         assert (tau >= GRAM_RATIO * 10.0) == (form == "gram")
         with monkeypatch.context() as mp:
@@ -399,8 +400,6 @@ def test_svt_warm_start_matches_svd(shape, kind, monkeypatch):
             assert outcomes == [warmed]
             if not warmed and form == "spill":
                 assert np.array_equal(got, ref)
-                assert warm.basis is None
-                continue
             assert warm.basis.shape == (min(shape), 5)
             assert np.allclose(warm.basis.T @ warm.basis, np.eye(5), atol=1e-12)
             assert np.allclose(warm.basis @ warm.basis.T, exact @ exact.T, atol=1e-9)
@@ -418,7 +417,8 @@ def test_svt_warm_certificate_rejects_a_tail_value_above_tau(shape, monkeypatch)
     svt falls back to the Gram matrix's eigendecomposition, whose result it
     returns bitwise, with no further certificate. Above GRAM_RATIO * s_max
     the Gram path keeps the sixth value; below, that value is one the Gram
-    matrix cannot resolve, and the result comes from the SVD."""
+    matrix cannot resolve, and the result comes from the SVD. Either hands
+    the holder the six kept right singular vectors."""
     for tau, form in CERTIFICATE_FORMS:
         with monkeypatch.context() as mp:
             m, exact = flat_tail(shape, tau, seed=23,
@@ -441,11 +441,9 @@ def test_svt_warm_certificate_rejects_a_tail_value_above_tau(shape, monkeypatch)
             assert grams == [(min(shape), min(shape))]
             assert np.array_equal(got, cold)
             ref = _svt_svd(m, tau)
-            if form == "gram":
-                assert warm.basis.shape == (min(shape), 6)
-            else:
+            if form == "spill":
                 assert np.array_equal(got, ref)
-                assert warm.basis is None
+            assert warm.basis.shape == (min(shape), 6)
             assert np.allclose(got, ref, rtol=1e-9, atol=1e-9 * np.abs(ref).max())
 
 
@@ -454,7 +452,8 @@ def test_svt_warm_path_declines_an_untrusted_kept_value(shape, monkeypatch):
     """A sixth leading value of 5e-3, above tau = 1e-5 but below
     GRAM_RATIO * s_max = 1e-2: the Ritz matrix cannot resolve it, so the warm
     path declines before any certificate, even from the exact start, and
-    the result is the SVD path's."""
+    the result is the SVD path's, which hands the holder its six kept right
+    singular vectors."""
     tau = 1e-5
     m, exact = flat_tail(shape, tau, seed=27, lead=(10.0, 8.0, 6.0, 5.0, 4.0, 5e-3))
     outcomes = spy_warm(monkeypatch)
@@ -463,7 +462,8 @@ def test_svt_warm_path_declines_an_untrusted_kept_value(shape, monkeypatch):
     assert np.array_equal(svt(m, tau, warm), _svt_svd(m, tau))
     assert outcomes == [False]
     assert certificates == [("_gram", (max(shape), min(shape)))]
-    assert warm.basis is None
+    assert warm.basis.shape == (min(shape), 6)
+    assert np.allclose(warm.basis @ warm.basis.T, exact @ exact.T, atol=1e-9)
 
 
 @pytest.mark.parametrize("shape", [(200, 60), (64, 256)], ids=["tall", "wide"])
