@@ -37,9 +37,10 @@ columns retire, to rounding.
 
 `reconstruct_many` solves a block of vectors as independent problems that
 share each sweep's matrix products; `reconstruct` is its one-vector case, so
-both run the same steps. Every vector's result is built once, by the one
-`retire` of its slice: `trainer.run_penalty_steps` retires a problem when it
-stops, and a vector with no visible signal is retired before the first step.
+both run the same steps. Every vector's result, a transfer's re-rendering
+included, is built once, by the one `retire` of its slice:
+`trainer.run_penalty_steps` retires a problem when it stops, and a vector
+with no visible signal is retired before the first step.
 
 Inputs meet the rules training data meets, once per call: the length rule
 `dataset.check_input` (one vector) and the value rule `dataset.check_observed`
@@ -48,7 +49,6 @@ transfer spec, an empty block's too.
 """
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -222,8 +222,7 @@ def reconstruct(
     norms = checked_norms([observed], "reconstruction",
                           lambda _: "the observed norm of the input vector")
     spec = _check_spec(spec, bundle.schema)
-    [result] = _solve(y, w_y, observed, norms, bundle, config, observer)
-    return _transfer(result, y, w_y, bundle, spec, config.rank_rule)
+    return _solve(y, w_y, observed, norms, bundle, spec, config, observer)[0]
 
 
 def reconstruct_many(
@@ -270,13 +269,13 @@ def reconstruct_many(
     slice's working set in turn, t starting at 0 for each.
 
     Every column is solved this way with every selector free: that is its
-    completion, whatever `spec` pins. A transfer then re-renders the
-    completion, and solves nothing more: each attribute `spec` pins takes
-    a copy of its trained selector, so it comes back bitwise identical; the
-    reconstruction is `synthesize`'s sum under the pins, bitwise; and the
-    sparse error keeps the completion's visible entries and absorbs y
-    minus the new reconstruction on hidden ones. The free selectors, span
-    coefficients and diagnostics are the completion's.
+    completion, whatever `spec` pins. A transfer re-renders the completion
+    as the column leaves the working set, and solves nothing more: each
+    attribute `spec` pins takes a copy of its trained selector, so it comes
+    back bitwise identical; the reconstruction is `synthesize`'s sum under
+    the pins, bitwise; and the sparse error keeps the completion's visible
+    entries and absorbs y minus the new reconstruction on hidden ones. The
+    free selectors, span coefficients and diagnostics are the completion's.
 
     Hidden entries of `Y` enter no step: the solve runs on W.*Y, so the
     selectors, coefficients, reconstruction and diagnostics are those of
@@ -305,27 +304,9 @@ def reconstruct_many(
     spec = _check_spec(spec, bundle.schema)
     count = Y.shape[1]
     slices = np.array_split(np.arange(count), math.ceil(count / BLOCK_WIDTH)) if count else []
-    results = [result for block in slices
-               for result in _solve(Y[:, block], W[:, block], observed[:, block],
-                                    [norms[c] for c in block], bundle, config, observer)]
-    return [_transfer(result, Y[:, c], W[:, c], bundle, spec, config.rank_rule)
-            for c, result in enumerate(results)]
-
-
-def _transfer(result: ReconResult, y: np.ndarray, w_y: np.ndarray, bundle: ModelBundle,
-              spec: TransferSpec, rule: RankRule | None) -> ReconResult:
-    """The completion `result` of `y` (mask `w_y`) re-rendered under the
-    pins of `spec`: each pinned selector a copy of the trained one, the
-    reconstruction `synthesize`'s sum, and the sparse error the
-    completion's on visible entries and y minus that reconstruction on
-    hidden ones. A free spec returns `result` itself."""
-    if all(mode is None for mode in spec.pinned):
-        return result
-    selectors = [sel if mode is None else bundle.bank.selectors[i][:, mode].copy()
-                 for i, (mode, sel) in enumerate(zip(spec.pinned, result.selectors))]
-    out = synthesize(bundle, spec, selectors, result.indiv_coeffs, rule)
-    return dataclasses.replace(result, selectors=selectors, reconstruction=out,
-                               sparse_error=np.where(w_y != 0.0, result.sparse_error, y - out))
+    return [result for block in slices
+            for result in _solve(Y[:, block], W[:, block], observed[:, block],
+                                 [norms[c] for c in block], bundle, spec, config, observer)]
 
 
 def _sq_norms(a: np.ndarray) -> np.ndarray | float:
@@ -346,24 +327,30 @@ def _solve(
     observed: np.ndarray,
     norms: list[float],
     bundle: ModelBundle,
+    spec: TransferSpec,
     config: ReconConfig,
     observer: ReconObserver | None,
 ) -> list[ReconResult]:
-    """The completions of a slice of `reconstruct_many` on checked input: Y,
-    W and `observed` = Y * W are (dim, B), or (dim,) for one vector, with
-    their B observed `norms`. One vector runs the same steps without the
-    column axis: its state holds 1-D arrays and a scalar mu, which its
-    observer sees, and its per-column bookkeeping costs no numpy calls on
-    length-1 arrays. That path pays for itself: as a 1-column block, calls
-    that certify at the first step take 1.7-2.2% longer (200 free
-    recon-holdout calls of seed 4242) and penalty-loop solves 23-26% (the
-    free solves of 30 stock holdouts, 50% hidden, 30% spikes, amplitude 5);
-    paired per-call medians over three runs, min of 5, one BLAS thread,
-    2-core VM, with the same reconstructions and iterations either way."""
+    """The results of a slice of `reconstruct_many` on checked input, in
+    column order: Y, W and `observed` = Y * W are (dim, B), or (dim,) for
+    one vector, with their B observed `norms`. Every column is solved free,
+    as its completion; `retire` builds its one ReconResult as it stops, the
+    completion re-rendered under the pins of `spec` if it pins any.
+
+    One vector runs the same steps without the column axis: its state holds
+    1-D arrays and a scalar mu, which its observer sees, and its per-column
+    bookkeeping costs no numpy calls on length-1 arrays. That path pays for
+    itself: as a 1-column block, calls that certify at the first step take
+    1.7-2.2% longer (200 free recon-holdout calls of seed 4242) and
+    penalty-loop solves 23-26% (the free solves of 30 stock holdouts, 50%
+    hidden, 30% spikes, amplitude 5); paired per-call medians over three
+    runs, min of 5, one BLAS thread, 2-core VM, with the same
+    reconstructions and iterations either way."""
     dim = bundle.dim
     span = build_span(bundle, config.rank_rule)
     bases = bundle.bases
     lam = config.effective_lam(dim, 1)
+    pinned = any(mode is not None for mode in spec.pinned)
     results: list[ReconResult | None] = [None] * len(norms)
     zero = [c for c, norm in enumerate(norms) if norm == 0.0]
     # A zero-signal column retires before the first step: no step reads its
@@ -391,7 +378,6 @@ def _solve(
     maps, trusted = decode.normal_maps(design, visible.reshape(dim, -1))
     cols = {
         "visible": visible, "observed": observed, "norm": norm,
-        "tol_sq": (INNER_TOL * norm) ** 2,
         "x": np.zeros((design.shape[1],) + tail),
         "input": np.arange(len(norms)),  # each working column's index in the input
         "maps": maps if tail else maps[0], "trusted": trusted,
@@ -403,7 +389,7 @@ def _solve(
         indiv_coeffs=np.zeros((span.shape[1],) + tail),
         sparse_error=np.zeros(Y.shape),
         dual=np.zeros(Y.shape),
-        mu=config.mu0_scale / norm,
+        mu=config.capped(config.mu0_scale / norm),
         lam=lam,
     )
     # The last closing step's sum F_k h_k and K w. They and e start at the
@@ -413,9 +399,9 @@ def _solve(
     shared, indiv = np.zeros(Y.shape), np.zeros(Y.shape)
     first = True
 
-    def sweeps() -> np.ndarray:
+    def step() -> tuple[np.ndarray, np.ndarray | float, np.ndarray | float]:
         nonlocal shared, indiv, first
-        x, tol_sq = cols["x"], cols["tol_sq"]
+        x, tol_sq = cols["x"], (INNER_TOL * cols["norm"]) ** 2
         scaled_dual = state.dual / state.mu
         bound = lam / state.mu
         target = cols["observed"] + scaled_dual
@@ -426,11 +412,11 @@ def _solve(
             rhs = design.T @ (cols["visible"] * (target - err))
             new = (np.matmul(cols["maps"], rhs.T[:, :, None])[:, :, 0].T if tail
                    else cols["maps"] @ rhs)
-            step = new - x
+            delta = new - x
             x = np.where(moving, new, x) if some_frozen else new
-            # Blocks have orthonormal columns: a column of step^2 sums the
+            # Blocks have orthonormal columns: a column of delta^2 sums the
             # squared distances the sweep moved each block's synthesis.
-            moving &= _sq_norms(step) > tol_sq
+            moving &= _sq_norms(delta) > tol_sq
             if first and not sweep:
                 # The first step's x is the least-squares fit (e = 0 on
                 # visible rows, and the dual is zero): decode from it. A
@@ -461,32 +447,33 @@ def _solve(
             sparse = sparse & ~certified
             first = False
         state.sparse_error = np.where(sparse, soft_threshold(augmented, bound), augmented)
-        return unexplained
-
-    def residual(unexplained: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        gap = unexplained - state.sparse_error
-        res = np.sqrt(_sq_norms(gap)) / cols["norm"]
-        return res, res
+        res = np.sqrt(_sq_norms(unexplained - state.sparse_error)) / cols["norm"]
+        return unexplained, res, res
 
     def retire(stopped: list[int], diags: list[TrainDiagnostics]) -> None:
         for c, diag in zip(stopped, diags):
             k = cols["input"][c]
-            e = _column(state.sparse_error, c)
-            results[k] = ReconResult(
-                selectors=[_column(sel, c).copy() for sel in state.selectors],
-                indiv_coeffs=_column(state.indiv_coeffs, c).copy(),
-                sparse_error=np.where(_column(cols["visible"], c), e, e + _column(Y, k)),
-                reconstruction=_column(shared, c) + _column(indiv, c),
-                diagnostics=diag,
-            )
+            y, e, seen = _column(Y, k), _column(state.sparse_error, c), _column(cols["visible"], c)
+            selectors = [_column(sel, c).copy() if mode is None
+                         else bundle.bank.selectors[i][:, mode].copy()
+                         for i, (mode, sel) in enumerate(zip(spec.pinned, state.selectors))]
+            coeffs = _column(state.indiv_coeffs, c).copy()
+            if pinned:
+                out = synthesize(bundle, spec, selectors, coeffs, config.rank_rule)
+                e = np.where(seen, e, y - out)
+            else:
+                out = _column(shared, c) + _column(indiv, c)
+                e = np.where(seen, e, e + y)
+            results[k] = ReconResult(selectors=selectors, indiv_coeffs=coeffs, sparse_error=e,
+                                     reconstruction=out, diagnostics=diag)
         if len(stopped) == np.size(state.mu):
             return
+        # The state's selectors and span coefficients are not narrowed: the
+        # next step cuts them from the narrowed x before anything reads them.
         keep = np.ones(state.mu.size, dtype=bool)
         keep[stopped] = False
         for key, value in cols.items():
             cols[key] = value[:, keep] if value.ndim == 2 else value[keep]
-        state.selectors = [sel[:, keep] for sel in state.selectors]
-        state.indiv_coeffs = state.indiv_coeffs[:, keep]
         state.sparse_error = state.sparse_error[:, keep]
         state.dual = state.dual[:, keep]
         state.mu = state.mu[keep]
@@ -494,7 +481,7 @@ def _solve(
     if zero:
         retire(zero, [TrainDiagnostics.zero_input(lam) for _ in zero])
     if len(zero) < len(norms):
-        run_penalty_steps(state, sweeps, residual, observer, "reconstruction", retire)
+        run_penalty_steps(state, step, observer, "reconstruction", retire)
     return results
 
 

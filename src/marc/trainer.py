@@ -94,12 +94,12 @@ class Schedule:
     """The augmented-Lagrangian schedule that training and reconstruction
     share: sparsity weight lam (None selects 1/sqrt of the larger side of
     the data at solve time), stop threshold eps, iteration cap t_max, and
-    the penalty, which starts at mu0_scale over a norm of the data and grows
-    by rho per step up to mu_max. In reconstruction eps also bounds the
-    first step's decode: a vector is certified when its refit is provably
-    within eps * ||w .* target||_1 of every exact (least-absolute-deviations)
-    fit. Like every config, it checks itself when built: an invalid value
-    raises ValidationError."""
+    the penalty, which starts at mu0_scale over a norm of the data, capped
+    at mu_max, and grows by rho per step up to mu_max. In reconstruction eps
+    also bounds the first step's decode: a vector is certified when its
+    refit is provably within eps * ||w .* target||_1 of every exact
+    (least-absolute-deviations) fit. Like every config, it checks itself
+    when built: an invalid value raises ValidationError."""
 
     lam: float | None = None
     eps: float = 1e-7
@@ -126,11 +126,17 @@ class Schedule:
             return float(self.lam)
         return 1.0 / math.sqrt(max(dim, count))
 
+    def capped(self, mu: float | np.ndarray) -> float | np.ndarray:
+        """`mu` held at most mu_max: a float stays a float (the one-problem
+        case), an array of per-problem penalties is capped entrywise."""
+        return np.minimum(mu, self.mu_max) if isinstance(mu, np.ndarray) else min(mu, self.mu_max)
+
 
 @dataclass(frozen=True)
 class SolverConfig(Schedule):
     """Training hyperparameters: the shared schedule, whose penalty starts at
-    mu0_scale / ||X||_2, plus the seed of the random initial bases."""
+    mu0_scale / ||X||_2 (capped at mu_max), plus the seed of the random
+    initial bases."""
 
     seed: int = 0
 
@@ -349,9 +355,7 @@ def update_duals(state, fit: np.ndarray) -> None:
     config, dual, mu and sparse_error will do, the reconstructor's too,
     whose mu is one entry per column of dual."""
     state.dual = state.dual + state.mu * (fit - state.sparse_error)
-    mu = state.config.rho * state.mu
-    state.mu = np.minimum(mu, state.config.mu_max) if isinstance(mu, np.ndarray) \
-        else min(mu, state.config.mu_max)
+    state.mu = state.config.capped(state.config.rho * state.mu)
 
 
 def normalized_residual(state: TrainState, ts: TrainingSet, norm: float, fit: np.ndarray) -> float:
@@ -389,8 +393,7 @@ def _as_list(values: float | np.ndarray) -> list[float]:
 
 def run_penalty_steps(
     state,
-    sweeps: Callable[[], np.ndarray],
-    residual: Callable[[np.ndarray], tuple[float | np.ndarray, float | np.ndarray]],
+    step: Callable[[], tuple[np.ndarray, float | np.ndarray, float | np.ndarray]],
     observer: Callable | None,
     what: str,
     retire: Callable[[list[int], list[TrainDiagnostics]], None],
@@ -402,9 +405,9 @@ def run_penalty_steps(
     mu is a float for one problem (training, or one vector to reconstruct),
     or a length-B array for B problems, whose b-th entry belongs to the b-th
     column of the working set: the problems still running, in their
-    original order. Each penalty step calls `sweeps()`, which updates the
-    primal blocks through the closing sparse step and returns the part of
-    the data left for E, then `residual` of that: the masked residuals, which
+    original order. Each penalty step calls `step()`, which updates the
+    primal blocks through the closing sparse step and returns (fit, masked,
+    unmasked): the part of the data left for E, the masked residuals, which
     drive the stop rules, and the unmasked ones, a float or a length-B array
     each. After finite residuals come the observer, called with (state, t),
     and `update_duals`. A problem stops "converged" when its residual drops
@@ -427,10 +430,9 @@ def run_penalty_steps(
     for t in range(t_max):
         mu = _as_list(state.mu)
         try:
-            fit = sweeps()
+            fit, masked, unmasked = step()
         except (ValidationError, NumericalError) as exc:
             raise NumericalError(f"{what} diverged at iteration {t}: {exc}") from exc
-        masked, unmasked = residual(fit)
         res, res_unmasked = _as_list(masked), _as_list(unmasked)
         if not all(map(math.isfinite, res + res_unmasked)):
             raise NumericalError(f"{what} diverged at iteration {t}: non-finite residual")
@@ -513,7 +515,7 @@ def train(
         individual=np.zeros_like(ts.X),
         sparse_error=np.zeros_like(ts.X),
         dual=np.zeros_like(ts.X),
-        mu=config.mu0_scale / float(np.linalg.norm(ts.X, 2)),
+        mu=config.capped(config.mu0_scale / float(np.linalg.norm(ts.X, 2))),
         lam=lam,
     )
 
@@ -524,7 +526,7 @@ def train(
     tol = INNER_TOL * norm
     model = np.zeros_like(ts.X)  # sum F_k H_k + G of the zero initial state
 
-    def sweeps() -> np.ndarray:
+    def step() -> tuple[np.ndarray, float, float]:
         nonlocal model
         scaled = state.dual / state.mu
         for _ in range(INNER_SWEEPS):
@@ -543,14 +545,11 @@ def train(
             update_e(state, ts, fit + scaled)
             if frobenius(model - previous) <= tol:
                 break
-        return fit
-
-    def residual(fit: np.ndarray) -> tuple[float, float]:
-        return normalized_residual(state, ts, norm, fit), constraint_residual(state, ts, norm, fit)
+        return (fit, normalized_residual(state, ts, norm, fit),
+                constraint_residual(state, ts, norm, fit))
 
     closed: list[TrainDiagnostics] = []
-    run_penalty_steps(state, sweeps, residual, observer, "training",
-                      lambda _, diags: closed.extend(diags))
+    run_penalty_steps(state, step, observer, "training", lambda _, diags: closed.extend(diags))
     return ModelBundle(
         schema=ts.schema,
         bases=state.bases,

@@ -132,7 +132,7 @@ class TestSpan:
         assert span.shape == (40, 2)
         assert np.allclose(span.T @ span, np.eye(2), atol=1e-12)
 
-    def test_use_individual_false_skips_span_entirely(self, planted):
+    def test_no_rank_rule_skips_span_entirely(self, planted):
         truth, _, y, _ = planted
         bundle = bundle_from_truth(truth)
         bundle = dataclasses.replace(bundle, individual=np.zeros_like(bundle.individual))
@@ -181,7 +181,7 @@ class TestRecoveryAtGentleStart:
         assert np.linalg.norm(pinned_own - completed) / ny <= 1e-6
         assert np.linalg.norm(pinned_own - y) / ny <= 1e-10
 
-    def test_post_hoc_transfer_applies_planted_shift(self, planted):
+    def test_transfer_applies_planted_shift(self, planted):
         truth, bundle, y, _ = planted
         cfg = ReconConfig(**GENTLE)
         moved = transfer(y, None, bundle, {"tint": "cool"}, config=cfg)
@@ -292,6 +292,28 @@ class TestContracts:
         for prev, cur in zip(mu, mu[1:]):
             assert cur == min(1.2 * prev, 1e7)
 
+    def test_penalty_start_is_capped_at_mu_max(self, default_instance):
+        """A vector so small that mu0_scale / ||w .* y|| exceeds mu_max
+        starts at mu_max, alone (mu a float) and in a block (one entry per
+        column), so mu never decreases and never passes the cap."""
+        _, truth = default_instance
+        bundle = bundle_from_truth(truth)
+        h = holdout_sample(truth, 3, 0.5, 0.30, 5.0)
+        tiny = h.y * 1e-9
+        assert 25.0 / np.linalg.norm(tiny * h.mask) > 1e7
+        kinds = []
+        alone = reconstruct(tiny, h.mask, bundle,
+                            observer=lambda state, t: kinds.append(type(state.mu)))
+        assert set(kinds) == {float}
+        block = reconstruct_many(np.column_stack([h.y, tiny]), np.column_stack([h.mask] * 2),
+                                 bundle)
+        for d in (alone.diagnostics, block[1].diagnostics):
+            assert d.mu_history[0] == 1e7
+        for d in (alone.diagnostics, *(r.diagnostics for r in block)):
+            mu = d.mu_history
+            assert max(mu) <= 1e7
+            assert all(prev <= cur for prev, cur in zip(mu, mu[1:]))
+
     def test_determinism_and_complete_alias(self, planted):
         _, bundle, y, _ = planted
         one = reconstruct(y, None, bundle)
@@ -356,16 +378,18 @@ class TestTransfer:
     """A transfer is its completion re-rendered under the pins."""
 
     @pytest.mark.parametrize("rank_rule", [ReconConfig().rank_rule, None], ids=["span", "no-span"])
-    def test_a_transfer_re_renders_its_completion(self, default_instance, rank_rule):
-        """24 stock holdouts transferred to attr2=b3 through the planted
-        model, alone and as one block. Where the completion certifies (all
-        24 with the default span; none without it, whose design misses the
-        individual part), the transfer is within 1e-14 of the clean vector
-        re-rendered with b3, relative to it. Every pinned selector is
-        bitwise the trained column. Alone, the free selectors, span
-        coefficients, record and visible sparse error are bitwise the free
-        solve's, the reconstruction is bitwise `synthesize`'s sum from them,
-        and the hidden sparse error is y minus it."""
+    def test_a_transfer_re_renders_its_completion(self, default_instance, rank_rule, monkeypatch):
+        """24 stock holdouts, a zero vector and a fully hidden one,
+        transferred to attr2=b3 through the planted model, alone and as one
+        block. The block builds one ReconResult per column. Where the
+        completion certifies (all 24 holdouts with the default span; none
+        without it, whose design misses the individual part), the transfer
+        is within 1e-14 of the clean vector re-rendered with b3, relative to
+        it. Every pinned selector is bitwise the trained column. Against the
+        completion solved the same way, alone or in the block, the free
+        selectors, span coefficients, record and visible sparse error are
+        bitwise its own, the reconstruction is bitwise `synthesize`'s sum
+        from them, and the hidden sparse error is y minus it."""
         _, truth = default_instance
         bundle = bundle_from_truth(truth)
         config = ReconConfig(rank_rule=rank_rule)
@@ -374,33 +398,44 @@ class TestTransfer:
         basis, trained = truth.bases[attr], truth.bank.selectors[attr]
         spec = TransferSpec.targets(truth.schema, {"attr2": "b3"})
         samples = [holdout_sample(truth, seed) for seed in range(24)]
-        Y = np.column_stack([s.y for s in samples])
-        W = np.column_stack([s.mask for s in samples])
+        Y = np.column_stack([s.y for s in samples] + [np.zeros(bundle.dim), samples[0].y])
+        W = np.column_stack([s.mask for s in samples] + [samples[1].mask, np.zeros(bundle.dim)])
+        built = []
+
+        class Counted(reconstructor.ReconResult):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(reconstructor, "ReconResult", Counted)
         block = reconstruct_many(Y, W, bundle, spec, config)
+        assert len(built) == Y.shape[1]
+        assert sorted(map(id, built)) == sorted(map(id, block))
+        completions = reconstruct_many(Y, W, bundle, config=config)
         certified = 0
-        for sample, in_block in zip(samples, block):
-            alone = reconstruct(sample.y, sample.mask, bundle, spec, config)
-            free = reconstruct(sample.y, sample.mask, bundle, config=config)
-            own = truth.schema.inst_index(attr, sample.labels["attr2"])
-            target = sample.clean - basis @ trained[:, own] + basis @ trained[:, b3]
-            d = free.diagnostics
-            if (d.iterations, d.stop_reason, d.final_residual) == (1, "converged", 0.0):
+        for c, (in_block, free_in_block) in enumerate(zip(block, completions)):
+            y, seen = Y[:, c], W[:, c] != 0.0
+            alone = reconstruct(y, W[:, c], bundle, spec, config)
+            free_alone = reconstruct(y, W[:, c], bundle, config=config)
+            d = free_alone.diagnostics
+            if c < len(samples) and (d.iterations, d.stop_reason, d.final_residual) \
+                    == (1, "converged", 0.0):
                 certified += 1
+                own = truth.schema.inst_index(attr, samples[c].labels["attr2"])
+                target = samples[c].clean - basis @ trained[:, own] + basis @ trained[:, b3]
                 for result in (alone, in_block):
                     rel = np.linalg.norm(result.reconstruction - target) / np.linalg.norm(target)
                     assert rel <= 1e-14
-            for result in (alone, in_block):
+            for result, free in ((alone, free_alone), (in_block, free_in_block)):
                 assert result.selectors[attr].tobytes() == trained[:, b3].tobytes()
-            for i, (a, b) in enumerate(zip(alone.selectors, free.selectors)):
-                assert i == attr or a.tobytes() == b.tobytes()
-            assert alone.indiv_coeffs.tobytes() == free.indiv_coeffs.tobytes()
-            assert alone.diagnostics == free.diagnostics
-            seen = sample.mask != 0.0
-            assert alone.sparse_error[seen].tobytes() == free.sparse_error[seen].tobytes()
-            synthesis = synthesize(bundle, spec, free.selectors, free.indiv_coeffs, rank_rule)
-            assert alone.reconstruction.tobytes() == synthesis.tobytes()
-            hidden = (sample.y - synthesis)[~seen]
-            assert alone.sparse_error[~seen].tobytes() == hidden.tobytes()
+                for i, (a, b) in enumerate(zip(result.selectors, free.selectors)):
+                    assert i == attr or a.tobytes() == b.tobytes()
+                assert result.indiv_coeffs.tobytes() == free.indiv_coeffs.tobytes()
+                assert result.diagnostics == free.diagnostics
+                assert result.sparse_error[seen].tobytes() == free.sparse_error[seen].tobytes()
+                synthesis = synthesize(bundle, spec, free.selectors, free.indiv_coeffs, rank_rule)
+                assert result.reconstruction.tobytes() == synthesis.tobytes()
+                assert result.sparse_error[~seen].tobytes() == (y - synthesis)[~seen].tobytes()
         assert certified == (24 if rank_rule else 0)
 
 

@@ -398,6 +398,17 @@ class TestTrainLoop:
         assert mu[cap_step] == 1e7
         assert mu[cap_step - 1] < 1e7
 
+    def test_penalty_start_is_capped_at_mu_max(self, small_instance):
+        """With mu_max below mu0_scale / ||X||_2 the run starts at mu_max,
+        with mu a float, and mu never decreases or passes the cap."""
+        ts, _ = small_instance
+        cap = 0.5 * 25.0 / float(np.linalg.norm(ts.X, 2))
+        kinds = []
+        d = train(ts, SolverConfig(mu_max=cap, t_max=5),
+                  observer=lambda state, t: kinds.append(type(state.mu))).diagnostics
+        assert set(kinds) == {float}
+        assert d.mu_history == [cap] * d.iterations
+
     def test_stalled_run_stops_after_the_cap_step(self, small_instance):
         """Once mu sits at mu_max and the masked residual moves too slowly to
         reach eps by t_max, training stops, flagged as not converged, well
