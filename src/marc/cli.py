@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 import time
 from pathlib import Path
@@ -87,18 +88,32 @@ def _recon_config(args: argparse.Namespace) -> ReconConfig:
     return ReconConfig(**kwargs)
 
 
-def _recon_jobs(args: argparse.Namespace) -> list[tuple[Path, Path | None, Path]]:
-    """Resolve (input, mask, output) paths; directory inputs fan out to one
-    job per matrix file, sorted by name for deterministic outputs."""
-    inp, out = Path(args.input), Path(args.output)
-    mask = Path(args.mask) if args.mask else None
-    if not inp.is_dir():
+def _recon_jobs(args: argparse.Namespace) -> list[tuple[str, str | None, str]]:
+    """Resolve (input, mask, output) paths; a directory input fans out to one
+    job per file (or symlink to one) whose suffix is in MATRIX_SUFFIXES, any
+    case, sorted by name for deterministic outputs. Each argument is taken
+    as `Path` normalises it, and a file under it is named by appending its
+    name, to nothing for the working directory itself."""
+    inp, out = str(Path(args.input)), str(Path(args.output))
+    mask = str(Path(args.mask)) if args.mask else None
+    if not os.path.isdir(inp):
         return [(inp, mask, out)]
-    files = sorted(p for p in inp.iterdir()
-                   if p.is_file() and p.suffix.lower() in MATRIX_SUFFIXES)
-    if not files:
+    with os.scandir(inp) as entries:
+        names = sorted(entry.name for entry in entries
+                       if formats.path_suffix(entry.name) in MATRIX_SUFFIXES
+                       and entry.is_file())
+    if not names:
         raise ValidationError(f"no matrix files found in directory {inp}")
-    return [(f, mask / f.name if mask else None, out / f.name) for f in files]
+    in_dir, out_dir = _dir_prefix(inp), _dir_prefix(out)
+    mask_dir = _dir_prefix(mask) if mask else None
+    return [(in_dir + name, None if mask_dir is None else mask_dir + name, out_dir + name)
+            for name in names]
+
+
+def _dir_prefix(root: str) -> str:
+    """What names a file in the directory `root` when its name is appended,
+    as `Path(root) / name` does: nothing for the working directory."""
+    return "" if root == "." else os.path.join(root, "")
 
 
 def _run_recon_jobs(args: argparse.Namespace) -> int:
@@ -119,14 +134,15 @@ def _run_recon_jobs(args: argparse.Namespace) -> int:
         y = formats.read_vector(in_path)
         w = formats.read_vector(mask_path) if mask_path else None
         Y[:, k], W[:, k] = check_input(y, w, bundle.dim, f"{in_path}: ")
-    results = reconstruct_many(Y, W, bundle, spec, config, name=lambda k: str(jobs[k][0]))
-    if Path(args.input).is_dir():
+    results = reconstruct_many(Y, W, bundle, spec, config, name=lambda k: jobs[k][0])
+    if os.path.isdir(args.input):
         Path(args.output).mkdir(parents=True, exist_ok=True)
     for (in_path, _, out_path), result in zip(jobs, results):
         formats.write_vector(out_path, result.reconstruction)
         d = result.diagnostics
         flag = "" if d.converged else f" (did not converge: {d.stop_reason})"
-        print(f"{in_path.name}: iterations={d.iterations} residual={d.final_residual:.3e}{flag}")
+        print(f"{os.path.basename(in_path)}: iterations={d.iterations} "
+              f"residual={d.final_residual:.3e}{flag}")
     return 0
 
 

@@ -21,10 +21,10 @@ A caller that thresholds a slowly changing matrix again and again (the
 training G step) hands `svt` a `WarmStart`, the kept right singular vectors
 of its previous call. `svt` then tries a warm path before the Gram path,
 working from the same short-side Gram matrix, which it forms once per call:
-a few block power steps on the Gram matrix from that basis until the Ritz
-residual is at rounding level, the kept values and vectors from an SVD of
-the small Ritz matrix (Rayleigh-Ritz, Halko, Martinsson & Tropp,
-arXiv:0909.4061), and a certificate that the spectral norm of what the
+a few block power steps on the Gram matrix from that basis, each applying
+it twice before one QR, until the Ritz residual is at rounding level, the
+kept values and vectors from an SVD of the small Ritz matrix (Rayleigh-Ritz,
+Halko, Martinsson & Tropp, arXiv:0909.4061), and a certificate that the spectral norm of what the
 basis leaves out is at most tau. If there is no start, the start is wider
 than a third of the short side, the power steps converge too slowly, a kept
 value is too small for the Gram matrix to resolve or the certificate fails,
@@ -144,11 +144,11 @@ class WarmStart:
     basis: np.ndarray | None = None
 
 
-# svt's warm path runs at most WARM_STEPS block power steps, from a start at
-# most a third as wide as the short side (wider, the Gram path costs less),
-# and stops once the Ritz residual ||Z - Q Q^T Z||_F is at most RITZ_TOL *
-# tr(Q^T Z), Z = a^T a Q: a rounding-level cross term between the captured
-# subspace and the rest.
+# svt's warm path runs at most WARM_STEPS block power steps of two Gram
+# powers each, from a start at most a third as wide as the short side (wider,
+# the Gram path costs less), and stops once the Ritz residual
+# ||Z - Q Q^T Z||_F is at most RITZ_TOL * tr(Q^T Z), Z = a^T a Q: a
+# rounding-level cross term between the captured subspace and the rest.
 WARM_STEPS = 6
 RITZ_TOL = 1e-15
 
@@ -179,10 +179,14 @@ def svt(m: np.ndarray, tau: float, warm: WarmStart | None = None) -> np.ndarray:
     give the same result to rounding; svt takes the first that can be exact.
 
     The warm path, given a start Q of 0 < k <= cols // 3 columns, runs block
-    power steps Z = (a^T a) Q, Q <- qr(Z) on the Gram matrix until the Ritz
-    residual Z - Q Q^T Z is at rounding level (RITZ_TOL), and gives up once
-    the rate it converges at cannot reach that within WARM_STEPS steps. Then
-    a = A + D, for A = a Q Q^T and D = a - A. The rows of A and D are
+    power steps Z = (a^T a) Q, Q <- qr((a^T a) Z) on the Gram matrix until
+    the Ritz residual Z - Q Q^T Z is at rounding level (RITZ_TOL), and gives
+    up once the rate it converges at cannot reach that within WARM_STEPS
+    steps, or a product overflows (s_max from about 1e77). Two Gram powers per QR square the rate a step converges at, for
+    one more product with the Gram matrix: training a 64 x 256 instance with
+    attributes of 8, 16 and 32 instantiations, 33-40 warm attempts failed
+    with one power per QR, 4-9 with two (four instances). Then a = A + D,
+    for A = a Q Q^T and D = a - A. The rows of A and D are
     orthogonal (A D^T = 0), and their columns are orthogonal up to rounding
     (A^T D = Q (Z - Q Q^T Z)^T), so the spectrum of a is, up to rounding,
     the union of those of A and D. The k x k Ritz matrix Q^T Z = W S^2 W^T,
@@ -259,7 +263,8 @@ def _warm_factors(a: np.ndarray, gram: np.ndarray, tau: float, q: np.ndarray) \
         if not (rate < 1.0 and gap * rate ** (WARM_STEPS - 1 - step) <= tol):
             return None  # at the last step whenever gap > tol; on a non-finite one too
         last = gap
-        q = np.linalg.qr(z)[0]
+        with np.errstate(over="ignore"):  # an overflow leaves a non-finite gap next step
+            q = np.linalg.qr(gram @ z)[0]
     try:
         _, squares, wh = np.linalg.svd(ritz)
     except np.linalg.LinAlgError:
@@ -274,7 +279,9 @@ def _warm_factors(a: np.ndarray, gram: np.ndarray, tau: float, q: np.ndarray) \
         spill = gram - z @ q.T - q @ residual.T
     else:
         spill = _gram(a - y @ q.T, "svt")
-    if not positive_definite(tau * tau * np.eye(len(spill)) - spill):
+    np.negative(spill, out=spill)  # tau^2 I - D^T D, in place
+    spill.flat[::len(spill) + 1] += tau * tau
+    if not positive_definite(spill):
         return None
     w = wh[keep].T
     return (y @ w) * (1.0 - tau / s[keep]), q @ w

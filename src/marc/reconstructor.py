@@ -182,12 +182,25 @@ def synthesize(
     """sum_i F_i h_i + K w, where h_i is the trained selector of the
     instantiation `spec` pins attribute i to, or else selectors[i], and K is
     build_span(bundle, rule), needed only when there are coefficients w."""
+    return _render(bundle, spec, selectors, coeffs,
+                   build_span(bundle, rule) if coeffs.size else None)
+
+
+def _render(
+    bundle: ModelBundle,
+    spec: TransferSpec,
+    selectors: list[np.ndarray],
+    coeffs: np.ndarray,
+    span: np.ndarray | None,
+) -> np.ndarray:
+    """`synthesize`'s sum with the span K given, or None when there are no
+    coefficients w."""
     out = np.zeros(bundle.dim)
     for i, mode in enumerate(spec.pinned):
         sel = bundle.bank.selectors[i][:, mode] if mode is not None else selectors[i]
         out += bundle.bases[i] @ sel
     if coeffs.size:
-        out += build_span(bundle, rule) @ coeffs
+        out += span @ coeffs
     return out
 
 
@@ -335,7 +348,8 @@ def _solve(
     column order: Y, W and `observed` = Y * W are (dim, B), or (dim,) for
     one vector, with their B observed `norms`. Every column is solved free,
     as its completion; `retire` builds its one ReconResult as it stops, the
-    completion re-rendered under the pins of `spec` if it pins any.
+    completion re-rendered under the pins of `spec` if it pins any, by
+    `synthesize`'s sum on the span the slice already holds.
 
     One vector runs the same steps without the column axis: its state holds
     1-D arrays and a scalar mu, which its observer sees, and its per-column
@@ -459,7 +473,7 @@ def _solve(
                          for i, (mode, sel) in enumerate(zip(spec.pinned, state.selectors))]
             coeffs = _column(state.indiv_coeffs, c).copy()
             if pinned:
-                out = synthesize(bundle, spec, selectors, coeffs, config.rank_rule)
+                out = _render(bundle, spec, selectors, coeffs, span)
                 e = np.where(seen, e, y - out)
             else:
                 out = _column(shared, c) + _column(indiv, c)

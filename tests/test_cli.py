@@ -497,6 +497,22 @@ class TestCompleteAndTransfer:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "b.marc" in err
 
+    @pytest.mark.parametrize("fault", ["missing input", "directory mask"])
+    def test_unreadable_file_is_io_error(self, workspace, tmp_path, capsys, fault):
+        sample = workspace / "data" / "samples" / "sample_0000.marc"
+        if fault == "missing input":
+            sample, mask = tmp_path / "absent.marc", None
+            errno = "[Errno 2] No such file or directory"
+        else:
+            mask, errno = tmp_path / "masks.marc", "[Errno 21] Is a directory"
+            mask.mkdir()
+        masks = ["-m", str(mask)] if mask else []
+        rc = main(["complete", "-b", str(workspace / "bundle"), "-i", str(sample), *masks,
+                   "-o", str(tmp_path / "out.marc")])
+        assert rc == 3
+        assert capsys.readouterr().err == f"error: {errno}: '{mask or sample}'\n"
+        assert not (tmp_path / "out.marc").exists()
+
     def test_empty_directory(self, workspace, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -504,6 +520,51 @@ class TestCompleteAndTransfer:
                    "-i", str(empty), "-o", str(tmp_path / "out")])
         assert rc == 2
         assert "no matrix files" in capsys.readouterr().err
+
+    def test_directory_listing_rule(self, workspace, tmp_path, capsys):
+        """A directory run takes the files, and the symlinks to files, whose
+        suffix is .marc or .csv in any case, in name order, and writes an
+        output of the same name for each. Other files, a directory named
+        like a matrix, a broken symlink and a dot file with no suffix are
+        left alone: reading any of them would fail the run."""
+        vec_dir = tmp_path / "in"
+        vec_dir.mkdir()
+        sample = workspace / "data" / "samples" / "sample_0000.marc"
+        y = read_vector(sample)
+        for name in ("a.marc", "B.MARC", "c.csv"):
+            write_vector(vec_dir / name, y)
+        (vec_dir / "notes.txt").write_text("not a matrix\n")
+        (vec_dir / ".marc").write_bytes(b"JUNK")
+        (vec_dir / "sub.marc").mkdir()
+        (vec_dir / "link.marc").symlink_to(sample)
+        (vec_dir / "x.marc").symlink_to(tmp_path / "missing.marc")
+        out = tmp_path / "out"
+        assert main(["complete", "-b", str(workspace / "bundle"), "-i", str(vec_dir),
+                     "-o", str(out)]) == 0
+        names = ["B.MARC", "a.marc", "c.csv", "link.marc"]
+        assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()] == names
+        assert sorted(p.name for p in out.iterdir()) == names
+        want = read_vector(out / "a.marc")
+        for name in names:
+            assert np.array_equal(read_vector(out / name), want)
+
+    @pytest.mark.parametrize("where", ["in", "in/", ".", "./"])
+    def test_a_relative_directory_names_its_files_as_joined(self, workspace, tmp_path, capsys,
+                                                           monkeypatch, where):
+        """Files of a relative input directory, with or without a trailing
+        slash, are named in messages under the directory as given, and
+        under no prefix for the working directory itself."""
+        vec_dir = tmp_path / "in"
+        vec_dir.mkdir()
+        shutil.copy(workspace / "data" / "samples" / "sample_0000.marc", vec_dir / "a.marc")
+        write_vector(vec_dir / "b.marc", np.ones(29))
+        monkeypatch.chdir(tmp_path if where.startswith("in") else vec_dir)
+        rc = main(["complete", "-b", str(workspace / "bundle"), "-i", where,
+                   "-o", str(tmp_path / "out")])
+        assert rc == 2
+        prefix = "in/" if where.startswith("in") else ""
+        assert capsys.readouterr().err == (
+            f"error: {prefix}b.marc: input vector has length 29, expected 30\n")
 
     def test_corrupt_input_is_format_error(self, workspace, tmp_path, capsys):
         bad = tmp_path / "bad.marc"

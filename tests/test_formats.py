@@ -167,6 +167,59 @@ class TestInPlaceWriter:
         assert not (tmp_path / "missing").exists()
 
 
+@pytest.mark.parametrize("kind", [str, Path], ids=["str", "Path"])
+class TestPathArguments:
+    """Matrix reads and writes take a path as a `str` or a `Path` alike:
+    the same bytes, the same errors and the same messages."""
+
+    @pytest.mark.parametrize("suffix", [".marc", ".csv"])
+    def test_missing_file_is_file_not_found(self, tmp_path, kind, suffix):
+        path = tmp_path / f"absent{suffix}"
+        with pytest.raises(FileNotFoundError) as got:
+            read_vector(kind(path))
+        with pytest.raises(FileNotFoundError) as want:
+            read_vector(path)
+        assert str(got.value) == str(want.value)
+        assert str(path) in str(got.value)
+
+    def test_directory_is_a_directory_error(self, tmp_path, kind):
+        path = tmp_path / "dir.marc"
+        path.mkdir()
+        with pytest.raises(IsADirectoryError) as got:
+            read_matrix(kind(path))
+        with pytest.raises(IsADirectoryError) as want:
+            path.read_bytes()
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("suffix", [".marc", ".csv"])
+    def test_round_trip_and_messages(self, tmp_path, kind, suffix):
+        m = np.random.default_rng(8).standard_normal((5, 3))
+        write_matrix(kind(tmp_path / f"m{suffix}"), m)
+        write_matrix(tmp_path / f"ref{suffix}", m)
+        assert (tmp_path / f"m{suffix}").read_bytes() == (tmp_path / f"ref{suffix}").read_bytes()
+        assert read_matrix(kind(tmp_path / f"m{suffix}")).tobytes() == m.tobytes()
+        with pytest.raises(FormatError, match=f"^{re.escape(str(tmp_path / f'm{suffix}'))}: "
+                                              "expected a vector, got shape"):
+            read_vector(kind(tmp_path / f"m{suffix}"))
+
+    def test_bad_binary_names_the_path(self, tmp_path, kind):
+        path = tmp_path / "bad.marc"
+        path.write_bytes(header(2, 2) + b"\0" * 33)
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: 1 trailing bytes"):
+            read_matrix(kind(path))
+
+    def test_matrix_past_64_kib_round_trips_bitwise(self, tmp_path, kind):
+        m = np.random.default_rng(9).standard_normal((300, 50))  # 120,000 bytes of payload
+        m[7, 3] = -0.0
+        path = kind(tmp_path / "big.marc")
+        write_matrix(path, m)
+        assert os.path.getsize(path) == formats._HEADER.size + m.nbytes > 64 * 1024
+        assert read_matrix(path).tobytes() == m.tobytes()
+        write_vector(path, np.arange(3.0))  # rewritten in place, trimmed
+        assert read_vector(path).tobytes() == np.arange(3.0).tobytes()
+        assert os.path.getsize(path) == formats._HEADER.size + 24
+
+
 def _opens_for_writing(node: ast.AST) -> bool:
     """A call of `open` (builtin or method) with a mode that writes."""
     if not (isinstance(node, ast.Call) and (

@@ -410,6 +410,21 @@ def test_svt_warm_start_matches_svd(shape, kind, monkeypatch):
                                    rtol=1e-9, atol=1e-9 * np.abs(ref).max())
 
 
+@pytest.mark.parametrize("scale", [1e75, 1e76, 3e76, 1e77, 3e77, 1e78])
+def test_svt_warm_power_step_near_overflow_gives_up_quietly(scale, monkeypatch):
+    """A power step applies the Gram matrix twice, so its product overflows
+    where the Gram matrix and the Ritz residual do not yet (s_max near
+    1e77 with a stale start). The warm path then gives up, with no numpy
+    warning, and svt still matches the SVD."""
+    m, exact = flat_tail((40, 15), 5e-2, seed=21, lead=(10.0, 8.0))
+    m, tau = m * scale, 5e-2 * scale
+    outcomes = spy_warm(monkeypatch)
+    got = svt(m, tau, WarmStart(start_basis("perturbed", exact, seed=22)))
+    ref = _svt_svd(m, tau)
+    assert len(outcomes) == 1
+    assert np.allclose(got, ref, rtol=1e-9, atol=1e-9 * np.abs(ref).max())
+
+
 @pytest.mark.parametrize("shape", [(200, 60), (64, 256)], ids=["tall", "wide"])
 def test_svt_warm_certificate_rejects_a_tail_value_above_tau(shape, monkeypatch):
     """One tail value at 1.05 tau: the power steps settle on the five
