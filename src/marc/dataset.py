@@ -160,8 +160,9 @@ class TrainingSet:
 
     X and W are dense float64 matrices of shape (dim, count). For each
     attribute, `label_index` holds a length-`count` int array giving the
-    (0-based) instantiation carried by every column. `name` (init only)
-    names column n in a value fault; the default is "sample n".
+    (0-based) instantiation carried by every column, and `label_counts`
+    how many columns carry each instantiation. `name` (init only) names
+    column n in a value fault; the default is "sample n".
     """
 
     schema: AttributeSchema
@@ -170,6 +171,7 @@ class TrainingSet:
     label_index: tuple[np.ndarray, ...]
     name: InitVar[Callable[[int], str] | None] = None
     visible: np.ndarray = field(init=False, repr=False)
+    label_counts: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self, name: Callable[[int], str] | None) -> None:
         X = np.asarray(self.X, dtype=np.float64)
@@ -178,7 +180,7 @@ class TrainingSet:
         X, W = check_observed(X, self.W, name or (lambda n: f"sample {n}"))
         if len(self.label_index) != self.schema.count:
             raise ValidationError("label_index must have one entry per schema attribute")
-        idx = []
+        idx, label_counts = [], []
         for i, li in enumerate(self.label_index):
             name = self.schema.name(i)
             li = np.asarray(li)
@@ -200,9 +202,11 @@ class TrainingSet:
                     f"'{name}' has no samples"
                 )
             idx.append(li)
+            label_counts.append(counts)
         object.__setattr__(self, "X", np.ascontiguousarray(X))
         object.__setattr__(self, "W", np.ascontiguousarray(W))
         object.__setattr__(self, "label_index", tuple(idx))
+        object.__setattr__(self, "label_counts", tuple(label_counts))
         object.__setattr__(self, "visible", self.W != 0.0)
 
     @property

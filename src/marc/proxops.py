@@ -26,11 +26,17 @@ it twice before one QR, until the Ritz residual is at rounding level, the
 kept values and vectors from an SVD of the small Ritz matrix (Rayleigh-Ritz,
 Halko, Martinsson & Tropp, arXiv:0909.4061), and a certificate that the spectral norm of what the
 basis leaves out is at most tau. If there is no start, the start is wider
-than a third of the short side, the power steps converge too slowly, a kept
-value is too small for the Gram matrix to resolve or the certificate fails,
-the call goes on to the Gram path or the SVD. Every path gives the same
-result to rounding; none depends on a module-level cache. A Gram matrix
-that overflows float64 raises NumericalError.
+than a third of the short side, the power steps converge too slowly or the
+certificate fails, the call goes on to the Gram path or the SVD. A kept
+value too small for the Gram matrix to resolve sends it straight to the
+SVD, since the Gram path would refuse that spectrum too. Every path gives
+the same result to rounding; none depends on a module-level cache.
+
+`svt` and `procrustes` scan for non-finite values once, on the Gram matrix
+they form anyway: its diagonal holds each column's sum of squares, so a
+non-finite input leaves it non-finite. Only then is the input scanned: a
+non-finite entry raises ValidationError, and a finite input whose Gram
+matrix overflows float64 raises NumericalError.
 
 `positive_definite` is the one test of positive definiteness behind these
 certificates and behind `decode`'s trust in a normal map: whether a
@@ -46,12 +52,17 @@ import numpy as np
 from .errors import DegenerateMatrixError, NumericalError, ValidationError, check_integer
 
 
-def _check_matrix(m: np.ndarray, name: str) -> np.ndarray:
+def _check_shape(m: np.ndarray, name: str) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ValidationError(f"{name} must be a 2-D array, got ndim={m.ndim}")
     if m.shape[0] < 1 or m.shape[1] < 1:
         raise ValidationError(f"{name} must have at least one row and column")
+    return m
+
+
+def _check_matrix(m: np.ndarray, name: str) -> np.ndarray:
+    m = _check_shape(m, name)
     if not np.all(np.isfinite(m)):
         raise ValidationError(f"{name} contains non-finite entries")
     return m
@@ -191,9 +202,12 @@ def svt(m: np.ndarray, tau: float, warm: WarmStart | None = None) -> np.ndarray:
     (A^T D = Q (Z - Q Q^T Z)^T), so the spectrum of a is, up to rounding,
     the union of those of A and D. The k x k Ritz matrix Q^T Z = W S^2 W^T,
     factored by an SVD, gives A's values S and right vectors Q W. The values
-    above tau must be trusted (at least GRAM_RATIO * s_max), or the warm
-    path gives up. If ||D||_2 <= tau (the certificate), svt zeroes all of D
-    and the result is a Q W (1 - tau/S)_+ (Q W)^T. The certificate is that
+    above tau must be trusted (at least GRAM_RATIO * S_max), or the result
+    comes from `deterministic_svd`: by interlacing, s_min <= S_k <
+    GRAM_RATIO * S_max <= GRAM_RATIO * s_max for the untrusted S_k, and
+    tau < S_k, so the Gram path would refuse that spectrum too. If
+    ||D||_2 <= tau (the certificate), svt zeroes all of D and the result is
+    a Q W (1 - tau/S)_+ (Q W)^T. The certificate is that
     tau^2 I - D^T D is `positive_definite`. When tau >= GRAM_RATIO * s_max,
     the Gram path's trust rule, D^T D = a^T a - Z Q^T - Q Z^T +
     Q (Q^T Z) Q^T is taken from the Gram matrix; below it, from D formed
@@ -206,19 +220,21 @@ def svt(m: np.ndarray, tau: float, warm: WarmStart | None = None) -> np.ndarray:
     the result is a V diag((1 - tau/s)_+) V^T. Otherwise it comes from
     `deterministic_svd`, whose kept right vectors a `warm` holder gets.
     """
-    m = _check_matrix(m, "svt input")
-    tau = float(tau)
-    if not np.isfinite(tau) or tau < 0:
-        raise ValidationError(f"svt threshold must be finite and >= 0, got {tau}")
+    m = _check_shape(m, "svt input")
     tall = m.shape[0] >= m.shape[1]
     a = m if tall else m.T
     gram = _gram(a, "svt")
+    tau = float(tau)
+    if not np.isfinite(tau) or tau < 0:
+        raise ValidationError(f"svt threshold must be finite and >= 0, got {tau}")
     start = None if warm is None else warm.basis
     if start is not None and 0 < start.shape[1] <= a.shape[1] // 3:
-        found = _warm_factors(a, gram, tau, start)
+        found = _warm_factors(a, gram, tau, warm)
         if found is not None:
             shrunk, warm.basis = found
             return shrunk @ warm.basis.T if tall else warm.basis @ shrunk.T
+        if warm.basis is None:  # an untrusted kept value: the Gram path refuses it too
+            return _svt_svd(m, tau, warm)
     try:
         eigvals, vecs = np.linalg.eigh(gram)
     except np.linalg.LinAlgError as exc:
@@ -235,21 +251,31 @@ def svt(m: np.ndarray, tau: float, warm: WarmStart | None = None) -> np.ndarray:
 
 
 def _gram(a: np.ndarray, what: str) -> np.ndarray:
-    """a^T a for a finite `a`, without a numpy warning; an entry that
-    overflows float64 raises NumericalError "<what> Gram overflows float64"."""
+    """a^T a, without a numpy warning, which also checks that `a` is finite:
+    its diagonal holds the sum of squares of each column of `a`, so a
+    non-finite entry of `a` leaves a non-finite entry in it. Only a
+    non-finite Gram matrix sends the check to `a` itself: a non-finite
+    entry there raises ValidationError "<what> input contains non-finite
+    entries", and otherwise the Gram matrix overflowed, NumericalError
+    "<what> Gram overflows float64"."""
     with np.errstate(over="ignore", invalid="ignore"):
         gram = a.T @ a
     if not np.isfinite(gram).all():
+        if not np.isfinite(a).all():
+            raise ValidationError(f"{what} input contains non-finite entries")
         raise NumericalError(f"{what} Gram overflows float64")
     return gram
 
 
-def _warm_factors(a: np.ndarray, gram: np.ndarray, tau: float, q: np.ndarray) \
+def _warm_factors(a: np.ndarray, gram: np.ndarray, tau: float, warm: WarmStart) \
         -> tuple[np.ndarray, np.ndarray] | None:
     """The warm path of `svt` on a tall `a` with Gram matrix `gram` from the
-    start `q`: the shrunk left factor U (S - tau)_+ and the kept right
-    singular vectors, or None when the power steps stop short, a kept value
-    is untrusted or the certificate fails."""
+    start `warm.basis`: the shrunk left factor U (S - tau)_+ and the kept
+    right singular vectors, or None when the power steps stop short, a kept
+    value is untrusted or the certificate fails. An untrusted kept value
+    also empties `warm` (basis None): the Gram path cannot take that
+    spectrum either (see `svt`)."""
+    q = warm.basis
     last = math.inf
     for step in range(WARM_STEPS):
         z = gram @ q
@@ -273,6 +299,7 @@ def _warm_factors(a: np.ndarray, gram: np.ndarray, tau: float, q: np.ndarray) \
     keep = s > tau
     trust = GRAM_RATIO * s[0]
     if keep.any() and s[keep][-1] < trust:
+        warm.basis = None
         return None
     y = a @ q
     if tau >= trust:  # D^T D = G - Z Q^T - Q (Z - Q Q^T Z)^T
@@ -328,7 +355,7 @@ def procrustes(m: np.ndarray) -> np.ndarray:
     is still orthonormal but no longer unique, and we return the
     deterministic choice that SVD produces.
     """
-    m = _check_matrix(m, "procrustes input")
+    m = _check_shape(m, "procrustes input")
     tall = m.shape[0] >= m.shape[1]
     try:
         eigvals, vecs = np.linalg.eigh(_gram(m if tall else m.T, "procrustes"))

@@ -51,6 +51,17 @@ Every step function takes the residual it acts on. `attribute_residual`,
 state alone, `shared_component` through `shared_sum` as the loop does; they
 are the reference the loop is tested against.
 
+The sweep writes each dim x count quantity it forms into one of five
+arrays allocated once per `train`: dual/mu; the residual the next step
+reads (X - G - E + dual/mu, then the G step's, then the E step's);
+sum F_k H_k; X - sum F_k H_k, which becomes the fit; and, with the model
+array, the model sum F_k H_k + G and how far it moved. Each is formed by
+`out=` ufuncs in the same order of operations as the plain expression, so
+every value is bitwise the same. The step functions write no buffer: every
+array the state holds after a step (G, E, the dual, each basis and
+selector block) is a new one, never written again, so an observer may keep
+references to them.
+
 G keeps a small rank through most of a run, and the matrix it thresholds
 changes little from one sweep to the next. So the G step starts `svt` from
 the kept right singular vectors of the previous G step, which `TrainState`
@@ -60,7 +71,9 @@ once per call, accepted once the Ritz residual is at rounding level and a
 certificate shows that what the basis leaves out has spectral norm at most
 1/mu. A call without a start (the first), with a start wider than a third
 of the short side, or that cannot converge or certify, takes the Gram path
-on the same Gram matrix and then the SVD, as `svt` without a start does. The trained model is the same to rounding either way (about 1e-11
+on the same Gram matrix and then the SVD, as `svt` without a start does;
+one that finds a kept value the Gram matrix cannot resolve goes straight to
+the SVD. The trained model is the same to rounding either way (about 1e-11
 relative on the benchmark instances), with the same steps and stop.
 """
 from __future__ import annotations
@@ -229,14 +242,16 @@ def shared_component(state: TrainState, ts: TrainingSet, exclude: int | None = N
     return shared_sum(products, spread)
 
 
-def shared_sum(products: np.ndarray, spread: np.ndarray) -> np.ndarray:
+def shared_sum(products: np.ndarray, spread: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
     """sum_k F_k H_k as one product [P_1 ... P_J] [Z_1 ... Z_J]^T of the
     stacked products P_k = F_k S_k (`stacked_products`) and `spread`, the
-    transposed stacked indicators (`label_space`). Each entry adds one
-    entry of every P_k and exact zeros, so with at most two attributes it
-    is the per-attribute gather-and-add bitwise; with more, BLAS may add the
-    terms in another order. No attribute gives zeros."""
-    return products @ spread
+    transposed stacked indicators (`label_space`), written into `out` when
+    given (the training sweep's buffer). Each entry adds one entry of every
+    P_k and exact zeros, so with at most two attributes it is the
+    per-attribute gather-and-add bitwise; with more, BLAS may add the terms
+    in another order. No attribute gives zeros."""
+    return np.matmul(products, spread, out=out)
 
 
 def stacked_products(state: TrainState, blocks: list[slice]) -> np.ndarray:
@@ -311,10 +326,10 @@ def update_h(state: TrainState, ts: TrainingSet, attr: int, sums: np.ndarray) ->
     current basis, S_i = F_i^T (R Z_i) / n_i.
 
     `sums` is R Z_i, attribute_residual(state, ts, attr) @
-    indicator(ts, attr). Returns the new (M_i, M_i) selector block.
+    indicator(ts, attr), and n_i is `ts.label_counts[attr]`. Returns the new
+    (M_i, M_i) selector block.
     """
-    counts = np.bincount(ts.label_index[attr], minlength=ts.schema.size(attr))
-    state.bank.selectors[attr] = (state.bases[attr].T @ sums) / counts
+    state.bank.selectors[attr] = (state.bases[attr].T @ sums) / ts.label_counts[attr]
     return state.bank.selectors[attr]
 
 
@@ -339,12 +354,15 @@ def update_e(state: TrainState, ts: TrainingSet, residual: np.ndarray) -> np.nda
     """Sparse step on `residual`, which is error_residual(state, ts), in one
     pass: residual - W .* clip(residual, -lam/mu, lam/mu). On visible
     entries that is the soft threshold; hidden entries take the residual
-    unchanged, which zeroes the augmented residual there. A non-finite
-    residual raises ValidationError."""
+    unchanged, which zeroes the augmented residual there. E is one new
+    array: the clip, the product with W and the difference are written
+    into it in turn. A non-finite residual raises ValidationError."""
     if not np.isfinite(residual).all():
         raise ValidationError("sparse step input contains non-finite entries")
     tau = state.lam / state.mu
-    state.sparse_error = residual - ts.W * np.clip(residual, -tau, tau)
+    error = np.clip(residual, -tau, tau)
+    np.multiply(ts.W, error, out=error)
+    state.sparse_error = np.subtract(residual, error, out=error)
     return state.sparse_error
 
 
@@ -353,8 +371,11 @@ def update_duals(state, fit: np.ndarray) -> None:
     penalty increase. mu never decreases. `fit` is the part of the data
     left for E (X - sum F_k H_k - G in training). Any solver state with
     config, dual, mu and sparse_error will do, the reconstructor's too,
-    whose mu is one entry per column of dual."""
-    state.dual = state.dual + state.mu * (fit - state.sparse_error)
+    whose mu is one entry per column of dual. The new dual is one new array,
+    the difference, product and sum written into it in turn."""
+    dual = np.subtract(fit, state.sparse_error)
+    np.multiply(state.mu, dual, out=dual)
+    state.dual = np.add(state.dual, dual, out=dual)
     state.mu = state.config.capped(state.config.rho * state.mu)
 
 
@@ -362,7 +383,8 @@ def normalized_residual(state: TrainState, ts: TrainingSet, norm: float, fit: np
     """Masked convergence measure:
     ||X - sum F_k H_k - G - W.*E||_F / ||X||_F, `norm` being the nonzero
     ||X||_F that `train` takes once. `fit` is as in `update_duals`."""
-    return frobenius(fit - ts.W * state.sparse_error) / norm
+    gap = np.multiply(ts.W, state.sparse_error)
+    return frobenius(np.subtract(fit, gap, out=gap)) / norm
 
 
 def constraint_residual(state: TrainState, ts: TrainingSet, norm: float, fit: np.ndarray) -> float:
@@ -520,30 +542,37 @@ def train(
     )
 
     spread, blocks = label_space(ts)
+    spread_t = spread.T
     cooc = cooccurrence(spread, blocks)
     stacked = stacked_products(state, blocks)
     products = [stacked[:, block] for block in blocks]  # views: P_i, updated in place
     tol = INNER_TOL * norm
+    # The sweep's buffers (see the module docstring); none reaches the state.
+    scaled, work, shared, fit, moved = (np.empty_like(ts.X) for _ in range(5))
     model = np.zeros_like(ts.X)  # sum F_k H_k + G of the zero initial state
 
     def step() -> tuple[np.ndarray, float, float]:
-        nonlocal model
-        scaled = state.dual / state.mu
+        nonlocal model, moved
+        np.divide(state.dual, state.mu, out=scaled)
         for _ in range(INNER_SWEEPS):
-            base = ts.X - state.individual - state.sparse_error + scaled
-            base_sums = base @ spread.T
+            np.subtract(ts.X, state.individual, out=work)  # X - G - E + dual/mu
+            np.subtract(work, state.sparse_error, out=work)
+            np.add(work, scaled, out=work)
+            base_sums = work @ spread_t
             for i, block in enumerate(blocks):
                 sums = attribute_sums(base_sums[:, block], products, cooc, i)
                 update_h(state, ts, i, sums)
                 update_f(state, i, sums)
                 products[i][...] = state.bases[i] @ state.bank.selectors[i]
-            shared = shared_sum(stacked, spread)
-            unshared = ts.X - shared
-            update_g(state, unshared - state.sparse_error + scaled)
-            previous, model = model, shared + state.individual
-            fit = unshared - state.individual
-            update_e(state, ts, fit + scaled)
-            if frobenius(model - previous) <= tol:
+            shared_sum(stacked, spread, out=shared)
+            np.subtract(ts.X, shared, out=fit)  # X - sum F_k H_k
+            np.subtract(fit, state.sparse_error, out=work)  # the G step's residual
+            update_g(state, np.add(work, scaled, out=work))
+            model, moved = np.add(shared, state.individual, out=moved), model
+            np.subtract(model, moved, out=moved)
+            np.subtract(fit, state.individual, out=fit)
+            update_e(state, ts, np.add(fit, scaled, out=work))
+            if frobenius(moved) <= tol:
                 break
         return (fit, normalized_residual(state, ts, norm, fit),
                 constraint_residual(state, ts, norm, fit))

@@ -568,6 +568,33 @@ def test_overflowing_gram_is_a_numerical_error(kernel):
             kernel(m)
 
 
+@pytest.mark.parametrize("shape", [(30, 4), (4, 30)], ids=["tall", "wide"])
+@pytest.mark.parametrize("scale, entry, error, message", [
+    (1.0, np.nan, ValidationError, "input contains non-finite entries"),
+    (1.0, np.inf, ValidationError, "input contains non-finite entries"),
+    (1e160, np.inf, ValidationError, "input contains non-finite entries"),
+    (1e160, 1.0, NumericalError, "Gram overflows float64"),
+], ids=["nan", "inf", "inf-among-overflowing", "overflowing"])
+@pytest.mark.parametrize("kernel", [
+    procrustes,
+    lambda m: svt(m, 1.0),
+    lambda m: svt(m, 1.0, WarmStart(np.eye(4)[:, :1])),
+], ids=["procrustes", "svt", "svt-warm"])
+def test_non_finite_input_is_told_from_an_overflowing_gram(kernel, shape, scale, entry,
+                                                           error, message):
+    """svt and procrustes check their input through the Gram matrix they
+    form: a NaN or infinite entry is the input's fault, also among entries
+    whose Gram matrix overflows, and a finite input whose Gram matrix
+    overflows is a numerical failure. No case gives a numpy warning."""
+    m = np.random.default_rng(1).standard_normal(shape) * scale
+    m[2, 3] = entry
+    name = "procrustes" if kernel is procrustes else "svt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=f"^{name} {message}$"):
+            kernel(m)
+
+
 def test_only_proxops_names_cholesky():
     """One test of positive definiteness serves the package: of the modules
     of `marc`, only `proxops` names `np.linalg.cholesky`, in

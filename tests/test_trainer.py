@@ -504,6 +504,25 @@ class TestTrainLoop:
         bundle = train(ts, SolverConfig(t_max=15), observer=watch)
         assert seen == list(range(bundle.diagnostics.iterations))
 
+    def test_arrays_handed_to_the_observer_are_never_written_again(self, small_instance):
+        """The sweep works in buffers of its own: every array the state
+        holds at an observer call (G, E, the dual, each basis and each
+        selector block) still equals its copy from that call after the
+        whole run, on the two-attribute instance and on a three-attribute
+        one."""
+        for ts in (small_instance[0], three_attribute_instance()):
+            kept = []
+
+            def keep(state, t):
+                arrays = [state.individual, state.sparse_error, state.dual,
+                          *state.bases, *state.bank.selectors]
+                kept.extend((a, a.copy()) for a in arrays)
+
+            bundle = train(ts, observer=keep)
+            assert len(kept) == bundle.diagnostics.iterations * (3 + 2 * ts.schema.count)
+            for array, copy in kept:
+                assert np.array_equal(array, copy)
+
     def test_histories_align_with_iterations(self, small_instance):
         ts, _ = small_instance
         bundle = train(ts, SolverConfig(t_max=10))
