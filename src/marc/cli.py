@@ -181,17 +181,26 @@ def _parse_pairs(pairs: list[str], flag: str, form: str) -> dict[str, str]:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    schema = default_spec().schema
-    if args.attr:
-        sizes = {}
-        for name, count in _parse_pairs(args.attr, "--attr", "name=count").items():
-            try:
-                sizes[name] = int(count)
-            except ValueError:
-                raise ValidationError(f"--attr count must be an integer, got '{count}'") from None
-        check_sizes(sizes, args.dim, args.count)  # before any label is built
+    """Write a planted instance. The sizes are checked, and one dim x
+    samples matrix is allocated, before any label is built: an instance no
+    memory can hold fails at that allocation (MemoryError, exit 2), not
+    after its labels have been built."""
+    sizes = {}
+    for name, count in _parse_pairs(args.attr or [], "--attr", "name=count").items():
+        try:
+            sizes[name] = int(count)
+        except ValueError:
+            raise ValidationError(f"--attr count must be an integer, got '{count}'") from None
+    check_sizes(sizes, args.dim, args.count)
+    try:
+        np.empty((args.dim, args.count))
+    except ValueError as exc:  # more bytes than an address space holds
+        raise MemoryError(str(exc)) from None
+    if sizes:
         schema = AttributeSchema.of([(name, [f"{name}_{j}" for j in range(1, m + 1)])
                                      for name, m in sizes.items()])
+    else:
+        schema = default_spec().schema
     spec = SynthSpec(schema=schema, **{field: getattr(args, field) for _, field, _ in SYNTH_FLAGS})
     ts, truth = generate(spec)
     out = Path(args.output)
@@ -224,13 +233,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="marc",
-        description="Robust component analysis for labeled, incompletely observed data",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _add_train(sub) -> None:
     p = sub.add_parser("train", help="fit a model from a dataset manifest")
     p.add_argument("manifest", help="dataset manifest (JSON)")
     p.add_argument("--output", "-o", required=True, help="bundle directory to write")
@@ -239,16 +242,22 @@ def build_parser() -> argparse.ArgumentParser:
                    help="basis initialization seed")
     p.set_defaults(func=_cmd_train)
 
+
+def _add_complete(sub) -> None:
     p = sub.add_parser("complete", help="fill in partially observed vectors")
     _add_common_recon_flags(p)
     p.set_defaults(func=_run_recon_jobs, target=[])
 
+
+def _add_transfer(sub) -> None:
     p = sub.add_parser("transfer", help="re-render vectors with pinned attribute instantiations")
     _add_common_recon_flags(p)
     p.add_argument("--target", "-t", action="append", required=True,
                    metavar="ATTR=INST", help="pin an attribute (repeatable)")
     p.set_defaults(func=_run_recon_jobs)
 
+
+def _add_synth(sub) -> None:
     p = sub.add_parser("synth", help="generate a synthetic dataset with ground truth")
     p.add_argument("--output", "-o", required=True, help="output directory")
     spec = default_spec()
@@ -261,6 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(flag, dest=field, type=type(default), default=default, help=text)
     p.set_defaults(func=_cmd_synth)
 
+
+def _add_eval(sub) -> None:
     p = sub.add_parser("eval", help="score a trained bundle against planted truth")
     p.add_argument("--bundle", "-b", required=True, help="trained bundle directory")
     p.add_argument("--truth", required=True, help="ground-truth directory from synth")
@@ -268,11 +279,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-txt", default=None, help="also write the report as key=value text")
     p.set_defaults(func=_cmd_eval)
 
+
+# Each command with the function that adds its subparser, in the order `marc -h` lists them.
+COMMANDS = {"train": _add_train, "complete": _add_complete, "transfer": _add_transfer,
+            "synth": _add_synth, "eval": _add_eval}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `marc` parser with every command, or with `command`'s subparser
+    alone: a command's own arguments, help and errors come from its
+    subparser, so they read the same either way."""
+    parser = argparse.ArgumentParser(
+        prog="marc",
+        description="Robust component analysis for labeled, incompletely observed data",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, add in COMMANDS.items():
+        if command in (None, name):
+            add(sub)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one command. Only the named command's subparser is built; `marc
+    -h`, no command or an unknown one get the full parser's usage."""
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

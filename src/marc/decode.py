@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .proxops import largest_gap, positive_definite
+from .proxops import positive_definite, sorted_gap
 
 # Each least-squares fit inverts a column's k x k Gram D_v^T D_v, which
 # squares the condition number: its eigenvalues carry an absolute error of
@@ -86,16 +86,23 @@ def normal_maps(design: np.ndarray, visible: np.ndarray) -> tuple[np.ndarray, np
     Grams come from `_grams`. A Gram G is trusted when its smallest
     eigenvalue is above NORMAL_RATIO * tr(G) (a zero-width Gram is,
     vacuously), which a column that sees fewer than k rows, or a
-    rank-deficient D_v, never passes: for every B alike, `positive_definite`
-    of G - NORMAL_RATIO * tr(G) * I tests it, and one stacked `np.linalg.inv`
-    takes the trusted maps. Any other column's map is P P^T,
+    rank-deficient D_v, never passes: for every B alike,
+    `positive_definite` tests G - NORMAL_RATIO * tr(G) * I, a copy of the
+    Grams with NORMAL_RATIO * tr(G) taken off each diagonal (an off-diagonal
+    entry minus +0.0 is itself, so this is the product with the identity,
+    bitwise). When every Gram is trusted, the maps are one stacked
+    `np.linalg.inv` of the Grams. Otherwise the untrusted ones are swapped
+    for the identity in that inverse, and each of their maps is P P^T,
     P = pinv(D_v) as `np.linalg.pinv` gives it."""
-    k = design.shape[1]
     grams = _grams(design, visible.T)
-    unit = np.eye(k)
-    trace = np.trace(grams, axis1=1, axis2=2)[:, None, None]
-    trusted = positive_definite(grams - NORMAL_RATIO * trace * unit)
-    maps = np.linalg.inv(np.where(trusted[:, None, None], grams, unit))
+    count, k = grams.shape[:2]
+    shifted = grams.copy()
+    diagonal = shifted.reshape(count, k * k)[:, ::k + 1]  # a view, strided as np.trace reads it
+    diagonal -= NORMAL_RATIO * diagonal.sum(axis=1)[:, None]
+    trusted = positive_definite(shifted)
+    if trusted.all():
+        return np.linalg.inv(grams), trusted
+    maps = np.linalg.inv(np.where(trusted[:, None, None], grams, np.eye(k)))
     for c in np.flatnonzero(~trusted):
         factor = np.linalg.pinv(design[visible[:, c]])
         maps[c] = factor @ factor.T
@@ -161,8 +168,10 @@ def decode(design: np.ndarray, trusted: np.ndarray, visible: np.ndarray, target:
         # gap, and no cut reaches them.
         mags = np.where(kept, mags, np.where(kept, mags, np.inf).min(axis=0))
         # The cut keeps the magnitudes up to the largest one below the gap;
-        # ties cannot straddle it.
-        edge = np.sort(mags, axis=0)[dim - 1 - largest_gap(mags), np.arange(live.size)]
+        # ties cannot straddle it. They are >= 0, so `largest_gap` counts
+        # from this one sort of them.
+        ordered = np.sort(mags, axis=0)
+        edge = ordered[dim - 1 - sorted_gap(ordered[::-1]), np.arange(live.size)]
         kept = kept & (mags <= edge)
         maps, kept_trusted = normal_maps(design, kept)
         refit = np.matmul(maps, (design.T @ (kept * y[:, live])).T[:, :, None])[:, :, 0].T

@@ -104,12 +104,7 @@ def largest_gap(values: np.ndarray) -> int | np.ndarray:
     count is 0: nothing stands apart. The largest absolute gap, not the
     largest ratio: a ratio cut also splits values at rounding level, where
     neighbours differ by orders of magnitude."""
-    mags = np.sort(np.abs(values), axis=0)[::-1]
-    if mags.shape[0] < 2:
-        return 0 if mags.ndim == 1 else np.zeros(mags.shape[1], dtype=np.intp)
-    gaps = mags[:-1] - mags[1:]
-    count = np.where(np.max(gaps, axis=0) > 0.0, np.argmax(gaps, axis=0) + 1, 0)
-    return int(count) if mags.ndim == 1 else count
+    return sorted_gap(np.sort(np.abs(values), axis=0)[::-1])
 
 
 def deterministic_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -404,27 +399,38 @@ class RankRule:
 def svd_span(svd: tuple[np.ndarray, np.ndarray, np.ndarray], rule: RankRule) -> np.ndarray:
     """Orthonormal basis of the leading left-singular subspace of the matrix
     whose thin `deterministic_svd` is `svd` = (u, s, vh): a copy of the
-    leading columns of u. The width comes from `rule`: an explicit count (at
-    most min(rows, cols)) or an energy fraction; energy 1.0 gives the whole
-    numerical-rank span. An all-zero matrix has no span and is rejected."""
-    if not isinstance(rule, RankRule):
-        raise ValidationError(f"rule must be a RankRule, got {type(rule).__name__}")
+    leading columns of u, as many as `span_width` takes from `rule` and the
+    spectrum's `energy_prefix`. An all-zero matrix has no span and is
+    rejected."""
     u, s, vh = svd
     if s[0] == 0.0:
         raise DegenerateMatrixError("the span of an all-zero matrix is undefined")
-    shape = (u.shape[0], vh.shape[1])
+    return u[:, :span_width(rule, energy_prefix(s, (u.shape[0], vh.shape[1])), s.size)].copy()
+
+
+def energy_prefix(s: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """The cumulative squared singular values s_1^2, s_1^2 + s_2^2, ... of a
+    matrix of `shape` with spectrum `s` (descending), up to its numerical
+    rank, the values above max(shape) * eps * s_1: what an energy
+    `RankRule` reads. Empty for an all-zero or empty matrix."""
+    tol = max(shape) * np.finfo(np.float64).eps * (s[0] if s.size else 0.0)
+    return np.cumsum(s[:np.count_nonzero(s > tol)] ** 2)
+
+
+def span_width(rule: RankRule, energies: np.ndarray, most: int) -> int:
+    """How many leading singular directions `rule` keeps of a spectrum of
+    `most` values (min(rows, cols)) whose `energy_prefix` is `energies`
+    (non-empty for an energy rule): an explicit count, at most `most`, or
+    the smallest count whose prefix reaches that fraction of the whole, so
+    energy 1.0 keeps the numerical rank. A `rule` that is not a RankRule
+    raises ValidationError."""
+    if not isinstance(rule, RankRule):
+        raise ValidationError(f"rule must be a RankRule, got {type(rule).__name__}")
     if rule.explicit is not None:
-        r = rule.explicit
-        if r > min(shape):
-            raise ValidationError(
-                f"explicit rank {r} exceeds min(rows, cols) = {min(shape)}"
-            )
-    else:
-        tol = max(shape) * np.finfo(np.float64).eps * s[0]
-        nrank = int(np.count_nonzero(s > tol))
-        energies = np.cumsum(s[:nrank] ** 2)
-        r = int(np.searchsorted(energies, rule.energy * energies[-1], side="left")) + 1
-    return u[:, :r].copy()
+        if rule.explicit > most:
+            raise ValidationError(f"explicit rank {rule.explicit} exceeds min(rows, cols) = {most}")
+        return rule.explicit
+    return int(np.searchsorted(energies, rule.energy * energies[-1], side="left")) + 1
 
 
 def random_orthonormal(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
@@ -436,3 +442,13 @@ def random_orthonormal(rows: int, cols: int, rng: np.random.Generator) -> np.nda
     signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0
     return q * signs
+
+
+def sorted_gap(mags: np.ndarray) -> int | np.ndarray:
+    """`largest_gap` of magnitudes already sorted in descending order along
+    the first axis, for a caller that holds them sorted."""
+    if mags.shape[0] < 2:
+        return 0 if mags.ndim == 1 else np.zeros(mags.shape[1], dtype=np.intp)
+    gaps = mags[:-1] - mags[1:]
+    count = np.where(np.max(gaps, axis=0) > 0.0, np.argmax(gaps, axis=0) + 1, 0)
+    return int(count) if mags.ndim == 1 else count

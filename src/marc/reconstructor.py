@@ -59,7 +59,7 @@ import numpy as np
 from . import decode
 from .dataset import AttributeSchema, check_input, check_observed
 from .errors import DegenerateMatrixError, ValidationError, check_integer
-from .proxops import RankRule, soft_threshold, svd_span
+from .proxops import RankRule, soft_threshold, span_width
 from .trainer import ModelBundle, Schedule, TrainDiagnostics, checked_norms, run_penalty_steps
 
 # Each penalty step runs up to INNER_SWEEPS Gauss-Seidel sweeps of the primal
@@ -158,18 +158,20 @@ ReconObserver = Callable[[ReconState, int], None]
 
 def build_span(bundle: ModelBundle, rule: RankRule | None) -> np.ndarray:
     """Orthonormal basis of the trained individual component, as wide as
-    `rule` picks, cut from the bundle's SVD; the bundle is left as it was.
-    No rule (None) is the zero-width span. An identically zero individual
-    part has no span of any width, an explicit rank included; reconstruct
-    such a model with rank_rule=None."""
+    `rule` picks from the bundle's stored energy prefix (`span_width`, as
+    `svd_span` takes it), cut from the bundle's SVD; the bundle is left as
+    it was. No rule (None) is the zero-width span. An identically zero
+    individual part has no span of any width, an explicit rank included;
+    reconstruct such a model with rank_rule=None."""
     if rule is None:
         return np.zeros((bundle.dim, 0))
-    if bundle.individual_svd[1][0] == 0.0:  # the spectral norm of G
+    u, s, _ = bundle.individual_svd
+    if s[0] == 0.0:  # the spectral norm of G
         raise DegenerateMatrixError(
             "the trained individual component is identically zero; "
             "reconstruct without it (rank_rule=None, --no-individual)"
         )
-    return svd_span(bundle.individual_svd, rule)
+    return u[:, :span_width(rule, bundle.individual_energy, s.size)].copy()
 
 
 def synthesize(
@@ -457,10 +459,12 @@ def _solve(
         sparse = cols["visible"]
         if first:
             # A certified column's e takes its residual on every entry (the
-            # dual is zero), so its residual is exactly 0.
-            sparse = sparse & ~certified
+            # dual is zero), so its residual is exactly 0. When every column
+            # certifies, no entry is penalised: e is the residual itself.
+            sparse = None if certified.all() else sparse & ~certified
             first = False
-        state.sparse_error = np.where(sparse, soft_threshold(augmented, bound), augmented)
+        state.sparse_error = (augmented if sparse is None
+                              else np.where(sparse, soft_threshold(augmented, bound), augmented))
         res = np.sqrt(_sq_norms(unexplained - state.sparse_error)) / cols["norm"]
         return unexplained, res, res
 

@@ -89,6 +89,7 @@ from .errors import NumericalError, ValidationError, check_integer
 from .proxops import (
     WarmStart,
     deterministic_svd,
+    energy_prefix,
     frobenius,
     procrustes,
     random_orthonormal,
@@ -205,7 +206,10 @@ class ModelBundle:
 
     `individual_svd` is the thin `deterministic_svd` of the individual
     component, computed once at construction; spans of any width are cut
-    from it (see `reconstructor.build_span`).
+    from it (see `reconstructor.build_span`). Next to it, `individual_energy`
+    holds that spectrum's `energy_prefix`, the cumulative squared singular
+    values up to the numerical rank, from which a `RankRule` takes the
+    span's width. Both are derived: neither is compared or saved.
     """
 
     schema: AttributeSchema
@@ -218,9 +222,12 @@ class ModelBundle:
     individual_svd: tuple[np.ndarray, np.ndarray, np.ndarray] = field(
         init=False, repr=False, compare=False
     )
+    individual_energy: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "individual_svd", deterministic_svd(self.individual))
+        svd = deterministic_svd(self.individual)
+        object.__setattr__(self, "individual_svd", svd)
+        object.__setattr__(self, "individual_energy", energy_prefix(svd[1], self.individual.shape))
 
     @property
     def dim(self) -> int:
@@ -432,15 +439,19 @@ def run_penalty_steps(
     unmasked): the part of the data left for E, the masked residuals, which
     drive the stop rules, and the unmasked ones, a float or a length-B array
     each. After finite residuals come the observer, called with (state, t),
-    and `update_duals`. A problem stops "converged" when its residual drops
+    and the stop rules. A problem stops "converged" when its residual drops
     to eps, at "t_max" after t_max steps, or "stalled" before that: its step
     ran with the penalty at mu_max, and at the rate it moved the residual,
-    the steps left before t_max could not bring it to eps. `retire` is the
-    one exit for records: when problems stop, `retire(stopped, records)`
-    gets their columns' positions in the working set, ascending, and their
-    closed TrainDiagnostics; it saves their results and, unless every column
-    stopped, drops those columns from the state. The loop returns once every
-    problem has been retired.
+    the steps left before t_max could not bring it to eps. Then comes
+    `update_duals`, unless every problem left stopped at this step: nothing
+    reads that dual or penalty (no record, result or bundle holds them, and
+    the observer has already seen the step), so the last step takes none.
+    `retire` is the one exit for records: when problems stop, after the
+    dual step if there is one, `retire(stopped, records)` gets their
+    columns' positions in the working set, ascending, and their closed
+    TrainDiagnostics; it saves their results and, unless every column
+    stopped, drops those columns from the state. The loop returns once
+    every problem has been retired.
 
     A non-finite residual, or a kernel inside a step that rejects a
     non-finite intermediate (ValidationError) or fails to factor one
@@ -460,7 +471,6 @@ def run_penalty_steps(
             raise NumericalError(f"{what} diverged at iteration {t}: non-finite residual")
         if observer is not None:
             observer(state, t)
-        update_duals(state, fit)
         left = t_max - 1 - t
         stopped, closed = [], []
         for c, (mu_history, res_history, unmasked_history) in enumerate(records):
@@ -488,6 +498,8 @@ def run_penalty_steps(
                 mu_history=mu_history,
                 stop_reason=reason,
             ))
+        if len(stopped) < len(records):
+            update_duals(state, fit)
         last = res
         if stopped:
             retire(stopped, closed)

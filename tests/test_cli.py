@@ -9,8 +9,9 @@ import warnings
 import numpy as np
 import pytest
 
-from marc import reconstructor
-from marc.cli import build_parser, main
+from marc import cli, reconstructor
+from marc.cli import COMMANDS, build_parser, main
+from marc.dataset import AttributeSchema
 from marc.formats import (
     _HEADER, load_bundle, load_manifest, load_truth, read_matrix, read_vector, write_manifest,
     write_matrix, write_vector,
@@ -105,6 +106,34 @@ class TestSynth:
             "error: attribute 'a' has more instantiations than samples\n"
         assert peak < 4e6
         assert not (tmp_path / "x").exists()
+
+    def test_an_instance_no_memory_holds_fails_before_its_labels_are_built(self, tmp_path,
+                                                                          capsys, monkeypatch):
+        """--dim and --samples of 1e9 admit 200000 instantiations, but the
+        instance's 8e18-byte matrices fit no 64-bit address space: the
+        first dim x samples allocation fails at once, touching no memory,
+        and exits 2 before the attribute's labels are built."""
+        names = []
+        schema_of = AttributeSchema.of
+
+        def spy(pairs):
+            pairs = list(pairs)
+            names.extend(name for name, _ in pairs)
+            return schema_of(pairs)
+
+        monkeypatch.setattr(AttributeSchema, "of", spy)
+        rc = main(["synth", "-o", str(tmp_path / "x"), "--dim", "1000000000",
+                   "--samples", "1000000000", "--attr", "a=200000"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: out of memory: Unable to allocate ")
+        assert "a" not in names
+        assert not (tmp_path / "x").exists()
+
+    def test_more_bytes_than_an_address_space_is_out_of_memory(self, tmp_path, capsys):
+        rc = main(["synth", "-o", str(tmp_path / "x"), "--dim", "10000000000",
+                   "--samples", "10000000000"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: out of memory: array is too big")
 
 
 class TestTrain:
@@ -701,6 +730,45 @@ class TestCompleteAndTransfer:
             main(argv)
         assert stop.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestOneCommandParser:
+    """`main` builds the subparser of the command it runs alone; what it
+    prints and how it exits are the full parser's."""
+
+    @staticmethod
+    def outcome(parse, argv, capsys):
+        """The exit code, stdout and stderr of `parse(argv)`, which exits."""
+        with pytest.raises(SystemExit) as stop:
+            parse(argv)
+        out = capsys.readouterr()
+        return stop.value.code, out.out, out.err
+
+    @pytest.mark.parametrize("argv", [
+        *([name, "-h"] for name in COMMANDS),
+        ["train", "m.json"],
+        ["complete", "-b", "b", "-i", "x.marc"],
+        ["transfer", "-b", "b", "-i", "x.marc", "-o", "y.marc"],
+        ["synth"],
+        ["eval", "-b", "b"],
+        ["train", "m.json", "-o", "b", "--t-max", "many"],
+        ["synth", "-o", "x", "--dim", "1.5"],
+        ["complete", "-b", "b", "-i", "x", "-o", "y", "--rank", "3", "--no-individual"],
+        ["frobnicate", "-o", "x"],
+        ["-h"],
+        [],
+    ], ids=[*(f"{name}-help" for name in COMMANDS), "train-no-output", "complete-no-output",
+            "transfer-no-target", "synth-no-output", "eval-no-truth", "bad-int", "bad-dim",
+            "exclusive-flags", "unknown-command", "help", "no-arguments"])
+    def test_prints_and_exits_as_the_full_parser(self, capsys, monkeypatch, argv):
+        want = self.outcome(build_parser().parse_args, argv, capsys)
+        built = []
+        full = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda command=None: built.append(command) or full(command))
+        assert self.outcome(main, argv, capsys) == want
+        assert built == [argv[0] if argv and argv[0] in COMMANDS else None]
+        assert want[0] == (0 if "-h" in argv else 2)
 
 
 class TestDefaultsStayPinned:

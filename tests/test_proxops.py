@@ -22,6 +22,7 @@ from marc.proxops import (
     random_orthonormal,
     shrink_matrix,
     soft_threshold,
+    sorted_gap,
     svd_span,
     svt,
 )
@@ -85,6 +86,9 @@ def test_soft_threshold_is_the_kernel_on_any_shape():
 def test_largest_gap_counts_the_values_above_it(values, count):
     got = largest_gap(np.array(values))
     assert type(got) is int and got == count
+    # as `sorted_gap` counts them from the magnitudes sorted in descending order
+    got = sorted_gap(np.sort(np.abs(values))[::-1])
+    assert type(got) is int and got == count
 
 
 def test_largest_gap_cuts_each_column_of_a_matrix():
@@ -98,8 +102,10 @@ def test_largest_gap_cuts_each_column_of_a_matrix():
     assert got.shape == (4,)
     assert got.tolist() == [largest_gap(c) for c in columns]
     assert got[0] == 2 and got[1] == 0 and got[3] == 1
+    assert sorted_gap(np.sort(np.abs(m), axis=0)[::-1]).tolist() == got.tolist()
     assert largest_gap(np.zeros((0, 3))).tolist() == [0, 0, 0]
     assert largest_gap(np.ones((1, 3))).tolist() == [0, 0, 0]
+    assert sorted_gap(np.ones((1, 3))).tolist() == [0, 0, 0]
 
 
 def test_shrink_scalar_zero_threshold_is_identity():

@@ -13,9 +13,10 @@ import pytest
 
 from conftest import bundle_from_truth
 from marc import decode as decoder, proxops
-from marc import reconstructor
+from marc import reconstructor, trainer
 from marc.dataset import AttributeSchema, SelectorBank
 from marc.errors import DegenerateMatrixError, NumericalError, ValidationError
+from marc.formats import load_bundle, save_bundle
 from marc.proxops import RankRule, deterministic_svd, largest_gap, svd_span
 from marc.reconstructor import (
     ReconConfig,
@@ -131,6 +132,24 @@ class TestSpan:
         span = build_span(bundle, RankRule.fixed(2))
         assert span.shape == (40, 2)
         assert np.allclose(span.T @ span, np.eye(2), atol=1e-12)
+
+    @pytest.mark.parametrize("rule", [
+        RankRule.energy_fraction(0.5), RankRule.energy_fraction(0.99),
+        RankRule.energy_fraction(1.0), RankRule.fixed(1), RankRule.fixed(2), RankRule.fixed(24),
+    ], ids=lambda rule: f"energy-{rule.energy}" if rule.energy else f"explicit-{rule.explicit}")
+    def test_the_stored_energy_prefix_cuts_svd_spans_width(self, planted, tmp_path, rule):
+        """`build_span` takes its width from the energy prefix the bundle
+        computed once, next to its SVD, and cuts the span `svd_span` cuts
+        from that SVD, bitwise; a saved bundle stores no prefix, and loads
+        with the same one."""
+        truth, _, _, _ = planted
+        bundle = bundle_from_truth(truth)
+        assert build_span(bundle, rule).tobytes() == \
+            svd_span(bundle.individual_svd, rule).tobytes()
+        save_bundle(tmp_path / "b", bundle)
+        assert not any("energy" in p.name for p in (tmp_path / "b").iterdir())
+        loaded = load_bundle(tmp_path / "b")
+        assert loaded.individual_energy.tobytes() == bundle.individual_energy.tobytes()
 
     def test_no_rank_rule_skips_span_entirely(self, planted):
         truth, _, y, _ = planted
@@ -775,6 +794,26 @@ class TestNormalMaps:
             assert np.linalg.norm(maps[trusted] - want[trusted]) <= 1e-12 * np.linalg.norm(want)
         assert maps.shape == want.shape
 
+    def test_a_mixed_block_inverts_each_trusted_gram_alone(self, stock, monkeypatch):
+        """In a block whose columns 1 and 4 are untrusted (one sees fewer rows
+        than the design has columns, one sees none), each trusted column's
+        map is bitwise `np.linalg.inv` of its own Gram as `_grams` forms it
+        for the block, and each untrusted one takes P P^T as pinv gives P,
+        flagged False; pinv runs for those two alone."""
+        _, _, design = stock
+        visible = self.masks(design.shape[0], 6, seed=13)
+        visible[:, [1, 4]] = False
+        visible[:design.shape[1] - 1, 1] = True
+        grams = decoder._grams(design, visible.T)
+        want, _ = pinv_route(design, visible)
+        calls = self.spy(monkeypatch)
+        maps, trusted = decoder.normal_maps(design, visible)
+        assert trusted.tolist() == [True, False, True, True, False, True]
+        assert calls == [design.shape[1] - 1, 0]
+        for c, flag in enumerate(trusted):
+            ref = np.linalg.inv(grams[c]) if flag else want[c]
+            assert maps[c].tobytes() == ref.tobytes()
+
     def test_a_lone_column_inverts_its_own_gram(self, stock, monkeypatch):
         """A lone column's map is bitwise `np.linalg.inv` of its own Gram
         D^T diag(w) D, formed by two products, after the same test a block
@@ -961,6 +1000,35 @@ class TestDecode:
             if 2.0 * np.abs(r[u == 0.0]).sum() <= eps * np.abs(y_v).sum() * (1.0 - top):
                 return x, kept, g, cuts, True
         return x, kept, g, cuts, False
+
+    def test_the_step_at_which_every_column_stops_takes_no_dual_step(self, stock, monkeypatch):
+        """`run_penalty_steps` takes no dual step after the step at which
+        every problem left stops, and nothing reads the dual it would make:
+        a lone vector that certifies takes none. In a block of two such
+        vectors around one that runs the penalty loop (50% hidden, 30%
+        spikes of amplitude 5), the dual step follows every step but the
+        last, the first over all three columns, before the certified two
+        retire."""
+        truth, bundle = stock
+        widths = []
+        update = trainer.update_duals
+
+        def counted(state, fit):
+            widths.append(np.size(state.mu))
+            update(state, fit)
+
+        monkeypatch.setattr(trainer, "update_duals", counted)
+        free = TransferSpec.all_free(truth.schema)
+        easy = [holdout_sample(truth, seed) for seed in (0, 1)]
+        assert reconstruct(easy[0].y, easy[0].mask, bundle, free).diagnostics.iterations == 1
+        assert widths == []
+        hard = holdout_sample(truth, 2, 0.5, 0.3, 5.0)
+        block = [easy[0], hard, easy[1]]
+        results = reconstruct_many(np.column_stack([s.y for s in block]),
+                                   np.column_stack([s.mask for s in block]), bundle, free)
+        steps = [r.diagnostics.iterations for r in results]
+        assert steps[0] == steps[2] == 1 and steps[1] > 2
+        assert widths == [3] + [1] * (steps[1] - 2)
 
     @pytest.mark.parametrize("model", ["planted", "inexact"], ids=["free-planted", "free-inexact"])
     def test_certified_columns_pass_an_independent_check(self, stock, monkeypatch, model):

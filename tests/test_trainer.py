@@ -609,6 +609,21 @@ class TestTrainLoop:
             sweeps = trainer.INNER_SWEEPS * 5
             assert calls == {"update_g": sweeps, "update_e": sweeps, "normalized_residual": 5}
 
+    def test_the_last_step_takes_no_dual_step(self, small_instance, monkeypatch):
+        """A run of t_max=5 steps takes a dual step after each of the first
+        four alone: the fifth stops the run, and no bundle field reads the
+        dual or penalty it would make."""
+        calls = Counter()
+        update = trainer.update_duals
+
+        def counted(state, fit):
+            calls["update_duals"] += 1
+            update(state, fit)
+
+        monkeypatch.setattr(trainer, "update_duals", counted)
+        assert train(small_instance[0], SolverConfig(t_max=5)).diagnostics.iterations == 5
+        assert calls["update_duals"] == 4
+
     def test_train_norms_the_data_once(self, default_instance, monkeypatch):
         """One train takes ||X||_F once, before its first step; the residual
         measures of every step divide by that norm."""
