@@ -118,7 +118,7 @@ def decode(design: np.ndarray, trusted: np.ndarray, visible: np.ndarray, target:
     by gap cuts.
 
     S, the rows of a column's visible residual r = t - D x above the largest
-    absolute gap of |r| (`largest_gap`), are cut, and x is refitted on the
+    absolute gap of |r| (`sorted_gap`), are cut, and x is refitted on the
     kept rows K alone: x_K = M_K D^T (K .* t), M_K = (D_K^T D_K)^-1 being
     the normal map `normal_maps` gives for K. With r = t - D x_K,
     g = -D_K M_K D_S^T sign(r_S) makes u = (g on K, sign(r_S) on S) a dual
@@ -168,8 +168,8 @@ def decode(design: np.ndarray, trusted: np.ndarray, visible: np.ndarray, target:
         # gap, and no cut reaches them.
         mags = np.where(kept, mags, np.where(kept, mags, np.inf).min(axis=0))
         # The cut keeps the magnitudes up to the largest one below the gap;
-        # ties cannot straddle it. They are >= 0, so `largest_gap` counts
-        # from this one sort of them.
+        # ties cannot straddle it. They are >= 0, so this one sort of them,
+        # reversed, is what `sorted_gap` counts from.
         ordered = np.sort(mags, axis=0)
         edge = ordered[dim - 1 - sorted_gap(ordered[::-1]), np.arange(live.size)]
         kept = kept & (mags <= edge)

@@ -181,9 +181,12 @@ def _json_dump(path: Path, obj: object) -> None:
 
 
 def _json_load(path: Path) -> dict:
+    """The JSON object in the file at `path`. Content that does not decode
+    (bad syntax or encoding, an integer past Python's digit limit, nesting
+    past the recursion limit) raises FormatError."""
     try:
-        obj = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        obj = json.loads(_read_all(path))
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise FormatError(f"{path}: expected a JSON object at the top level")

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMatrixError, NumericalError, ValidationError, check_integer
+from .errors import NumericalError, ValidationError, check_integer
 
 
 def _check_shape(m: np.ndarray, name: str) -> np.ndarray:
@@ -93,18 +93,6 @@ def soft_threshold(m: np.ndarray, tau: float) -> np.ndarray:
     threshold is >= 0 by construction, where the checks would cost more than
     the threshold itself."""
     return m - np.minimum(np.maximum(m, -tau), tau)
-
-
-def largest_gap(values: np.ndarray) -> int | np.ndarray:
-    """How many of `values` stand above the largest absolute gap of their
-    sorted magnitudes: with m_1 >= m_2 >= ... >= m_n the magnitudes, the
-    count c of the largest gap m_c - m_{c+1}, the smallest such c when
-    several gaps tie. A 2-D array is cut column by column, one count per
-    column. With no gap (fewer than two values, or all magnitudes equal) the
-    count is 0: nothing stands apart. The largest absolute gap, not the
-    largest ratio: a ratio cut also splits values at rounding level, where
-    neighbours differ by orders of magnitude."""
-    return sorted_gap(np.sort(np.abs(values), axis=0)[::-1])
 
 
 def deterministic_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -396,18 +384,6 @@ class RankRule:
         return cls(energy=float(fraction))
 
 
-def svd_span(svd: tuple[np.ndarray, np.ndarray, np.ndarray], rule: RankRule) -> np.ndarray:
-    """Orthonormal basis of the leading left-singular subspace of the matrix
-    whose thin `deterministic_svd` is `svd` = (u, s, vh): a copy of the
-    leading columns of u, as many as `span_width` takes from `rule` and the
-    spectrum's `energy_prefix`. An all-zero matrix has no span and is
-    rejected."""
-    u, s, vh = svd
-    if s[0] == 0.0:
-        raise DegenerateMatrixError("the span of an all-zero matrix is undefined")
-    return u[:, :span_width(rule, energy_prefix(s, (u.shape[0], vh.shape[1])), s.size)].copy()
-
-
 def energy_prefix(s: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """The cumulative squared singular values s_1^2, s_1^2 + s_2^2, ... of a
     matrix of `shape` with spectrum `s` (descending), up to its numerical
@@ -415,22 +391,6 @@ def energy_prefix(s: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     `RankRule` reads. Empty for an all-zero or empty matrix."""
     tol = max(shape) * np.finfo(np.float64).eps * (s[0] if s.size else 0.0)
     return np.cumsum(s[:np.count_nonzero(s > tol)] ** 2)
-
-
-def span_width(rule: RankRule, energies: np.ndarray, most: int) -> int:
-    """How many leading singular directions `rule` keeps of a spectrum of
-    `most` values (min(rows, cols)) whose `energy_prefix` is `energies`
-    (non-empty for an energy rule): an explicit count, at most `most`, or
-    the smallest count whose prefix reaches that fraction of the whole, so
-    energy 1.0 keeps the numerical rank. A `rule` that is not a RankRule
-    raises ValidationError."""
-    if not isinstance(rule, RankRule):
-        raise ValidationError(f"rule must be a RankRule, got {type(rule).__name__}")
-    if rule.explicit is not None:
-        if rule.explicit > most:
-            raise ValidationError(f"explicit rank {rule.explicit} exceeds min(rows, cols) = {most}")
-        return rule.explicit
-    return int(np.searchsorted(energies, rule.energy * energies[-1], side="left")) + 1
 
 
 def random_orthonormal(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
@@ -445,8 +405,14 @@ def random_orthonormal(rows: int, cols: int, rng: np.random.Generator) -> np.nda
 
 
 def sorted_gap(mags: np.ndarray) -> int | np.ndarray:
-    """`largest_gap` of magnitudes already sorted in descending order along
-    the first axis, for a caller that holds them sorted."""
+    """How many of the magnitudes `mags`, sorted in descending order along
+    the first axis, stand above their largest absolute gap: with
+    m_1 >= m_2 >= ... >= m_n, the count c of the largest gap m_c - m_{c+1},
+    the smallest such c when several gaps tie. A 2-D array is cut column by
+    column, one count per column. With no gap (fewer than two values, or
+    all equal) the count is 0: nothing stands apart. The largest absolute
+    gap, not the largest ratio: a ratio cut also splits values at rounding
+    level, where neighbours differ by orders of magnitude."""
     if mags.shape[0] < 2:
         return 0 if mags.ndim == 1 else np.zeros(mags.shape[1], dtype=np.intp)
     gaps = mags[:-1] - mags[1:]

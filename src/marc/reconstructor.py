@@ -59,7 +59,7 @@ import numpy as np
 from . import decode
 from .dataset import AttributeSchema, check_input, check_observed
 from .errors import DegenerateMatrixError, ValidationError, check_integer
-from .proxops import RankRule, soft_threshold, span_width
+from .proxops import RankRule, soft_threshold
 from .trainer import ModelBundle, Schedule, TrainDiagnostics, checked_norms, run_penalty_steps
 
 # Each penalty step runs up to INNER_SWEEPS Gauss-Seidel sweeps of the primal
@@ -157,12 +157,15 @@ ReconObserver = Callable[[ReconState, int], None]
 
 
 def build_span(bundle: ModelBundle, rule: RankRule | None) -> np.ndarray:
-    """Orthonormal basis of the trained individual component, as wide as
-    `rule` picks from the bundle's stored energy prefix (`span_width`, as
-    `svd_span` takes it), cut from the bundle's SVD; the bundle is left as
-    it was. No rule (None) is the zero-width span. An identically zero
-    individual part has no span of any width, an explicit rank included;
-    reconstruct such a model with rank_rule=None."""
+    """Orthonormal basis of the trained individual component: a copy of the
+    leading left-singular vectors of the bundle's SVD, as many as `rule`
+    keeps; the bundle is left as it was. An explicit rule keeps that many,
+    at most min(rows, cols); an energy rule the smallest count whose prefix
+    of the stored `individual_energy` reaches that fraction of the whole, so
+    energy 1.0 keeps the numerical rank. No rule (None) is the zero-width
+    span, and anything but a RankRule or None raises ValidationError. An
+    identically zero individual part has no span of any width, an explicit
+    rank included; reconstruct such a model with rank_rule=None."""
     if rule is None:
         return np.zeros((bundle.dim, 0))
     u, s, _ = bundle.individual_svd
@@ -171,7 +174,17 @@ def build_span(bundle: ModelBundle, rule: RankRule | None) -> np.ndarray:
             "the trained individual component is identically zero; "
             "reconstruct without it (rank_rule=None, --no-individual)"
         )
-    return u[:, :span_width(rule, bundle.individual_energy, s.size)].copy()
+    if not isinstance(rule, RankRule):
+        raise ValidationError(f"rule must be a RankRule, got {type(rule).__name__}")
+    if rule.explicit is not None:
+        if rule.explicit > s.size:
+            raise ValidationError(
+                f"explicit rank {rule.explicit} exceeds min(rows, cols) = {s.size}")
+        width = rule.explicit
+    else:
+        energies = bundle.individual_energy
+        width = int(np.searchsorted(energies, rule.energy * energies[-1], side="left")) + 1
+    return u[:, :width].copy()
 
 
 def synthesize(
@@ -179,24 +192,11 @@ def synthesize(
     spec: TransferSpec,
     selectors: list[np.ndarray],
     coeffs: np.ndarray,
-    rule: RankRule | None,
+    span: np.ndarray,
 ) -> np.ndarray:
     """sum_i F_i h_i + K w, where h_i is the trained selector of the
     instantiation `spec` pins attribute i to, or else selectors[i], and K is
-    build_span(bundle, rule), needed only when there are coefficients w."""
-    return _render(bundle, spec, selectors, coeffs,
-                   build_span(bundle, rule) if coeffs.size else None)
-
-
-def _render(
-    bundle: ModelBundle,
-    spec: TransferSpec,
-    selectors: list[np.ndarray],
-    coeffs: np.ndarray,
-    span: np.ndarray | None,
-) -> np.ndarray:
-    """`synthesize`'s sum with the span K given, or None when there are no
-    coefficients w."""
+    `span`, the span the coefficients w were solved on (`build_span`)."""
     out = np.zeros(bundle.dim)
     for i, mode in enumerate(spec.pinned):
         sel = bundle.bank.selectors[i][:, mode] if mode is not None else selectors[i]
@@ -287,10 +287,12 @@ def reconstruct_many(
     completion, whatever `spec` pins. A transfer re-renders the completion
     as the column leaves the working set, and solves nothing more: each
     attribute `spec` pins takes a copy of its trained selector, so it comes
-    back bitwise identical; the reconstruction is `synthesize`'s sum under
-    the pins, bitwise; and the sparse error keeps the completion's visible
-    entries and absorbs y minus the new reconstruction on hidden ones. The
-    free selectors, span coefficients and diagnostics are the completion's.
+    back bitwise identical; the reconstruction is `synthesize` of the
+    completion's selectors and span coefficients under the pins, on the
+    span they were solved on; and the sparse error keeps the completion's
+    visible entries and absorbs y minus the new reconstruction on hidden
+    ones. The free selectors, span coefficients and diagnostics are the
+    completion's.
 
     Hidden entries of `Y` enter no step: the solve runs on W.*Y, so the
     selectors, coefficients, reconstruction and diagnostics are those of
@@ -351,7 +353,7 @@ def _solve(
     one vector, with their B observed `norms`. Every column is solved free,
     as its completion; `retire` builds its one ReconResult as it stops, the
     completion re-rendered under the pins of `spec` if it pins any, by
-    `synthesize`'s sum on the span the slice already holds.
+    `synthesize` on the slice's span.
 
     One vector runs the same steps without the column axis: its state holds
     1-D arrays and a scalar mu, which its observer sees, and its per-column
@@ -477,7 +479,7 @@ def _solve(
                          for i, (mode, sel) in enumerate(zip(spec.pinned, state.selectors))]
             coeffs = _column(state.indiv_coeffs, c).copy()
             if pinned:
-                out = _render(bundle, spec, selectors, coeffs, span)
+                out = synthesize(bundle, spec, selectors, coeffs, span)
                 e = np.where(seen, e, y - out)
             else:
                 out = _column(shared, c) + _column(indiv, c)

@@ -16,7 +16,7 @@ from marc.formats import (
     _HEADER, load_bundle, load_manifest, load_truth, read_matrix, read_vector, write_manifest,
     write_matrix, write_vector,
 )
-from marc.reconstructor import ReconConfig, TransferSpec, reconstruct, synthesize
+from marc.reconstructor import ReconConfig, TransferSpec, build_span, reconstruct, synthesize
 from marc.synthbench import default_spec, generate
 from marc.trainer import SolverConfig
 
@@ -185,17 +185,23 @@ class TestTrain:
         assert rc == 3
         assert "sample 0 'data' and 'mask' must be path strings" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("scale", [1e150, 1e160])
-    def test_overflow_is_a_numerical_failure(self, tmp_path, capsys, scale):
+    @pytest.mark.parametrize("scale, scaled, cause", [
+        pytest.param(1e150, None, "procrustes Gram overflows float64", id="1e+150"),
+        pytest.param(1e160, None, "the norm of the training matrix overflows float64",
+                     id="1e+160"),
+        pytest.param(1e200, 3, "the norm of the training matrix overflows float64",
+                     id="one-sample-1e+200"),
+    ])
+    def test_overflow_is_a_numerical_failure(self, tmp_path, capsys, scale, scaled, cause):
         """Samples scaled so that a Gram matrix of the basis step overflows
-        (1e150), or the norm of the training matrix does (1e160): exit 4,
-        naming that cause, with no numpy warning."""
-        cause = {1e150: "procrustes Gram overflows float64",
-                 1e160: "the norm of the training matrix overflows float64"}[scale]
+        (every sample by 1e150), or the norm of the training matrix does
+        (every sample by 1e160, or sample `scaled` alone set to 1e200 in
+        every entry): exit 4, naming that cause, with no numpy warning."""
         ts, _ = generate(dataclasses.replace(default_spec(), dim=30, count=12, seed=1))
         entries = []
         for n in range(ts.count):
-            write_vector(tmp_path / f"s{n}.marc", ts.X[:, n] * scale)
+            x = ts.X[:, n] * scale if scaled is None else ts.X[:, n]
+            write_vector(tmp_path / f"s{n}.marc", np.full(ts.dim, scale) if n == scaled else x)
             labels = {ts.schema.name(i): ts.schema.labels(i)[ts.label_index[i][n]]
                       for i in range(ts.schema.count)}
             entries.append({"data": f"s{n}.marc", "mask": None, "labels": labels})
@@ -319,7 +325,9 @@ def test_non_finite_factor_is_format_error(workspace, tmp_path, capsys, command,
         payload[_HEADER.size:_HEADER.size + 8] = np.array(value, dtype="<f8").tobytes()
         path.write_bytes(bytes(payload))
 
-    assert run_on_a_copy(workspace, tmp_path, command, where, poke) == 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_on_a_copy(workspace, tmp_path, command, where, poke) == 3
     err = capsys.readouterr().err
     assert f"{name}{': record 0' if name == 'selectors.marc' else ''}: non-finite entries" in err
     assert not (tmp_path / "out.marc").exists()
@@ -350,7 +358,9 @@ def test_bad_schema_is_format_error(workspace, tmp_path, capsys, command, where,
         change(doc["attributes"][0])
         (directory / "schema.json").write_text(json.dumps(doc))
 
-    assert run_on_a_copy(workspace, tmp_path, command, where, edit) == 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_on_a_copy(workspace, tmp_path, command, where, edit) == 3
     path = tmp_path / where / "schema.json"
     assert capsys.readouterr().err == f"error: {path}: bad schema: {message}\n"
     assert not (tmp_path / "out.marc").exists()
@@ -595,13 +605,31 @@ class TestCompleteAndTransfer:
         assert capsys.readouterr().err == (
             f"error: {prefix}b.marc: input vector has length 29, expected 30\n")
 
-    def test_corrupt_input_is_format_error(self, workspace, tmp_path, capsys):
-        bad = tmp_path / "bad.marc"
-        bad.write_bytes(b"JUNKJUNKJUNK")
-        rc = main(["complete", "-b", str(workspace / "bundle"),
-                   "-i", str(bad), "-o", str(tmp_path / "out.marc")])
-        assert rc == 3
-        assert "error:" in capsys.readouterr().err
+    @pytest.mark.parametrize("name, content, status, message", [
+        ("bad.marc", b"JUNKJUNKJUNK", 3, "truncated header"),
+        ("empty.csv", b"", 3, "empty matrix"),
+        ("huge.marc", np.full(30, 1e200), 4, "overflows float64"),
+    ], ids=["junk", "empty-csv", "overflowing-norm"])
+    def test_a_bad_input_file_is_refused(self, workspace, tmp_path, capsys, name, content,
+                                         status, message):
+        """A single input file that holds no matrix (`content` its bytes,
+        exit 3), or a vector whose finite entries' norm overflows float64
+        (`content` that vector, exit 4), is refused with one line naming the
+        file and the fault, no numpy warning and no output."""
+        bad = tmp_path / name
+        if isinstance(content, bytes):
+            bad.write_bytes(content)
+        else:
+            write_vector(bad, content)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["complete", "-b", str(workspace / "bundle"),
+                       "-i", str(bad), "-o", str(tmp_path / "out.marc")])
+        assert rc == status
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(bad) in err and message in err
+        assert not (tmp_path / "out.marc").exists()
 
     def test_inconsistent_bundle_is_format_error(self, workspace, tmp_path, capsys):
         bundle = tmp_path / "bundle"
@@ -621,18 +649,30 @@ class TestCompleteAndTransfer:
         ("config", "rho", "fast"),
         ("config", "t_max", -3),
         ("config", "mu0_norm", "frobenius"),
+        pytest.param("diagnostics", None, b'{"iterations": "\xff"}', id="diagnostics-byte-ff"),
+        pytest.param("config", None, b"[" * 200_000, id="config-nested-200000"),
+        pytest.param("config", None, b'{"seed": ' + b"9" * 5000 + b"}", id="config-5000-digits"),
     ])
     def test_corrupt_record_is_format_error(self, workspace, tmp_path, capsys, name, key, value):
-        bundle = tmp_path / "bundle"
-        shutil.copytree(workspace / "bundle", bundle)
-        doc = json.loads((bundle / f"{name}.json").read_text())
-        doc[key] = value
-        (bundle / f"{name}.json").write_text(json.dumps(doc))
-        sample = workspace / "data" / "samples" / "sample_0001.marc"
-        rc = main(["complete", "-b", str(bundle), "-i", str(sample),
-                   "-o", str(tmp_path / "out.marc")])
-        assert rc == 3
-        assert f"{name}.json: bad " in capsys.readouterr().err
+        """A record of the bundle with a bad field, or whose bytes do not
+        decode as JSON (key None: the file holds `value`), fails `marc
+        complete` and `marc eval` alike with exit 3, naming the file."""
+        def edit(directory):
+            path = directory / f"{name}.json"
+            if key is None:
+                path.write_bytes(value)
+            else:
+                doc = json.loads(path.read_text())
+                doc[key] = value
+                path.write_text(json.dumps(doc))
+
+        fault = "invalid JSON: " if key is None else "bad "
+        for command in ("complete", "eval"):
+            assert run_on_a_copy(workspace, tmp_path / command, command, "bundle", edit) == 3
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {tmp_path / command / 'bundle' / name}.json: {fault}")
+            assert err.count("\n") == 1
+            assert not (tmp_path / command / "out.marc").exists()
 
     def test_rank_wins_over_a_leftover_span_file(self, workspace, tmp_path):
         # Older versions cached a span in span.marc and used it whatever
@@ -653,7 +693,8 @@ class TestCompleteAndTransfer:
 
     def test_transfer_routes(self, workspace, tmp_path):
         """`marc transfer` writes bitwise what `synthesize` gives, under the
-        pin, from the free result `reconstruct` gives for that file."""
+        pin, from the free result `reconstruct` gives for that file, on its
+        span."""
         sample = workspace / "data" / "samples" / "sample_0001.marc"
         mask = workspace / "data" / "samples" / "sample_0001_mask.marc"
         out = tmp_path / "moved.marc"
@@ -664,7 +705,8 @@ class TestCompleteAndTransfer:
         config = ReconConfig(t_max=60)
         free = reconstruct(read_vector(sample), read_vector(mask), bundle, config=config)
         spec = TransferSpec.targets(bundle.schema, {"tone": "tone_2"})
-        want = synthesize(bundle, spec, free.selectors, free.indiv_coeffs, config.rank_rule)
+        want = synthesize(bundle, spec, free.selectors, free.indiv_coeffs,
+                          build_span(bundle, config.rank_rule))
         assert read_vector(out).tobytes() == want.tobytes()
 
     def test_transfer_validation(self, workspace, tmp_path, capsys):

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from marc import formats
+from marc.cli import main
 from marc.dataset import AttributeSchema, assemble
 from marc.errors import FormatError, ValidationError
 from marc.formats import (
@@ -294,6 +295,13 @@ class TestManifest:
         path.write_text("{not json\n")
         with pytest.raises(FormatError, match="manifest.json: invalid JSON"):
             load_manifest(path)
+        # bytes that decode as no text, nesting past the recursion limit and
+        # an integer past Python's digit limit are invalid JSON too
+        for blob in (b'\xff\xfe{"a":1}', b'{"format_version": "\xff"}', b"[" * 200_000,
+                     b'{"format_version": ' + b"9" * 5000 + b"}"):
+            path.write_bytes(blob)
+            with pytest.raises(FormatError, match="manifest.json: invalid JSON: "):
+                load_manifest(path)
         path.write_text("[]\n")
         with pytest.raises(FormatError, match="JSON object"):
             load_manifest(path)
@@ -481,6 +489,12 @@ class TestBundleArchive:
         rng = np.random.default_rng(8)
         y, w = rng.standard_normal(fresh.dim), (rng.random(fresh.dim) >= 0.2).astype(float)
         assert complete(y, w, fresh).tobytes() == complete(y, w, legacy).tobytes()
+        # and `marc complete` writes the same bytes from either
+        write_vector(tmp_path / "y.marc", y)
+        for name in ("fresh", "legacy"):
+            assert main(["complete", "-b", str(tmp_path / name), "-i", str(tmp_path / "y.marc"),
+                         "-o", str(tmp_path / f"{name}.marc")]) == 0
+        assert (tmp_path / "fresh.marc").read_bytes() == (tmp_path / "legacy.marc").read_bytes()
 
 
 class TestTruthArchive:

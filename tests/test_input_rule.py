@@ -3,6 +3,7 @@ strictly 0/1 mask of the data's shape (`dataset.check_observed`), after one
 length rule (`dataset.check_input`). `marc train` names a sample at fault by
 its file, whatever the fault."""
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -122,7 +123,9 @@ def test_every_entry_point_refuses_bad_observed_data(entry, fault, model, tmp_pa
     X, W, masks = faulty(fault)
     want = EXPECTED[entry][FAULTS[fault]]
     if entry in (via_train, via_complete):
-        assert entry(X, W, masks, model, tmp_path) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert entry(X, W, masks, model, tmp_path) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert re.search(want, err.removeprefix("error: "))

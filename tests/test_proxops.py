@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from marc import proxops
+from marc.dataset import AttributeSchema, SelectorBank
 from marc.errors import DegenerateMatrixError, NumericalError, ValidationError
 from marc.proxops import (
     GRAM_RATIO,
@@ -17,15 +18,15 @@ from marc.proxops import (
     _svt_svd,
     deterministic_svd,
     frobenius,
-    largest_gap,
     procrustes,
     random_orthonormal,
     shrink_matrix,
     soft_threshold,
     sorted_gap,
-    svd_span,
     svt,
 )
+from marc.reconstructor import build_span
+from marc.trainer import ModelBundle, SolverConfig, TrainDiagnostics
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 nonneg = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
@@ -72,6 +73,12 @@ def test_soft_threshold_is_the_kernel_on_any_shape():
     assert np.array_equal(soft_threshold(v, 0.0), v)
 
 
+def descending_magnitudes(values):
+    """|values| sorted in descending order along the first axis, as
+    `sorted_gap` takes them."""
+    return np.sort(np.abs(values), axis=0)[::-1]
+
+
 @pytest.mark.parametrize("values, count", [
     ([], 0),                                  # empty: no gap
     ([-4.0], 0),                              # one value: no gap
@@ -83,28 +90,23 @@ def test_soft_threshold_is_the_kernel_on_any_shape():
     ([1.0, 2.0, 4.0, 6.0], 1),                # gaps 2, 2, 1: the first of the tied two
     ([1e-16, 3e-16, 1e-15], 1),               # absolute, not ratio: 1e-15 stands apart
 ])
-def test_largest_gap_counts_the_values_above_it(values, count):
-    got = largest_gap(np.array(values))
-    assert type(got) is int and got == count
-    # as `sorted_gap` counts them from the magnitudes sorted in descending order
-    got = sorted_gap(np.sort(np.abs(values))[::-1])
+def test_sorted_gap_counts_the_values_above_it(values, count):
+    got = sorted_gap(descending_magnitudes(np.array(values)))
     assert type(got) is int and got == count
 
 
-def test_largest_gap_cuts_each_column_of_a_matrix():
+def test_sorted_gap_cuts_each_column_of_a_matrix():
     rng = np.random.default_rng(3)
     columns = [rng.standard_normal(30) * 1e-3 for _ in range(4)]
     columns[0][[2, 9]] = [5.0, -4.0]
     columns[1][:] = 0.0
     columns[3][7] = 1.0
     m = np.column_stack(columns)
-    got = largest_gap(m)
+    got = sorted_gap(descending_magnitudes(m))
     assert got.shape == (4,)
-    assert got.tolist() == [largest_gap(c) for c in columns]
+    assert got.tolist() == [sorted_gap(descending_magnitudes(c)) for c in columns]
     assert got[0] == 2 and got[1] == 0 and got[3] == 1
-    assert sorted_gap(np.sort(np.abs(m), axis=0)[::-1]).tolist() == got.tolist()
-    assert largest_gap(np.zeros((0, 3))).tolist() == [0, 0, 0]
-    assert largest_gap(np.ones((1, 3))).tolist() == [0, 0, 0]
+    assert sorted_gap(descending_magnitudes(np.zeros((0, 3)))).tolist() == [0, 0, 0]
     assert sorted_gap(np.ones((1, 3))).tolist() == [0, 0, 0]
 
 
@@ -617,9 +619,13 @@ def test_only_proxops_names_cholesky():
 
 
 def rank_r_span(m, rule):
-    """The leading left-singular span of `m`, as `build_span` cuts it:
-    `svd_span` of the matrix's `deterministic_svd`."""
-    return svd_span(deterministic_svd(m), rule)
+    """The leading left-singular span of `m`, as `build_span` cuts it from
+    a bundle whose individual part is `m`, with no attribute and a zero
+    sparse part."""
+    bundle = ModelBundle(schema=AttributeSchema.of([]), bases=[], bank=SelectorBank([]),
+                         individual=m, sparse_error=np.zeros_like(m),
+                         diagnostics=TrainDiagnostics.zero_input(1.0), config=SolverConfig())
+    return build_span(bundle, rule)
 
 
 def test_rank_r_span_explicit_and_energy():

@@ -17,7 +17,7 @@ from marc import reconstructor, trainer
 from marc.dataset import AttributeSchema, SelectorBank
 from marc.errors import DegenerateMatrixError, NumericalError, ValidationError
 from marc.formats import load_bundle, save_bundle
-from marc.proxops import RankRule, deterministic_svd, largest_gap, svd_span
+from marc.proxops import RankRule, sorted_gap
 from marc.reconstructor import (
     ReconConfig,
     TransferSpec,
@@ -41,7 +41,7 @@ def planted():
                      sparsity=0.04, missing_frac=0.1, noise_amp=5.0, seed=3)
     _, truth = generate(spec)
     bundle = bundle_from_truth(truth)
-    span = svd_span(deterministic_svd(truth.individual), RankRule.fixed(2))
+    span = build_span(bundle, RankRule.fixed(2))
     rng = np.random.default_rng(42)
     coeffs = rng.standard_normal(2)
     y = truth.bases[0] @ truth.bank.selectors[0][:, 1] \
@@ -137,15 +137,21 @@ class TestSpan:
         RankRule.energy_fraction(0.5), RankRule.energy_fraction(0.99),
         RankRule.energy_fraction(1.0), RankRule.fixed(1), RankRule.fixed(2), RankRule.fixed(24),
     ], ids=lambda rule: f"energy-{rule.energy}" if rule.energy else f"explicit-{rule.explicit}")
-    def test_the_stored_energy_prefix_cuts_svd_spans_width(self, planted, tmp_path, rule):
+    def test_the_stored_energy_prefix_cuts_the_spans_width(self, planted, tmp_path, rule):
         """`build_span` takes its width from the energy prefix the bundle
-        computed once, next to its SVD, and cuts the span `svd_span` cuts
-        from that SVD, bitwise; a saved bundle stores no prefix, and loads
-        with the same one."""
+        computed once, next to its SVD, and cuts from that SVD, bitwise, the
+        span a cut taken here from the squared singular values keeps; a
+        saved bundle stores no prefix, and loads with the same one."""
         truth, _, _, _ = planted
         bundle = bundle_from_truth(truth)
-        assert build_span(bundle, rule).tobytes() == \
-            svd_span(bundle.individual_svd, rule).tobytes()
+        u, s, _ = bundle.individual_svd
+        if rule.explicit is not None:
+            width = rule.explicit
+        else:
+            rank_tol = max(truth.individual.shape) * np.finfo(float).eps * s[0]
+            energies = np.cumsum(s[s > rank_tol] ** 2)
+            width = int(np.argmax(energies >= rule.energy * energies[-1])) + 1
+        assert build_span(bundle, rule).tobytes() == u[:, :width].copy().tobytes()
         save_bundle(tmp_path / "b", bundle)
         assert not any("energy" in p.name for p in (tmp_path / "b").iterdir())
         loaded = load_bundle(tmp_path / "b")
@@ -407,8 +413,8 @@ class TestTransfer:
         it. Every pinned selector is bitwise the trained column. Against the
         completion solved the same way, alone or in the block, the free
         selectors, span coefficients, record and visible sparse error are
-        bitwise its own, the reconstruction is bitwise `synthesize`'s sum
-        from them, and the hidden sparse error is y minus it."""
+        bitwise its own, the reconstruction is bitwise `synthesize` of them
+        on the span, and the hidden sparse error is y minus it."""
         _, truth = default_instance
         bundle = bundle_from_truth(truth)
         config = ReconConfig(rank_rule=rank_rule)
@@ -452,7 +458,8 @@ class TestTransfer:
                 assert result.indiv_coeffs.tobytes() == free.indiv_coeffs.tobytes()
                 assert result.diagnostics == free.diagnostics
                 assert result.sparse_error[seen].tobytes() == free.sparse_error[seen].tobytes()
-                synthesis = synthesize(bundle, spec, free.selectors, free.indiv_coeffs, rank_rule)
+                synthesis = synthesize(bundle, spec, free.selectors, free.indiv_coeffs,
+                                       build_span(bundle, rank_rule))
                 assert result.reconstruction.tobytes() == synthesis.tobytes()
                 assert result.sparse_error[~seen].tobytes() == (y - synthesis)[~seen].tobytes()
         assert certified == (24 if rank_rule else 0)
@@ -989,7 +996,7 @@ class TestDecode:
         for cuts in range(1, decoder.DECODE_ROUNDS + 1):
             mags = np.abs(y_v - d_v @ x)
             mags[~kept] = mags[kept].min()
-            kept[np.argsort(-mags, kind="stable")[:largest_gap(mags)]] = False
+            kept[np.argsort(-mags, kind="stable")[:sorted_gap(np.sort(mags)[::-1])]] = False
             x = np.linalg.lstsq(d_v[kept], y_v[kept], rcond=None)[0]
             r = y_v - d_v @ x
             u = cls.signs(r, kept, norm)
