@@ -28,6 +28,15 @@ duality gap bounds its distance to every LAD optimum by
 eps * ||w .* target||_1. The refit need not fit the kept rows exactly, so
 columns certify through inexact (trained) designs too. A column whose refit
 fails on that bound alone cuts again, up to DECODE_ROUNDS cuts.
+
+A lone vector, the traffic of `reconstructor.reconstruct`, decodes without a
+column axis: the same cuts and rules on (dim,) arrays, with no reshape, no
+per-column bookkeeping and no stacked products, ending as soon as the
+vector certifies or its bound fails. Its result is bitwise the block
+decode's for the same vector as a (dim, 1) block. Over 200 free stock
+holdouts that certify at the first cut, this took a lone call's decode from
+149 to 96 us, and the whole call from 300 to 240 us (best of 8 alternating
+runs, each the min of 9 passes, one BLAS thread, 2-core VM).
 """
 from __future__ import annotations
 
@@ -67,14 +76,16 @@ DECODE_ROUNDS = 2
 
 def _grams(design: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """The weighted Grams D^T diag(w) D of the dim x k `design`, one per row
-    w of the (count, dim) `weights`, stacked count x k x k: two products for
-    a lone row, and for more one product with the row-wise outer products of
-    `design`. For one row the outer products cost more than they save: +24%
-    on free calls that certify, +7% on penalty-loop solves (the traffic and
-    timing `reconstructor._solve`'s doc names)."""
-    (dim, k), count = design.shape, len(weights)
-    if count == 1:
-        return ((design.T * weights) @ design).reshape(1, k, k)
+    w of the (count, dim) `weights`, stacked count x k x k, or the one k x k
+    Gram of (dim,) `weights`: two products for a lone row, and for more one
+    product with the row-wise outer products of `design`. For one row the
+    outer products cost more than they save: +24% on free calls that
+    certify, +7% on penalty-loop solves (the traffic and timing
+    `reconstructor._solve`'s doc names)."""
+    dim, k = design.shape
+    if weights.ndim == 1 or len(weights) == 1:
+        return ((design.T * weights) @ design).reshape(weights.shape[:-1] + (k, k))
+    count = len(weights)
     outer = (design[:, :, None] * design[:, None, :]).reshape(dim, k * k)
     return (weights.astype(np.float64, copy=False) @ outer).reshape(count, k, k)
 
@@ -82,10 +93,12 @@ def _grams(design: np.ndarray, weights: np.ndarray) -> np.ndarray:
 def normal_maps(design: np.ndarray, visible: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The k x k normal map (D_v^T D_v)^-1 of each column of the dim x B
     boolean `visible`, D_v being the rows of the dim x k `design` it sees,
-    stacked B x k x k, and which columns' Grams are trusted, (B,) bool. The
-    Grams come from `_grams`. A Gram G is trusted when its smallest
-    eigenvalue is above NORMAL_RATIO * tr(G) (a zero-width Gram is,
-    vacuously), which a column that sees fewer than k rows, or a
+    stacked B x k x k, and which columns' Grams are trusted, (B,) bool. A
+    (dim,) mask, as a lone vector's x step and its decode's cuts pass it,
+    gets its one k x k map and a 0-d flag, bitwise the [0] of the same mask
+    as a (dim, 1) block. The Grams come from `_grams`. A Gram G is trusted
+    when its smallest eigenvalue is above NORMAL_RATIO * tr(G) (a zero-width
+    Gram is, vacuously), which a column that sees fewer than k rows, or a
     rank-deficient D_v, never passes: for every B alike,
     `positive_definite` tests G - NORMAL_RATIO * tr(G) * I, a copy of the
     Grams with NORMAL_RATIO * tr(G) taken off each diagonal (an off-diagonal
@@ -94,14 +107,17 @@ def normal_maps(design: np.ndarray, visible: np.ndarray) -> tuple[np.ndarray, np
     `np.linalg.inv` of the Grams. Otherwise the untrusted ones are swapped
     for the identity in that inverse, and each of their maps is P P^T,
     P = pinv(D_v) as `np.linalg.pinv` gives it."""
+    k, count = design.shape[1], 1 if visible.ndim == 1 else visible.shape[1]
     grams = _grams(design, visible.T)
-    count, k = grams.shape[:2]
     shifted = grams.copy()
     diagonal = shifted.reshape(count, k * k)[:, ::k + 1]  # a view, strided as np.trace reads it
     diagonal -= NORMAL_RATIO * diagonal.sum(axis=1)[:, None]
     trusted = positive_definite(shifted)
     if trusted.all():
         return np.linalg.inv(grams), trusted
+    if visible.ndim == 1:
+        factor = np.linalg.pinv(design[visible])
+        return factor @ factor.T, trusted
     maps = np.linalg.inv(np.where(trusted[:, None, None], grams, np.eye(k)))
     for c in np.flatnonzero(~trusted):
         factor = np.linalg.pinv(design[visible[:, c]])
@@ -143,18 +159,23 @@ def decode(design: np.ndarray, trusted: np.ndarray, visible: np.ndarray, target:
     NORMAL_RATIO rule (`normal_maps` takes it by pinv; so it does when K
     holds fewer than k rows) is not certified.
 
+    One vector takes `_decode_vector`, the same cuts without the column
+    axis, bitwise the block's result for it as a (dim, 1) block and about a
+    third cheaper (the module doc has the timing).
+
     Returns x with each certified column replaced by its x_K, and which
     columns were certified (0-d for one vector)."""
-    dim, k = design.shape
-    count = np.size(norm)
-    y, seen = target.reshape(dim, count), visible.reshape(dim, count)
-    out = x.reshape(k, count).copy()
+    if x.ndim == 1:
+        return _decode_vector(design, trusted, visible, target, x, norm, eps)
+    dim, count = target.shape
+    y, seen = target, visible
+    out = x.copy()
     certified = np.zeros(count, dtype=bool)
     # The columns still decoding: their K, their current fit's residual, their
     # norm and their bound eps * ||t_v||_1; after the first cut, residual,
     # bound and misfit are taken relative to the norm, so that no sum
     # overflows.
-    scale = np.reshape(norm, count)
+    scale = norm
     budget = eps * (np.abs(y) / scale * seen).sum(axis=0)
     live, kept, res, go = np.arange(count), seen, y - design @ out, trusted
     for _ in range(DECODE_ROUNDS):
@@ -185,7 +206,39 @@ def decode(design: np.ndarray, trusted: np.ndarray, visible: np.ndarray, target:
         out[:, live[done]] = refit[:, done]
         certified[live[done]] = True
         go = (bound <= 1.0 - CERT_MARGIN) & ~done
-    return out.reshape(x.shape), certified.reshape(np.shape(norm))
+    return out, certified
+
+
+def _decode_vector(design: np.ndarray, trusted: np.ndarray, seen: np.ndarray, y: np.ndarray,
+                   x: np.ndarray, norm: float, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """`decode` of one vector, by the same cuts and rules on (dim,) arrays:
+    bitwise the [:, 0] of it decoded as a (dim, 1) block, without the
+    block's column bookkeeping. It stops once the vector certifies, or once
+    its bound fails, a kept Gram the NORMAL_RATIO rule refuses included (the
+    block gives such a column an infinite bound); x itself comes back when
+    it does not certify."""
+    if not trusted:
+        return x, np.zeros((), dtype=bool)
+    dim = design.shape[0]
+    budget = eps * (np.abs(y) / norm * seen).sum()
+    kept, res = seen, y - design @ x
+    for _ in range(DECODE_ROUNDS):
+        mags = np.abs(res)
+        mags = np.where(kept, mags, np.where(kept, mags, np.inf).min())
+        ordered = np.sort(mags)
+        kept = kept & (mags <= ordered[dim - 1 - sorted_gap(ordered[::-1])])
+        maps, kept_trusted = normal_maps(design, kept)
+        if not kept_trusted:
+            break
+        refit = maps @ (design.T @ (kept * y))
+        res = (y - design @ refit) / norm
+        signs, counted = _signs(res, seen, kept)
+        bound = (np.abs(design @ (maps @ (design.T @ signs))) * kept).max()
+        if _passes(res, counted, bound, budget):
+            return refit, np.ones((), dtype=bool)
+        if not bound <= 1.0 - CERT_MARGIN:
+            break
+    return x, np.zeros((), dtype=bool)
 
 
 def _signs(res: np.ndarray, seen: np.ndarray, kept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -2,19 +2,25 @@
 exit codes and console output are observable without spawning children."""
 import dataclasses
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import bundle_from_truth
+import marc
 from marc import cli, reconstructor
 from marc.cli import COMMANDS, build_parser, main
 from marc.dataset import AttributeSchema
 from marc.formats import (
-    _HEADER, load_bundle, load_manifest, load_truth, read_matrix, read_vector, write_manifest,
-    write_matrix, write_vector,
+    _HEADER, load_bundle, load_manifest, load_truth, read_matrix, read_vector, save_bundle,
+    write_manifest, write_matrix, write_vector,
 )
 from marc.reconstructor import ReconConfig, TransferSpec, build_span, reconstruct, synthesize
 from marc.synthbench import default_spec, generate
@@ -840,3 +846,88 @@ class TestDefaultsStayPinned:
         assert args.mu0_scale == cfg.mu0_scale
         assert args.rank is None and args.energy is None
         assert not args.no_individual
+
+
+# One child's run in `TestBlasThreads`, its BLAS thread count set before numpy
+# loads: complete and transfer the directory, complete and transfer sample 0003
+# as one file, through `cli.main`, each command's lines kept in a text file; and
+# reconstruct samples 0003, 0021 and 0042 alone, free and pinned, each result's
+# arrays and record written as bytes. A one-file run solves a one-column block;
+# these `reconstruct` calls are the one-vector path.
+_THREADED_RUN = """
+import contextlib, sys
+from pathlib import Path
+from marc import cli
+from marc.formats import load_bundle, read_vector
+from marc.reconstructor import TransferSpec, reconstruct
+
+work, out = Path(sys.argv[1]), Path(sys.argv[2])
+planted, vectors, masks = (str(work / name) for name in ("planted", "vectors", "masks"))
+pin = ["-t", "attr2=b3"]
+
+def run(log, command, *argv):
+    with open(out / log, "w") as stream, contextlib.redirect_stdout(stream):
+        assert cli.main([command, "-b", planted, *argv]) == 0
+
+(out / "lone").mkdir(parents=True)
+run("complete.txt", "complete", "-i", vectors, "-m", masks, "-o", str(out / "completed") + "/")
+run("transfer.txt", "transfer", *pin, "-i", vectors, "-m", masks,
+    "-o", str(out / "transferred") + "/")
+one = ["-i", vectors + "/sample_0003.marc", "-m", masks + "/sample_0003.marc", "-o"]
+run("single.txt", "complete", *one, str(out / "single.marc"))
+run("single_transfer.txt", "transfer", *pin, *one, str(out / "single_transfer.marc"))
+bundle = load_bundle(planted)
+specs = {"free": TransferSpec.all_free(bundle.schema),
+         "pinned": TransferSpec.targets(bundle.schema, {"attr2": "b3"})}
+for n in ("0003", "0021", "0042"):
+    y, w = (read_vector(work / part / f"sample_{n}.marc") for part in ("vectors", "masks"))
+    for name, spec in specs.items():
+        r = reconstruct(y, w, bundle, spec)
+        fields = [*r.selectors, r.indiv_coeffs, r.sparse_error, r.reconstruction]
+        (out / "lone" / f"{name}_{n}").write_bytes(
+            b"".join(a.tobytes() for a in fields) + repr(r.diagnostics).encode())
+"""
+
+
+class TestBlasThreads:
+    def test_certified_decoding_against_the_planted_model_is_bitwise_at_one_and_two_threads(
+            self, tmp_path):
+        """The planted factors of `marc synth --seed 7`, packaged as a
+        bundle: runs at one and at two BLAS threads, each in a child process
+        (`_THREADED_RUN`), write the same files, byte for byte, the lone
+        reconstructions' included. Certified vectors take one step and leave
+        no residual; every transfer certifies. A directory is solved as one
+        block, whose normal maps come from another product: each output
+        matches its one-file run to 1e-12 relative, not bitwise."""
+        data = tmp_path / "data"
+        assert main(["synth", "-o", str(data), "--seed", "7"]) == 0
+        save_bundle(tmp_path / "planted", bundle_from_truth(load_truth(data / "truth")))
+        for part in ("vectors", "masks"):
+            (tmp_path / part).mkdir()
+        for vector in sorted((data / "samples").glob("sample_????.marc")):
+            shutil.copy(vector, tmp_path / "vectors")
+            shutil.copy(vector.with_name(f"{vector.stem}_mask.marc"),
+                        tmp_path / "masks" / vector.name)
+        package = str(Path(marc.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [package, os.environ.get("PYTHONPATH")]))
+        runs = []
+        for threads in (1, 2):
+            out = tmp_path / f"threads_{threads}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "PYTHONPATH": path}
+            child = subprocess.run([sys.executable, "-c", _THREADED_RUN, str(tmp_path), str(out)],
+                                   env=env, capture_output=True, text=True, timeout=300)
+            assert child.returncode == 0, child.stderr
+            runs.append({str(f.relative_to(out)): f.read_bytes()
+                         for f in sorted(out.rglob("*")) if f.is_file()})
+        one, two = runs
+        assert sorted(one) == sorted(two)
+        for name in one:
+            assert one[name] == two[name], name
+        assert len([name for name in one if name.startswith("lone")]) == 6
+        assert one["complete.txt"].count(b"iterations=1 residual=0.000e+00") >= 1
+        assert one["transfer.txt"].count(b"iterations=1 residual=0.000e+00") == 60
+        assert one["single.txt"] == b"sample_0003.marc: iterations=1 residual=0.000e+00\n"
+        out = tmp_path / "threads_1"
+        for block, alone in (("completed", "single.marc"), ("transferred", "single_transfer.marc")):
+            got, want = read_vector(out / block / "sample_0003.marc"), read_vector(out / alone)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)

@@ -719,7 +719,11 @@ def no_decode(design, trusted, visible, target, x, norm, eps):
 
 def pinv_route(design, visible):
     """The x step's maps as `np.linalg.pinv` gives them for every column:
-    P P^T with P = pinv(D_v), every column flagged as untrusted."""
+    P P^T with P = pinv(D_v), every column flagged as untrusted; for a
+    (dim,) mask, its one map and a 0-d flag, as `normal_maps` gives them."""
+    if visible.ndim == 1:
+        maps, trusted = pinv_route(design, visible[:, None])
+        return maps[0], trusted.reshape(())
     factors = [np.linalg.pinv(design[mask]) for mask in visible.T]
     return np.stack([p @ p.T for p in factors]), np.zeros(len(factors), dtype=bool)
 
@@ -837,6 +841,23 @@ class TestNormalMaps:
             assert maps[0].tobytes() == np.linalg.inv(gram).tobytes()
             want = gram - decoder.NORMAL_RATIO * np.trace(gram) * np.eye(k)
             assert len(shifted) == 1 and shifted.pop()[0].tobytes() == want.tobytes()
+
+    def test_a_lone_mask_takes_its_blocks_first_map(self, stock):
+        """`normal_maps` of a (dim,) mask is bitwise the [0] of the same mask
+        as a (dim, 1) block: one k x k map and a 0-d flag, for a mask whose
+        Gram is trusted and for one that sees fewer than k rows, whose map
+        comes from pinv."""
+        _, _, design = stock
+        k = design.shape[1]
+        mask = self.masks(design.shape[0], 1, seed=17)[:, 0]
+        few = np.zeros_like(mask)
+        few[:k - 1] = True
+        for visible, flag in ((mask, True), (few, False)):
+            maps, trusted = decoder.normal_maps(design, visible)
+            block, flags = decoder.normal_maps(design, visible[:, None])
+            assert maps.shape == (k, k) and trusted.shape == ()
+            assert bool(trusted) == flags[0] == flag
+            assert maps.tobytes() == block[0].tobytes()
 
     def test_a_block_and_a_lone_column_trust_the_same_grams(self, stock):
         """A Gram G is trusted when lambda_min(G) > NORMAL_RATIO * tr(G),
@@ -1218,6 +1239,79 @@ class TestDecode:
         assert decoded and self.error(result, sample) <= 1e-12
         d = result.diagnostics
         assert (d.iterations, d.stop_reason, d.final_residual) == (1, "converged", 0.0)
+
+    def test_a_lone_vector_decodes_as_a_one_column_block(self, stock, monkeypatch):
+        """`decode` of a 1-D vector from its least-squares fit is bitwise the
+        same vector decoded as a (dim, 1) block: its x, and its flag, 0-d.
+        The stock holdouts below reach every outcome, as the lone decode's
+        calls of `normal_maps` (one per cut) and `_passes` (its bound) show:
+        certified at the first cut and at the second, its bound failing at
+        the first cut, its misfit failing at both, a visible Gram not
+        trusted (fewer than k visible rows), and a kept Gram not trusted
+        (the holdout of seed 2, which certifies at its first cut, with
+        NORMAL_RATIO between the ratios of its kept rows' Gram and its
+        visible Gram)."""
+        truth, bundle = stock
+        design = np.concatenate(bundle.bases + [build_span(bundle, ReconConfig().rank_rule)],
+                                axis=1)
+        k = design.shape[1]
+        maps, passes = decoder.normal_maps, decoder._passes
+        cuts, bounds = [], []
+
+        def spy_maps(design, visible):
+            got = maps(design, visible)
+            cuts.append((visible.copy(), bool(got[1])))
+            return got
+
+        def spy_passes(res, counted, bound, budget):
+            bounds.append(bound)
+            return passes(res, counted, bound, budget)
+
+        def both(sample):
+            """The lone decode and the block's column, and the lone outcome."""
+            seen = sample.mask != 0.0
+            target = sample.y * seen
+            lone_maps, trusted = maps(design, seen)
+            x = lone_maps @ (design.T @ target)
+            norm, eps = np.linalg.norm(target), ReconConfig().eps
+            cuts.clear()
+            bounds.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(decoder, "normal_maps", spy_maps)
+                patch.setattr(decoder, "_passes", spy_passes)
+                out, certified = decoder.decode(design, trusted, seen, target, x, norm, eps)
+            block, flags = decoder.decode(design, trusted.reshape(1), seen[:, None],
+                                          target[:, None], x[:, None], np.array([norm]), eps)
+            assert certified.shape == () and bool(certified) == flags[0]
+            assert out.tobytes() == block[:, 0].tobytes()
+            if not cuts:
+                return "visible-untrusted"
+            if not cuts[-1][1]:
+                return "kept-untrusted"
+            if certified:
+                return f"certified-at-cut-{len(cuts)}"
+            if bounds[-1] > 1.0 - decoder.CERT_MARGIN:
+                return f"bound-fails-at-cut-{len(cuts)}"
+            assert len(cuts) == decoder.DECODE_ROUNDS
+            return "misfit-fails-at-both-cuts"
+
+        few = holdout_sample(truth, 0)
+        few.mask[np.flatnonzero(few.mask)[k - 1:]] = 0.0
+        assert [both(sample) for sample in (
+            holdout_sample(truth, 0), holdout_sample(truth, 1, 0.3, 0.3, 5.0),
+            holdout_sample(truth, 3, 0.5, 0.3, 5.0), holdout_sample(truth, 0, 0.6, 0.2, 1.0),
+            few)] == ["certified-at-cut-1", "certified-at-cut-2", "bound-fails-at-cut-1",
+                      "misfit-fails-at-both-cuts", "visible-untrusted"]
+
+        def ratio(rows):
+            lam = np.linalg.eigvalsh(rows.T @ rows)
+            return lam[0] / lam.sum()
+
+        sample = holdout_sample(truth, 2)
+        assert both(sample) == "certified-at-cut-1"
+        low, high = ratio(design[cuts[0][0]]), ratio(design[sample.mask != 0.0])
+        monkeypatch.setattr(decoder, "NORMAL_RATIO", np.sqrt(low * high))
+        assert both(sample) == "kept-untrusted"
 
     def test_positive_definite_tries_each_matrix_after_a_failure(self):
         """The trust test of the shifted Grams G - NORMAL_RATIO * tr(G) * I
