@@ -29,6 +29,12 @@ eps * ||w .* target||_1. The refit need not fit the kept rows exactly, so
 columns certify through inexact (trained) designs too. A column whose refit
 fails on that bound alone cuts again, up to DECODE_ROUNDS cuts.
 
+A block's Grams come from one product of its masks with the upper triangle
+of the design's outer-product table (`gram_table`), mirrored, bitwise the
+full table's product; `reconstructor.reconstruct_many` builds the table
+once per call, for the x step and every cut of every slice. Each cut
+gathers the columns still decoding once, and none while every column does.
+
 A lone vector, the traffic of `reconstructor.reconstruct`, decodes without a
 column axis: the same cuts and rules on (dim,) arrays, with no reshape, no
 per-column bookkeeping and no stacked products, ending as soon as the
@@ -74,29 +80,59 @@ CERT_MARGIN = 1e-9
 DECODE_ROUNDS = 2
 
 
-def _grams(design: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def gram_table(design: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The table `_grams` forms a block's Grams from, for the dim x k
+    `design`: the row-wise products D[:, i] * D[:, j] for i <= j, the upper
+    triangle of the outer-product table (dim x k(k+1)/2; 78 of 144 columns
+    at k = 12), and for each of a Gram's k * k entries, row by row, the
+    column of that table it mirrors. Every Gram is symmetric, and a product
+    of two floats does not depend on their order, so the mirrored Grams are
+    bitwise those of the full table. A design serves every block of a call,
+    so `reconstructor.reconstruct_many` builds its table once."""
+    k = design.shape[1]
+    rows, cols = np.triu_indices(k)
+    mirror = np.empty((k, k), dtype=np.intp)
+    mirror[rows, cols] = mirror[cols, rows] = np.arange(rows.size)
+    return design[:, rows] * design[:, cols], mirror.ravel()
+
+
+def _grams(design: np.ndarray, weights: np.ndarray,
+           table: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """The weighted Grams D^T diag(w) D of the dim x k `design`, one per row
     w of the (count, dim) `weights`, stacked count x k x k, or the one k x k
     Gram of (dim,) `weights`: two products for a lone row, and for more one
-    product with the row-wise outer products of `design`. For one row the
-    outer products cost more than they save: +24% on free calls that
-    certify, +7% on penalty-loop solves (the traffic and timing
-    `reconstructor._solve`'s doc names)."""
+    product with the upper triangle of the design's row-wise outer products,
+    `table` (`gram_table` of the design, built here when None), mirrored.
+    For one row the outer products cost more than they save: +24% on free
+    calls that certify, +7% on penalty-loop solves (the traffic and timing
+    `reconstructor._solve`'s doc names). On a 50-column block of the
+    trained 12-wide stock design the mirrored product took 50-75 us against
+    104 us for the full k * k table's, which also cost ~75 us to build on
+    each call (three runs, each the min of 7 x 500 calls, one BLAS thread,
+    2-core VM)."""
     dim, k = design.shape
     if weights.ndim == 1 or len(weights) == 1:
         return ((design.T * weights) @ design).reshape(weights.shape[:-1] + (k, k))
-    count = len(weights)
-    outer = (design[:, :, None] * design[:, None, :]).reshape(dim, k * k)
-    return (weights.astype(np.float64, copy=False) @ outer).reshape(count, k, k)
+    upper, mirror = gram_table(design) if table is None else table
+    # Column-ordered weights, whatever the mask's layout: so laid out, the
+    # triangle's product is bitwise the full table's; row-ordered weights
+    # of fewer than 16 rows (a narrowed cut's) round it differently
+    # (OpenBLAS 0.3.31, AVX-512), while the full table's product is the same
+    # for either layout.
+    upper = np.asfortranarray(weights, dtype=np.float64) @ upper
+    return upper[:, mirror].reshape(len(weights), k, k)
 
 
-def normal_maps(design: np.ndarray, visible: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def normal_maps(design: np.ndarray, visible: np.ndarray,
+                table: tuple[np.ndarray, np.ndarray] | None = None,
+                ) -> tuple[np.ndarray, np.ndarray]:
     """The k x k normal map (D_v^T D_v)^-1 of each column of the dim x B
     boolean `visible`, D_v being the rows of the dim x k `design` it sees,
     stacked B x k x k, and which columns' Grams are trusted, (B,) bool. A
     (dim,) mask, as a lone vector's x step and its decode's cuts pass it,
     gets its one k x k map and a 0-d flag, bitwise the [0] of the same mask
-    as a (dim, 1) block. The Grams come from `_grams`. A Gram G is trusted
+    as a (dim, 1) block. The Grams come from `_grams`, a block's from the
+    design's `table` (`gram_table`; built when None). A Gram G is trusted
     when its smallest eigenvalue is above NORMAL_RATIO * tr(G) (a zero-width
     Gram is, vacuously), which a column that sees fewer than k rows, or a
     rank-deficient D_v, never passes: for every B alike,
@@ -108,7 +144,7 @@ def normal_maps(design: np.ndarray, visible: np.ndarray) -> tuple[np.ndarray, np
     for the identity in that inverse, and each of their maps is P P^T,
     P = pinv(D_v) as `np.linalg.pinv` gives it."""
     k, count = design.shape[1], 1 if visible.ndim == 1 else visible.shape[1]
-    grams = _grams(design, visible.T)
+    grams = _grams(design, visible.T, table)
     shifted = grams.copy()
     diagonal = shifted.reshape(count, k * k)[:, ::k + 1]  # a view, strided as np.trace reads it
     diagonal -= NORMAL_RATIO * diagonal.sum(axis=1)[:, None]
@@ -126,8 +162,8 @@ def normal_maps(design: np.ndarray, visible: np.ndarray) -> tuple[np.ndarray, np
 
 
 def decode(design: np.ndarray, trusted: np.ndarray, visible: np.ndarray, target: np.ndarray,
-           x: np.ndarray, norm: float | np.ndarray,
-           eps: float) -> tuple[np.ndarray, np.ndarray]:
+           x: np.ndarray, norm: float | np.ndarray, eps: float,
+           table: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Certified decoding of the least-absolute-deviations fit
     min_x ||t_v - D_v x||_1 (t = `target`) from its least-squares fit `x`,
     for one vector (1-D arrays, a float norm) or a block (one column each),
@@ -159,28 +195,32 @@ def decode(design: np.ndarray, trusted: np.ndarray, visible: np.ndarray, target:
     NORMAL_RATIO rule (`normal_maps` takes it by pinv; so it does when K
     holds fewer than k rows) is not certified.
 
-    One vector takes `_decode_vector`, the same cuts without the column
-    axis, bitwise the block's result for it as a (dim, 1) block and about a
-    third cheaper (the module doc has the timing).
+    A block's refits take their Grams from `table`, the design's
+    `gram_table` (built at each cut when None), and each round gathers the
+    columns still decoding once. One vector takes `_decode_vector`, the
+    same cuts without the column axis, bitwise the block's result for it as
+    a (dim, 1) block and about a third cheaper (the module doc has the
+    timing).
 
     Returns x with each certified column replaced by its x_K, and which
     columns were certified (0-d for one vector)."""
     if x.ndim == 1:
         return _decode_vector(design, trusted, visible, target, x, norm, eps)
     dim, count = target.shape
-    y, seen = target, visible
     out = x.copy()
     certified = np.zeros(count, dtype=bool)
-    # The columns still decoding: their K, their current fit's residual, their
-    # norm and their bound eps * ||t_v||_1; after the first cut, residual,
-    # bound and misfit are taken relative to the norm, so that no sum
-    # overflows.
+    # The columns still decoding: their index, target, visible rows, K, their
+    # current fit's residual, their norm and their bound eps * ||t_v||_1;
+    # after the first cut, residual, bound and misfit are taken relative to
+    # the norm, so that no sum overflows. Each is narrowed once per round,
+    # and not at all while every column decodes.
     scale = norm
-    budget = eps * (np.abs(y) / scale * seen).sum(axis=0)
-    live, kept, res, go = np.arange(count), seen, y - design @ out, trusted
+    budget = eps * (np.abs(target) / scale * visible).sum(axis=0)
+    live, y, seen, kept, res, go = (np.arange(count), target, visible, visible,
+                                    target - design @ out, trusted)
     for _ in range(DECODE_ROUNDS):
         if not go.all():
-            live, kept, res = live[go], kept[:, go], res[:, go]
+            live, y, seen, kept, res = live[go], y[:, go], seen[:, go], kept[:, go], res[:, go]
             scale, budget = scale[go], budget[go]
         if not live.size:
             break
@@ -194,15 +234,16 @@ def decode(design: np.ndarray, trusted: np.ndarray, visible: np.ndarray, target:
         ordered = np.sort(mags, axis=0)
         edge = ordered[dim - 1 - sorted_gap(ordered[::-1]), np.arange(live.size)]
         kept = kept & (mags <= edge)
-        maps, kept_trusted = normal_maps(design, kept)
-        refit = np.matmul(maps, (design.T @ (kept * y[:, live])).T[:, :, None])[:, :, 0].T
-        res = (y[:, live] - design @ refit) / scale
-        signs, counted = _signs(res, seen[:, live], kept)
+        maps, kept_trusted = normal_maps(design, kept, table)
+        refit = np.matmul(maps, (design.T @ (kept * y)).T[:, :, None])[:, :, 0].T
+        res = (y - design @ refit) / scale
+        mags = np.abs(res)
+        signs, counted = _signs(res, mags, seen, kept)
         # g up to its sign, which the bound does not read
         g = design @ np.matmul(maps, (design.T @ signs).T[:, :, None])[:, :, 0].T
         bound = (np.abs(g) * kept).max(axis=0)
         bound[~kept_trusted] = np.inf
-        done = _passes(res, counted, bound, budget)
+        done = _passes(mags, counted, bound, budget)
         out[:, live[done]] = refit[:, done]
         certified[live[done]] = True
         go = (bound <= 1.0 - CERT_MARGIN) & ~done
@@ -232,32 +273,35 @@ def _decode_vector(design: np.ndarray, trusted: np.ndarray, seen: np.ndarray, y:
             break
         refit = maps @ (design.T @ (kept * y))
         res = (y - design @ refit) / norm
-        signs, counted = _signs(res, seen, kept)
+        mags = np.abs(res)
+        signs, counted = _signs(res, mags, seen, kept)
         bound = (np.abs(design @ (maps @ (design.T @ signs))) * kept).max()
-        if _passes(res, counted, bound, budget):
+        if _passes(mags, counted, bound, budget):
             return refit, np.ones((), dtype=bool)
         if not bound <= 1.0 - CERT_MARGIN:
             break
     return x, np.zeros((), dtype=bool)
 
 
-def _signs(res: np.ndarray, seen: np.ndarray, kept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _signs(res: np.ndarray, mags: np.ndarray, seen: np.ndarray,
+           kept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The dual certificate's u off K, for residuals `res` relative to the
-    norm: sign(r) on each visible row off K, except on a row whose residual
-    is at rounding level (|res| <= 1e-13), which takes u = 0 and counts in
-    the misfit with K, so that no sign of a rounding error decides
-    ||g||_inf. Returns u off K (0 on K and on hidden rows) and the rows the
-    misfit sums."""
-    cut = seen & ~kept & (np.abs(res) > 1e-13)
+    norm and their magnitudes `mags`: sign(r) on each visible row off K,
+    except on a row whose residual is at rounding level (|res| <= 1e-13),
+    which takes u = 0 and counts in the misfit with K, so that no sign of a
+    rounding error decides ||g||_inf. Returns u off K (0 on K and on hidden
+    rows) and the rows the misfit sums."""
+    cut = seen & ~kept & (mags > 1e-13)
     return cut * np.sign(res), seen & ~cut
 
 
-def _passes(res: np.ndarray, counted: np.ndarray, bound: np.ndarray,
+def _passes(mags: np.ndarray, counted: np.ndarray, bound: np.ndarray,
             budget: np.ndarray) -> np.ndarray:
     """Which columns the duality gap certifies: ||g||_inf (`bound`) <= 1 -
     CERT_MARGIN and 2 * misfit <= budget * (1 - ||g||_inf), the misfit
-    summing |res| on the `counted` rows. Every LAD optimum x* then has
-    ||D_K (x* - x_K)||_1 within budget, the rows u = 0 (K and rounding-level
-    ones) taken as K."""
-    misfit = (np.abs(res) * counted).sum(axis=0)
+    summing the residual magnitudes `mags` on the `counted` rows. Every LAD
+    optimum x* then has ||D_K (x* - x_K)||_1 within budget, the rows u = 0
+    (K and rounding-level ones) taken as K."""
+    misfit = (mags * counted).sum(axis=0)
     return (bound <= 1.0 - CERT_MARGIN) & (2.0 * misfit <= budget * (1.0 - bound))
+

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import dataclasses
 import errno
+import functools
 import io
 import json
 import os
@@ -125,6 +126,13 @@ def path_suffix(path: str) -> str:
     return name[dot:].lower() if 0 < dot < len(name) - 1 else ""
 
 
+def _is_csv(path: str) -> bool:
+    """Whether `path` names a CSV file: `path_suffix` is ".csv", which it
+    can be only when the last four characters are, so those are tested
+    first (a directory command reads and writes hundreds of binary files)."""
+    return path[-4:].lower() == ".csv" and path_suffix(path) == ".csv"
+
+
 def write_matrix(path: str | Path, m: np.ndarray) -> None:
     """Write a matrix, a 1-D array as one column; ".csv" extension selects
     text, anything else binary."""
@@ -134,7 +142,7 @@ def write_matrix(path: str | Path, m: np.ndarray) -> None:
         m = m[:, None]
     if m.ndim != 2:
         raise ValidationError(f"can only store 2-D matrices, got ndim={m.ndim}")
-    if path_suffix(path) == ".csv":
+    if _is_csv(path):
         text = io.BytesIO()
         np.savetxt(text, m, fmt="%.17g", delimiter=",")
         _rewrite(path, text.getvalue())
@@ -146,7 +154,7 @@ def read_matrix(path: str | Path) -> np.ndarray:
     """Read a matrix written by `write_matrix`. Malformed content raises
     FormatError; missing files surface as OSError."""
     path = os.fspath(path)
-    if path_suffix(path) == ".csv":
+    if _is_csv(path):
         try:
             with warnings.catch_warnings():  # no data: reported as empty below
                 warnings.simplefilter("ignore", UserWarning)
@@ -253,12 +261,25 @@ def _has_type(value: object, hint: object) -> bool:
     if origin is typing.Literal:
         return value in args
     if origin is list:
-        return isinstance(value, list) and all(_has_type(v, args[0]) for v in value)
+        if not isinstance(value, list):
+            return False
+        if args[0] is float:  # a history: JSON numbers decode as exactly int or float
+            return all(type(v) is float or type(v) is int for v in value)
+        return all(_has_type(v, args[0]) for v in value)
     if args:
         return any(_has_type(value, arg) for arg in args)
     if hint is float:
         hint = (int, float)
     return isinstance(value, hint) and isinstance(value, bool) == (hint is bool)
+
+
+@functools.cache
+def _field_types(cls: type) -> tuple[tuple[str, object, object], ...]:
+    """Each field of the record dataclass `cls`: its name, its resolved type
+    hint and its declared type, resolved once per class (`get_type_hints`
+    compiles every annotation string again on each call)."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, hints[f.name], f.type) for f in dataclasses.fields(cls))
 
 
 def _read_record(path: Path, cls: type, what: str, legacy: dict | None = None):
@@ -268,14 +289,13 @@ def _read_record(path: Path, cls: type, what: str, legacy: dict | None = None):
     naming `what`. Types are checked before the record is built. A `legacy`
     key, a field `cls` no longer has, is dropped if it holds its one value."""
     doc = _json_load(path)
-    hints = typing.get_type_hints(cls)
     try:
         for key, value in (legacy or {}).items():
             if (held := doc.pop(key, value)) != value:
                 raise ValidationError(f"{key} must be {value!r} or absent, got {held!r}")
-        for f in dataclasses.fields(cls):
-            if f.name in doc and not _has_type(doc[f.name], hints[f.name]):
-                raise ValidationError(f"{f.name} must be {f.type}, got {doc[f.name]!r}")
+        for name, hint, declared in _field_types(cls):
+            if name in doc and not _has_type(doc[name], hint):
+                raise ValidationError(f"{name} must be {declared}, got {doc[name]!r}")
         return cls(**doc)
     except (TypeError, ValidationError) as exc:
         raise FormatError(f"{path}: bad {what}: {exc}") from exc

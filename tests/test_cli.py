@@ -658,18 +658,25 @@ class TestCompleteAndTransfer:
         pytest.param("diagnostics", None, b'{"iterations": "\xff"}', id="diagnostics-byte-ff"),
         pytest.param("config", None, b"[" * 200_000, id="config-nested-200000"),
         pytest.param("config", None, b'{"seed": ' + b"9" * 5000 + b"}", id="config-5000-digits"),
+        *(pytest.param("diagnostics", "residual_history[-1]", entry, id=f"diagnostics-history-{name}")
+          for name, entry in (("true", True), ("string", "x"), ("null", None), ("list", [1.0]))),
     ])
     def test_corrupt_record_is_format_error(self, workspace, tmp_path, capsys, name, key, value):
         """A record of the bundle with a bad field, or whose bytes do not
         decode as JSON (key None: the file holds `value`), fails `marc
-        complete` and `marc eval` alike with exit 3, naming the file."""
+        complete` and `marc eval` alike with exit 3, naming the file. A key
+        "<history>[-1]" sets that history's last entry, which must be an int
+        or a float: true, "x", null and [1.0] are refused."""
         def edit(directory):
             path = directory / f"{name}.json"
             if key is None:
                 path.write_bytes(value)
             else:
                 doc = json.loads(path.read_text())
-                doc[key] = value
+                if key.endswith("[-1]"):
+                    doc[key[:-4]][-1] = value
+                else:
+                    doc[key] = value
                 path.write_text(json.dumps(doc))
 
         fault = "invalid JSON: " if key is None else "bad "
@@ -679,6 +686,19 @@ class TestCompleteAndTransfer:
             assert err.startswith(f"error: {tmp_path / command / 'bundle' / name}.json: {fault}")
             assert err.count("\n") == 1
             assert not (tmp_path / command / "out.marc").exists()
+
+    def test_an_integer_history_entry_loads(self, workspace, tmp_path, capsys):
+        """A history entry that JSON holds as an integer passes for a float:
+        with 1 as the last residual, `marc complete` and `marc eval` run."""
+        def edit(directory):
+            path = directory / "diagnostics.json"
+            doc = json.loads(path.read_text())
+            doc["residual_history"][-1] = 1
+            path.write_text(json.dumps(doc))
+
+        for command in ("complete", "eval"):
+            assert run_on_a_copy(workspace, tmp_path / command, command, "bundle", edit) == 0
+        assert load_bundle(tmp_path / "eval" / "bundle").diagnostics.residual_history[-1] == 1
 
     def test_rank_wins_over_a_leftover_span_file(self, workspace, tmp_path):
         # Older versions cached a span in span.marc and used it whatever
@@ -848,12 +868,123 @@ class TestDefaultsStayPinned:
         assert not args.no_individual
 
 
+# The reconstructions of `TestRepeatRuns`, at one BLAS thread (set in the
+# child's environment before numpy loads): runs one, two and three of
+# complete and transfer over work/vectors, then a fourth from work/four by
+# relative paths, then one-file runs on the zero and the fully hidden vector.
+_REPEAT_RUN = """
+import contextlib, os, sys
+from pathlib import Path
+from marc import cli
+
+work = Path(sys.argv[1])
+model, pin = str(work / "model"), ["-t", "attr2=b3"]
+
+def run(log, command, *argv):
+    with open(work / log, "w") as stream, contextlib.redirect_stdout(stream):
+        assert cli.main([command, *argv]) == 0
+
+inputs = ["-b", model, "-i", str(work / "vectors"), "-m", str(work / "masks")]
+for name in ("one", "two", "three"):
+    run(f"{name}.complete.txt", "complete", *inputs, "-o", str(work / name / "completed") + "/")
+    run(f"{name}.transfer.txt", "transfer", *pin, *inputs,
+        "-o", str(work / name / "transferred") + "/")
+os.chdir(work / "four")
+relative = ["-b", "../model", "-i", "vectors/", "-m", "masks/"]
+run("four.complete.txt", "complete", *relative, "-o", "completed/")
+run("four.transfer.txt", "transfer", *pin, *relative, "-o", "transferred/")
+for v in ("zero", "hidden"):
+    one = ["-b", model, "-i", str(work / "vectors" / f"{v}.marc"),
+           "-m", str(work / "masks" / f"{v}.marc")]
+    run(f"{v}.complete.txt", "complete", *one, "-o", str(work / f"{v}.completed.marc"))
+    run(f"{v}.transfer.txt", "transfer", *pin, *one, "-o", str(work / f"{v}.transferred.marc"))
+"""
+
+
+def _files(root: Path) -> list[str]:
+    """The files under `root`, as sorted paths relative to it."""
+    return sorted(str(f.relative_to(root)) for f in root.rglob("*") if f.is_file())
+
+
+class TestRepeatRuns:
+    def test_repeat_reconstruction_of_a_directory_writes_the_same_files_bitwise(self, tmp_path):
+        """Through a 20-step bundle of `marc synth --seed 7`, complete and
+        transfer of one directory (its 60 samples, an all-zero vector and a
+        fully hidden one, both of which take no step) at one BLAS thread:
+        - runs one, two and three write the same files, byte for byte, and
+          print the same lines; run three over longer junk files of the same
+          names, each rewritten in place and trimmed to its new length;
+        - so does a fourth run, on a copy of the inputs named relative to
+          the working directory with a trailing slash, whose vector
+          directory also holds a text file and a directory named like a
+          matrix file: the listing passes over both;
+        - the one-file runs of the zero and the hidden vector write the
+          directory runs' bytes.
+        And a second `marc synth` into one directory, over a larger
+        instance's files, writes what a fresh one writes."""
+        work = tmp_path
+        data, vectors, masks = work / "data", work / "vectors", work / "masks"
+        assert main(["synth", "-o", str(data), "--seed", "7"]) == 0
+        assert main(["train", str(data / "manifest.json"), "-o", str(work / "model"),
+                     "--t-max", "20"]) == 0
+        vectors.mkdir()
+        masks.mkdir()
+        for vector in sorted((data / "samples").glob("sample_????.marc")):
+            shutil.copy(vector, vectors)
+            shutil.copy(vector.with_name(f"{vector.stem}_mask.marc"), masks / vector.name)
+        y = read_vector(vectors / "sample_0001.marc")
+        for path, v in ((vectors / "zero.marc", np.zeros_like(y)),
+                        (masks / "zero.marc", np.ones_like(y)),
+                        (vectors / "hidden.marc", y), (masks / "hidden.marc", np.zeros_like(y))):
+            write_vector(path, v)
+        inputs = sorted(f.name for f in vectors.glob("*.marc"))
+        for part in ("completed", "transferred"):
+            (work / "three" / part).mkdir(parents=True)
+            for name in inputs:
+                (work / "three" / part / name).write_bytes(bytes(100_000))
+        shutil.copytree(vectors, work / "four" / "vectors")
+        shutil.copytree(masks, work / "four" / "masks")
+        (work / "four" / "vectors" / "notes.txt").write_text("not a matrix\n")
+        (work / "four" / "vectors" / "sub.marc").mkdir()
+
+        package = str(Path(marc.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [package, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": path}
+        child = subprocess.run([sys.executable, "-c", _REPEAT_RUN, str(work)],
+                               env=env, capture_output=True, text=True, timeout=300)
+        assert child.returncode == 0, child.stderr
+        shutil.rmtree(work / "four" / "vectors")
+        shutil.rmtree(work / "four" / "masks")
+
+        one = work / "one"
+        assert len(inputs) == 62
+        assert sorted(f.name for f in (one / "transferred").glob("*.marc")) == inputs
+        for run in ("two", "three", "four"):
+            assert _files(one) == _files(work / run)
+            for name in _files(one):
+                assert (one / name).read_bytes() == (work / run / name).read_bytes(), (run, name)
+            for command in ("complete", "transfer"):
+                assert (work / f"one.{command}.txt").read_text() \
+                    == (work / f"{run}.{command}.txt").read_text()
+        for v in ("zero", "hidden"):
+            for part in ("completed", "transferred"):
+                assert (one / part / f"{v}.marc").read_bytes() \
+                    == (work / f"{v}.{part}.marc").read_bytes()
+
+        again = work / "again"
+        assert main(["synth", "-o", str(again), "--seed", "8", "--dim", "300"]) == 0
+        assert main(["synth", "-o", str(again), "--seed", "7"]) == 0
+        assert _files(data) == _files(again)
+        for name in _files(data):
+            assert (data / name).read_bytes() == (again / name).read_bytes(), name
+
+
 # One child's run in `TestBlasThreads`, its BLAS thread count set before numpy
 # loads: complete and transfer the directory, complete and transfer sample 0003
 # as one file, through `cli.main`, each command's lines kept in a text file; and
 # reconstruct samples 0003, 0021 and 0042 alone, free and pinned, each result's
-# arrays and record written as bytes. A one-file run solves a one-column block;
-# these `reconstruct` calls are the one-vector path.
+# arrays and record written as bytes. A one-file run takes the one-vector path,
+# as these `reconstruct` calls do.
 _THREADED_RUN = """
 import contextlib, sys
 from pathlib import Path

@@ -685,6 +685,30 @@ class TestBlock:
         assert solved == []
         assert reconstruct_many(np.zeros((40, 0)), None, bundle) == []
 
+    def test_one_column_takes_the_one_vector_path(self, planted):
+        """A one-column block is solved as `reconstruct` solves the vector
+        alone: its result is bitwise that of `reconstruct`, and its observer
+        sees 1-D iterates and a float mu, for every column of the covering
+        set, free and pinned. A bad value in it is still named by `name`."""
+        _, bundle, y, _ = planted
+        Y, W = self.columns(planted)
+        config = ReconConfig(rank_rule=RankRule.fixed(2))
+        for pins in ({}, {"tint": "cool"}):
+            spec = TransferSpec.targets(bundle.schema, pins)
+            for c in range(Y.shape[1]):
+                shapes = []
+                block, = reconstruct_many(
+                    Y[:, c:c + 1], W[:, c:c + 1], bundle, spec, config,
+                    observer=lambda state, t: shapes.append(
+                        (state.sparse_error.shape, state.indiv_coeffs.shape, type(state.mu))))
+                alone = reconstruct(Y[:, c], W[:, c], bundle, spec, config)
+                assert TestDecode.same(block, alone)
+                assert shapes == [((40,), (2,), float)] * block.diagnostics.iterations
+        bad = y.copy()[:, None]
+        bad[3] = np.nan
+        with pytest.raises(ValidationError, match="^v.marc: input vector contains non-finite"):
+            reconstruct_many(bad, None, bundle, name=lambda c: "v.marc")
+
     def test_an_overflowing_norm_raises_before_any_step(self, planted, monkeypatch):
         """Finite entries whose norm overflows float64 raise NumericalError,
         with no numpy warning on the way, before any slice is solved."""
@@ -712,15 +736,16 @@ class TestBlock:
 SHIFTED_ROW = 17
 
 
-def no_decode(design, trusted, visible, target, x, norm, eps):
+def no_decode(design, trusted, visible, target, x, norm, eps, table=None):
     """`decode.decode` with nothing certified: the ALM alone."""
     return x, np.zeros(np.shape(norm), dtype=bool)
 
 
-def pinv_route(design, visible):
+def pinv_route(design, visible, table=None):
     """The x step's maps as `np.linalg.pinv` gives them for every column:
     P P^T with P = pinv(D_v), every column flagged as untrusted; for a
-    (dim,) mask, its one map and a 0-d flag, as `normal_maps` gives them."""
+    (dim,) mask, its one map and a 0-d flag, as `normal_maps` gives them.
+    The Gram table is not read."""
     if visible.ndim == 1:
         maps, trusted = pinv_route(design, visible[:, None])
         return maps[0], trusted.reshape(())
@@ -930,6 +955,125 @@ class TestNormalMaps:
                 assert np.linalg.norm(x - y) <= tol * scale
 
 
+class TestBlockPath:
+    """The block path of `reconstruct_many` against test-local references:
+    Grams formed from the design's table, and results built per slice."""
+
+    @pytest.fixture(scope="class")
+    def models(self, default_instance):
+        """The stock truth, its planted model and a model trained on it."""
+        ts, truth = default_instance
+        return truth, {"planted": bundle_from_truth(truth), "trained": trainer.train(ts)}
+
+    @staticmethod
+    def design(bundle):
+        return np.concatenate(bundle.bases + [build_span(bundle, ReconConfig().rank_rule)], axis=1)
+
+    @pytest.mark.parametrize("model", ["planted", "trained"])
+    def test_grams_from_the_table_are_the_full_products(self, models, model):
+        """The Grams of a block, formed from the upper triangle of the
+        design's outer-product table and mirrored, are bitwise the product
+        of the block's masks with the full k x k table, for masks laid out
+        by rows and by columns (a cut narrowed to fewer columns is the
+        latter), with the table passed in or built by `_grams`. A one-column
+        block still takes the one-row branch: two products."""
+        _, bundles = models
+        design = self.design(bundles[model])
+        dim, k = design.shape
+        full = (design[:, :, None] * design[:, None, :]).reshape(dim, k * k)
+        table = decoder.gram_table(design)
+        assert table[0].shape == (dim, k * (k + 1) // 2)
+        rng = np.random.default_rng(23)
+        for count in (2, 3, 39, 50, 64):
+            visible = rng.random((dim, count)) >= rng.uniform(0.1, 0.6, count)
+            for mask in (visible, np.asfortranarray(visible)):
+                want = (mask.T.astype(np.float64) @ full).reshape(count, k, k).tobytes()
+                assert decoder._grams(design, mask.T, table).tobytes() == want
+                assert decoder._grams(design, mask.T).tobytes() == want
+        lone = visible[:, :1]
+        want = ((design.T * lone.T.astype(np.float64)) @ design)[None]
+        assert decoder._grams(design, lone.T, table).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("pins", [{}, {"attr2": "b3"}], ids=["free", "pinned"])
+    def test_a_mixed_block_builds_each_result_on_its_own(self, models, monkeypatch, pins):
+        """One 64-wide block through the model one row off
+        (`TestDecode.inexact`): holdouts that certify at the first cut (those
+        hiding the moved row) and at the second, spiked ones that run the
+        penalty loop, a zero input, and a fully hidden one and one with
+        k - 1 visible rows, whose visible Grams are not trusted. Free, each
+        reconstruction is bitwise the sum of the closing step's products for
+        its column, the shared part plus the individual part, as an observer
+        recomputes them; pinned, it is bitwise `synthesize` of its selectors. Every hidden sparse error is
+        y minus the reconstruction, bitwise. No two results share memory,
+        and writing into one leaves every other unchanged."""
+        truth, bundles = models
+        bundle = TestDecode.inexact(bundles["planted"])
+        spec = TransferSpec.targets(truth.schema, pins)
+        span = build_span(bundle, ReconConfig().rank_rule)
+        k = self.design(bundle).shape[1]
+        samples = [holdout_sample(truth, seed) for seed in range(55)]
+        samples += [holdout_sample(truth, seed, 0.5, 0.3, 5.0) for seed in range(6)]
+        few = samples[0].mask.copy()
+        few[np.flatnonzero(few)[k - 1:]] = 0.0
+        zero = np.zeros(bundle.dim)
+        Y = np.column_stack([s.y for s in samples] + [zero, samples[1].y, samples[2].y])
+        W = np.column_stack([s.mask for s in samples] + [samples[3].mask, zero, few])
+        assert Y.shape[1] == reconstructor.BLOCK_WIDTH
+        flags, steps = [], []
+        maps = decoder.normal_maps
+
+        def spy(design, visible, table=None):
+            got = maps(design, visible, table)
+            flags.append(got[1])
+            return got
+
+        def observer(state, t):
+            shared = np.zeros(state.sparse_error.shape)
+            for basis, sel in zip(bundle.bases, state.selectors):
+                shared += basis @ sel
+            steps.append(shared + span @ state.indiv_coeffs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(decoder, "DECODE_ROUNDS", 1)
+            once = reconstruct_many(Y, W, bundle, spec)
+        with monkeypatch.context() as patch:
+            patch.setattr(decoder, "normal_maps", spy)
+            results = reconstruct_many(Y, W, bundle, spec, observer=observer)
+        iterations = [r.diagnostics.iterations for r in results]
+
+        def certified(block):
+            return sum(r.diagnostics.iterations == 1 and r.diagnostics.converged for r in block)
+
+        assert 0 < certified(once) < certified(results)
+        assert max(iterations) > 2 and iterations[-3:-1] == [0, 0]
+        assert np.flatnonzero(~flags[0]).tolist() == [62, 63]  # no rows; k - 1 rows
+        for c, r in enumerate(results):
+            if pins:
+                want = synthesize(bundle, spec, r.selectors, r.indiv_coeffs, span)
+            elif iterations[c]:
+                t = iterations[c] - 1
+                working = [n for n, steps_n in enumerate(iterations) if steps_n > t]
+                want = steps[t][:, working.index(c)]
+            else:
+                want = np.zeros(bundle.dim)
+            assert r.reconstruction.tobytes() == want.tobytes()
+            hidden = W[:, c] == 0.0
+            assert r.sparse_error[hidden].tobytes() == (Y[:, c] - r.reconstruction)[hidden].tobytes()
+
+        arrays = [[*r.selectors, r.indiv_coeffs, r.sparse_error, r.reconstruction] for r in results]
+        for a, b in itertools.combinations(arrays, 2):
+            assert not any(np.shares_memory(x, y) for x in a for y in b)
+        kept = [[x.copy() for x in a] for a in arrays]
+        for j, a in enumerate(arrays):
+            for x in a:
+                x += 1.0
+            assert all(x.tobytes() == y.tobytes()
+                       for i, (b, before) in enumerate(zip(arrays, kept)) if i != j
+                       for x, y in zip(b, before))
+            for x, y in zip(a, kept[j]):
+                x[...] = y
+
+
 def test_the_decoder_imports_only_proxops_from_the_package():
     """`decode` imports numpy and, of the package, `proxops` alone, so that
     `trainer`, which `reconstructor` imports, can import it too."""
@@ -961,8 +1105,8 @@ class TestDecode:
         flags = []
         decode = decoder.decode
 
-        def spy(*args):
-            x, certified = decode(*args)
+        def spy(*args, **kwargs):
+            x, certified = decode(*args, **kwargs)
             flags.append(bool(certified))
             return x, certified
 
@@ -1174,8 +1318,8 @@ class TestDecode:
         maps = decoder.normal_maps
         refused = []  # per call: the x step's Grams, then each cut's
 
-        def spy(design, visible):
-            got = maps(design, visible)
+        def spy(design, visible, table=None):
+            got = maps(design, visible, table)
             refused.append(not got[1].all())
             return got
 
@@ -1263,9 +1407,9 @@ class TestDecode:
             cuts.append((visible.copy(), bool(got[1])))
             return got
 
-        def spy_passes(res, counted, bound, budget):
+        def spy_passes(mags, counted, bound, budget):
             bounds.append(bound)
-            return passes(res, counted, bound, budget)
+            return passes(mags, counted, bound, budget)
 
         def both(sample):
             """The lone decode and the block's column, and the lone outcome."""
