@@ -121,9 +121,10 @@ def _run_recon_jobs(args: argparse.Namespace) -> int:
     and mask's length (`check_input`), and reconstruct them all with one
     `reconstruct_many` call, which checks the values and names a file at
     fault by its path. Then create the output directory, if the input is
-    one, write the outputs and print one line per job in name order.
-    Without --target every selector is solved freely; otherwise each
-    completion is re-rendered with the named attributes pinned."""
+    one, write every output, and only then print one line per job in name
+    order: a reader that closes stdout early (a broken pipe, exit 3) stops
+    no write. Without --target every selector is solved freely; otherwise
+    each completion is re-rendered with the named attributes pinned."""
     targets = _parse_pairs(args.target, "--target", "attribute=instantiation")
     bundle = formats.load_bundle(args.bundle)
     config = _recon_config(args)
@@ -137,8 +138,9 @@ def _run_recon_jobs(args: argparse.Namespace) -> int:
     results = reconstruct_many(Y, W, bundle, spec, config, name=lambda k: jobs[k][0])
     if os.path.isdir(args.input):
         Path(args.output).mkdir(parents=True, exist_ok=True)
-    for (in_path, _, out_path), result in zip(jobs, results):
+    for (_, _, out_path), result in zip(jobs, results):
         formats.write_vector(out_path, result.reconstruction)
+    for (in_path, _, _), result in zip(jobs, results):
         d = result.diagnostics
         flag = "" if d.converged else f" (did not converge: {d.stop_reason})"
         print(f"{os.path.basename(in_path)}: iterations={d.iterations} "

@@ -1,6 +1,10 @@
 """End-to-end command line checks, run in-process through main(argv) so
-exit codes and console output are observable without spawning children."""
+exit codes and console output are observable. The checks that need a BLAS
+thread count of their own (numpy fixes it when it loads), and the module run
+as a script, take a child process, through `run_child`."""
 import dataclasses
+import errno
+import io
 import json
 import os
 import shutil
@@ -467,6 +471,30 @@ class TestCompleteAndTransfer:
             got, want = read_vector(tmp_path / "all" / name), read_vector(out)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
+    def test_a_reader_that_closes_stdout_stops_no_write(self, workspace, tmp_path, capsys,
+                                                        monkeypatch):
+        """A directory run whose stdout breaks after the first line (a
+        reader such as `head -1` gone) exits 3 with the pipe's error, after
+        writing every output, bitwise what a run with an open stdout
+        writes."""
+        class ClosedAfterOneLine(io.StringIO):
+            def write(self, text):
+                if "\n" in self.getvalue():
+                    raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+                return super().write(text)
+
+        argv = ["complete", "-b", str(workspace / "bundle"),
+                "-i", str(workspace / "data" / "samples"), "--t-max", "5", "-o"]
+        assert main(argv + [str(tmp_path / "open")]) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        monkeypatch.setattr(sys, "stdout", ClosedAfterOneLine())
+        assert main(argv + [str(tmp_path / "closed")]) == 3
+        assert sys.stdout.getvalue() == first + "\n"
+        assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+        written = _tree(tmp_path / "open")
+        assert len(written) == 36
+        assert _tree(tmp_path / "closed") == written
+
     def test_wrong_length_vector_in_directory_names_it(self, workspace, tmp_path, capsys):
         vec_dir = tmp_path / "in"
         vec_dir.mkdir()
@@ -868,46 +896,115 @@ class TestDefaultsStayPinned:
         assert not args.no_individual
 
 
-# The reconstructions of `TestRepeatRuns`, at one BLAS thread (set in the
-# child's environment before numpy loads): runs one, two and three of
-# complete and transfer over work/vectors, then a fourth from work/four by
-# relative paths, then one-file runs on the zero and the fully hidden vector.
-_REPEAT_RUN = """
+# What every child script starts with: `run(log, *argv)` runs one command
+# through `cli.main`, asserts exit 0 and keeps its stdout in the file `log`.
+_CHILD_PRELUDE = """
 import contextlib, os, sys
 from pathlib import Path
 from marc import cli
 
-work = Path(sys.argv[1])
-model, pin = str(work / "model"), ["-t", "attr2=b3"]
-
-def run(log, command, *argv):
-    with open(work / log, "w") as stream, contextlib.redirect_stdout(stream):
-        assert cli.main([command, *argv]) == 0
-
-inputs = ["-b", model, "-i", str(work / "vectors"), "-m", str(work / "masks")]
-for name in ("one", "two", "three"):
-    run(f"{name}.complete.txt", "complete", *inputs, "-o", str(work / name / "completed") + "/")
-    run(f"{name}.transfer.txt", "transfer", *pin, *inputs,
-        "-o", str(work / name / "transferred") + "/")
-os.chdir(work / "four")
-relative = ["-b", "../model", "-i", "vectors/", "-m", "masks/"]
-run("four.complete.txt", "complete", *relative, "-o", "completed/")
-run("four.transfer.txt", "transfer", *pin, *relative, "-o", "transferred/")
-for v in ("zero", "hidden"):
-    one = ["-b", model, "-i", str(work / "vectors" / f"{v}.marc"),
-           "-m", str(work / "masks" / f"{v}.marc")]
-    run(f"{v}.complete.txt", "complete", *one, "-o", str(work / f"{v}.completed.marc"))
-    run(f"{v}.transfer.txt", "transfer", *pin, *one, "-o", str(work / f"{v}.transferred.marc"))
+def run(log, *argv):
+    with open(log, "w") as stream, contextlib.redirect_stdout(stream):
+        assert cli.main(list(argv)) == 0
 """
 
 
-def _files(root: Path) -> list[str]:
-    """The files under `root`, as sorted paths relative to it."""
-    return sorted(str(f.relative_to(root)) for f in root.rglob("*") if f.is_file())
+def run_child(*argv, threads: int = 1) -> str:
+    """Run `python *argv` in a child process, with the package on its path
+    and `threads` BLAS threads (numpy fixes the count when it loads, so each
+    count takes a process of its own), and assert exit 0. Returns its
+    stdout."""
+    package = str(Path(marc.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [package, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "PYTHONPATH": path}
+    child = subprocess.run([sys.executable, *map(str, argv)], env=env, capture_output=True,
+                           text=True, timeout=300)
+    assert child.returncode == 0, child.stderr
+    return child.stdout
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    """Each file under `root`, by its path relative to it, with its bytes."""
+    return {str(f.relative_to(root)): f.read_bytes()
+            for f in sorted(root.rglob("*")) if f.is_file()}
+
+
+@pytest.fixture(scope="module")
+def seed7(tmp_path_factory):
+    """`marc synth --seed 7` in data/, its 60 samples copied to vectors/ and
+    their masks to masks/ under the sample's name. Read-only."""
+    root = tmp_path_factory.mktemp("seed7")
+    data = root / "data"
+    assert main(["synth", "-o", str(data), "--seed", "7"]) == 0
+    for part in ("vectors", "masks"):
+        (root / part).mkdir()
+    for vector in sorted((data / "samples").glob("sample_????.marc")):
+        shutil.copy(vector, root / "vectors")
+        shutil.copy(vector.with_name(f"{vector.stem}_mask.marc"), root / "masks" / vector.name)
+    return root
+
+
+class TestEntryPoints:
+    @pytest.mark.parametrize("argv, code", [
+        (lambda ws, tmp: ["eval", "-b", ws / "bundle", "--truth", ws / "data" / "truth"], 0),
+        (lambda ws, tmp: ["synth", "-o", tmp / "x", "--attr", "kind"], 2),
+        (lambda ws, tmp: ["train", tmp / "nope.json", "-o", tmp / "b"], 3),
+    ], ids=["eval", "bad-attr", "missing-manifest"])
+    def test_the_console_script_exits_with_mains_code(self, workspace, tmp_path, capsys,
+                                                      monkeypatch, argv, code):
+        """`marc` runs `cli.entrypoint`, which exits with what `main`
+        returns for the same arguments."""
+        argv = [str(arg) for arg in argv(workspace, tmp_path)]
+        monkeypatch.setattr(sys, "argv", ["marc", *argv])
+        with pytest.raises(SystemExit) as stop:
+            cli.entrypoint()
+        assert stop.value.code == main(argv) == code
+
+    def test_the_module_runs_as_a_script(self):
+        out = run_child("-m", "marc.cli", "-h")
+        assert out.startswith("usage: marc ")
+        assert all(name in out for name in COMMANDS)
+
+
+# The reconstructions of `TestRepeatRuns`: runs one, two and three of complete
+# and transfer over work/vectors, then a fourth from work/four by relative
+# paths, then one-file runs on the zero and the fully hidden vector.
+_REPEAT_RUN = _CHILD_PRELUDE + """
+work = Path(sys.argv[1])
+model, pin = str(work / "model"), ["-t", "attr2=b3"]
+inputs = ["-b", model, "-i", str(work / "vectors"), "-m", str(work / "masks")]
+for name in ("one", "two", "three"):
+    run(work / f"{name}.complete.txt", "complete", *inputs,
+        "-o", str(work / name / "completed") + "/")
+    run(work / f"{name}.transfer.txt", "transfer", *pin, *inputs,
+        "-o", str(work / name / "transferred") + "/")
+os.chdir(work / "four")
+relative = ["-b", "../model", "-i", "vectors/", "-m", "masks/"]
+run(work / "four.complete.txt", "complete", *relative, "-o", "completed/")
+run(work / "four.transfer.txt", "transfer", *pin, *relative, "-o", "transferred/")
+for v in ("zero", "hidden"):
+    one = ["-b", model, "-i", str(work / "vectors" / f"{v}.marc"),
+           "-m", str(work / "masks" / f"{v}.marc")]
+    run(work / f"{v}.complete.txt", "complete", *one, "-o", str(work / f"{v}.completed.marc"))
+    run(work / f"{v}.transfer.txt", "transfer", *pin, *one,
+        "-o", str(work / f"{v}.transferred.marc"))
+"""
+
+# The trainings of `TestRepeatRuns`, all in one process (argv: the work
+# directory and two manifests): the first instance into one/ and two/, then
+# the second into one/three and two/three. A solver state that outlived a run
+# would start the second of each pair from the first.
+_REPEAT_TRAINING = _CHILD_PRELUDE + """
+work = Path(sys.argv[1])
+for manifest, under in zip(sys.argv[2:], ("", "three")):
+    for name in ("one", "two"):
+        run(os.devnull, "train", manifest, "-o", str(work / name / under))
+"""
 
 
 class TestRepeatRuns:
-    def test_repeat_reconstruction_of_a_directory_writes_the_same_files_bitwise(self, tmp_path):
+    def test_repeat_reconstruction_of_a_directory_writes_the_same_files_bitwise(self, seed7,
+                                                                               tmp_path):
         """Through a 20-step bundle of `marc synth --seed 7`, complete and
         transfer of one directory (its 60 samples, an all-zero vector and a
         fully hidden one, both of which take no step) at one BLAS thread:
@@ -923,15 +1020,11 @@ class TestRepeatRuns:
         And a second `marc synth` into one directory, over a larger
         instance's files, writes what a fresh one writes."""
         work = tmp_path
-        data, vectors, masks = work / "data", work / "vectors", work / "masks"
-        assert main(["synth", "-o", str(data), "--seed", "7"]) == 0
-        assert main(["train", str(data / "manifest.json"), "-o", str(work / "model"),
+        vectors, masks = work / "vectors", work / "masks"
+        assert main(["train", str(seed7 / "data" / "manifest.json"), "-o", str(work / "model"),
                      "--t-max", "20"]) == 0
-        vectors.mkdir()
-        masks.mkdir()
-        for vector in sorted((data / "samples").glob("sample_????.marc")):
-            shutil.copy(vector, vectors)
-            shutil.copy(vector.with_name(f"{vector.stem}_mask.marc"), masks / vector.name)
+        shutil.copytree(seed7 / "vectors", vectors)
+        shutil.copytree(seed7 / "masks", masks)
         y = read_vector(vectors / "sample_0001.marc")
         for path, v in ((vectors / "zero.marc", np.zeros_like(y)),
                         (masks / "zero.marc", np.ones_like(y)),
@@ -947,71 +1040,98 @@ class TestRepeatRuns:
         (work / "four" / "vectors" / "notes.txt").write_text("not a matrix\n")
         (work / "four" / "vectors" / "sub.marc").mkdir()
 
-        package = str(Path(marc.__file__).parents[1])
-        path = os.pathsep.join(filter(None, [package, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": path}
-        child = subprocess.run([sys.executable, "-c", _REPEAT_RUN, str(work)],
-                               env=env, capture_output=True, text=True, timeout=300)
-        assert child.returncode == 0, child.stderr
+        run_child("-c", _REPEAT_RUN, work)
         shutil.rmtree(work / "four" / "vectors")
         shutil.rmtree(work / "four" / "masks")
 
-        one = work / "one"
+        one = _tree(work / "one")
         assert len(inputs) == 62
-        assert sorted(f.name for f in (one / "transferred").glob("*.marc")) == inputs
+        assert sorted(one) == [f"{part}/{name}" for part in ("completed", "transferred")
+                               for name in inputs]
         for run in ("two", "three", "four"):
-            assert _files(one) == _files(work / run)
-            for name in _files(one):
-                assert (one / name).read_bytes() == (work / run / name).read_bytes(), (run, name)
+            assert _tree(work / run) == one, run
             for command in ("complete", "transfer"):
                 assert (work / f"one.{command}.txt").read_text() \
                     == (work / f"{run}.{command}.txt").read_text()
         for v in ("zero", "hidden"):
             for part in ("completed", "transferred"):
-                assert (one / part / f"{v}.marc").read_bytes() \
-                    == (work / f"{v}.{part}.marc").read_bytes()
+                assert one[f"{part}/{v}.marc"] == (work / f"{v}.{part}.marc").read_bytes()
 
         again = work / "again"
         assert main(["synth", "-o", str(again), "--seed", "8", "--dim", "300"]) == 0
         assert main(["synth", "-o", str(again), "--seed", "7"]) == 0
-        assert _files(data) == _files(again)
-        for name in _files(data):
-            assert (data / name).read_bytes() == (again / name).read_bytes(), name
+        assert _tree(again) == _tree(seed7 / "data")
+
+    def test_repeat_training_writes_the_same_bundles_bitwise(self, seed7, tmp_path):
+        """Training `marc synth --seed 7` twice, and a 64 x 256 instance with
+        three attributes twice (the shared sum adds three terms per entry, in
+        BLAS's order), one after the other in one process at one BLAS thread,
+        writes the same bundles byte for byte: no solver state outlives a
+        run."""
+        three = tmp_path / "three"
+        assert main(["synth", "-o", str(three), "--attr", "a=8", "--attr", "b=16",
+                     "--attr", "c=32", "--dim", "64", "--samples", "256", "--seed", "5"]) == 0
+        run_child("-c", _REPEAT_TRAINING, tmp_path, seed7 / "data" / "manifest.json",
+                  three / "manifest.json")
+        one = _tree(tmp_path / "one")
+        assert "diagnostics.json" in one and "three/diagnostics.json" in one
+        assert _tree(tmp_path / "two") == one
 
 
-# One child's run in `TestBlasThreads`, its BLAS thread count set before numpy
-# loads: complete and transfer the directory, complete and transfer sample 0003
-# as one file, through `cli.main`, each command's lines kept in a text file; and
-# reconstruct samples 0003, 0021 and 0042 alone, free and pinned, each result's
-# arrays and record written as bytes. A one-file run takes the one-vector path,
-# as these `reconstruct` calls do.
-_THREADED_RUN = """
-import contextlib, sys
-from pathlib import Path
-from marc import cli
+# One child's run in `TestBlasThreads` (argv: the seed-7 fixture's directory,
+# the work directory and the output directory), its BLAS thread count set
+# before numpy loads, each command's lines kept in a text file:
+# - train the small instance, counting its calls of svt's SVD fallback, and
+#   train seed 7 to its stop and for 20 steps;
+# - complete and transfer the directory through the trained, the 20-step and
+#   the planted bundle, and complete it through the trained one without masks
+#   (then every column of a block sees every entry);
+# - complete and transfer samples 0003, 0021 and 0042 alone through the
+#   trained and the planted bundle: a one-file run takes the one-vector path;
+# - reconstruct those three alone, free and pinned, against the planted
+#   bundle, each result's arrays and record written as bytes.
+_THREADED_RUN = _CHILD_PRELUDE + """
+from marc import proxops
 from marc.formats import load_bundle, read_vector
 from marc.reconstructor import TransferSpec, reconstruct
 
-work, out = Path(sys.argv[1]), Path(sys.argv[2])
-planted, vectors, masks = (str(work / name) for name in ("planted", "vectors", "masks"))
-pin = ["-t", "attr2=b3"]
-
-def run(log, command, *argv):
-    with open(out / log, "w") as stream, contextlib.redirect_stdout(stream):
-        assert cli.main([command, "-b", planted, *argv]) == 0
-
+seed7, work, out = (Path(arg) for arg in sys.argv[1:])
+vectors, masks, samples = seed7 / "vectors", seed7 / "masks", ("0003", "0021", "0042")
 (out / "lone").mkdir(parents=True)
-run("complete.txt", "complete", "-i", vectors, "-m", masks, "-o", str(out / "completed") + "/")
-run("transfer.txt", "transfer", *pin, "-i", vectors, "-m", masks,
-    "-o", str(out / "transferred") + "/")
-one = ["-i", vectors + "/sample_0003.marc", "-m", masks + "/sample_0003.marc", "-o"]
-run("single.txt", "complete", *one, str(out / "single.marc"))
-run("single_transfer.txt", "transfer", *pin, *one, str(out / "single_transfer.marc"))
-bundle = load_bundle(planted)
+
+def train(manifest, bundle, *flags):
+    run(os.devnull, "train", str(manifest), "-o", str(out / bundle), *flags)
+
+def complete_and_transfer(bundle, tag, inputs, suffix):
+    for command, pin in (("complete", []), ("transfer", ["-t", "attr2=b3"])):
+        run(out / f"{tag}.{command}.txt", command, *pin, "-b", str(bundle), *inputs,
+            "-o", str(out / f"{tag}.{command}") + suffix)
+
+svd_steps, svt_svd = [], proxops._svt_svd
+def counted(*args):
+    svd_steps.append(None)
+    return svt_svd(*args)
+proxops._svt_svd = counted
+train(work / "small" / "manifest.json", "small_model")
+proxops._svt_svd = svt_svd
+(out / "small_svd_steps.txt").write_text(f"{len(svd_steps)}\\n")
+train(seed7 / "data" / "manifest.json", "model")
+train(seed7 / "data" / "manifest.json", "model_t20", "--t-max", "20")
+
+for bundle in (out / "model", out / "model_t20", work / "planted"):
+    complete_and_transfer(bundle, bundle.name, ["-i", str(vectors), "-m", str(masks)], "/")
+run(out / "unmasked.complete.txt", "complete", "-b", str(out / "model"), "-i", str(vectors),
+    "-o", str(out / "unmasked.complete") + "/")
+for n in samples:
+    alone = ["-i", str(vectors / f"sample_{n}.marc"), "-m", str(masks / f"sample_{n}.marc")]
+    for bundle in (out / "model", work / "planted"):
+        complete_and_transfer(bundle, f"{bundle.name}_{n}", alone, ".marc")
+
+bundle = load_bundle(work / "planted")
 specs = {"free": TransferSpec.all_free(bundle.schema),
          "pinned": TransferSpec.targets(bundle.schema, {"attr2": "b3"})}
-for n in ("0003", "0021", "0042"):
-    y, w = (read_vector(work / part / f"sample_{n}.marc") for part in ("vectors", "masks"))
+for n in samples:
+    y, w = (read_vector(part / f"sample_{n}.marc") for part in (vectors, masks))
     for name, spec in specs.items():
         r = reconstruct(y, w, bundle, spec)
         fields = [*r.selectors, r.indiv_coeffs, r.sparse_error, r.reconstruction]
@@ -1019,46 +1139,72 @@ for n in ("0003", "0021", "0042"):
             b"".join(a.tobytes() for a in fields) + repr(r.diagnostics).encode())
 """
 
+CERTIFIED = "iterations=1 residual=0.000e+00"
+
+
+@pytest.fixture(scope="class")
+def threaded(seed7, tmp_path_factory):
+    """`_THREADED_RUN`'s output directory at one and at two BLAS threads, by
+    thread count; the planted factors of seed 7 are packaged as a bundle."""
+    work = tmp_path_factory.mktemp("threads")
+    save_bundle(work / "planted", bundle_from_truth(load_truth(seed7 / "data" / "truth")))
+    assert main(["synth", "-o", str(work / "small"), "--dim", "40", "--samples", "30",
+                 "--seed", "3"]) == 0
+    outs = {threads: work / f"threads_{threads}" for threads in (1, 2)}
+    for threads, out in outs.items():
+        run_child("-c", _THREADED_RUN, seed7, work, out, threads=threads)
+    return outs
+
 
 class TestBlasThreads:
-    def test_certified_decoding_against_the_planted_model_is_bitwise_at_one_and_two_threads(
-            self, tmp_path):
-        """The planted factors of `marc synth --seed 7`, packaged as a
-        bundle: runs at one and at two BLAS threads, each in a child process
-        (`_THREADED_RUN`), write the same files, byte for byte, the lone
-        reconstructions' included. Certified vectors take one step and leave
-        no residual; every transfer certifies. A directory is solved as one
-        block, whose normal maps come from another product: each output
-        matches its one-file run to 1e-12 relative, not bitwise."""
-        data = tmp_path / "data"
-        assert main(["synth", "-o", str(data), "--seed", "7"]) == 0
-        save_bundle(tmp_path / "planted", bundle_from_truth(load_truth(data / "truth")))
-        for part in ("vectors", "masks"):
-            (tmp_path / part).mkdir()
-        for vector in sorted((data / "samples").glob("sample_????.marc")):
-            shutil.copy(vector, tmp_path / "vectors")
-            shutil.copy(vector.with_name(f"{vector.stem}_mask.marc"),
-                        tmp_path / "masks" / vector.name)
-        package = str(Path(marc.__file__).parents[1])
-        path = os.pathsep.join(filter(None, [package, os.environ.get("PYTHONPATH")]))
-        runs = []
-        for threads in (1, 2):
-            out = tmp_path / f"threads_{threads}"
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "PYTHONPATH": path}
-            child = subprocess.run([sys.executable, "-c", _THREADED_RUN, str(tmp_path), str(out)],
-                                   env=env, capture_output=True, text=True, timeout=300)
-            assert child.returncode == 0, child.stderr
-            runs.append({str(f.relative_to(out)): f.read_bytes()
-                         for f in sorted(out.rglob("*")) if f.is_file()})
-        one, two = runs
-        assert sorted(one) == sorted(two)
-        for name in one:
-            assert one[name] == two[name], name
-        assert len([name for name in one if name.startswith("lone")]) == 6
-        assert one["complete.txt"].count(b"iterations=1 residual=0.000e+00") >= 1
-        assert one["transfer.txt"].count(b"iterations=1 residual=0.000e+00") == 60
-        assert one["single.txt"] == b"sample_0003.marc: iterations=1 residual=0.000e+00\n"
-        out = tmp_path / "threads_1"
-        for block, alone in (("completed", "single.marc"), ("transferred", "single_transfer.marc")):
-            got, want = read_vector(out / block / "sample_0003.marc"), read_vector(out / alone)
-            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    def test_every_file_is_bitwise_at_one_and_two_threads(self, seed7, threaded):
+        """Three trainings, seven directory runs (each writing an output
+        per input), twelve one-file runs and six lone `reconstruct` calls
+        write the same files, byte for byte, at one and at two BLAS
+        threads."""
+        one = _tree(threaded[1])
+        assert _tree(threaded[2]) == one
+        inputs = sorted(p.name for p in (seed7 / "vectors").iterdir())
+        runs = [f"{tag}.{command}" for tag in ("model", "model_t20", "planted")
+                for command in ("complete", "transfer")]
+        for run in (*runs, "unmasked.complete"):
+            assert sorted(name for name in one if name.startswith(run + "/")) \
+                == [f"{run}/{name}" for name in inputs]
+        assert len([name for name in one if "/" not in name and name.endswith(".marc")]) == 12
+        assert len([name for name in one if name.startswith("lone/")]) == 6
+
+    def test_certified_decoding_against_the_planted_model(self, threaded):
+        """Through the planted factors of seed 7 certified vectors take one
+        step and leave no residual; every transfer certifies. A directory is
+        solved as one block, whose normal maps come from another product:
+        each output matches its one-file run to 1e-12 relative, not
+        bitwise."""
+        out = threaded[1]
+        assert (out / "planted.complete.txt").read_text().count(CERTIFIED) >= 1
+        assert (out / "planted.transfer.txt").read_text().count(CERTIFIED) == 60
+        assert (out / "planted_0003.complete.txt").read_text() \
+            == f"sample_0003.marc: {CERTIFIED}\n"
+        for n in ("0003", "0021", "0042"):
+            for command in ("complete", "transfer"):
+                got = read_vector(out / f"planted.{command}" / f"sample_{n}.marc")
+                want = read_vector(out / f"planted_{n}.{command}.marc")
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_the_trained_bundle_certifies_every_vector_and_the_20_step_one_none(self, threaded):
+        """Through the bundle trained on seed 7 every completion and every
+        transfer certifies: one step, no residual. Through the bundle of a
+        run stopped at t_max=20 none does: every column runs the penalty
+        loop, and the working set narrows as columns stop."""
+        out = threaded[1]
+        for command in ("complete", "transfer"):
+            lines = (out / f"model.{command}.txt").read_text().splitlines()
+            assert len(lines) == 60 and all(CERTIFIED in line for line in lines)
+            assert "iterations=1 " not in (out / f"model_t20.{command}.txt").read_text()
+        diagnostics = json.loads((out / "model_t20" / "diagnostics.json").read_text())
+        assert diagnostics["stop_reason"] == "t_max"
+
+    def test_the_small_instance_takes_svts_svd_fallback(self, threaded):
+        """`marc synth --dim 40 --samples 30 --seed 3` is trained for its G
+        steps that take svt's SVD fallback (71 of 331): with none, the
+        bitwise check would not cover that path."""
+        assert int((threaded[1] / "small_svd_steps.txt").read_text()) >= 1
