@@ -39,10 +39,9 @@ A lone vector, the traffic of `reconstructor.reconstruct`, decodes without a
 column axis: the same cuts and rules on (dim,) arrays, with no reshape, no
 per-column bookkeeping and no stacked products, ending as soon as the
 vector certifies or its bound fails. Its result is bitwise the block
-decode's for the same vector as a (dim, 1) block. Over 200 free stock
-holdouts that certify at the first cut, this took a lone call's decode from
-149 to 96 us, and the whole call from 300 to 240 us (best of 8 alternating
-runs, each the min of 9 passes, one BLAS thread, 2-core VM).
+decode's for the same vector as a (dim, 1) block. It exists because the
+block's bookkeeping costs a lone call's decode about half as much again
+(timings in CHANGES.md).
 """
 from __future__ import annotations
 
@@ -103,13 +102,9 @@ def _grams(design: np.ndarray, weights: np.ndarray,
     Gram of (dim,) `weights`: two products for a lone row, and for more one
     product with the upper triangle of the design's row-wise outer products,
     `table` (`gram_table` of the design, built here when None), mirrored.
-    For one row the outer products cost more than they save: +24% on free
-    calls that certify, +7% on penalty-loop solves (the traffic and timing
-    `reconstructor._solve`'s doc names). On a 50-column block of the
-    trained 12-wide stock design the mirrored product took 50-75 us against
-    104 us for the full k * k table's, which also cost ~75 us to build on
-    each call (three runs, each the min of 7 x 500 calls, one BLAS thread,
-    2-core VM)."""
+    For one row the outer products cost more than they save, and for a
+    block the mirrored triangle costs less than the full k * k table,
+    product and build (timings in CHANGES.md)."""
     dim, k = design.shape
     if weights.ndim == 1 or len(weights) == 1:
         return ((design.T * weights) @ design).reshape(weights.shape[:-1] + (k, k))
@@ -130,7 +125,7 @@ def normal_maps(design: np.ndarray, visible: np.ndarray,
     boolean `visible`, D_v being the rows of the dim x k `design` it sees,
     stacked B x k x k, and which columns' Grams are trusted, (B,) bool. A
     (dim,) mask, as a lone vector's x step and its decode's cuts pass it,
-    gets its one k x k map and a 0-d flag, bitwise the [0] of the same mask
+    gets its one k x k map and a numpy bool, bitwise the [0] of the same mask
     as a (dim, 1) block. The Grams come from `_grams`, a block's from the
     design's `table` (`gram_table`; built when None). A Gram G is trusted
     when its smallest eigenvalue is above NORMAL_RATIO * tr(G) (a zero-width
@@ -143,17 +138,22 @@ def normal_maps(design: np.ndarray, visible: np.ndarray,
     `np.linalg.inv` of the Grams. Otherwise the untrusted ones are swapped
     for the identity in that inverse, and each of their maps is P P^T,
     P = pinv(D_v) as `np.linalg.pinv` gives it."""
-    k, count = design.shape[1], 1 if visible.ndim == 1 else visible.shape[1]
+    k = design.shape[1]
     grams = _grams(design, visible.T, table)
     shifted = grams.copy()
-    diagonal = shifted.reshape(count, k * k)[:, ::k + 1]  # a view, strided as np.trace reads it
+    if visible.ndim == 1:
+        diagonal = shifted.ravel()[::k + 1]  # a view, strided as np.trace reads it
+        diagonal -= NORMAL_RATIO * diagonal.sum()
+        trusted = positive_definite(shifted)
+        if trusted:
+            return np.linalg.inv(grams), trusted
+        factor = np.linalg.pinv(design[visible])
+        return factor @ factor.T, trusted
+    diagonal = shifted.reshape(visible.shape[1], k * k)[:, ::k + 1]
     diagonal -= NORMAL_RATIO * diagonal.sum(axis=1)[:, None]
     trusted = positive_definite(shifted)
     if trusted.all():
         return np.linalg.inv(grams), trusted
-    if visible.ndim == 1:
-        factor = np.linalg.pinv(design[visible])
-        return factor @ factor.T, trusted
     maps = np.linalg.inv(np.where(trusted[:, None, None], grams, np.eye(k)))
     for c in np.flatnonzero(~trusted):
         factor = np.linalg.pinv(design[visible[:, c]])
@@ -199,11 +199,10 @@ def decode(design: np.ndarray, trusted: np.ndarray, visible: np.ndarray, target:
     `gram_table` (built at each cut when None), and each round gathers the
     columns still decoding once. One vector takes `_decode_vector`, the
     same cuts without the column axis, bitwise the block's result for it as
-    a (dim, 1) block and about a third cheaper (the module doc has the
-    timing).
+    a (dim, 1) block and cheaper (timings in CHANGES.md).
 
     Returns x with each certified column replaced by its x_K, and which
-    columns were certified (0-d for one vector)."""
+    columns were certified (a numpy bool for one vector)."""
     if x.ndim == 1:
         return _decode_vector(design, trusted, visible, target, x, norm, eps)
     dim, count = target.shape
@@ -259,15 +258,14 @@ def _decode_vector(design: np.ndarray, trusted: np.ndarray, seen: np.ndarray, y:
     block gives such a column an infinite bound); x itself comes back when
     it does not certify."""
     if not trusted:
-        return x, np.zeros((), dtype=bool)
-    dim = design.shape[0]
+        return x, np.False_
     budget = eps * (np.abs(y) / norm * seen).sum()
-    kept, res = seen, y - design @ x
+    kept, mags = seen, np.abs(y - design @ x)
     for _ in range(DECODE_ROUNDS):
-        mags = np.abs(res)
-        mags = np.where(kept, mags, np.where(kept, mags, np.inf).min())
-        ordered = np.sort(mags)
-        kept = kept & (mags <= ordered[dim - 1 - sorted_gap(ordered[::-1])])
+        # The cut of `decode`, from the kept magnitudes alone: the rows off K
+        # it fills with the smallest of them open no gap.
+        ordered = np.sort(mags[kept])
+        kept = kept & (mags <= ordered[ordered.size - 1 - sorted_gap(ordered[::-1])])
         maps, kept_trusted = normal_maps(design, kept)
         if not kept_trusted:
             break
@@ -277,10 +275,10 @@ def _decode_vector(design: np.ndarray, trusted: np.ndarray, seen: np.ndarray, y:
         signs, counted = _signs(res, mags, seen, kept)
         bound = (np.abs(design @ (maps @ (design.T @ signs))) * kept).max()
         if _passes(mags, counted, bound, budget):
-            return refit, np.ones((), dtype=bool)
+            return refit, np.True_
         if not bound <= 1.0 - CERT_MARGIN:
             break
-    return x, np.zeros((), dtype=bool)
+    return x, np.False_
 
 
 def _signs(res: np.ndarray, mags: np.ndarray, seen: np.ndarray,
@@ -291,8 +289,9 @@ def _signs(res: np.ndarray, mags: np.ndarray, seen: np.ndarray,
     which takes u = 0 and counts in the misfit with K, so that no sign of a
     rounding error decides ||g||_inf. Returns u off K (0 on K and on hidden
     rows) and the rows the misfit sums."""
-    cut = seen & ~kept & (mags > 1e-13)
-    return cut * np.sign(res), seen & ~cut
+    # K and the cut rows lie within the visible ones, so `^` takes them off.
+    cut = (seen ^ kept) & (mags > 1e-13)
+    return cut * np.sign(res), seen ^ cut
 
 
 def _passes(mags: np.ndarray, counted: np.ndarray, bound: np.ndarray,

@@ -300,15 +300,16 @@ def _warm_factors(a: np.ndarray, gram: np.ndarray, tau: float, warm: WarmStart) 
 def positive_definite(a: np.ndarray) -> np.ndarray:
     """Whether the symmetric `a`, or each matrix of a stack of them, is
     positive definite: a Cholesky factorization of it exists. Flags shaped
-    as the stack, 0-d for one matrix. A stacked factorization fails for the
-    whole stack on one matrix, so after a failure each is tested alone."""
+    as the stack, a numpy bool for one matrix. A stacked factorization fails
+    for the whole stack on one matrix, so after a failure each is tested
+    alone."""
     try:
         np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         if a.ndim == 2:
-            return np.zeros((), dtype=bool)
+            return np.False_
         return np.array([positive_definite(m) for m in a])
-    return np.ones(a.shape[:-2], dtype=bool)
+    return np.True_ if a.ndim == 2 else np.ones(a.shape[:-2], dtype=bool)
 
 
 def _svt_svd(m: np.ndarray, tau: float, warm: WarmStart | None = None) -> np.ndarray:
@@ -416,5 +417,7 @@ def sorted_gap(mags: np.ndarray) -> int | np.ndarray:
     if mags.shape[0] < 2:
         return 0 if mags.ndim == 1 else np.zeros(mags.shape[1], dtype=np.intp)
     gaps = mags[:-1] - mags[1:]
-    count = np.where(np.max(gaps, axis=0) > 0.0, np.argmax(gaps, axis=0) + 1, 0)
-    return int(count) if mags.ndim == 1 else count
+    if mags.ndim == 1:
+        count = int(np.argmax(gaps))
+        return count + 1 if gaps[count] > 0.0 else 0
+    return np.where(np.max(gaps, axis=0) > 0.0, np.argmax(gaps, axis=0) + 1, 0)

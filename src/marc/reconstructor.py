@@ -169,9 +169,15 @@ def build_span(bundle: ModelBundle, rule: RankRule | None) -> np.ndarray:
     span, and anything but a RankRule or None raises ValidationError. An
     identically zero individual part has no span of any width, an explicit
     rank included; reconstruct such a model with rank_rule=None."""
-    if rule is None:
-        return np.zeros((bundle.dim, 0))
+    return _leading_span(bundle, rule).copy()
+
+
+def _leading_span(bundle: ModelBundle, rule: RankRule | None) -> np.ndarray:
+    """`build_span` as a view of the bundle's left-singular vectors, for a
+    caller that copies it anyway."""
     u, s, _ = bundle.individual_svd
+    if rule is None:
+        return u[:, :0]
     if s[0] == 0.0:  # the spectral norm of G
         raise DegenerateMatrixError(
             "the trained individual component is identically zero; "
@@ -187,7 +193,7 @@ def build_span(bundle: ModelBundle, rule: RankRule | None) -> np.ndarray:
     else:
         energies = bundle.individual_energy
         width = int(np.searchsorted(energies, rule.energy * energies[-1], side="left")) + 1
-    return u[:, :width].copy()
+    return u[:, :width]
 
 
 def synthesize(
@@ -237,7 +243,7 @@ def reconstruct(
     y, w_y = check_input(y, w_y, bundle.dim)
     check_observed(y, w_y, data="input vector", mask="input mask")
     observed = y * w_y
-    norms = checked_norms([observed], "reconstruction",
+    norms = checked_norms(observed[None], "reconstruction",
                           lambda _: "the observed norm of the input vector")
     spec = _check_spec(spec, bundle.schema)
     return _solve(y, w_y, observed, norms, bundle, spec, config, observer,
@@ -341,16 +347,17 @@ def reconstruct_many(
 
 def _sq_norms(a: np.ndarray) -> np.ndarray | float:
     """The squared norm of each column of `a`, or of `a` itself when it
-    holds one vector."""
-    return a @ a if a.ndim == 1 else np.add.reduce(a * a)
+    holds one vector, by a fixed-order sum: no BLAS thread count moves it."""
+    return np.add.reduce(a * a)
 
 
 class _Design(NamedTuple):
-    """What every slice of one call solves with: the span K (`build_span`),
-    the stacked design [F_1 .. F_n, K], each block's columns of it, and for
-    a call that solves blocks, the design's `decode.gram_table` and, for
-    each attribute the spec pins, its F_i h_i as `synthesize` forms it
-    (None for a free one, and for every one in a call of one vector)."""
+    """What every slice of one call solves with: the span K (`build_span`'s,
+    as a view of the design), the stacked design [F_1 .. F_n, K], each
+    block's columns of it, and for a call that solves blocks, the design's
+    `decode.gram_table` and, for each attribute the spec pins, its F_i h_i
+    as `synthesize` forms it (None for a free one, and for every one in a
+    call of one vector)."""
 
     span: np.ndarray
     matrix: np.ndarray
@@ -363,14 +370,14 @@ def _design(bundle: ModelBundle, spec: TransferSpec, config: ReconConfig,
             block: bool) -> _Design:
     """The `_Design` of one call; `block` says whether any slice of it holds
     more than one column (a lone vector reads no table and no renders)."""
-    span = build_span(bundle, config.rank_rule)
-    blocks = [*bundle.bases, span]
+    blocks = [*bundle.bases, _leading_span(bundle, config.rank_rule)]
     ends = list(itertools.accumulate((b.shape[1] for b in blocks), initial=0))
+    pieces = [slice(a, b) for a, b in zip(ends, ends[1:])]
     matrix = np.concatenate(blocks, axis=1)
     rendered = [None if mode is None or not block
                 else bundle.bases[i] @ bundle.bank.selectors[i][:, mode]
                 for i, mode in enumerate(spec.pinned)]
-    return _Design(span, matrix, [slice(a, b) for a, b in zip(ends, ends[1:])],
+    return _Design(matrix[:, pieces[-1]], matrix, pieces,
                    decode.gram_table(matrix) if block else None, rendered)
 
 
@@ -395,29 +402,21 @@ def _solve(
 
     A block pays once per call for its design, its Gram table and its
     pinned renders, gathers nothing to form its slices, and builds the
-    results of the columns that stop together from per-slice arrays. Over
-    200 cli-pipeline vectors through the trained stock bundle that took a
-    `reconstruct_many` call from 18.0 to 14.3 ms free and from 17.9 to
-    13.5 ms pinned, and through a 20-step bundle, where no column
-    certifies, from 98.4 to 80.2 ms free (medians of alternating rounds,
-    each the min of 7 calls, one BLAS thread, 2-core VM), every result
-    bitwise the same.
+    results of the columns that stop together from per-slice arrays.
 
     One vector runs the same steps without the column axis: its state holds
     1-D arrays and a scalar mu, which its observer sees, and its per-column
-    bookkeeping costs no numpy calls on length-1 arrays. That path pays for
-    itself: as a 1-column block, calls that certify at the first step take
-    1.7-2.2% longer (200 free recon-holdout calls of seed 4242) and
-    penalty-loop solves 23-26% (the free solves of 30 stock holdouts, 50%
-    hidden, 30% spikes, amplitude 5); paired per-call medians over three
-    runs, min of 5, one BLAS thread, 2-core VM, with the same
-    reconstructions and iterations either way. Its normal map and its
-    decode keep that layout: `decode.normal_maps` of its (dim,) mask gives
-    one k x k map and a 0-d flag, and `decode.decode` of its 1-D arrays runs
-    the one-vector decode, bitwise the one-column block's. On recon-holdout
-    (`perfbench/run.py --seconds 20 --seed 1`, 10 alternating pairs) that
-    decode took vectors_per_s from 2755 to 3764 (+36.6%) and op_ms_p50 from
-    0.338 to 0.254 ms."""
+    bookkeeping costs no numpy calls on length-1 arrays. Its normal map and
+    its decode keep that layout: `decode.normal_maps` of its (dim,) mask
+    gives one k x k map and a numpy bool, and `decode.decode` of its 1-D
+    arrays runs the one-vector decode, bitwise the one-column block's.
+
+    The first step forms none of the terms its zero dual would add, and its
+    first sweep fits `observed`, which is zero off the visible rows, as it
+    stands. When every column of the working set certifies, e is the
+    residual on every entry, and the step returns the exact 0 without
+    forming it. Both layouts keep these forms because a call that
+    certifies is most calls (timings in CHANGES.md)."""
     dim = bundle.dim
     span, matrix, pieces, table = design.span, design.matrix, design.pieces, design.table
     bases = bundle.bases
@@ -444,54 +443,60 @@ def _solve(
     # `decode.NORMAL_RATIO`) has the map P P^T, P = pinv(D_v), and is not
     # decoded.
     maps, trusted = decode.normal_maps(matrix, visible, table=table)
+    x = np.zeros((matrix.shape[1],) + tail)
     cols = {
-        "visible": visible, "observed": observed, "norm": norm,
-        "x": np.zeros((matrix.shape[1],) + tail),
+        "visible": visible, "observed": observed, "norm": norm, "x": x,
         "input": np.arange(len(norms)),  # each working column's index in the input
         "maps": maps, "trusted": trusted,
     }
     state = ReconState(
         config=config,
-        selectors=[np.zeros((bundle.schema.size(i),) + tail)
-                   for i in range(bundle.schema.count)],
-        indiv_coeffs=np.zeros((span.shape[1],) + tail),
+        selectors=[x[piece] for piece in pieces[:-1]],
+        indiv_coeffs=x[pieces[-1]],
         sparse_error=np.zeros(Y.shape),
         dual=np.zeros(Y.shape),
         mu=config.capped(config.mu0_scale / norm),
         lam=lam,
     )
-    # The last closing step's sum F_k h_k and K w. They and e start at the
-    # result of a column that takes no step: zero, with e absorbing y on
-    # hidden entries. A column that steps never reads those entries: the x
-    # step skips hidden rows, and the closing E step overwrites e.
-    shared, indiv = np.zeros(Y.shape), np.zeros(Y.shape)
+    # The last closing step's sum F_k h_k and K w, which `retire` reads. A
+    # column that takes no step retires with them at zero, and with e
+    # absorbing y on hidden entries.
+    shared = indiv = np.zeros(Y.shape) if zero else None
     first = True
 
     def step() -> tuple[np.ndarray, np.ndarray | float, np.ndarray | float]:
         nonlocal shared, indiv, first
         x, tol_sq = cols["x"], (INNER_TOL * cols["norm"]) ** 2
-        scaled_dual = state.dual / state.mu
         bound = lam / state.mu
-        target = cols["observed"] + scaled_dual
+        # The first step's dual is zero: its target is the observed data.
+        scaled_dual = None if first else state.dual / state.mu
+        target = cols["observed"] if first else cols["observed"] + scaled_dual
         err = state.sparse_error
         moving = True
         some_frozen = False
         for sweep in range(INNER_SWEEPS):
-            rhs = matrix.T @ (cols["visible"] * (target - err))
+            start = first and not sweep
+            # The first sweep starts from e = 0 and fits the target, which is
+            # zero off the visible rows.
+            rhs = matrix.T @ (target if start else cols["visible"] * (target - err))
             new = (np.matmul(cols["maps"], rhs.T[:, :, None])[:, :, 0].T if tail
                    else cols["maps"] @ rhs)
-            delta = new - x
-            x = np.where(moving, new, x) if some_frozen else new
-            # Blocks have orthonormal columns: a column of delta^2 sums the
-            # squared distances the sweep moved each block's synthesis.
-            moving &= _sq_norms(delta) > tol_sq
-            if first and not sweep:
-                # The first step's x is the least-squares fit (e = 0 on
-                # visible rows, and the dual is zero): decode from it. A
-                # certified column is frozen at its refit.
+            # Blocks have orthonormal columns: a column of (new - x)^2 sums
+            # the squared distances the sweep moved each block's synthesis.
+            if start:
+                # The least-squares fit: decode from it. A certified column is
+                # frozen at its refit; x started at 0, so every other one
+                # moved by `new`.
                 x, certified = decode.decode(matrix, cols["trusted"], cols["visible"], target,
-                                             x, cols["norm"], config.eps, table=table)
-                moving &= ~certified
+                                             new, cols["norm"], config.eps, table=table)
+                settled = certified.all() if tail else bool(certified)
+                moving = ~certified
+                if not settled:
+                    moving &= _sq_norms(new) > tol_sq
+            else:
+                delta = new - x
+                x = np.where(moving, new, x) if some_frozen else new
+                moving &= _sq_norms(delta) > tol_sq
             still = np.count_nonzero(moving) if moving.ndim else bool(moving)
             if sweep == INNER_SWEEPS - 1 or not still:
                 break
@@ -507,16 +512,19 @@ def _solve(
             shared += basis @ sel
         indiv = span @ state.indiv_coeffs
         unexplained = cols["observed"] - shared - indiv
-        augmented = unexplained + scaled_dual
-        sparse = cols["visible"]
         if first:
-            # A certified column's e takes its residual on every entry (the
-            # dual is zero), so its residual is exactly 0. When every column
-            # certifies, no entry is penalised: e is the residual itself.
-            sparse = None if certified.all() else sparse & ~certified
             first = False
-        state.sparse_error = (augmented if sparse is None
-                              else np.where(sparse, soft_threshold(augmented, bound), augmented))
+            # A certified column's e takes its residual on every entry, so
+            # its residual is exactly 0. When every column certified, e is
+            # the residual itself, and the zeros need no sum.
+            if settled:
+                state.sparse_error = unexplained
+                done = np.zeros(certified.shape) if tail else 0.0
+                return unexplained, done, done
+            augmented, sparse = unexplained, cols["visible"] & ~certified
+        else:
+            augmented, sparse = unexplained + scaled_dual, cols["visible"]
+        state.sparse_error = np.where(sparse, soft_threshold(augmented, bound), augmented)
         res = np.sqrt(_sq_norms(unexplained - state.sparse_error)) / cols["norm"]
         return unexplained, res, res
 

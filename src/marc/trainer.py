@@ -402,14 +402,22 @@ def constraint_residual(state: TrainState, ts: TrainingSet, norm: float, fit: np
 Observer = Callable[[TrainState, int], None]
 
 
-def checked_norms(arrays: Iterable[np.ndarray], what: str,
+def checked_norms(arrays: Iterable[np.ndarray] | np.ndarray, what: str,
                   name: Callable[[int], str]) -> list[float]:
-    """The norm of each of `arrays` (a matrix's by `frobenius`, a vector's,
-    as reconstruction takes them, by np.linalg.norm), taken without a numpy
-    warning. The first that overflows float64 raises NumericalError "<what>
-    diverged at iteration 0: <name(c)> overflows float64", c its index."""
+    """The norms of `arrays`, taken without a numpy warning by fixed-order
+    `np.einsum` sums, whose last bits no BLAS thread count moves: each
+    matrix of a list by `frobenius`, as training takes its data's, or each
+    row of one 2-D array by one sum over its C-ordered rows, as
+    reconstruction takes its vectors' (a lone vector as a 1 x dim array,
+    whose norm is then bitwise its norm in any block). The first that
+    overflows float64 raises NumericalError "<what> diverged at iteration 0:
+    <name(c)> overflows float64", c its index."""
     with np.errstate(over="ignore"):
-        norms = [frobenius(a) if a.ndim == 2 else float(np.linalg.norm(a)) for a in arrays]
+        if isinstance(arrays, np.ndarray):
+            rows = np.ascontiguousarray(arrays)
+            norms = np.sqrt(np.einsum("ij,ij->i", rows, rows)).tolist()
+        else:
+            norms = [frobenius(a) for a in arrays]
     for c in (c for c, norm in enumerate(norms) if not math.isfinite(norm)):
         raise NumericalError(f"{what} diverged at iteration 0: {name(c)} overflows float64")
     return norms

@@ -1089,11 +1089,15 @@ class TestRepeatRuns:
 # - complete and transfer samples 0003, 0021 and 0042 alone through the
 #   trained and the planted bundle: a one-file run takes the one-vector path;
 # - reconstruct those three alone, free and pinned, against the planted
-#   bundle, each result's arrays and record written as bytes.
+#   bundle, each result's arrays and record written as bytes;
+# - take a 10^6-entry vector's observed norm and squared norm as
+#   reconstruction takes them, written as bytes.
 _THREADED_RUN = _CHILD_PRELUDE + """
+import numpy as np
 from marc import proxops
 from marc.formats import load_bundle, read_vector
-from marc.reconstructor import TransferSpec, reconstruct
+from marc.reconstructor import TransferSpec, _sq_norms, reconstruct
+from marc.trainer import checked_norms
 
 seed7, work, out = (Path(arg) for arg in sys.argv[1:])
 vectors, masks, samples = seed7 / "vectors", seed7 / "masks", ("0003", "0021", "0042")
@@ -1137,6 +1141,10 @@ for n in samples:
         fields = [*r.selectors, r.indiv_coeffs, r.sparse_error, r.reconstruction]
         (out / "lone" / f"{name}_{n}").write_bytes(
             b"".join(a.tobytes() for a in fields) + repr(r.diagnostics).encode())
+
+long = np.random.default_rng(0).standard_normal(10**6)
+(out / "long_norms").write_bytes(
+    np.array([*checked_norms(long[None], "reconstruction", str), _sq_norms(long)]).tobytes())
 """
 
 CERTIFIED = "iterations=1 residual=0.000e+00"
@@ -1172,6 +1180,14 @@ class TestBlasThreads:
                 == [f"{run}/{name}" for name in inputs]
         assert len([name for name in one if "/" not in name and name.endswith(".marc")]) == 12
         assert len([name for name in one if name.startswith("lone/")]) == 6
+
+    def test_a_long_vectors_norms_are_fixed_order_sums(self, threaded):
+        """A 10^6-entry vector's observed norm (`trainer.checked_norms`) and
+        squared norm (`reconstructor._sq_norms`) are the same bits at one and
+        at two BLAS threads: a BLAS dot product would split either sum
+        across the threads."""
+        one, two = ((threaded[threads] / "long_norms").read_bytes() for threads in (1, 2))
+        assert len(one) == 16 and one == two
 
     def test_certified_decoding_against_the_planted_model(self, threaded):
         """Through the planted factors of seed 7 certified vectors take one

@@ -310,10 +310,13 @@ class TestContracts:
                                       (y_in - result.reconstruction)[hidden])
 
     def test_mu_schedule(self, planted):
+        """The penalty starts at mu0_scale / ||y||, the norm a fixed-order
+        sum (`np.einsum`'s, not a BLAS dot product), and grows by rho per
+        step up to mu_max."""
         _, bundle, y, _ = planted
         result = reconstruct(y, None, bundle, config=ReconConfig(t_max=200))
         mu = result.diagnostics.mu_history
-        assert mu[0] == 25.0 / float(np.linalg.norm(y))
+        assert mu[0] == 25.0 / float(np.sqrt(np.einsum("i,i->", y, y)))
         for prev, cur in zip(mu, mu[1:]):
             assert cur == min(1.2 * prev, 1e7)
 
@@ -1383,6 +1386,43 @@ class TestDecode:
         assert decoded and self.error(result, sample) <= 1e-12
         d = result.diagnostics
         assert (d.iterations, d.stop_reason, d.final_residual) == (1, "converged", 0.0)
+
+    @pytest.mark.parametrize("pins", [{}, {"attr2": "b3"}], ids=["free", "pinned"])
+    def test_a_certified_lone_call_does_only_the_work_its_result_reads(self, stock,
+                                                                       monkeypatch, pins):
+        """One `reconstruct` call that certifies at the first cut (the stock
+        holdout of seed 0), free and pinned, forms two normal maps (the x
+        step's and the cut's) and soft-thresholds nothing, its observer sees
+        step 0 alone, and its one record is a converged step with the exact
+        residual 0, which the step returns without summing a residual or a
+        sweep's move (`_sq_norms`)."""
+        truth, bundle = stock
+        calls = {"normal_maps": 0, "soft_threshold": 0, "_sq_norms": 0}
+
+        def spy(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        spy(decoder, "normal_maps")
+        spy(reconstructor, "soft_threshold")
+        spy(proxops, "soft_threshold")
+        spy(reconstructor, "_sq_norms")
+        steps = []
+        sample = holdout_sample(truth, 0)
+        result = reconstruct(sample.y, sample.mask, bundle,
+                             TransferSpec.targets(truth.schema, pins),
+                             observer=lambda state, t: steps.append(t))
+        assert calls == {"normal_maps": 2, "soft_threshold": 0, "_sq_norms": 0}
+        assert steps == [0]
+        d = result.diagnostics
+        assert (d.iterations, d.final_residual, d.converged, d.stop_reason) \
+            == (1, 0.0, True, "converged")
+        assert d.residual_history == [0.0] and len(d.mu_history) == 1
 
     def test_a_lone_vector_decodes_as_a_one_column_block(self, stock, monkeypatch):
         """`decode` of a 1-D vector from its least-squares fit is bitwise the
